@@ -9,7 +9,7 @@ Probabilities are exact branch norms; nothing is sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fock, optics
 from .errors import NonPhysicalInput, UndeclaredMode
@@ -49,7 +49,7 @@ class FeedForwardRule:
 
 @dataclass(frozen=True)
 class InputDecl:
-    kind: str  # "qubit" | "bell" | "chi"
+    kind: str  # "qubit" | "bell" | "chi" | "state" (two-qubit: HH, HV, VH, VV)
     modes: tuple[str, ...]
     amplitudes: tuple[complex, ...] = ()
 
@@ -62,9 +62,6 @@ class CircuitSpec:
     detectors: tuple[DetectorSpec, ...]
     rules: tuple[FeedForwardRule, ...] = ()
     outputs: tuple[str, ...] = ()
-    # Programmatic-only escape hatch for entangled inputs the DSL cannot
-    # express (e.g. an arbitrary two-qubit state).  Compared by identity.
-    raw_input: PhotonState | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -105,7 +102,7 @@ def pattern_name(pattern: OutcomePattern, detectors: tuple[DetectorSpec, ...]) -
 def build_input_state(
     spec: CircuitSpec, tolerance: float | None = None
 ) -> PhotonState:
-    from .gates import bell_phi_plus, chi_state, qubit_state
+    from .gates import bell_phi_plus, chi_state, qubit_state, two_qubit_input
 
     state = fock.vacuum(tolerance)
     for decl in spec.inputs:
@@ -115,11 +112,11 @@ def build_input_state(
             part = bell_phi_plus(*decl.modes, tolerance=tolerance)
         elif decl.kind == "chi":
             part = chi_state(*decl.modes, tolerance=tolerance)
+        elif decl.kind == "state":
+            part = two_qubit_input(*decl.modes, decl.amplitudes, tolerance=tolerance)
         else:
             raise ValueError(f"unknown input kind: {decl.kind!r}")
         state = fock.tensor(state, part)
-    if spec.raw_input is not None:
-        state = fock.tensor(state, spec.raw_input)
     return state
 
 

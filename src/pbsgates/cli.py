@@ -8,6 +8,7 @@ canonical order, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,32 +26,36 @@ EXIT_PARSE = 3
 TOLERANCE_ENV = "PBSGATES_AMP_TOLERANCE"
 
 
-def _tolerance() -> float:
+def _set_tolerance() -> float:
+    """Set the process-wide pruning tolerance from the environment."""
     raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None:
-        return fock.DEFAULT_TOLERANCE
     try:
-        return float(raw)
+        value = fock.DEFAULT_TOLERANCE if raw is None else float(raw)
+        fock.set_default_tolerance(value)  # rejects values outside [0, 1)
     except ValueError:
         raise _config_error(
-            f"{TOLERANCE_ENV} must be a float, got {raw!r}"
+            f"{TOLERANCE_ENV} must be a float in [0, 1), got {raw!r}"
         ) from None
+    return value
 
 
-def _normalize(values: list[float], what: str) -> list[complex]:
+def _amplitude_argument(state_type, what: str, values: list[float]):
+    """Validate and normalize amplitude reals; return (state, reals echoed)."""
+    if not all(map(math.isfinite, values)):
+        raise _config_error(f"{what} amplitudes must be finite, got {values!r}")
     amps = [complex(values[i], values[i + 1]) for i in range(0, len(values), 2)]
     norm2 = sum(abs(a) ** 2 for a in amps)
     dev = abs(norm2 - 1.0)
     if dev > 1e-6:
-        print(f"error: {what} amplitudes are not normalized "
-              f"(squared norm {norm2!r})", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise _config_error(
+            f"{what} amplitudes are not normalized (squared norm {norm2!r})"
+        )
     if dev > 1e-9:
         print(f"warning: renormalizing {what} amplitudes "
               f"(squared norm {norm2!r})", file=sys.stderr)
         scale = 1.0 / math.sqrt(norm2)
         amps = [a * scale for a in amps]
-    return amps
+    return state_type(*amps), [x for a in amps for x in (a.real, a.imag)]
 
 
 def _state_terms(state: fock.PhotonState) -> list[dict]:
@@ -87,40 +92,40 @@ def _report_document(name, result, detectors, fidelities, input_doc) -> dict:
     }
 
 
+_CONTROLS = {"H": QubitState(1.0, 0.0), "V": QubitState(0.0, 1.0)}
+
+#: Option -> how its parsed value becomes (gate argument, value the report
+#: echoes under the option's name).
+_OPTION_ARGUMENTS = {
+    "qubit": functools.partial(_amplitude_argument, QubitState, "qubit"),
+    "two_qubit": functools.partial(_amplitude_argument, TwoQubitState, "two-qubit"),
+    "control_pol": lambda pol: (_CONTROLS[pol], pol),
+}
+
+#: Gate name -> the options it reads, in the order of its arguments.
+_GATE_OPTIONS = {
+    "parity_check": ("qubit",),
+    "destructive_cnot": ("qubit", "control_pol"),
+    "encoder": ("qubit",),
+    "cnot": ("two_qubit",),
+    "gc_cnot": ("two_qubit",),
+    "chi_via_cnot": (),
+}
+
+
 def _run_gate(args) -> dict:
     name = args.gate
-    passive = args.passive
-    if name in ("parity_check", "encoder"):
-        if args.qubit is None:
-            raise _config_error(f"{name} needs --qubit")
-        a_h, a_v = _normalize(args.qubit, "qubit")
-        report = getattr(gates, name)(QubitState(a_h, a_v), passive=passive)
-        input_doc = {"qubit": [a_h.real, a_h.imag, a_v.real, a_v.imag]}
-    elif name == "destructive_cnot":
-        if args.qubit is None:
-            raise _config_error("destructive_cnot needs --qubit (the target)")
-        a_h, a_v = _normalize(args.qubit, "qubit")
-        control = (
-            QubitState(0.0, 1.0) if args.control_pol == "V" else QubitState(1.0, 0.0)
-        )
-        report = gates.destructive_cnot(QubitState(a_h, a_v), control, passive=passive)
-        input_doc = {
-            "qubit": [a_h.real, a_h.imag, a_v.real, a_v.imag],
-            "control_pol": args.control_pol,
-        }
-    elif name in ("cnot", "gc_cnot"):
-        if args.two_qubit is None:
-            raise _config_error(f"{name} needs --two-qubit")
-        amps = _normalize(args.two_qubit, "two-qubit")
-        report = getattr(gates, name)(TwoQubitState(*amps), passive=passive)
-        input_doc = {
-            "two_qubit": [x for a in amps for x in (a.real, a.imag)]
-        }
-    elif name == "chi_via_cnot":
-        report = gates.chi_via_cnot(passive=passive)
-        input_doc = {}
-    else:
+    if name not in _GATE_OPTIONS:
         raise _config_error(f"unknown gate {name!r}; choose from {gates.GATE_NAMES}")
+    gate_args = []
+    input_doc = {}
+    for option in _GATE_OPTIONS[name]:
+        value = getattr(args, option)
+        if value is None:
+            raise _config_error(f"{name} needs --{option.replace('_', '-')}")
+        argument, input_doc[option] = _OPTION_ARGUMENTS[option](value)
+        gate_args.append(argument)
+    report = getattr(gates, name)(*gate_args, passive=args.passive)
     return _report_document(
         name, report.result, report.spec.detectors, report.fidelities, input_doc
     )
@@ -148,19 +153,19 @@ def _load_circuit(path: str) -> CircuitSpec:
 def cmd_run(args) -> int:
     if (args.gate is None) == (args.circuit is None):
         raise _config_error("provide exactly one of --gate or --circuit")
-    fock.set_default_tolerance(_tolerance())
-    if args.gate is not None:
-        document = _run_gate(args)
-    else:
-        spec = _load_circuit(args.circuit)
-        try:
-            result = execute(spec, passive=args.passive, tolerance=_tolerance())
-        except PbsGatesError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        document = _report_document(
-            args.circuit, result, spec.detectors, None, {"circuit": args.circuit}
-        )
+    tolerance = _set_tolerance()
+    try:
+        if args.gate is not None:
+            document = _run_gate(args)
+        else:
+            spec = _load_circuit(args.circuit)
+            result = execute(spec, passive=args.passive, tolerance=tolerance)
+            document = _report_document(
+                args.circuit, result, spec.detectors, None, {"circuit": args.circuit}
+            )
+    except PbsGatesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -4,6 +4,7 @@ Grammar (one statement per line, ``#`` starts a comment)::
 
     mode <id>
     input qubit <mode> <re_aH> <im_aH> <re_aV> <im_aV>
+    input state <m1> <m2> <reHH> <imHH> <reHV> <imHV> <reVH> <imVH> <reVV> <imVV>
     input bell <m1> <m2>
     input chi <m1> <m2> <m3> <m4>
     pbs <hv|fs> <in1> <in2> <out1> <out2>
@@ -33,6 +34,14 @@ from .fock import POL_F, POL_H, POL_S, POL_V
 from .optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
 
 _TOKEN = re.compile(r"\S+")
+
+#: Input kind -> (number of modes, names of its complex amplitudes).
+_INPUT_FORMS = {
+    "qubit": (1, ("aH", "aV")),
+    "state": (2, ("HH", "HV", "VH", "VV")),
+    "bell": (2, ()),
+    "chi": (4, ()),
+}
 
 
 class _Token:
@@ -130,8 +139,8 @@ class _Parser:
         self.modes.append(tok.text)
 
     def stmt_input(self, line: _Line):
-        kind = line.next_choice("input kind", ("qubit", "bell", "chi"))
-        arity = {"qubit": 1, "bell": 2, "chi": 4}[kind]
+        kind = line.next_choice("input kind", tuple(_INPUT_FORMS))
+        arity, amplitude_names = _INPUT_FORMS[kind]
         modes: list[str] = []
         for _ in range(arity):
             tok = self.next_mode(line)
@@ -140,13 +149,10 @@ class _Parser:
                     f"mode {tok.text!r} already has an input", tok.line, tok.column
                 )
             modes.append(tok.text)
-        amplitudes: tuple[complex, ...] = ()
-        if kind == "qubit":
-            re_h = line.next_float("re(aH)")
-            im_h = line.next_float("im(aH)")
-            re_v = line.next_float("re(aV)")
-            im_v = line.next_float("im(aV)")
-            amplitudes = (complex(re_h, im_h), complex(re_v, im_v))
+        amplitudes = tuple(
+            complex(line.next_float(f"re({a})"), line.next_float(f"im({a})"))
+            for a in amplitude_names
+        )
         line.done()
         self.sourced.update(modes)
         self.inputs.append(InputDecl(kind, tuple(modes), amplitudes))
@@ -287,18 +293,10 @@ def _format_correction(el) -> str:
 
 def format_circuit(spec: CircuitSpec) -> str:
     """Pretty-print a spec so that reparsing yields an equal spec."""
-    if spec.raw_input is not None:
-        raise ValueError("specs with a programmatic raw input are not printable")
     lines = [f"mode {m}" for m in spec.modes]
     for decl in spec.inputs:
-        if decl.kind == "qubit":
-            a_h, a_v = decl.amplitudes
-            lines.append(
-                f"input qubit {decl.modes[0]} "
-                f"{_fmt(a_h.real)} {_fmt(a_h.imag)} {_fmt(a_v.real)} {_fmt(a_v.imag)}"
-            )
-        else:
-            lines.append(f"input {decl.kind} {' '.join(decl.modes)}")
+        reals = [_fmt(x) for a in decl.amplitudes for x in (a.real, a.imag)]
+        lines.append(" ".join(["input", decl.kind, *decl.modes, *reals]))
     for el in spec.elements:
         if isinstance(el, PbsElement):
             lines.append(f"pbs {el.basis} {el.in1} {el.in2} {el.out1} {el.out2}")

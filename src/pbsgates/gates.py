@@ -1,30 +1,25 @@
-"""Built-in gate constructions, ancilla factories, and fidelity metrics.
+"""Built-in gates, ancilla factories, and fidelity metrics.
 
-Each builder assembles a :class:`CircuitSpec` with the same topology as the
-corresponding optical diagram, runs it, and scores every accepted outcome
-against the ideal target state.  Catalog names (``parity_check``,
-``destructive_cnot``, ``encoder``, ``cnot``, ``gc_cnot``, ``chi_via_cnot``)
-are stable identifiers used by the CLI.
+Each gate runs the circuit file shipped with the package,
+``circuits/<name>.circ``, with the caller's amplitudes bound to the inputs
+on the gate's named modes, and scores every accepted outcome against the
+ideal target state.  Catalog names (``parity_check``, ``destructive_cnot``,
+``encoder``, ``cnot``, ``gc_cnot``, ``chi_via_cnot``) are stable identifiers
+used by the CLI.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from importlib import resources
 
-from . import fock
-from .circuit import (
-    CircuitSpec,
-    DetectorSpec,
-    FeedForwardRule,
-    GateResult,
-    InputDecl,
-    OutcomePattern,
-    execute,
-)
+from . import dsl, fock
+from .circuit import CircuitSpec, GateResult, OutcomePattern, execute
 from .errors import NonNormalized
-from .fock import POL_H, POL_S, POL_V, PhotonState
-from .optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
+from .fock import POL_H, POL_V, PhotonState
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -52,9 +47,12 @@ class TwoQubitState:
     a4: complex
 
     def __post_init__(self):
-        n2 = sum(abs(a) ** 2 for a in (self.a1, self.a2, self.a3, self.a4))
+        n2 = sum(abs(a) ** 2 for a in self)
         if abs(n2 - 1.0) > 1e-9:
             raise NonNormalized(f"two-qubit squared norm is {n2!r}")
+
+    def __iter__(self):
+        return iter((self.a1, self.a2, self.a3, self.a4))
 
 
 @dataclass
@@ -113,17 +111,21 @@ def chi_state(
     return PhotonState(terms, tolerance)
 
 
-def two_qubit_input(m1: str, m2: str, state: TwoQubitState) -> PhotonState:
-    terms = {}
-    for amp, p1, p2 in (
-        (state.a1, POL_H, POL_H),
-        (state.a2, POL_H, POL_V),
-        (state.a3, POL_V, POL_H),
-        (state.a4, POL_V, POL_V),
-    ):
-        key = fock.BasisState.from_dict({(m1, p1): 1, (m2, p2): 1})
-        terms[key] = amp
-    return PhotonState(terms)
+def two_qubit_input(
+    m1: str,
+    m2: str,
+    amplitudes: TwoQubitState | tuple[complex, ...],
+    tolerance: float | None = None,
+) -> PhotonState:
+    """Two photons on ``m1`` and ``m2``; amplitudes of HH, HV, VH, VV."""
+    if m1 == m2:
+        raise ValueError("two-qubit state needs two distinct modes")
+    pols = itertools.product((POL_H, POL_V), repeat=2)
+    terms = {
+        fock.BasisState.from_dict({(m1, p1): 1, (m2, p2): 1}): amp
+        for (p1, p2), amp in zip(pols, amplitudes, strict=True)
+    }
+    return PhotonState(terms, tolerance)
 
 
 def ideal_cnot(state: TwoQubitState) -> TwoQubitState:
@@ -139,7 +141,30 @@ def fidelity(a: PhotonState, b: PhotonState) -> float:
     return abs(fock.inner_product(a, b)) ** 2
 
 
-def _report(name: str, spec: CircuitSpec, target: PhotonState | None, passive: bool):
+@functools.cache
+def _shipped_spec(name: str) -> CircuitSpec:
+    """The parsed ``circuits/<name>.circ`` shipped with the package."""
+    path = resources.files(__package__) / "circuits" / f"{name}.circ"
+    return dsl.parse_circuit(path.read_text(encoding="utf-8"))
+
+
+def _report(
+    name: str,
+    bound: dict[tuple[str, ...], tuple[complex, ...]],
+    target: PhotonState | None,
+    passive: bool,
+) -> GateReport:
+    """Run the shipped ``name`` circuit and score it against ``target``.
+
+    ``bound`` maps the modes of an input declaration to the amplitudes that
+    replace the file's; the other declarations keep the file's values.
+    """
+    spec = _shipped_spec(name)
+    inputs = tuple(
+        replace(decl, amplitudes=bound.get(decl.modes, decl.amplitudes))
+        for decl in spec.inputs
+    )
+    spec = replace(spec, inputs=inputs)
     result = execute(spec, passive=passive)
     fidelities = {}
     if target is not None:
@@ -155,44 +180,10 @@ def _report(name: str, spec: CircuitSpec, target: PhotonState | None, passive: b
     )
 
 
-_PARITY_RULES = (
-    FeedForwardRule("c", POL_S, (PolPhaseElement("2", POL_H, 180.0),)),
-)
-_FLIP_RULES = (
-    FeedForwardRule(
-        "d", POL_V, (RotatorElement("3", 90.0), PolPhaseElement("3", POL_H, 180.0))
-    ),
-)
-_GC_RULES = tuple(
-    [
-        FeedForwardRule(lbl, POL_S, (PolPhaseElement("2", POL_H, 180.0),))
-        for lbl in ("p", "q")
-    ]
-    + [
-        FeedForwardRule(
-            lbl,
-            POL_S,
-            (PolPhaseElement("2", POL_H, 180.0), PolPhaseElement("3", POL_V, 180.0)),
-        )
-        for lbl in ("m", "n")
-    ]
-)
-
-
 def parity_check(q: QubitState, passive: bool = False) -> GateReport:
     """Transfer the qubit from mode 2' to mode 2 when parities agree."""
-    spec = CircuitSpec(
-        modes=("2'", "a", "2", "c"),
-        inputs=(
-            InputDecl("qubit", ("2'",), (q.alpha, q.beta)),
-            InputDecl("qubit", ("a",), (_SQRT_HALF, _SQRT_HALF)),
-        ),
-        elements=(PbsElement("2'", "a", "2", "c", BASIS_HV),),
-        detectors=(DetectorSpec("c", BASIS_FS, "c"),),
-        rules=_PARITY_RULES,
-        outputs=("2",),
-    )
-    return _report("parity_check", spec, qubit_state("2", q.alpha, q.beta), passive)
+    bound = {("2'",): (q.alpha, q.beta)}
+    return _report("parity_check", bound, qubit_state("2", q.alpha, q.beta), passive)
 
 
 def destructive_cnot(
@@ -204,119 +195,41 @@ def destructive_cnot(
     only defined for computational-basis controls; superposed controls still
     run, with fidelities omitted.
     """
-    spec = CircuitSpec(
-        modes=("3'", "b", "3", "d"),
-        inputs=(
-            InputDecl("qubit", ("3'",), (target.alpha, target.beta)),
-            InputDecl("qubit", ("b",), (control.alpha, control.beta)),
-        ),
-        elements=(PbsElement("3'", "b", "3", "d", BASIS_FS),),
-        detectors=(DetectorSpec("d", BASIS_HV, "d"),),
-        rules=_FLIP_RULES,
-        outputs=("3",),
-    )
+    bound = {
+        ("3'",): (target.alpha, target.beta),
+        ("b",): (control.alpha, control.beta),
+    }
     ideal = None
     if abs(abs(control.alpha) - 1.0) <= 1e-12:
         ideal = qubit_state("3", target.alpha, target.beta)
     elif abs(abs(control.beta) - 1.0) <= 1e-12:
         ideal = qubit_state("3", target.beta, target.alpha)
-    return _report("destructive_cnot", spec, ideal, passive)
+    return _report("destructive_cnot", bound, ideal, passive)
 
 
 def encoder(q: QubitState, passive: bool = False) -> GateReport:
     """Copy the qubit's basis value onto modes 2 and b: aH+bV -> aHH+bVV."""
-    spec = CircuitSpec(
-        modes=("2'", "a", "b", "2", "c"),
-        inputs=(
-            InputDecl("qubit", ("2'",), (q.alpha, q.beta)),
-            InputDecl("bell", ("a", "b")),
-        ),
-        elements=(PbsElement("2'", "a", "2", "c", BASIS_HV),),
-        detectors=(DetectorSpec("c", BASIS_FS, "c"),),
-        rules=_PARITY_RULES,
-        outputs=("2", "b"),
-    )
-    target = fock.superpose(
-        fock.PhotonState(
-            {fock.BasisState.from_dict({("2", POL_H): 1, ("b", POL_H): 1}): 1.0}
-        ),
-        q.alpha,
-        fock.PhotonState(
-            {fock.BasisState.from_dict({("2", POL_V): 1, ("b", POL_V): 1}): 1.0}
-        ),
-        q.beta,
-    )
-    return _report("encoder", spec, target, passive)
-
-
-def _composed_cnot_parts():
-    elements = (
-        PbsElement("2'", "a", "2", "c", BASIS_HV),
-        PbsElement("3'", "b", "3", "d", BASIS_FS),
-    )
-    detectors = (
-        DetectorSpec("c", BASIS_FS, "c"),
-        DetectorSpec("d", BASIS_HV, "d"),
-    )
-    rules = _PARITY_RULES + _FLIP_RULES
-    return elements, detectors, rules
+    target = two_qubit_input("2", "b", (q.alpha, 0, 0, q.beta))
+    return _report("encoder", {("2'",): (q.alpha, q.beta)}, target, passive)
 
 
 def cnot(state: TwoQubitState, passive: bool = False) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
-    elements, detectors, rules = _composed_cnot_parts()
-    spec = CircuitSpec(
-        modes=("2'", "3'", "a", "b", "2", "3", "c", "d"),
-        inputs=(InputDecl("bell", ("a", "b")),),
-        elements=elements,
-        detectors=detectors,
-        rules=rules,
-        outputs=("2", "3"),
-        raw_input=two_qubit_input("2'", "3'", state),
-    )
-    return _report("cnot", spec, two_qubit_input("2", "3", ideal_cnot(state)), passive)
+    bound = {("2'", "3'"): tuple(state)}
+    target = two_qubit_input("2", "3", ideal_cnot(state))
+    return _report("cnot", bound, target, passive)
 
 
 def gc_cnot(state: TwoQubitState, passive: bool = False) -> GateReport:
     """Teleportation-style gate consuming the four-photon chi resource."""
-    spec = CircuitSpec(
-        modes=("A", "B", "1", "2", "3", "4", "p", "q", "m", "n"),
-        inputs=(InputDecl("chi", ("1", "2", "3", "4")),),
-        elements=(
-            PbsElement("A", "1", "p", "q", BASIS_HV),
-            PbsElement("B", "4", "m", "n", BASIS_HV),
-        ),
-        detectors=(
-            DetectorSpec("p", BASIS_FS, "p"),
-            DetectorSpec("q", BASIS_FS, "q"),
-            DetectorSpec("m", BASIS_FS, "m"),
-            DetectorSpec("n", BASIS_FS, "n"),
-        ),
-        rules=_GC_RULES,
-        outputs=("2", "3"),
-        raw_input=two_qubit_input("A", "B", state),
-    )
-    return _report(
-        "gc_cnot", spec, two_qubit_input("2", "3", ideal_cnot(state)), passive
-    )
+    bound = {("A", "B"): tuple(state)}
+    target = two_qubit_input("2", "3", ideal_cnot(state))
+    return _report("gc_cnot", bound, target, passive)
 
 
 def chi_via_cnot(passive: bool = False) -> GateReport:
     """Produce chi constructively: composed CNOT across two Bell pairs."""
-    elements, detectors, rules = _composed_cnot_parts()
-    spec = CircuitSpec(
-        modes=("1", "2'", "4", "3'", "a", "b", "2", "3", "c", "d"),
-        inputs=(
-            InputDecl("bell", ("1", "2'")),
-            InputDecl("bell", ("4", "3'")),
-            InputDecl("bell", ("a", "b")),
-        ),
-        elements=elements,
-        detectors=detectors,
-        rules=rules,
-        outputs=("1", "2", "3", "4"),
-    )
-    return _report("chi_via_cnot", spec, chi_state("1", "2", "3", "4"), passive)
+    return _report("chi_via_cnot", {}, chi_state("1", "2", "3", "4"), passive)
 
 
 GATE_NAMES = (

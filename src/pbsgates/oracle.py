@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .circuit import CircuitSpec, DetectorSpec, OutcomePattern, is_1ao1, is_passive
 from .errors import TruncationTooSmall
-from .fock import POL_H, POL_V, BasisState, PhotonState, Slot
+from .fock import POL_H, POL_V, BasisState, Slot
 from .optics import (
     BASIS_FS,
     BASIS_HV,
@@ -338,20 +338,6 @@ class DenseCircuit:
         for decl in spec.inputs:
             for mode in decl.modes:
                 counts[mode] = counts.get(mode, 0) + 1
-        if spec.raw_input is not None:
-            per_term = None
-            for basis, _ in spec.raw_input.terms.items():
-                occ: dict[str, int] = {}
-                for (mode, _pol), n in basis.occ:
-                    occ[mode] = occ.get(mode, 0) + n
-                if per_term is None:
-                    per_term = occ
-                elif per_term != occ:
-                    raise TruncationTooSmall(
-                        "raw input without definite per-mode photon numbers"
-                    )
-            for mode, n in (per_term or {}).items():
-                counts[mode] = counts.get(mode, 0) + n
         return counts
 
     def input_vector(self, spec: CircuitSpec) -> np.ndarray:
@@ -371,6 +357,15 @@ class DenseCircuit:
                 (m,) = decl.modes
                 a_h, a_v = decl.amplitudes
                 product_with([(((m, POL_H),), a_h), (((m, POL_V),), a_v)])
+            elif decl.kind == "state":
+                m1, m2 = decl.modes
+                pols = itertools.product((POL_H, POL_V), repeat=2)  # HH HV VH VV
+                product_with(
+                    [
+                        (((m1, p1), (m2, p2)), a)
+                        for (p1, p2), a in zip(pols, decl.amplitudes, strict=True)
+                    ]
+                )
             elif decl.kind == "bell":
                 m1, m2 = decl.modes
                 product_with(
@@ -391,12 +386,6 @@ class DenseCircuit:
                 )
             else:
                 raise ValueError(f"unknown input kind: {decl.kind!r}")
-        if spec.raw_input is not None:
-            raw_options = [
-                (tuple(slot for slot, n in basis.occ for _ in range(n)), amp)
-                for basis, amp in spec.raw_input.terms.items()
-            ]
-            product_with(raw_options)
 
         vec = np.zeros(self.basis.dim, dtype=complex)
         for occ_slots, amp in terms.items():

@@ -58,6 +58,22 @@ def test_build_input_state_combines_declarations():
     assert abs(state.amplitude(key) - 0.6 / math.sqrt(2)) < 1e-12
 
 
+def test_build_input_state_two_qubit_order():
+    amps = (0.5, 0.5j, -0.5, 0.5)
+    spec = CircuitSpec(
+        modes=("m", "n"),
+        inputs=(InputDecl("state", ("m", "n"), amps),),
+        elements=(),
+        detectors=(),
+        outputs=("m", "n"),
+    )
+    state = build_input_state(spec)
+    pols = ((POL_H, POL_H), (POL_H, POL_V), (POL_V, POL_H), (POL_V, POL_V))
+    for amp, (pm, pn) in zip(amps, pols):
+        key = BasisState.from_dict({("m", pm): 1, ("n", pn): 1})
+        assert state.amplitude(key) == amp
+
+
 def test_build_input_state_unknown_kind():
     spec = CircuitSpec(
         modes=("m",),
@@ -105,12 +121,11 @@ def test_feedforward_applies_once_per_firing():
 
 def test_execute_rejects_unnormalized_input():
     spec = CircuitSpec(
-        modes=("m",),
-        inputs=(),
+        modes=("m", "n"),
+        inputs=(InputDecl("state", ("m", "n"), (2.0, 0.0, 0.0, 0.0)),),
         elements=(),
         detectors=(),
-        outputs=("m",),
-        raw_input=PhotonState({BasisState.from_dict({("m", POL_H): 1}): 2.0}),
+        outputs=("m", "n"),
     )
     with pytest.raises(NonPhysicalInput):
         execute(spec)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from pbsgates.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, TOLERANCE_ENV
+from pbsgates.gates import GATE_NAMES
 
 from conftest import circuit_path
 
@@ -93,22 +94,37 @@ def test_output_file(tmp_path):
     assert abs(doc["success_probability"] - 0.25) < 1e-12
 
 
+#: CLI input arguments equal to the amplitudes each shipped circuit declares.
+#: The two-qubit circuits declare (H + V)/sqrt(2) x H: HH and VH at sqrt(1/2).
+_PLUS_H = ("0.7071067811865476", "0", "0", "0") * 2
+_CIRCUIT_INPUT_ARGS = {
+    "parity_check": ("--qubit", "0.6", "0", "0.8", "0"),
+    "destructive_cnot": ("--qubit", "0.6", "0", "0.8", "0", "--control-pol", "H"),
+    "encoder": ("--qubit", "0.6", "0", "0.8", "0"),
+    "cnot": ("--two-qubit", *_PLUS_H),
+    "gc_cnot": ("--two-qubit", *_PLUS_H),
+    "chi_via_cnot": (),
+}
+
+
 def test_run_circuit_matches_gate_report():
-    gate_doc = run_json(
-        "run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8", "0"
-    )
-    circ_doc = run_json("run", "--circuit", circuit_path("parity_check"))
-    assert abs(
-        circ_doc["success_probability"] - gate_doc["success_probability"]
-    ) < 1e-12
-    assert len(circ_doc["outcomes"]) == len(gate_doc["outcomes"])
-    for circ_out, gate_out in zip(circ_doc["outcomes"], gate_doc["outcomes"]):
-        assert circ_out["pattern"] == gate_out["pattern"]
-        assert abs(circ_out["probability"] - gate_out["probability"]) < 1e-12
-        assert len(circ_out["output_state"]) == len(gate_out["output_state"])
-        for ct, gt in zip(circ_out["output_state"], gate_out["output_state"]):
-            assert ct["occupations"] == gt["occupations"]
-            assert abs(complex(ct["re"], ct["im"]) - complex(gt["re"], gt["im"])) < 1e-12
+    assert set(_CIRCUIT_INPUT_ARGS) == set(GATE_NAMES)
+    for name, input_args in _CIRCUIT_INPUT_ARGS.items():
+        gate_doc = run_json("run", "--gate", name, *input_args)
+        circ_doc = run_json("run", "--circuit", circuit_path(name))
+        assert abs(
+            circ_doc["success_probability"] - gate_doc["success_probability"]
+        ) < 1e-12
+        assert len(circ_doc["outcomes"]) == len(gate_doc["outcomes"])
+        for circ_out, gate_out in zip(circ_doc["outcomes"], gate_doc["outcomes"]):
+            assert circ_out["pattern"] == gate_out["pattern"]
+            assert abs(circ_out["probability"] - gate_out["probability"]) < 1e-12
+            assert len(circ_out["output_state"]) == len(gate_out["output_state"])
+            for ct, gt in zip(circ_out["output_state"], gate_out["output_state"]):
+                assert ct["occupations"] == gt["occupations"]
+                assert abs(
+                    complex(ct["re"], ct["im"]) - complex(gt["re"], gt["im"])
+                ) < 1e-12
 
 
 def test_check_subcommand():
@@ -139,9 +155,16 @@ def test_unknown_gate_is_config_error():
 
 
 def test_unnormalized_qubit_rejected():
-    proc = run_cli("run", "--gate", "parity_check", "--qubit", "1", "0", "1", "0")
-    assert proc.returncode == EXIT_CONFIG
-    assert "not normalized" in proc.stderr
+    for qubit, message in (
+        (("1", "0", "1", "0"), "not normalized"),
+        (("nan", "0", "0.8", "0"), "must be finite"),
+        (("0.6", "0", "inf", "0"), "must be finite"),
+        (("0", "0", "1e400", "0"), "must be finite"),
+    ):
+        proc = run_cli("run", "--gate", "parity_check", "--qubit", *qubit)
+        assert proc.returncode == EXIT_CONFIG
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_slightly_off_normalization_warns(tmp_path):
@@ -174,12 +197,16 @@ def test_unreadable_circuit_is_config_error(tmp_path):
 def test_bad_tolerance_env(tmp_path):
     import os
 
-    env = dict(os.environ, **{TOLERANCE_ENV: "not-a-number"})
-    proc = run_cli(
-        "run", "--gate", "parity_check", "--qubit", "1", "0", "0", "0", env=env
-    )
-    assert proc.returncode == EXIT_CONFIG
-    assert TOLERANCE_ENV in proc.stderr
+    for value in ("not-a-number", "2", "nan", "-1"):
+        env = dict(os.environ, **{TOLERANCE_ENV: value})
+        for run_args in (
+            ("--gate", "parity_check", "--qubit", "1", "0", "0", "0"),
+            ("--circuit", circuit_path("parity_check")),
+        ):
+            proc = run_cli("run", *run_args, env=env)
+            assert proc.returncode == EXIT_CONFIG
+            assert TOLERANCE_ENV in proc.stderr
+            assert "Traceback" not in proc.stderr
 
 
 def test_tolerance_env_accepted(tmp_path):

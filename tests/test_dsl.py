@@ -2,7 +2,7 @@
 
 import pytest
 
-from pbsgates import dsl
+from pbsgates import dsl, gates
 from pbsgates.errors import (
     CircuitError,
     CircuitSyntaxError,
@@ -13,7 +13,7 @@ from pbsgates.errors import (
 from pbsgates.gates import GATE_NAMES
 from pbsgates.optics import PbsElement
 
-from conftest import circuit_path
+from conftest import circuit_path, random_qubit, random_two_qubit
 
 VALID = """\
 # minimal two-detector circuit
@@ -102,15 +102,20 @@ def test_detected_mode_reuse():
 
 
 def test_bad_float_diagnostic():
-    err = diag("mode m\ninput qubit m one 0 0 0\noutput m\n")
-    assert isinstance(err, CircuitSyntaxError)
-    assert (err.line, err.column) == (2, 15)
+    for statement, column in (
+        ("input qubit m one 0 0 0", 15),
+        ("input state m n 1 0 0 0 x 0 0 0", 25),
+    ):
+        err = diag(f"mode m\nmode n\n{statement}\noutput m\n")
+        assert isinstance(err, CircuitSyntaxError)
+        assert (err.line, err.column) == (3, column)
 
 
 def test_missing_token_reports_after_last():
-    err = diag("mode m\ninput qubit m 1 0 0\noutput m\n")
-    assert isinstance(err, CircuitSyntaxError)
-    assert err.line == 2
+    for statement in ("input qubit m 1 0 0", "input state m n 1 0 0 0 0 0 0"):
+        err = diag(f"mode m\nmode n\n{statement}\noutput m\n")
+        assert isinstance(err, CircuitSyntaxError)
+        assert (err.line, err.column) == (3, len(statement) + 1)
 
 
 def test_trailing_token_rejected():
@@ -153,12 +158,18 @@ def test_input_mode_used_twice():
     assert err.line == 3
 
 
-def test_format_rejects_raw_input_specs():
-    from pbsgates.gates import TwoQubitState, cnot
-
-    spec = cnot(TwoQubitState(1.0, 0.0, 0.0, 0.0)).spec
-    with pytest.raises(ValueError):
-        dsl.format_circuit(spec)
+def test_round_trip_gate_specs(rng):
+    reports = [
+        gates.parity_check(random_qubit(rng)),
+        gates.destructive_cnot(random_qubit(rng), random_qubit(rng)),
+        gates.encoder(random_qubit(rng)),
+        gates.cnot(random_two_qubit(rng)),
+        gates.gc_cnot(random_two_qubit(rng)),
+        gates.chi_via_cnot(),
+    ]
+    assert [r.name for r in reports] == list(GATE_NAMES)
+    for report in reports:
+        assert parse(dsl.format_circuit(report.spec)) == report.spec
 
 
 def test_mutation_fuzz_never_crashes(rng):

@@ -47,6 +47,8 @@ def test_state_factories():
     with pytest.raises(ValueError):
         bell_phi_plus("a", "a")
     with pytest.raises(ValueError):
+        two_qubit_input("a", "a", BASIS_2Q["HH"])
+    with pytest.raises(ValueError):
         chi_state("1", "1", "3", "4")
 
 
