@@ -3,17 +3,20 @@
 Execution builds the declared input state, applies the optical elements in
 order, rebases every detected mode into its detector's splitting basis, and
 exhaustively enumerates joint photon-count outcomes on the detected modes.
-Probabilities are exact branch norms; nothing is sampled.
+Probabilities are exact branch norms; nothing is sampled.  The elements,
+rebases and corrections of a spec are compiled once per structure
+(:func:`compile`), so runs that differ only in their inputs share them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import fock, optics
 from .errors import NonPhysicalInput, UndeclaredMode
-from .fock import POL_F, POL_H, POL_S, POL_V, BasisState, PhotonState
+from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState
 from .optics import BASIS_FS, BASIS_HV, OpticalElement
 
 #: Per detector, photon counts in the (transmitted, reflected) polarization
@@ -129,28 +132,29 @@ def enumerate_outcomes(
     Every detected mode is consumed: branch states carry only the remaining
     slots.  Branch norms sum to the input norm.
     """
-    branches: dict[OutcomePattern, dict[BasisState, complex]] = {}
-    det_slots = set()
-    for det in detectors:
-        det_slots.add((det.mode, det.transmitted_pol))
-        det_slots.add((det.mode, det.reflected_pol))
-    for basis, amp in state.terms.items():
-        pattern = tuple(
-            (
-                basis.count((det.mode, det.transmitted_pol)),
-                basis.count((det.mode, det.reflected_pol)),
-            )
+    return fock.split_counts(
+        state,
+        tuple(
+            ((det.mode, det.transmitted_pol), (det.mode, det.reflected_pol))
             for det in detectors
-        )
-        rest = BasisState.from_dict(
-            {slot: n for slot, n in basis.occ if slot not in det_slots}
-        )
-        bucket = branches.setdefault(pattern, {})
-        bucket[rest] = bucket.get(rest, 0j) + amp
-    return {
-        pattern: PhotonState(terms, state.tolerance)
-        for pattern, terms in branches.items()
-    }
+        ),
+    )
+
+
+#: One optical element ready to run: the modes that must be empty when it
+#: acts (see :func:`optics.collision_modes`) and its slot map.
+Step = tuple[tuple[str, ...], fock.SlotMap | fock.IndexedMap]
+
+
+def _step(el: OpticalElement) -> Step:
+    return optics.collision_modes(el), optics.slot_map(el)
+
+
+def _run_steps(state: PhotonState, steps: tuple[Step, ...]) -> PhotonState:
+    for guarded, slot_map in steps:
+        optics.check_collisions(state, guarded)
+        state = fock.transform_slots(state, slot_map)
+    return state
 
 
 def apply_feedforward(
@@ -158,25 +162,87 @@ def apply_feedforward(
     pattern: OutcomePattern,
     detectors: tuple[DetectorSpec, ...],
     rules: tuple[FeedForwardRule, ...],
+    compiled: tuple[tuple[Step, ...], ...] | None = None,
 ) -> PhotonState:
     """Apply every triggered rule's corrections, in declared order.
 
     Rules for distinct detectors compose independently: each fired detector
     triggers its own rule once, so e.g. a pi phase triggered twice is the
-    identity.
+    identity.  ``compiled``, when given, holds each rule's corrections as
+    compiled steps (:attr:`CompiledCircuit.corrections`).
     """
+    if compiled is None:
+        compiled = tuple(tuple(map(_step, rule.corrections)) for rule in rules)
     fired: dict[str, list[str]] = {}
     for (ct, cr), det in zip(pattern, detectors):
         pols = fired.setdefault(det.label, [])
         pols.extend([det.transmitted_pol] * ct)
         pols.extend([det.reflected_pol] * cr)
     state = branch
-    for rule in rules:
+    for i, rule in enumerate(rules):
         times = fired.get(rule.label, []).count(rule.pol)
         for _ in range(times):
-            for correction in rule.corrections:
-                state = optics.apply_element(state, correction)
+            state = _run_steps(state, compiled[i])
     return state
+
+
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A circuit's structure as integer-indexed slot maps over one slot index.
+
+    Built by :func:`compile`; it depends on the modes, elements, detectors
+    and rules of a spec, never on its inputs.
+    """
+
+    index: fock.SlotIndex
+    elements: tuple[Step, ...]
+    #: HV -> FS rebase of each FS detector's mode, in detector order.
+    rebases: tuple[fock.IndexedMap, ...]
+    #: The corrections of each rule, in rule order.
+    corrections: tuple[tuple[Step, ...], ...]
+
+
+#: Compiled circuits kept by :func:`compile`: enough for the built-in gates
+#: and a few circuit files alternating with them.
+_PLAN_CACHE_SIZE = 16
+
+
+def compile(spec: CircuitSpec) -> CompiledCircuit:
+    """Check a spec's structure and compile it, once per distinct structure.
+
+    The slot index covers every polarization label of each declared mode
+    (and of any mode an element touches).  Calls that differ only in their
+    input declarations share one compiled circuit.
+    """
+    return _compile(spec.modes, spec.elements, spec.detectors, spec.rules)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _compile(modes, elements, detectors, rules) -> CompiledCircuit:
+    for det in detectors:
+        if det.mode not in modes:
+            raise UndeclaredMode(f"detector on undeclared mode {det.mode!r}")
+    elements = tuple(map(_step, elements))
+    corrections = tuple(tuple(map(_step, rule.corrections)) for rule in rules)
+    every_step = [*elements, *(step for rule_steps in corrections for step in rule_steps)]
+    touched = {mode for _, m in every_step for mode, _ in fock.map_slots(m)}
+    index = fock.slot_index(
+        (mode, pol) for mode in {*modes, *touched} for pol in (POL_F, POL_H, POL_S, POL_V)
+    )
+
+    def indexed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+        return tuple((guarded, fock.IndexedMap(m, index)) for guarded, m in steps)
+
+    return CompiledCircuit(
+        index=index,
+        elements=indexed(elements),
+        rebases=tuple(
+            fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index)
+            for det in detectors
+            if det.basis == BASIS_FS
+        ),
+        corrections=tuple(map(indexed, corrections)),
+    )
 
 
 def execute(
@@ -189,20 +255,27 @@ def execute(
     ``passive`` restricts acceptance to the pattern needing no correction:
     every detector firing exactly one transmitted-pol photon.  The default
     accepts every one-and-only-one pattern and applies feed-forward.
+
+    The input's normalization is checked on the declared amplitudes, before
+    pruning; if the pruning tolerance then removes more than rounding noise
+    of the input, that is an error too.
     """
-    state = build_input_state(spec, tolerance)
+    state = build_input_state(spec, 0.0)
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
+    state = state.with_tolerance(tolerance)
+    kept = state.norm_sq()
+    if abs(kept - 1.0) > 1e-9:
+        raise NonPhysicalInput(
+            f"amplitude tolerance {state.tolerance!r} prunes squared norm "
+            f"{norm - kept!r} of the input"
+        )
 
-    for el in spec.elements:
-        state = optics.apply_element(state, el)
-
-    for det in spec.detectors:
-        if det.mode not in spec.modes:
-            raise UndeclaredMode(f"detector on undeclared mode {det.mode!r}")
-        if det.basis == BASIS_FS:
-            state = fock.rebase_polarization(state, det.mode, fock.HV_TO_FS)
+    plan = compile(spec)
+    state = _run_steps(state.reindexed(plan.index), plan.elements)
+    for rebase in plan.rebases:
+        state = fock.transform_slots(state, rebase)
 
     branches = enumerate_outcomes(state, spec.detectors)
     outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
@@ -213,7 +286,9 @@ def execute(
         probability = branch.norm_sq()
         accepted = is_passive(pattern) if passive else is_1ao1(pattern)
         if accepted and probability > 0.0:
-            corrected = apply_feedforward(branch, pattern, spec.detectors, spec.rules)
+            corrected = apply_feedforward(
+                branch, pattern, spec.detectors, spec.rules, plan.corrections
+            )
             outcomes[pattern] = (probability, corrected.scaled(1.0 / math.sqrt(probability)))
             success += probability
         else:

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__, dsl, fock, gates
@@ -24,6 +25,11 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 
 TOLERANCE_ENV = "PBSGATES_AMP_TOLERANCE"
+
+#: Tokens that argparse must read as values, never as option flags: by
+#: default only plain negative decimals are, so an amplitude such as
+#: ``-8e-1`` or ``-inf`` after ``--qubit`` would be taken for an option.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _set_tolerance() -> float:
@@ -194,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a built-in gate or a circuit file")
+    run._negative_number_matcher = _NEGATIVE_NUMBER
     run.add_argument("--gate", help=f"built-in gate name: {', '.join(gates.GATE_NAMES)}")
     run.add_argument("--circuit", help="path to a circuit description file")
     run.add_argument(

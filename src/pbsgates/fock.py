@@ -2,13 +2,19 @@
 
 A slot is a ``(mode, pol)`` pair.  The canonical polarization labels are
 ``H`` and ``V``; the diagonal labels ``F`` and ``S`` appear only transiently,
-inside basis changes and detector logic.  States are stored as a sparse
-mapping from occupation assignments to complex amplitudes, with the bosonic
-convention ``a†|n> = sqrt(n+1)|n+1>``.
+inside basis changes and detector logic.  States are sparse superpositions of
+photon configurations with complex amplitudes, with the bosonic convention
+``a†|n> = sqrt(n+1)|n+1>``.
+
+Inside a state, a configuration is one packed int over a :class:`SlotIndex`:
+the count of the slot at position ``i`` sits in bits ``[i*w, (i+1)*w)``, and
+the field width ``w`` is sized from the state's photon number.  The sorted
+:class:`BasisState` form is built only where a caller sees a configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +50,7 @@ def get_default_tolerance() -> float:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 Slot = tuple[str, str]
+SlotMap = dict[Slot, tuple[tuple[Slot, complex], ...]]
 
 
 @dataclass(frozen=True, order=True)
@@ -88,31 +95,169 @@ class BasisState:
 VACUUM = BasisState()
 
 
-class PhotonState:
-    """Sparse complex superposition of :class:`BasisState` terms.
+class SlotIndex:
+    """Integer positions for a set of slots, in sorted slot order.
 
+    Position order is the order of :class:`BasisState` entries, so unpacking
+    a configuration field by field gives its canonical form directly.
+    """
+
+    __slots__ = ("slots", "position", "_by_mode")
+
+    def __init__(self, slots=()):
+        self.slots = tuple(sorted(set(slots)))
+        self.position = {slot: i for i, slot in enumerate(self.slots)}
+        self._by_mode: dict[str, tuple[int, ...]] = {}
+        for i, (mode, _) in enumerate(self.slots):
+            self._by_mode[mode] = self._by_mode.get(mode, ()) + (i,)
+
+    def including(self, slots) -> "SlotIndex":
+        """This index if it has every slot in ``slots``, else a wider one."""
+        missing = [slot for slot in slots if slot not in self.position]
+        return slot_index((*self.slots, *missing)) if missing else self
+
+    def mode_positions(self, mode: str) -> tuple[int, ...]:
+        return self._by_mode.get(mode, ())
+
+
+def slot_index(slots) -> SlotIndex:
+    """The index over ``slots``, shared with recent callers that asked for the
+    same set, so that states built apart still need no repacking to meet."""
+    return _shared_index(tuple(sorted(set(slots))))
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_index(slots: tuple[Slot, ...]) -> SlotIndex:
+    return SlotIndex(slots)
+
+
+def _width(photons: int) -> int:
+    """Bits per slot field that hold any count up to ``photons``."""
+    return max(1, photons.bit_length())
+
+
+def _fields(cfg: int, width: int) -> list[tuple[int, int]]:
+    """(position, count) of every occupied slot of a packed configuration."""
+    field = (1 << width) - 1
+    out = []
+    pos = 0
+    while cfg:
+        n = cfg & field
+        if n:
+            out.append((pos, n))
+        cfg >>= width
+        pos += 1
+    return out
+
+
+def _repack(
+    terms: dict[int, complex],
+    src: SlotIndex,
+    src_width: int,
+    dst: SlotIndex,
+    dst_width: int,
+) -> dict[int, complex]:
+    """``terms`` moved from one packing to another, in the same order.
+
+    A configuration with a slot that ``dst`` lacks, or a count too large for
+    ``dst_width``, has no place in the new packing and is dropped.
+    """
+    if src_width == dst_width and (
+        src is dst or dst.slots[: len(src.slots)] == src.slots
+    ):
+        return terms  # every slot keeps its bits
+    shifts = [
+        None if (pos := dst.position.get(slot)) is None else pos * dst_width
+        for slot in src.slots
+    ]
+    field = (1 << src_width) - 1
+    out = {}
+    for cfg, amp in terms.items():
+        new = 0
+        pos = 0
+        while cfg:
+            n = cfg & field
+            if n:
+                shift = shifts[pos]
+                if shift is None or n >> dst_width:
+                    break
+                new |= n << shift
+            cfg >>= src_width
+            pos += 1
+        else:
+            out[new] = amp
+    return out
+
+
+@functools.cache
+def _sqrt_tables(photons: int) -> tuple[list[float], list[float]]:
+    """sqrt(n!) and sqrt(n) for every count from 0 to ``photons``."""
+    return (
+        [math.sqrt(math.factorial(n)) for n in range(photons + 1)],
+        [math.sqrt(n) for n in range(photons + 1)],
+    )
+
+
+class PhotonState:
+    """Sparse complex superposition of photon configurations.
+
+    Build one from a ``{BasisState: amplitude}`` mapping and read it back
+    through :attr:`terms`, :meth:`amplitude` or :meth:`sorted_terms`.
     Instances are immutable after construction; every operation returns a new
     value, so states can be freely shared between threads.
     """
 
-    __slots__ = ("_terms", "tolerance")
+    # ``_photons`` bounds the photon number of every term; the field width is
+    # sized from it.
+    __slots__ = ("_terms", "_index", "_photons", "_width", "tolerance")
 
     def __init__(self, terms, tolerance: float | None = None):
         if tolerance is None:
             tolerance = _default_tolerance
+        index = slot_index(slot for basis in terms for slot, _ in basis.occ)
+        photons = max((basis.total_photons for basis in terms), default=0)
+        width = _width(photons)
+        position = index.position
         self.tolerance = tolerance
+        self._index = index
+        self._photons = photons
+        self._width = width
         self._terms = {
-            basis: complex(amp)
+            sum(n << position[slot] * width for slot, n in basis.occ): complex(amp)
             for basis, amp in terms.items()
             if abs(amp) >= tolerance
         }
 
+    @classmethod
+    def _packed(
+        cls, terms: dict[int, complex], index: SlotIndex, photons: int, tolerance: float
+    ) -> "PhotonState":
+        """A state over packed configurations, pruned like the constructor."""
+        state = cls.__new__(cls)
+        state.tolerance = tolerance
+        state._index = index
+        state._photons = photons
+        state._width = _width(photons)
+        state._terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= tolerance}
+        return state
+
+    def _basis(self, cfg: int) -> BasisState:
+        slots = self._index.slots
+        return BasisState(tuple((slots[pos], n) for pos, n in _fields(cfg, self._width)))
+
     @property
     def terms(self) -> dict[BasisState, complex]:
-        return dict(self._terms)
+        return {self._basis(cfg): amp for cfg, amp in self._terms.items()}
 
     def amplitude(self, basis: BasisState) -> complex:
-        return self._terms.get(basis, 0j)
+        position = self._index.position
+        cfg = 0
+        for slot, n in basis.occ:
+            pos = position.get(slot)
+            if pos is None or n >> self._width:
+                return 0j
+            cfg |= n << pos * self._width
+        return self._terms.get(cfg, 0j)
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self._terms.values())
@@ -124,14 +269,40 @@ class PhotonState:
         return not self._terms
 
     def modes(self) -> set[str]:
-        out: set[str] = set()
-        for basis in self._terms:
-            out |= basis.modes()
-        return out
+        occupied = 0
+        for cfg in self._terms:
+            occupied |= cfg
+        slots = self._index.slots
+        return {slots[pos][0] for pos, _ in _fields(occupied, self._width)}
+
+    def has_mode(self, mode: str) -> bool:
+        """True when some configuration puts a photon on ``mode``."""
+        field = (1 << self._width) - 1
+        mask = 0
+        for pos in self._index.mode_positions(mode):
+            mask |= field << pos * self._width
+        return any(cfg & mask for cfg in self._terms) if mask else False
+
+    def reindexed(self, index: SlotIndex) -> "PhotonState":
+        """The same state packed over ``index``, widened by any slot it lacks."""
+        index = index.including(self._index.slots)
+        if index is self._index:
+            return self
+        terms = _repack(self._terms, self._index, self._width, index, self._width)
+        return PhotonState._packed(terms, index, self._photons, self.tolerance)
+
+    def with_tolerance(self, tolerance: float | None) -> "PhotonState":
+        """The same state pruned with ``tolerance`` (None: the default)."""
+        if tolerance is None:
+            tolerance = _default_tolerance
+        return PhotonState._packed(self._terms, self._index, self._photons, tolerance)
 
     def scaled(self, factor: complex) -> "PhotonState":
-        return PhotonState(
-            {b: a * factor for b, a in self._terms.items()}, self.tolerance
+        return PhotonState._packed(
+            {cfg: a * factor for cfg, a in self._terms.items()},
+            self._index,
+            self._photons,
+            self.tolerance,
         )
 
     def normalized(self) -> "PhotonState":
@@ -141,34 +312,56 @@ class PhotonState:
         return self.scaled(1.0 / math.sqrt(n2))
 
     def sorted_terms(self) -> list[tuple[BasisState, complex]]:
-        return sorted(self._terms.items(), key=lambda item: item[0])
+        return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __repr__(self):
         parts = [f"({a:.6g})|{b.key_string() or 'vac'}>" for b, a in self.sorted_terms()]
         return " + ".join(parts) if parts else "0"
 
 
+_NO_SLOTS = SlotIndex()
+
+
 def vacuum(tolerance: float | None = None) -> PhotonState:
-    return PhotonState({VACUUM: 1.0 + 0j}, tolerance)
+    if tolerance is None:
+        tolerance = _default_tolerance
+    return PhotonState._packed({0: 1.0 + 0j}, _NO_SLOTS, 0, tolerance)
+
+
+def _joint(a: PhotonState, b: PhotonState, photons: int):
+    """(index, a's terms, b's terms) packed alike for up to ``photons`` photons."""
+    index = a._index.including(b._index.slots)
+    width = _width(photons)
+    return (
+        index,
+        _repack(a._terms, a._index, a._width, index, width),
+        _repack(b._terms, b._index, b._width, index, width),
+    )
 
 
 def create(state: PhotonState, slot: Slot) -> PhotonState:
     """Apply the creation operator on ``slot``: a†|n> = sqrt(n+1)|n+1>."""
-    out: dict[BasisState, complex] = {}
-    for basis, amp in state.terms.items():
-        occ = basis.as_dict()
-        n = occ.get(slot, 0)
-        occ[slot] = n + 1
-        key = BasisState.from_dict(occ)
-        out[key] = out.get(key, 0j) + amp * math.sqrt(n + 1)
-    return PhotonState(out, state.tolerance)
+    photons = state._photons + 1
+    width = _width(photons)
+    index = state._index.including((slot,))
+    terms = _repack(state._terms, state._index, state._width, index, width)
+    shift = index.position[slot] * width
+    field = (1 << width) - 1
+    unit = 1 << shift
+    out: dict[int, complex] = {}
+    for cfg, amp in terms.items():
+        key = cfg + unit
+        out[key] = out.get(key, 0j) + amp * math.sqrt((cfg >> shift & field) + 1)
+    return PhotonState._packed(out, index, photons, state.tolerance)
 
 
 def superpose(a: PhotonState, ca: complex, b: PhotonState, cb: complex) -> PhotonState:
-    out = {basis: amp * ca for basis, amp in a.terms.items()}
-    for basis, amp in b.terms.items():
-        out[basis] = out.get(basis, 0j) + amp * cb
-    return PhotonState(out, min(a.tolerance, b.tolerance))
+    photons = max(a._photons, b._photons)
+    index, a_terms, b_terms = _joint(a, b, photons)
+    out = {cfg: amp * ca for cfg, amp in a_terms.items()}
+    for cfg, amp in b_terms.items():
+        out[cfg] = out.get(cfg, 0j) + amp * cb
+    return PhotonState._packed(out, index, photons, min(a.tolerance, b.tolerance))
 
 
 def tensor(a: PhotonState, b: PhotonState) -> PhotonState:
@@ -176,23 +369,25 @@ def tensor(a: PhotonState, b: PhotonState) -> PhotonState:
     shared = a.modes() & b.modes()
     if shared:
         raise OverlappingModes(f"modes appear on both sides: {sorted(shared)}")
-    out: dict[BasisState, complex] = {}
-    for ba, aa in a.terms.items():
-        for bb, ab in b.terms.items():
-            occ = ba.as_dict()
-            occ.update(bb.as_dict())
-            key = BasisState.from_dict(occ)
+    photons = a._photons + b._photons
+    index, a_terms, b_terms = _joint(a, b, photons)
+    out: dict[int, complex] = {}
+    for ka, aa in a_terms.items():
+        for kb, ab in b_terms.items():
+            key = ka | kb
             out[key] = out.get(key, 0j) + aa * ab
-    return PhotonState(out, min(a.tolerance, b.tolerance))
+    return PhotonState._packed(out, index, photons, min(a.tolerance, b.tolerance))
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:
     """<a|b>, conjugate-linear in ``a``."""
     small, large = (a, b) if a.num_terms() <= b.num_terms() else (b, a)
+    # A configuration that ``large`` cannot pack has no partner there.
+    small_terms = _repack(small._terms, small._index, small._width, large._index, large._width)
     total = 0j
     large_terms = large._terms
-    for basis, amp in small._terms.items():
-        other = large_terms.get(basis)
+    for cfg, amp in small_terms.items():
+        other = large_terms.get(cfg)
         if other is not None:
             if small is a:
                 total += amp.conjugate() * other
@@ -201,54 +396,133 @@ def inner_product(a: PhotonState, b: PhotonState) -> complex:
     return total
 
 
-SlotMap = dict[Slot, tuple[tuple[Slot, complex], ...]]
+def split_counts(
+    state: PhotonState, slot_pairs: tuple[tuple[Slot, Slot], ...]
+) -> dict[tuple[tuple[int, int], ...], PhotonState]:
+    """Group the terms by their counts on each pair of slots.
+
+    Keys hold one ``(count, count)`` per pair; each group's state no longer
+    carries the counted slots.  Group norms sum to the state's norm.
+    """
+    state = state.reindexed(state._index.including([s for pair in slot_pairs for s in pair]))
+    index, width = state._index, state._width
+    photons = state._photons
+    field = (1 << width) - 1
+    shifts = [(index.position[a] * width, index.position[b] * width) for a, b in slot_pairs]
+    counted = 0
+    for sa, sb in shifts:
+        counted |= field << sa | field << sb
+    keep = ~counted
+    groups: dict[tuple[tuple[int, int], ...], dict[int, complex]] = {}
+    for cfg, amp in state._terms.items():
+        key = tuple([(cfg >> sa & field, cfg >> sb & field) for sa, sb in shifts])
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = {}
+        rest = cfg & keep
+        group[rest] = group.get(rest, 0j) + amp
+    return {
+        key: PhotonState._packed(terms, index, photons, state.tolerance)
+        for key, terms in groups.items()
+    }
 
 
-def transform_slots(state: PhotonState, mapping: SlotMap) -> PhotonState:
+def map_slots(mapping: SlotMap) -> list[Slot]:
+    slots = list(mapping)
+    for targets in mapping.values():
+        slots.extend(target for target, _ in targets)
+    return slots
+
+
+class IndexedMap:
+    """A :data:`SlotMap` compiled to the positions of one :class:`SlotIndex`.
+
+    ``moves`` holds ``(source position, ((target position, coefficient),
+    ...))`` in increasing source position, zero coefficients left out.  The
+    bit shifts for a field width are worked out on first use and kept.
+    """
+
+    __slots__ = ("index", "slot_map", "moves", "_by_width")
+
+    def __init__(self, slot_map: SlotMap, index: SlotIndex):
+        position = index.position
+        self.index = index
+        self.slot_map = slot_map
+        self.moves = tuple(
+            sorted(
+                (
+                    position[source],
+                    tuple((position[target], coeff) for target, coeff in targets if coeff),
+                )
+                for source, targets in slot_map.items()
+            )
+        )
+        self._by_width = None
+
+    def for_width(self, width: int):
+        """(width, moves as (shift, ((shift, unit, coeff), ...)), moved-field mask)."""
+        packed = self._by_width
+        if packed is None or packed[0] != width:
+            field = (1 << width) - 1
+            moves = tuple(
+                (source * width, tuple((t * width, 1 << t * width, c) for t, c in targets))
+                for source, targets in self.moves
+            )
+            moved = 0
+            for source, _ in self.moves:
+                moved |= field << source * width
+            packed = self._by_width = (width, moves, moved)
+        return packed
+
+
+def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> PhotonState:
     """Rewrite each mapped creation operator as a linear combination.
 
     ``mapping[s]`` lists ``(target_slot, coefficient)`` pairs, meaning
     a†(s) -> sum coeff * a†(target).  Unmapped slots are untouched.  The
     result is exact for arbitrary occupations: each term is expanded as a
     product of creation operators acting on the unmapped remainder.
+
+    An :class:`IndexedMap` over the state's own index runs as it is; any
+    other map is first compiled for the state, whose index grows by the
+    map's slots if needed.
     """
-    out: dict[BasisState, complex] = {}
-    for basis, amp in state.terms.items():
-        fixed: dict[Slot, int] = {}
-        moving: list[tuple[Slot, int]] = []
-        for slot, n in basis.occ:
-            if slot in mapping:
-                moving.append((slot, n))
-            else:
-                fixed[slot] = n
-        if not moving:
-            key = BasisState.from_dict(fixed)
-            out[key] = out.get(key, 0j) + amp
+    if not (isinstance(mapping, IndexedMap) and mapping.index is state._index):
+        slot_map = mapping.slot_map if isinstance(mapping, IndexedMap) else mapping
+        state = state.reindexed(state._index.including(map_slots(slot_map)))
+        mapping = IndexedMap(slot_map, state._index)
+    width = state._width
+    field = (1 << width) - 1
+    _, moves, moved = mapping.for_width(width)
+    keep = ~moved
+    sqrt_factorial, sqrt = _sqrt_tables(state._photons)
+    out: dict[int, complex] = {}
+    for cfg, amp in state._terms.items():
+        if not cfg & moved:
+            out[cfg] = out.get(cfg, 0j) + amp
             continue
         # |..n..> carries 1/sqrt(n!) relative to the bare operator product;
-        # the engine below restores sqrt-factors one creation at a time.
+        # the expansion below restores sqrt-factors one creation at a time.
         prefactor = amp
-        for _, n in moving:
-            prefactor /= math.sqrt(math.factorial(n))
-        partial: dict[BasisState, complex] = {BasisState.from_dict(fixed): prefactor}
-        for slot, n in moving:
-            targets = mapping[slot]
+        creations = []
+        for shift, targets in moves:
+            n = cfg >> shift & field
+            if n:
+                prefactor /= sqrt_factorial[n]
+                creations.append((n, targets))
+        partial = {cfg & keep: prefactor}
+        for n, targets in creations:
             for _ in range(n):
-                nxt: dict[BasisState, complex] = {}
-                for pbasis, pamp in partial.items():
-                    occ = pbasis.as_dict()
-                    for target, coeff in targets:
-                        if not coeff:
-                            continue
-                        k = occ.get(target, 0)
-                        occ2 = dict(occ)
-                        occ2[target] = k + 1
-                        key = BasisState.from_dict(occ2)
-                        nxt[key] = nxt.get(key, 0j) + pamp * coeff * math.sqrt(k + 1)
+                nxt: dict[int, complex] = {}
+                for pcfg, pamp in partial.items():
+                    for shift, unit, coeff in targets:
+                        key = pcfg + unit
+                        k = pcfg >> shift & field
+                        nxt[key] = nxt.get(key, 0j) + pamp * coeff * sqrt[k + 1]
                 partial = nxt
         for key, value in partial.items():
             out[key] = out.get(key, 0j) + value
-    return PhotonState(out, state.tolerance)
+    return PhotonState._packed(out, state._index, state._photons, state.tolerance)
 
 
 def compose_slot_maps(first: SlotMap, second: SlotMap) -> SlotMap:

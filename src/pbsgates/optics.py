@@ -105,29 +105,41 @@ def pol_phase_slot_map(el: PolPhaseElement) -> SlotMap:
     return {(el.mode, el.pol): (((el.mode, el.pol), phase),)}
 
 
-def apply_pbs(state: PhotonState, el: PbsElement) -> PhotonState:
-    live = state.modes()
-    for out in (el.out1, el.out2):
-        if out in live and out not in (el.in1, el.in2):
+def slot_map(el: OpticalElement) -> SlotMap:
+    """The single-photon slot map of any optical element."""
+    if isinstance(el, PbsElement):
+        return pbs_slot_map(el)
+    if isinstance(el, RotatorElement):
+        return rotator_slot_map(el)
+    if isinstance(el, PolPhaseElement):
+        return pol_phase_slot_map(el)
+    raise TypeError(f"not an optical element: {el!r}")
+
+
+def collision_modes(el: OpticalElement) -> tuple[str, ...]:
+    """Modes that must carry no photon when ``el`` acts.
+
+    A PBS may write onto its own input modes (in place) but not onto any
+    other live mode.
+    """
+    if isinstance(el, PbsElement):
+        return tuple(out for out in (el.out1, el.out2) if out not in (el.in1, el.in2))
+    return ()
+
+
+def check_collisions(state: PhotonState, modes: tuple[str, ...]):
+    for mode in modes:
+        if state.has_mode(mode):
             raise ModeCollision(
-                f"PBS output {out!r} collides with a live mode that is not an input"
+                f"PBS output {mode!r} collides with a live mode that is not an input"
             )
-    return fock.transform_slots(state, pbs_slot_map(el))
-
-
-def apply_rotator(state: PhotonState, el: RotatorElement) -> PhotonState:
-    return fock.transform_slots(state, rotator_slot_map(el))
-
-
-def apply_pol_phase(state: PhotonState, el: PolPhaseElement) -> PhotonState:
-    return fock.transform_slots(state, pol_phase_slot_map(el))
 
 
 def apply_element(state: PhotonState, el: OpticalElement) -> PhotonState:
-    if isinstance(el, PbsElement):
-        return apply_pbs(state, el)
-    if isinstance(el, RotatorElement):
-        return apply_rotator(state, el)
-    if isinstance(el, PolPhaseElement):
-        return apply_pol_phase(state, el)
-    raise TypeError(f"not an optical element: {el!r}")
+    mapping = slot_map(el)
+    check_collisions(state, collision_modes(el))
+    return fock.transform_slots(state, mapping)
+
+
+def apply_pbs(state: PhotonState, el: PbsElement) -> PhotonState:
+    return apply_element(state, el)

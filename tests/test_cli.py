@@ -217,3 +217,46 @@ def test_tolerance_env_accepted(tmp_path):
         "run", "--gate", "parity_check", "--qubit", "1", "0", "0", "0", env=env
     )
     assert proc.returncode == EXIT_OK
+
+
+def test_amplitudes_in_exponent_form():
+    # argparse reads a "-" token that is not a plain decimal as an option.
+    plain = run_cli("run", "--gate", "parity_check", "--qubit", "0.6", "0", "-0.8", "0")
+    exponent = run_cli("run", "--gate", "parity_check", "--qubit", "0.6", "0", "-8e-1", "0")
+    assert plain.returncode == exponent.returncode == EXIT_OK, exponent.stderr
+    assert exponent.stdout == plain.stdout
+    doc = run_json("run", "--gate", "cnot", "--two-qubit", *("-1e0", "0") + ("0",) * 6)
+    assert abs(doc["success_probability"] - 0.25) < 1e-12
+    for gate, option, values in (
+        ("parity_check", "--qubit", ("0.6", "0", "-inf", "0")),
+        ("cnot", "--two-qubit", ("-INF",) + ("0",) * 7),
+    ):
+        proc = run_cli("run", "--gate", gate, option, *values)
+        assert proc.returncode == EXIT_CONFIG
+        assert "must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_tolerance_that_prunes_the_input_is_named():
+    import os
+
+    env = dict(os.environ, **{TOLERANCE_ENV: "0.5"})
+    proc = run_cli("run", "--circuit", circuit_path("parity_check"), env=env)
+    assert proc.returncode == EXIT_CONFIG
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "tolerance 0.5" in lines[0]
+    assert "prunes squared norm 0.36" in lines[0]
+    assert "input squared norm" not in lines[0]
+
+
+def test_cli_and_gates_import_without_numpy_or_scipy():
+    # The oracle is the only module that needs numpy and scipy; the engine
+    # stays pure Python, so starting the CLI does not pay for loading them.
+    code = (
+        "import sys, pbsgates.cli, pbsgates.gates; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
