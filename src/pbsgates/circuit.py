@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import fock, optics
-from .errors import NonPhysicalInput, UndeclaredMode
+from .errors import MissingOutput, NonPhysicalInput, UndeclaredMode
 from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState
 from .optics import BASIS_FS, BASIS_HV, OpticalElement
 
@@ -102,21 +102,20 @@ def pattern_name(pattern: OutcomePattern, detectors: tuple[DetectorSpec, ...]) -
     return " ".join(parts) if parts else "-"
 
 
-def build_input_state(
-    spec: CircuitSpec, tolerance: float | None = None
-) -> PhotonState:
+def build_input_state(spec: CircuitSpec) -> PhotonState:
+    """The declared input, built exactly: nothing is pruned."""
     from .gates import bell_phi_plus, chi_state, qubit_state, two_qubit_input
 
-    state = fock.vacuum(tolerance)
+    state = fock.vacuum(0.0)
     for decl in spec.inputs:
         if decl.kind == "qubit":
-            part = qubit_state(decl.modes[0], *decl.amplitudes, tolerance=tolerance)
+            part = qubit_state(decl.modes[0], *decl.amplitudes, tolerance=0.0)
         elif decl.kind == "bell":
-            part = bell_phi_plus(*decl.modes, tolerance=tolerance)
+            part = bell_phi_plus(*decl.modes)
         elif decl.kind == "chi":
-            part = chi_state(*decl.modes, tolerance=tolerance)
+            part = chi_state(*decl.modes)
         elif decl.kind == "state":
-            part = two_qubit_input(*decl.modes, decl.amplitudes, tolerance=tolerance)
+            part = two_qubit_input(*decl.modes, decl.amplitudes, tolerance=0.0)
         else:
             raise ValueError(f"unknown input kind: {decl.kind!r}")
         state = fock.tensor(state, part)
@@ -248,7 +247,7 @@ def _compile(modes, elements, detectors, rules) -> CompiledCircuit:
 def execute(
     spec: CircuitSpec,
     passive: bool = False,
-    tolerance: float | None = None,
+    tolerance: float = fock.DEFAULT_TOLERANCE,
 ) -> GateResult:
     """Run a circuit and return its exhaustive outcome table.
 
@@ -256,11 +255,13 @@ def execute(
     every detector firing exactly one transmitted-pol photon.  The default
     accepts every one-and-only-one pattern and applies feed-forward.
 
-    The input's normalization is checked on the declared amplitudes, before
-    pruning; if the pruning tolerance then removes more than rounding noise
-    of the input, that is an error too.
+    Every state of the run drops amplitudes below ``tolerance``.  The input's
+    normalization is checked on the declared amplitudes, before pruning; if
+    pruning then removes more than rounding noise, of the input or during the
+    run, that is an error too.  So are photons left by the elements on a mode
+    that is neither detected nor declared as an output.
     """
-    state = build_input_state(spec, 0.0)
+    state = build_input_state(spec)
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
@@ -268,12 +269,15 @@ def execute(
     kept = state.norm_sq()
     if abs(kept - 1.0) > 1e-9:
         raise NonPhysicalInput(
-            f"amplitude tolerance {state.tolerance!r} prunes squared norm "
+            f"amplitude tolerance {tolerance!r} prunes squared norm "
             f"{norm - kept!r} of the input"
         )
 
     plan = compile(spec)
     state = _run_steps(state.reindexed(plan.index), plan.elements)
+    stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
+    if stray:
+        raise MissingOutput(f"photons left on undetected non-output modes {sorted(stray)}")
     for rebase in plan.rebases:
         state = fock.transform_slots(state, rebase)
 
@@ -293,6 +297,11 @@ def execute(
             success += probability
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
+    lost = kept - success - sum(rejected.values())
+    if lost > 1e-9:
+        raise NonPhysicalInput(
+            f"amplitude tolerance {tolerance!r} prunes squared norm {lost!r} during the run"
+        )
     return GateResult(
         outcomes=outcomes,
         rejected=rejected,

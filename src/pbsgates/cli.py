@@ -32,12 +32,13 @@ TOLERANCE_ENV = "PBSGATES_AMP_TOLERANCE"
 _NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _set_tolerance() -> float:
-    """Set the process-wide pruning tolerance from the environment."""
+def _read_tolerance() -> float:
+    """The pruning tolerance of a run: the environment's, or the default."""
     raw = os.environ.get(TOLERANCE_ENV)
     try:
         value = fock.DEFAULT_TOLERANCE if raw is None else float(raw)
-        fock.set_default_tolerance(value)  # rejects values outside [0, 1)
+        if not 0.0 <= value < 1.0:
+            raise ValueError(value)
     except ValueError:
         raise _config_error(
             f"{TOLERANCE_ENV} must be a float in [0, 1), got {raw!r}"
@@ -119,7 +120,7 @@ _GATE_OPTIONS = {
 }
 
 
-def _run_gate(args) -> dict:
+def _run_gate(args, tolerance: float) -> dict:
     name = args.gate
     if name not in _GATE_OPTIONS:
         raise _config_error(f"unknown gate {name!r}; choose from {gates.GATE_NAMES}")
@@ -131,7 +132,7 @@ def _run_gate(args) -> dict:
             raise _config_error(f"{name} needs --{option.replace('_', '-')}")
         argument, input_doc[option] = _OPTION_ARGUMENTS[option](value)
         gate_args.append(argument)
-    report = getattr(gates, name)(*gate_args, passive=args.passive)
+    report = getattr(gates, name)(*gate_args, passive=args.passive, tolerance=tolerance)
     return _report_document(
         name, report.result, report.spec.detectors, report.fidelities, input_doc
     )
@@ -159,10 +160,10 @@ def _load_circuit(path: str) -> CircuitSpec:
 def cmd_run(args) -> int:
     if (args.gate is None) == (args.circuit is None):
         raise _config_error("provide exactly one of --gate or --circuit")
-    tolerance = _set_tolerance()
+    tolerance = _read_tolerance()
     try:
         if args.gate is not None:
-            document = _run_gate(args)
+            document = _run_gate(args, tolerance)
         else:
             spec = _load_circuit(args.circuit)
             result = execute(spec, passive=args.passive, tolerance=tolerance)

@@ -49,4 +49,4 @@ class DetectedModeReuse(CircuitError):
 
 
 class MissingOutput(CircuitError):
-    """Circuit declares no output modes."""
+    """Circuit declares no output modes, or leaves photons off its outputs."""

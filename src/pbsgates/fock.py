@@ -29,23 +29,10 @@ HV_TO_FS = "HVtoFS"
 FS_TO_HV = "FStoHV"
 
 #: Amplitudes with magnitude below this are pruned (cancellation noise from
-#: repeated sqrt(2) arithmetic).  Override per state via the constructor, or
-#: process-wide with :func:`set_default_tolerance` (the CLI wires this to the
-#: PBSGATES_AMP_TOLERANCE environment variable).
+#: repeated sqrt(2) arithmetic).  A state carries its own tolerance, set by
+#: the constructor; a circuit run takes one as an argument of
+#: :func:`pbsgates.circuit.execute`.
 DEFAULT_TOLERANCE = 1e-12
-
-_default_tolerance = DEFAULT_TOLERANCE
-
-
-def set_default_tolerance(value: float):
-    global _default_tolerance
-    if not (0.0 <= value < 1.0):
-        raise ValueError(f"tolerance out of range: {value!r}")
-    _default_tolerance = value
-
-
-def get_default_tolerance() -> float:
-    return _default_tolerance
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -211,9 +198,7 @@ class PhotonState:
     # sized from it.
     __slots__ = ("_terms", "_index", "_photons", "_width", "tolerance")
 
-    def __init__(self, terms, tolerance: float | None = None):
-        if tolerance is None:
-            tolerance = _default_tolerance
+    def __init__(self, terms, tolerance: float = DEFAULT_TOLERANCE):
         index = slot_index(slot for basis in terms for slot, _ in basis.occ)
         photons = max((basis.total_photons for basis in terms), default=0)
         width = _width(photons)
@@ -291,10 +276,8 @@ class PhotonState:
         terms = _repack(self._terms, self._index, self._width, index, self._width)
         return PhotonState._packed(terms, index, self._photons, self.tolerance)
 
-    def with_tolerance(self, tolerance: float | None) -> "PhotonState":
-        """The same state pruned with ``tolerance`` (None: the default)."""
-        if tolerance is None:
-            tolerance = _default_tolerance
+    def with_tolerance(self, tolerance: float) -> "PhotonState":
+        """The same state pruned with ``tolerance``."""
         return PhotonState._packed(self._terms, self._index, self._photons, tolerance)
 
     def scaled(self, factor: complex) -> "PhotonState":
@@ -322,9 +305,7 @@ class PhotonState:
 _NO_SLOTS = SlotIndex()
 
 
-def vacuum(tolerance: float | None = None) -> PhotonState:
-    if tolerance is None:
-        tolerance = _default_tolerance
+def vacuum(tolerance: float = DEFAULT_TOLERANCE) -> PhotonState:
     return PhotonState._packed({0: 1.0 + 0j}, _NO_SLOTS, 0, tolerance)
 
 

@@ -66,10 +66,7 @@ class GateReport:
 
 
 def qubit_state(
-    mode: str,
-    alpha: complex,
-    beta: complex,
-    tolerance: float | None = None,
+    mode: str, alpha: complex, beta: complex, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> PhotonState:
     vac = fock.vacuum(tolerance)
     return fock.superpose(
@@ -77,9 +74,7 @@ def qubit_state(
     )
 
 
-def bell_phi_plus(
-    m1: str, m2: str, tolerance: float | None = None
-) -> PhotonState:
+def bell_phi_plus(m1: str, m2: str) -> PhotonState:
     """(H_m1 H_m2 + V_m1 V_m2)/sqrt(2)."""
     if m1 == m2:
         raise ValueError("Bell pair needs two distinct modes")
@@ -87,12 +82,10 @@ def bell_phi_plus(
         fock.BasisState.from_dict({(m1, POL_H): 1, (m2, POL_H): 1}): _SQRT_HALF,
         fock.BasisState.from_dict({(m1, POL_V): 1, (m2, POL_V): 1}): _SQRT_HALF,
     }
-    return PhotonState(terms, tolerance)
+    return PhotonState(terms)
 
 
-def chi_state(
-    m1: str, m2: str, m3: str, m4: str, tolerance: float | None = None
-) -> PhotonState:
+def chi_state(m1: str, m2: str, m3: str, m4: str) -> PhotonState:
     """Four-photon resource: (H1H4H2H3 + H1V4H2V3 + V1H4V2V3 + V1V4V2H3)/2."""
     if len({m1, m2, m3, m4}) != 4:
         raise ValueError("chi needs four distinct modes")
@@ -108,14 +101,14 @@ def chi_state(
             {(m1, p1): 1, (m4, p4): 1, (m2, p2): 1, (m3, p3): 1}
         )
         terms[key] = 0.5
-    return PhotonState(terms, tolerance)
+    return PhotonState(terms)
 
 
 def two_qubit_input(
     m1: str,
     m2: str,
     amplitudes: TwoQubitState | tuple[complex, ...],
-    tolerance: float | None = None,
+    tolerance: float = fock.DEFAULT_TOLERANCE,
 ) -> PhotonState:
     """Two photons on ``m1`` and ``m2``; amplitudes of HH, HV, VH, VV."""
     if m1 == m2:
@@ -153,11 +146,13 @@ def _report(
     bound: dict[tuple[str, ...], tuple[complex, ...]],
     target: PhotonState | None,
     passive: bool,
+    tolerance: float,
 ) -> GateReport:
     """Run the shipped ``name`` circuit and score it against ``target``.
 
     ``bound`` maps the modes of an input declaration to the amplitudes that
-    replace the file's; the other declarations keep the file's values.
+    replace the file's; the other declarations keep the file's values.  The
+    run prunes with ``tolerance``, which should also have built ``target``.
     """
     spec = _shipped_spec(name)
     inputs = tuple(
@@ -165,7 +160,7 @@ def _report(
         for decl in spec.inputs
     )
     spec = replace(spec, inputs=inputs)
-    result = execute(spec, passive=passive)
+    result = execute(spec, passive=passive, tolerance=tolerance)
     fidelities = {}
     if target is not None:
         for pattern, (_, state) in result.outcomes.items():
@@ -180,14 +175,20 @@ def _report(
     )
 
 
-def parity_check(q: QubitState, passive: bool = False) -> GateReport:
+def parity_check(
+    q: QubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
+) -> GateReport:
     """Transfer the qubit from mode 2' to mode 2 when parities agree."""
     bound = {("2'",): (q.alpha, q.beta)}
-    return _report("parity_check", bound, qubit_state("2", q.alpha, q.beta), passive)
+    target = qubit_state("2", q.alpha, q.beta, tolerance)
+    return _report("parity_check", bound, target, passive, tolerance)
 
 
 def destructive_cnot(
-    target: QubitState, control: QubitState, passive: bool = False
+    target: QubitState,
+    control: QubitState,
+    passive: bool = False,
+    tolerance: float = fock.DEFAULT_TOLERANCE,
 ) -> GateReport:
     """Flip the target qubit when the control photon is V-polarized.
 
@@ -201,35 +202,43 @@ def destructive_cnot(
     }
     ideal = None
     if abs(abs(control.alpha) - 1.0) <= 1e-12:
-        ideal = qubit_state("3", target.alpha, target.beta)
+        ideal = qubit_state("3", target.alpha, target.beta, tolerance)
     elif abs(abs(control.beta) - 1.0) <= 1e-12:
-        ideal = qubit_state("3", target.beta, target.alpha)
-    return _report("destructive_cnot", bound, ideal, passive)
+        ideal = qubit_state("3", target.beta, target.alpha, tolerance)
+    return _report("destructive_cnot", bound, ideal, passive, tolerance)
 
 
-def encoder(q: QubitState, passive: bool = False) -> GateReport:
+def encoder(
+    q: QubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
+) -> GateReport:
     """Copy the qubit's basis value onto modes 2 and b: aH+bV -> aHH+bVV."""
-    target = two_qubit_input("2", "b", (q.alpha, 0, 0, q.beta))
-    return _report("encoder", {("2'",): (q.alpha, q.beta)}, target, passive)
+    target = two_qubit_input("2", "b", (q.alpha, 0, 0, q.beta), tolerance)
+    return _report("encoder", {("2'",): (q.alpha, q.beta)}, target, passive, tolerance)
 
 
-def cnot(state: TwoQubitState, passive: bool = False) -> GateReport:
+def cnot(
+    state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
+) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
     bound = {("2'", "3'"): tuple(state)}
-    target = two_qubit_input("2", "3", ideal_cnot(state))
-    return _report("cnot", bound, target, passive)
+    target = two_qubit_input("2", "3", ideal_cnot(state), tolerance)
+    return _report("cnot", bound, target, passive, tolerance)
 
 
-def gc_cnot(state: TwoQubitState, passive: bool = False) -> GateReport:
+def gc_cnot(
+    state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
+) -> GateReport:
     """Teleportation-style gate consuming the four-photon chi resource."""
     bound = {("A", "B"): tuple(state)}
-    target = two_qubit_input("2", "3", ideal_cnot(state))
-    return _report("gc_cnot", bound, target, passive)
+    target = two_qubit_input("2", "3", ideal_cnot(state), tolerance)
+    return _report("gc_cnot", bound, target, passive, tolerance)
 
 
-def chi_via_cnot(passive: bool = False) -> GateReport:
+def chi_via_cnot(
+    passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
+) -> GateReport:
     """Produce chi constructively: composed CNOT across two Bell pairs."""
-    return _report("chi_via_cnot", {}, chi_state("1", "2", "3", "4"), passive)
+    return _report("chi_via_cnot", {}, chi_state("1", "2", "3", "4"), passive, tolerance)
 
 
 GATE_NAMES = (

@@ -139,7 +139,3 @@ def apply_element(state: PhotonState, el: OpticalElement) -> PhotonState:
     mapping = slot_map(el)
     check_collisions(state, collision_modes(el))
     return fock.transform_slots(state, mapping)
-
-
-def apply_pbs(state: PhotonState, el: PbsElement) -> PhotonState:
-    return apply_element(state, el)

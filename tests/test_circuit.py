@@ -131,6 +131,21 @@ def test_execute_rejects_unnormalized_input():
         execute(spec)
 
 
+def test_execute_tolerance_argument_prunes():
+    spec = CircuitSpec(
+        modes=("m",),
+        inputs=(InputDecl("qubit", ("m",), (1.0, 1e-9)),),
+        elements=(),
+        detectors=(),
+        outputs=("m",),
+    )
+    v = BasisState.from_dict({("m", POL_V): 1})
+    for tolerance, kept in ((fock.DEFAULT_TOLERANCE, 1e-9), (1e-6, 0.0)):
+        [(_, state)] = execute(spec, tolerance=tolerance).outcomes.values()
+        assert state.amplitude(v) == kept
+        assert state.tolerance == tolerance
+
+
 def test_probability_completeness(rng):
     for _ in range(20):
         report = parity_check(random_qubit(rng))

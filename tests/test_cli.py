@@ -5,8 +5,9 @@ import math
 import subprocess
 import sys
 
+from pbsgates import cli, gates
 from pbsgates.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, TOLERANCE_ENV
-from pbsgates.gates import GATE_NAMES
+from pbsgates.gates import GATE_NAMES, TwoQubitState
 
 from conftest import circuit_path
 
@@ -248,6 +249,47 @@ def test_tolerance_that_prunes_the_input_is_named():
     assert "tolerance 0.5" in lines[0]
     assert "prunes squared norm 0.36" in lines[0]
     assert "input squared norm" not in lines[0]
+
+
+def test_tolerance_that_prunes_the_run_is_named():
+    import os
+
+    # The 0.5 input amplitudes survive the tolerance; every later state
+    # of the run is pruned away.
+    env = dict(os.environ, **{TOLERANCE_ENV: "0.5"})
+    proc = run_cli(
+        "run", "--gate", "gc_cnot", "--two-qubit", "1", *("0",) * 7, env=env
+    )
+    assert proc.returncode == EXIT_CONFIG
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: amplitude tolerance 0.5 prunes squared norm")
+    assert "during the run" in lines[0]
+
+
+def test_cli_tolerance_does_not_reach_library_calls(monkeypatch, tmp_path):
+    # An in-process run leaves nothing behind that later library calls read.
+    monkeypatch.setenv(TOLERANCE_ENV, "0.3")
+    report_path = str(tmp_path / "report.json")
+    args = ["run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8", "0"]
+    assert cli.main([*args, "--output", report_path]) == EXIT_OK
+    monkeypatch.delenv(TOLERANCE_ENV)
+    report = gates.gc_cnot(TwoQubitState(1, 0, 0, 0))
+    assert abs(report.success_probability - 0.25) < 1e-12
+
+
+def test_photons_off_the_outputs_are_config_error(tmp_path):
+    path = tmp_path / "stray.circ"
+    path.write_text(
+        "mode a\nmode b\n"
+        "input qubit a 1 0 0 0\ninput qubit b 0.6 0 0.8 0\n"
+        "output a\n"
+    )
+    proc = run_cli("run", "--circuit", str(path))
+    assert proc.returncode == EXIT_CONFIG
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == "error: photons left on undetected non-output modes ['b']"
 
 
 def test_cli_and_gates_import_without_numpy_or_scipy():

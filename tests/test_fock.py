@@ -89,18 +89,6 @@ def test_pruning_respects_tolerance():
     assert not kept.is_zero()
 
 
-def test_default_tolerance_override():
-    assert fock.get_default_tolerance() == fock.DEFAULT_TOLERANCE
-    try:
-        fock.set_default_tolerance(1e-6)
-        st = PhotonState({BasisState.from_dict({("m", POL_H): 1}): 1e-9})
-        assert st.is_zero()
-    finally:
-        fock.set_default_tolerance(fock.DEFAULT_TOLERANCE)
-    with pytest.raises(ValueError):
-        fock.set_default_tolerance(-1.0)
-
-
 def test_rebase_single_photon_amplitudes():
     st = fock.rebase_polarization(single("m", POL_H), "m", HV_TO_FS)
     assert abs(st.amplitude(BasisState.from_dict({("m", POL_F): 1})) - SQRT_HALF) < 1e-12

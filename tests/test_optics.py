@@ -137,7 +137,7 @@ def test_pol_phase_rejects_fs_labels():
 def test_mode_collision_detected():
     st = fock.tensor(single("x", POL_H), single("u", POL_H))
     with pytest.raises(ModeCollision):
-        optics.apply_pbs(st, HV_PBS)
+        optics.apply_element(st, HV_PBS)
 
 
 def test_in_place_pbs_allowed():
