@@ -29,10 +29,14 @@ HV_TO_FS = "HVtoFS"
 FS_TO_HV = "FStoHV"
 
 #: Amplitudes with magnitude below this are pruned (cancellation noise from
-#: repeated sqrt(2) arithmetic).  A state carries its own tolerance, set by
-#: the constructor; a circuit run takes one as an argument of
-#: :func:`pbsgates.circuit.execute`.
+#: repeated sqrt(2) arithmetic); exact zeros are pruned at any tolerance.  A
+#: state carries its own tolerance, set by the constructor; a circuit run
+#: takes one as an argument of :func:`pbsgates.circuit.execute`.
 DEFAULT_TOLERANCE = 1e-12
+
+#: The smallest positive float: a state with tolerance 0 prunes below this
+#: instead, so that it still drops exact zeros.
+_LEAST_MAGNITUDE = math.ulp(0.0)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -207,10 +211,11 @@ class PhotonState:
         self._index = index
         self._photons = photons
         self._width = width
+        floor = tolerance or _LEAST_MAGNITUDE
         self._terms = {
             sum(n << position[slot] * width for slot, n in basis.occ): complex(amp)
             for basis, amp in terms.items()
-            if abs(amp) >= tolerance
+            if abs(amp) >= floor
         }
 
     @classmethod
@@ -223,7 +228,8 @@ class PhotonState:
         state._index = index
         state._photons = photons
         state._width = _width(photons)
-        state._terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= tolerance}
+        floor = tolerance or _LEAST_MAGNITUDE
+        state._terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= floor}
         return state
 
     def _basis(self, cfg: int) -> BasisState:

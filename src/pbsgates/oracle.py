@@ -4,7 +4,11 @@ Everything here is deliberately separate from the sparse engine: element
 unitaries are derived from explicit single-particle matrices and expanded
 into many-body operators by closed-form multinomial combinatorics, states
 are dense vectors over an explicitly enumerated occupation basis, and
-outcome probabilities come from 0/1 projectors.  Slow and simple on purpose.
+outcome probabilities come from 0/1 projectors.  The expansion is computed
+once per local occupation (the photons on the slots an element touches,
+plus those already on its output slots) and placed on every basis state
+with that occupation; it shares no code with the engine's photon-by-photon
+slot transform.  Simple before fast.
 """
 
 from __future__ import annotations
@@ -63,9 +67,10 @@ class DenseBasis:
         self.states: list[tuple[int, ...]] = list(states)
         self.index = {state: i for i, state in enumerate(self.states)}
         self.dim = len(self.states)
+        self._slot_position = {slot: i for i, slot in enumerate(self.slots)}
 
     def slot_index(self, slot: Slot) -> int:
-        return self.slots.index(slot)
+        return self._slot_position[slot]
 
     def basis_state(self, i: int) -> BasisState:
         return BasisState.from_dict(
@@ -117,6 +122,42 @@ def _single_particle_matrix(el) -> tuple[list[Slot], list[Slot], np.ndarray]:
     raise TypeError(f"not an optical element: {el!r}")
 
 
+def _local_image(
+    counts: tuple[int, ...], u: np.ndarray, n_out: int
+) -> tuple[int, dict[tuple[int, ...], complex]]:
+    """(prod n_j!, {output distribution: amplitude}) for ``counts`` photons
+    on the input slots: every way of distributing each group of n_j photons
+    among the output slots, with multinomial weights, summed by distribution."""
+    in_norm = math.prod(math.factorial(n) for n in counts)
+    per_slot = []
+    for j, n_j in enumerate(counts):
+        options = []
+        if n_j == 0:
+            options.append((tuple([0] * n_out), 1.0 + 0j))
+        else:
+            for dist in compositions(n_j, n_out):
+                weight = math.factorial(n_j)
+                amp = complex(1.0)
+                for i, k in enumerate(dist):
+                    weight //= math.factorial(k)
+                    amp *= u[i, j] ** k
+                options.append((dist, weight * amp))
+        per_slot.append(options)
+    accum: dict[tuple[int, ...], complex] = {}
+    for combo in itertools.product(*per_slot):
+        total_dist = [0] * n_out
+        amp = complex(1.0)
+        for dist, a in combo:
+            amp *= a
+            for i, k in enumerate(dist):
+                total_dist[i] += k
+        if not amp:
+            continue
+        key = tuple(total_dist)
+        accum[key] = accum.get(key, 0j) + amp
+    return in_norm, accum
+
+
 def _expand_operator(
     basis: DenseBasis, ins: list[Slot], outs: list[Slot], u: np.ndarray
 ) -> sp.csr_matrix:
@@ -129,9 +170,13 @@ def _expand_operator(
     in_idx = [basis.slot_index(s) for s in ins]
     out_idx = [basis.slot_index(s) for s in outs]
     n_out = len(outs)
+    # The image of the touched slots depends only on their occupation and on
+    # the spectators already on the output slots: it is computed once per
+    # distinct pair and placed on every state that has it.
+    images: dict[tuple, list[tuple[tuple[int, ...], complex]]] = {}
     rows, cols, vals = [], [], []
     for col, state in enumerate(basis.states):
-        counts = [state[i] for i in in_idx]
+        counts = tuple(state[i] for i in in_idx)
         if not any(counts):
             rows.append(col)
             cols.append(col)
@@ -140,41 +185,21 @@ def _expand_operator(
         spect = list(state)
         for i in in_idx:
             spect[i] = 0
-        in_norm = math.prod(math.factorial(n) for n in counts)
-        per_slot = []
-        for j, n_j in enumerate(counts):
-            options = []
-            if n_j == 0:
-                options.append((tuple([0] * n_out), 1.0 + 0j))
-            else:
-                for dist in compositions(n_j, n_out):
-                    weight = math.factorial(n_j)
-                    amp = complex(1.0)
-                    for i, k in enumerate(dist):
-                        weight //= math.factorial(k)
-                        amp *= u[i, j] ** k
-                    options.append((dist, weight * amp))
-            per_slot.append(options)
-        accum: dict[tuple[int, ...], complex] = {}
-        for combo in itertools.product(*per_slot):
-            total_dist = [0] * n_out
-            amp = complex(1.0)
-            for dist, a in combo:
-                amp *= a
-                for i, k in enumerate(dist):
-                    total_dist[i] += k
-            if not amp:
-                continue
-            key = tuple(total_dist)
-            accum[key] = accum.get(key, 0j) + amp
-        for dist, amp in accum.items():
+        spect_out = tuple(spect[i] for i in out_idx)
+        image = images.get((counts, spect_out))
+        if image is None:
+            in_norm, accum = _local_image(counts, u, n_out)
+            image = images[counts, spect_out] = []
+            for dist, amp in accum.items():
+                # sqrt factors for photons landing on already-occupied out slots
+                out_norm = 1.0
+                for s, k in zip(spect_out, dist):
+                    out_norm *= math.factorial(s + k) / math.factorial(s)
+                image.append((dist, amp * math.sqrt(out_norm / in_norm)))
+        for dist, val in image:
             target = list(spect)
             for i, k in zip(out_idx, dist):
                 target[i] += k
-            # sqrt factors for photons landing on already-occupied out slots
-            out_norm = 1.0
-            for i in out_idx:
-                out_norm *= math.factorial(target[i]) / math.factorial(spect[i])
             row = basis.index.get(tuple(target))
             if row is None:
                 raise TruncationTooSmall(
@@ -182,7 +207,7 @@ def _expand_operator(
                 )
             rows.append(row)
             cols.append(col)
-            vals.append(amp * math.sqrt(out_norm / in_norm))
+            vals.append(val)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
@@ -331,6 +356,10 @@ class DenseCircuit:
         self.reduced_slots = [
             (back[slot_list[i][0]], slot_list[i][1]) for i in self.kept
         ]
+        # Correction bases by photon number and operators by (photon number,
+        # element), built the first time an accepted pattern needs them.
+        self._reduced_bases: dict[int, DenseBasis] = {}
+        self._corrections: dict[tuple, sp.csr_matrix] = {}
 
     @staticmethod
     def _input_photon_counts(spec: CircuitSpec) -> dict[str, int]:
@@ -459,14 +488,22 @@ class DenseCircuit:
                         )
         if not elements:
             return bucket
-        reduced_basis = DenseBasis(
-            list(self.reduced_slots), n_max=max(sum(red) for red in bucket)
-        )
+        n_max = max(sum(red) for red in bucket)
+        reduced_basis = self._reduced_bases.get(n_max)
+        if reduced_basis is None:
+            reduced_basis = self._reduced_bases[n_max] = DenseBasis(
+                list(self.reduced_slots), n_max=n_max
+            )
         vec = np.zeros(reduced_basis.dim, dtype=complex)
         for red, amp in bucket.items():
             vec[reduced_basis.index[red]] += amp
         for el in elements:
-            vec = element_operator(el, reduced_basis) @ vec
+            op = self._corrections.get((n_max, el))
+            if op is None:
+                op = self._corrections[n_max, el] = element_operator(
+                    el, reduced_basis
+                )
+            vec = op @ vec
         return {
             reduced_basis.states[i]: amp for i, amp in enumerate(vec) if amp
         }

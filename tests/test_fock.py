@@ -89,6 +89,19 @@ def test_pruning_respects_tolerance():
     assert not kept.is_zero()
 
 
+def test_exact_zeros_pruned_at_tolerance_zero():
+    from pbsgates.gates import TwoQubitState, cnot, qubit_state
+
+    h, v = (BasisState.from_dict({("m", pol): 1}) for pol in (POL_H, POL_V))
+    built = PhotonState({h: 1.0, v: 0.0}, tolerance=0.0)
+    assert built.terms == {h: 1.0}
+    assert qubit_state("m", 1, 0, 0.0).num_terms() == 1
+    assert fock.superpose(built, 1.0, built, -1.0).is_zero()
+    report = cnot(TwoQubitState(1, 0, 0, 0), tolerance=0.0)
+    for _, state in report.result.outcomes.values():
+        assert all(state.terms.values())
+
+
 def test_rebase_single_photon_amplitudes():
     st = fock.rebase_polarization(single("m", POL_H), "m", HV_TO_FS)
     assert abs(st.amplitude(BasisState.from_dict({("m", POL_F): 1})) - SQRT_HALF) < 1e-12

@@ -1,9 +1,11 @@
 """Dense brute-force oracle: matrix properties and engine cross-checks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pbsgates import dsl, optics
 from pbsgates.circuit import DetectorSpec, execute
@@ -12,8 +14,11 @@ from pbsgates.fock import POL_H, POL_V, BasisState
 from pbsgates.gates import GATE_NAMES
 from pbsgates.optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
 from pbsgates.oracle import (
+    _REBASE,
     DenseBasis,
     DenseCircuit,
+    _expand_operator,
+    _single_particle_matrix,
     compositions,
     detector_patterns,
     element_matrix,
@@ -108,6 +113,105 @@ def test_element_matrix_matches_sparse_engine(rng):
         sparse_out = optics.apply_element(st, el)
         expect = basis.vector_from_terms(sparse_out.terms)
         assert np.allclose(dense_out, expect, atol=1e-10)
+
+
+def reference_expand(basis, ins, outs, u):
+    """The multinomial expansion redone from scratch for every basis state."""
+    in_idx = [basis.slot_index(s) for s in ins]
+    out_idx = [basis.slot_index(s) for s in outs]
+    n_out = len(outs)
+    rows, cols, vals = [], [], []
+    for col, state in enumerate(basis.states):
+        counts = [state[i] for i in in_idx]
+        if not any(counts):
+            rows.append(col)
+            cols.append(col)
+            vals.append(1.0 + 0j)
+            continue
+        spect = list(state)
+        for i in in_idx:
+            spect[i] = 0
+        in_norm = math.prod(math.factorial(n) for n in counts)
+        per_slot = []
+        for j, n_j in enumerate(counts):
+            options = []
+            if n_j == 0:
+                options.append((tuple([0] * n_out), 1.0 + 0j))
+            else:
+                for dist in compositions(n_j, n_out):
+                    weight = math.factorial(n_j)
+                    amp = complex(1.0)
+                    for i, k in enumerate(dist):
+                        weight //= math.factorial(k)
+                        amp *= u[i, j] ** k
+                    options.append((dist, weight * amp))
+            per_slot.append(options)
+        accum = {}
+        for combo in itertools.product(*per_slot):
+            total_dist = [0] * n_out
+            amp = complex(1.0)
+            for dist, a in combo:
+                amp *= a
+                for i, k in enumerate(dist):
+                    total_dist[i] += k
+            if not amp:
+                continue
+            key = tuple(total_dist)
+            accum[key] = accum.get(key, 0j) + amp
+        for dist, amp in accum.items():
+            target = list(spect)
+            for i, k in zip(out_idx, dist):
+                target[i] += k
+            out_norm = 1.0
+            for i in out_idx:
+                out_norm *= math.factorial(target[i]) / math.factorial(spect[i])
+            rows.append(basis.index[tuple(target)])
+            cols.append(col)
+            vals.append(amp * math.sqrt(out_norm / in_norm))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
+def random_matrix(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(random_matrix(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def assert_expansion_matches_reference(basis, ins, outs, u):
+    got = _expand_operator(basis, ins, outs, u).toarray()
+    assert np.array_equal(got, reference_expand(basis, ins, outs, u).toarray())
+
+
+def test_expansion_matches_per_state_reference(rng):
+    basis = DenseBasis(XY_SLOTS, n_max=4)
+    for el in in_place_elements():
+        assert_expansion_matches_reference(basis, *_single_particle_matrix(el))
+    for mode in ("x", "y"):
+        slots = [(mode, POL_H), (mode, POL_V)]
+        assert_expansion_matches_reference(basis, slots, slots, _REBASE)
+    for slots in (XY_SLOTS, XY_SLOTS[:2], XY_SLOTS[1:3], XY_SLOTS[3:]):
+        for _ in range(3):
+            u = random_unitary(rng, len(slots))
+            assert_expansion_matches_reference(basis, slots, slots, u)
+
+
+def test_expansion_onto_occupied_output_slots_matches_reference(rng):
+    # ins != outs, with spectator photons already on the output slots, so
+    # the bosonic factor of each image depends on the state's spectators.
+    slots = XY_SLOTS + [("z", POL_H), ("z", POL_V)]
+    basis = DenseBasis(slots, n_max=4)
+    for ins, outs in (
+        (slots[:2], slots[2:4]),
+        (slots[:2], slots[1:4]),
+        (slots[:3], slots[3:]),
+        (slots[4:], slots[:2]),
+    ):
+        for _ in range(3):
+            u = random_matrix(rng, len(outs), len(ins))
+            assert_expansion_matches_reference(basis, ins, outs, u)
 
 
 def test_projectors_complete_idempotent_orthogonal():
