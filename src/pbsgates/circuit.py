@@ -3,20 +3,28 @@
 Execution builds the declared input state, applies the optical elements in
 order, rebases every detected mode into its detector's splitting basis, and
 exhaustively enumerates joint photon-count outcomes on the detected modes.
-Probabilities are exact branch norms; nothing is sampled.  The elements,
-rebases and corrections of a spec are compiled once per structure
-(:func:`compile`), so runs that differ only in their inputs share them.
+Probabilities are exact branch norms; nothing is sampled.  The input
+configurations, elements, rebases and corrections of a spec are compiled
+once per structure (:func:`compile`), so runs that differ only in their
+input amplitudes share them and only bind the amplitudes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import fock, optics
-from .errors import MissingOutput, NonPhysicalInput, UndeclaredMode
-from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState
+from .errors import (
+    DetectedModeReuse,
+    MissingOutput,
+    NonPhysicalInput,
+    OverlappingModes,
+    UndeclaredMode,
+)
+from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState, Slot
 from .optics import BASIS_FS, BASIS_HV, OpticalElement
 
 #: Per detector, photon counts in the (transmitted, reflected) polarization
@@ -102,24 +110,106 @@ def pattern_name(pattern: OutcomePattern, detectors: tuple[DetectorSpec, ...]) -
     return " ".join(parts) if parts else "-"
 
 
-def build_input_state(spec: CircuitSpec) -> PhotonState:
-    """The declared input, built exactly: nothing is pruned."""
-    from .gates import bell_phi_plus, chi_state, qubit_state, two_qubit_input
+_ONE = 1.0 + 0j
+_BELL_AMPLITUDES = (complex(1.0 / math.sqrt(2.0)),) * 2
+_CHI_AMPLITUDES = (0.5 + 0j,) * 4
+#: Polarizations on modes (1, 4, 2, 3) of each term of the chi resource.
+_CHI_TERMS = (
+    (POL_H, POL_H, POL_H, POL_H),
+    (POL_H, POL_V, POL_H, POL_V),
+    (POL_V, POL_H, POL_V, POL_V),
+    (POL_V, POL_V, POL_V, POL_H),
+)
+#: Modes each input kind takes, one photon on each.
+_INPUT_MODES = {"qubit": 1, "bell": 2, "chi": 4, "state": 2}
 
-    state = fock.vacuum(0.0)
-    for decl in spec.inputs:
-        if decl.kind == "qubit":
-            part = qubit_state(decl.modes[0], *decl.amplitudes, tolerance=0.0)
-        elif decl.kind == "bell":
-            part = bell_phi_plus(*decl.modes)
-        elif decl.kind == "chi":
-            part = chi_state(*decl.modes)
-        elif decl.kind == "state":
-            part = two_qubit_input(*decl.modes, decl.amplitudes, tolerance=0.0)
-        else:
-            raise ValueError(f"unknown input kind: {decl.kind!r}")
-        state = fock.tensor(state, part)
-    return state
+
+def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...], ...]:
+    """The occupied slots of each term of a declared state, one photon each.
+
+    Terms come in the order the builders in :mod:`pbsgates.gates`
+    (``qubit_state``, ``bell_phi_plus``, ``chi_state``, ``two_qubit_input``)
+    list them; sums over a state run in that order, so it fixes result bits.
+    """
+    count = _INPUT_MODES.get(kind)
+    if count is None:
+        raise ValueError(f"unknown input kind: {kind!r}")
+    if len(set(modes)) != count or len(modes) != count:
+        raise ValueError(f"a {kind} input takes {count} distinct mode(s), got {modes!r}")
+    if kind == "qubit":
+        return tuple(((modes[0], pol),) for pol in (POL_H, POL_V))
+    if kind == "bell":
+        return tuple(tuple((mode, pol) for mode in modes) for pol in (POL_H, POL_V))
+    if kind == "chi":
+        m1, m2, m3, m4 = modes
+        return tuple(
+            ((m1, p1), (m4, p4), (m2, p2), (m3, p3)) for p1, p4, p2, p3 in _CHI_TERMS
+        )
+    pols = itertools.product((POL_H, POL_V), repeat=2)
+    return tuple(tuple(zip(modes, pair)) for pair in pols)
+
+
+def _declared_amplitudes(decl: InputDecl) -> tuple[complex, ...]:
+    """The amplitude of each term of a declared state, as its builder computes it.
+
+    A qubit's are ``(1+0j)*alpha`` and ``0j + (1+0j)*beta``, the products of
+    creating each photon on the vacuum and superposing; the rest are the
+    declared (or fixed) values made complex.
+    """
+    if decl.kind == "qubit":
+        alpha, beta = decl.amplitudes
+        return (_ONE * alpha, 0j + _ONE * beta)
+    if decl.kind == "state":
+        if len(decl.amplitudes) != 4:
+            raise ValueError(f"a two-qubit state needs 4 amplitudes, got {decl.amplitudes!r}")
+        return tuple(map(complex, decl.amplitudes))
+    return _BELL_AMPLITUDES if decl.kind == "bell" else _CHI_AMPLITUDES
+
+
+def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None) -> PhotonState:
+    """The declared input, built exactly: only exact zeros are pruned.
+
+    The amplitudes are bound onto the configurations compiled in ``plan``
+    (by default ``compile(spec)``), so the state is packed over the plan's
+    index.  Each term's amplitude is the product that the tensor product of
+    the declarations computes: starting from the vacuum's ``1+0j``, each
+    declaration in order multiplies in one of its amplitudes as
+    ``0j + product * amplitude``.  A product with a zero (or nan) factor is
+    zero (or nan), so pruning at tolerance 0 drops the terms that the
+    tensor product dropped along the way.
+    """
+    if plan is None:
+        plan = compile(spec)
+    values = [amp for decl in spec.inputs for amp in _declared_amplitudes(decl)]
+    terms = {}
+    for cfg, recipe in plan.inputs:
+        amp = _ONE
+        for position in recipe:
+            amp = 0j + amp * values[position]
+        terms[cfg] = amp
+    return PhotonState.packed(terms, plan.index, plan.photons, 0.0)
+
+
+def declared_state(
+    decl: InputDecl, tolerance: float, like: PhotonState | None = None
+) -> PhotonState:
+    """One declaration's state on its own, pruned with ``tolerance``.
+
+    It has the terms, in order, and the amplitude bits of the state that the
+    builders in :mod:`pbsgates.gates` make.  With ``like`` it is packed as
+    ``like`` is, so that :func:`fock.inner_product` of the two needs no
+    repacking.
+    """
+    slots = _declared_slots(decl.kind, decl.modes)
+    if like is None:
+        index, photons = fock.slot_index(slot for term in slots for slot in term), len(slots[0])
+    else:
+        index, photons = like.packing
+        index = index.including(slot for term in slots for slot in term)
+    terms = {
+        index.pack(term, photons): amp for term, amp in zip(slots, _declared_amplitudes(decl))
+    }
+    return PhotonState.packed(terms, index, photons, tolerance)
 
 
 def enumerate_outcomes(
@@ -187,13 +277,22 @@ def apply_feedforward(
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A circuit's structure as integer-indexed slot maps over one slot index.
+    """A circuit's structure as packed configurations and integer-indexed slot
+    maps over one slot index.
 
     Built by :func:`compile`; it depends on the modes, elements, detectors
-    and rules of a spec, never on its inputs.
+    and rules of a spec and on the kind and modes of each input declaration,
+    never on the input amplitudes.
     """
 
     index: fock.SlotIndex
+    #: Photon number of the input: states of a run are packed for it.
+    photons: int
+    #: Each configuration of the input, packed, with the positions of the
+    #: amplitudes that multiply into it among the declarations' term
+    #: amplitudes laid end to end.  In the order of the declarations' tensor
+    #: product: the earlier a declaration, the slower its term varies.
+    inputs: tuple[tuple[int, tuple[int, ...]], ...]
     elements: tuple[Step, ...]
     #: HV -> FS rebase of each FS detector's mode, in detector order.
     rebases: tuple[fock.IndexedMap, ...]
@@ -211,16 +310,34 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
 
     The slot index covers every polarization label of each declared mode
     (and of any mode an element touches).  Calls that differ only in their
-    input declarations share one compiled circuit.
+    input amplitudes share one compiled circuit.
     """
-    return _compile(spec.modes, spec.elements, spec.detectors, spec.rules)
+    shapes = tuple((decl.kind, decl.modes) for decl in spec.inputs)
+    return _compile(spec.modes, shapes, spec.elements, spec.detectors, spec.rules)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _compile(modes, elements, detectors, rules) -> CompiledCircuit:
+def _compile(modes, shapes, elements, detectors, rules) -> CompiledCircuit:
+    parts = [_declared_slots(kind, input_modes) for kind, input_modes in shapes]
+    sourced: set[str] = set()
+    for _, input_modes in shapes:
+        for mode in input_modes:
+            if mode not in modes:
+                raise UndeclaredMode(f"input on undeclared mode {mode!r}")
+            if mode in sourced:
+                raise OverlappingModes(f"mode {mode!r} has two inputs")
+        sourced.update(input_modes)
+    detected: set[str] = set()
     for det in detectors:
         if det.mode not in modes:
             raise UndeclaredMode(f"detector on undeclared mode {det.mode!r}")
+        if det.mode in detected:
+            raise DetectedModeReuse(f"mode {det.mode!r} has two detectors")
+        detected.add(det.mode)
+    labels = {det.label for det in detectors}
+    for rule in rules:
+        if rule.label not in labels:
+            raise UndeclaredMode(f"feed-forward rule on undeclared detector label {rule.label!r}")
     elements = tuple(map(_step, elements))
     corrections = tuple(tuple(map(_step, rule.corrections)) for rule in rules)
     every_step = [*elements, *(step for rule_steps in corrections for step in rule_steps)]
@@ -232,8 +349,20 @@ def _compile(modes, elements, detectors, rules) -> CompiledCircuit:
     def indexed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
         return tuple((guarded, fock.IndexedMap(m, index)) for guarded, m in steps)
 
+    photons = sum(len(part[0]) for part in parts)
+    starts = list(itertools.accumulate(map(len, parts), initial=0))
+    inputs = tuple(
+        (
+            index.pack([slot for part, j in zip(parts, term) for slot in part[j]], photons),
+            tuple(start + j for start, j in zip(starts, term)),
+        )
+        for term in itertools.product(*(range(len(part)) for part in parts))
+    )
+
     return CompiledCircuit(
         index=index,
+        photons=photons,
+        inputs=inputs,
         elements=indexed(elements),
         rebases=tuple(
             fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index)
@@ -261,7 +390,8 @@ def execute(
     run, that is an error too.  So are photons left by the elements on a mode
     that is neither detected nor declared as an output.
     """
-    state = build_input_state(spec)
+    plan = compile(spec)
+    state = build_input_state(spec, plan=plan)
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
@@ -273,8 +403,7 @@ def execute(
             f"{norm - kept!r} of the input"
         )
 
-    plan = compile(spec)
-    state = _run_steps(state.reindexed(plan.index), plan.elements)
+    state = _run_steps(state, plan.elements)
     stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
     if stray:
         raise MissingOutput(f"photons left on undetected non-output modes {sorted(stray)}")

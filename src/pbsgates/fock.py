@@ -110,6 +110,13 @@ class SlotIndex:
     def mode_positions(self, mode: str) -> tuple[int, ...]:
         return self._by_mode.get(mode, ())
 
+    def pack(self, slots, photons: int) -> int:
+        """The configuration with one photon on each of ``slots`` (distinct, all
+        in this index), packed for states of up to ``photons`` photons."""
+        width = _width(photons)
+        position = self.position
+        return sum(1 << position[slot] * width for slot in slots)
+
 
 def slot_index(slots) -> SlotIndex:
     """The index over ``slots``, shared with recent callers that asked for the
@@ -219,10 +226,11 @@ class PhotonState:
         }
 
     @classmethod
-    def _packed(
+    def packed(
         cls, terms: dict[int, complex], index: SlotIndex, photons: int, tolerance: float
     ) -> "PhotonState":
-        """A state over packed configurations, pruned like the constructor."""
+        """A state over configurations packed over ``index`` for up to ``photons``
+        photons (see :meth:`SlotIndex.pack`), pruned like the constructor."""
         state = cls.__new__(cls)
         state.tolerance = tolerance
         state._index = index
@@ -231,6 +239,12 @@ class PhotonState:
         floor = tolerance or _LEAST_MAGNITUDE
         state._terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= floor}
         return state
+
+    @property
+    def packing(self) -> tuple[SlotIndex, int]:
+        """The index and the photon bound this state's configurations are packed
+        for: a state :meth:`packed` alike meets this one without repacking."""
+        return self._index, self._photons
 
     def _basis(self, cfg: int) -> BasisState:
         slots = self._index.slots
@@ -280,14 +294,14 @@ class PhotonState:
         if index is self._index:
             return self
         terms = _repack(self._terms, self._index, self._width, index, self._width)
-        return PhotonState._packed(terms, index, self._photons, self.tolerance)
+        return PhotonState.packed(terms, index, self._photons, self.tolerance)
 
     def with_tolerance(self, tolerance: float) -> "PhotonState":
         """The same state pruned with ``tolerance``."""
-        return PhotonState._packed(self._terms, self._index, self._photons, tolerance)
+        return PhotonState.packed(self._terms, self._index, self._photons, tolerance)
 
     def scaled(self, factor: complex) -> "PhotonState":
-        return PhotonState._packed(
+        return PhotonState.packed(
             {cfg: a * factor for cfg, a in self._terms.items()},
             self._index,
             self._photons,
@@ -312,7 +326,7 @@ _NO_SLOTS = SlotIndex()
 
 
 def vacuum(tolerance: float = DEFAULT_TOLERANCE) -> PhotonState:
-    return PhotonState._packed({0: 1.0 + 0j}, _NO_SLOTS, 0, tolerance)
+    return PhotonState.packed({0: 1.0 + 0j}, _NO_SLOTS, 0, tolerance)
 
 
 def _joint(a: PhotonState, b: PhotonState, photons: int):
@@ -339,7 +353,7 @@ def create(state: PhotonState, slot: Slot) -> PhotonState:
     for cfg, amp in terms.items():
         key = cfg + unit
         out[key] = out.get(key, 0j) + amp * math.sqrt((cfg >> shift & field) + 1)
-    return PhotonState._packed(out, index, photons, state.tolerance)
+    return PhotonState.packed(out, index, photons, state.tolerance)
 
 
 def superpose(a: PhotonState, ca: complex, b: PhotonState, cb: complex) -> PhotonState:
@@ -348,7 +362,7 @@ def superpose(a: PhotonState, ca: complex, b: PhotonState, cb: complex) -> Photo
     out = {cfg: amp * ca for cfg, amp in a_terms.items()}
     for cfg, amp in b_terms.items():
         out[cfg] = out.get(cfg, 0j) + amp * cb
-    return PhotonState._packed(out, index, photons, min(a.tolerance, b.tolerance))
+    return PhotonState.packed(out, index, photons, min(a.tolerance, b.tolerance))
 
 
 def tensor(a: PhotonState, b: PhotonState) -> PhotonState:
@@ -363,7 +377,7 @@ def tensor(a: PhotonState, b: PhotonState) -> PhotonState:
         for kb, ab in b_terms.items():
             key = ka | kb
             out[key] = out.get(key, 0j) + aa * ab
-    return PhotonState._packed(out, index, photons, min(a.tolerance, b.tolerance))
+    return PhotonState.packed(out, index, photons, min(a.tolerance, b.tolerance))
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:
@@ -409,7 +423,7 @@ def split_counts(
         rest = cfg & keep
         group[rest] = group.get(rest, 0j) + amp
     return {
-        key: PhotonState._packed(terms, index, photons, state.tolerance)
+        key: PhotonState.packed(terms, index, photons, state.tolerance)
         for key, terms in groups.items()
     }
 
@@ -509,7 +523,7 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
                 partial = nxt
         for key, value in partial.items():
             out[key] = out.get(key, 0j) + value
-    return PhotonState._packed(out, state._index, state._photons, state.tolerance)
+    return PhotonState.packed(out, state._index, state._photons, state.tolerance)
 
 
 def compose_slot_maps(first: SlotMap, second: SlotMap) -> SlotMap:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import dsl, fock
-from .circuit import CircuitSpec, GateResult, OutcomePattern, execute
+from .circuit import CircuitSpec, GateResult, InputDecl, OutcomePattern, declared_state, execute
 from .errors import NonNormalized
 from .fock import POL_H, POL_V, PhotonState
 
@@ -144,7 +144,7 @@ def _shipped_spec(name: str) -> CircuitSpec:
 def _report(
     name: str,
     bound: dict[tuple[str, ...], tuple[complex, ...]],
-    target: PhotonState | None,
+    target: tuple[InputDecl, float] | None,
     passive: bool,
     tolerance: float,
 ) -> GateReport:
@@ -152,7 +152,9 @@ def _report(
 
     ``bound`` maps the modes of an input declaration to the amplitudes that
     replace the file's; the other declarations keep the file's values.  The
-    run prunes with ``tolerance``, which should also have built ``target``.
+    run prunes with ``tolerance``.  ``target`` declares the ideal output
+    state and the tolerance it is pruned with; it is packed like the
+    outputs.
     """
     spec = _shipped_spec(name)
     inputs = tuple(
@@ -162,14 +164,17 @@ def _report(
     spec = replace(spec, inputs=inputs)
     result = execute(spec, passive=passive, tolerance=tolerance)
     fidelities = {}
+    target_state = None
     if target is not None:
+        outputs = [state for _, state in result.outcomes.values()]
+        target_state = declared_state(*target, like=outputs[0] if outputs else None)
         for pattern, (_, state) in result.outcomes.items():
-            fidelities[pattern] = fidelity(state, target)
+            fidelities[pattern] = fidelity(state, target_state)
     return GateReport(
         name=name,
         spec=spec,
         result=result,
-        target=target,
+        target=target_state,
         fidelities=fidelities,
         success_probability=result.success_probability,
     )
@@ -180,7 +185,7 @@ def parity_check(
 ) -> GateReport:
     """Transfer the qubit from mode 2' to mode 2 when parities agree."""
     bound = {("2'",): (q.alpha, q.beta)}
-    target = qubit_state("2", q.alpha, q.beta, tolerance)
+    target = InputDecl("qubit", ("2",), (q.alpha, q.beta)), tolerance
     return _report("parity_check", bound, target, passive, tolerance)
 
 
@@ -202,9 +207,9 @@ def destructive_cnot(
     }
     ideal = None
     if abs(abs(control.alpha) - 1.0) <= 1e-12:
-        ideal = qubit_state("3", target.alpha, target.beta, tolerance)
+        ideal = InputDecl("qubit", ("3",), (target.alpha, target.beta)), tolerance
     elif abs(abs(control.beta) - 1.0) <= 1e-12:
-        ideal = qubit_state("3", target.beta, target.alpha, tolerance)
+        ideal = InputDecl("qubit", ("3",), (target.beta, target.alpha)), tolerance
     return _report("destructive_cnot", bound, ideal, passive, tolerance)
 
 
@@ -212,7 +217,7 @@ def encoder(
     q: QubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Copy the qubit's basis value onto modes 2 and b: aH+bV -> aHH+bVV."""
-    target = two_qubit_input("2", "b", (q.alpha, 0, 0, q.beta), tolerance)
+    target = InputDecl("state", ("2", "b"), (q.alpha, 0, 0, q.beta)), tolerance
     return _report("encoder", {("2'",): (q.alpha, q.beta)}, target, passive, tolerance)
 
 
@@ -221,7 +226,7 @@ def cnot(
 ) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
     bound = {("2'", "3'"): tuple(state)}
-    target = two_qubit_input("2", "3", ideal_cnot(state), tolerance)
+    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state))), tolerance
     return _report("cnot", bound, target, passive, tolerance)
 
 
@@ -230,7 +235,7 @@ def gc_cnot(
 ) -> GateReport:
     """Teleportation-style gate consuming the four-photon chi resource."""
     bound = {("A", "B"): tuple(state)}
-    target = two_qubit_input("2", "3", ideal_cnot(state), tolerance)
+    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state))), tolerance
     return _report("gc_cnot", bound, target, passive, tolerance)
 
 
@@ -238,7 +243,9 @@ def chi_via_cnot(
     passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Produce chi constructively: composed CNOT across two Bell pairs."""
-    return _report("chi_via_cnot", {}, chi_state("1", "2", "3", "4"), passive, tolerance)
+    # The chi target keeps the default tolerance whatever the run's.
+    target = InputDecl("chi", ("1", "2", "3", "4")), fock.DEFAULT_TOLERANCE
+    return _report("chi_via_cnot", {}, target, passive, tolerance)
 
 
 GATE_NAMES = (

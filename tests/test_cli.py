@@ -1,5 +1,7 @@
 """CLI tests: JSON reports, determinism, exit codes, gate/circuit parity."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -19,8 +21,17 @@ def run_cli(*args, env=None):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
-def run_json(*args):
-    proc = run_cli(*args)
+def run_main(*args):
+    """Like :func:`run_cli`, but through ``cli.main`` in this process, which
+    saves starting an interpreter for each report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_json(*args, run=run_cli):
+    proc = run(*args)
     assert proc.returncode == EXIT_OK, proc.stderr
     return json.loads(proc.stdout)
 
@@ -111,8 +122,8 @@ _CIRCUIT_INPUT_ARGS = {
 def test_run_circuit_matches_gate_report():
     assert set(_CIRCUIT_INPUT_ARGS) == set(GATE_NAMES)
     for name, input_args in _CIRCUIT_INPUT_ARGS.items():
-        gate_doc = run_json("run", "--gate", name, *input_args)
-        circ_doc = run_json("run", "--circuit", circuit_path(name))
+        gate_doc = run_json("run", "--gate", name, *input_args, run=run_main)
+        circ_doc = run_json("run", "--circuit", circuit_path(name), run=run_main)
         assert abs(
             circ_doc["success_probability"] - gate_doc["success_probability"]
         ) < 1e-12
@@ -195,16 +206,18 @@ def test_unreadable_circuit_is_config_error(tmp_path):
     assert proc.returncode == EXIT_CONFIG
 
 
-def test_bad_tolerance_env(tmp_path):
+def test_bad_tolerance_env(monkeypatch):
     import os
 
+    gate_args = ("--gate", "parity_check", "--qubit", "1", "0", "0", "0")
+    proc = run_cli("run", *gate_args, env=dict(os.environ, **{TOLERANCE_ENV: "2"}))
+    assert proc.returncode == EXIT_CONFIG
+    assert TOLERANCE_ENV in proc.stderr
+    assert "Traceback" not in proc.stderr
     for value in ("not-a-number", "2", "nan", "-1"):
-        env = dict(os.environ, **{TOLERANCE_ENV: value})
-        for run_args in (
-            ("--gate", "parity_check", "--qubit", "1", "0", "0", "0"),
-            ("--circuit", circuit_path("parity_check")),
-        ):
-            proc = run_cli("run", *run_args, env=env)
+        monkeypatch.setenv(TOLERANCE_ENV, value)
+        for run_args in (gate_args, ("--circuit", circuit_path("parity_check"))):
+            proc = run_main("run", *run_args)
             assert proc.returncode == EXIT_CONFIG
             assert TOLERANCE_ENV in proc.stderr
             assert "Traceback" not in proc.stderr
@@ -222,17 +235,18 @@ def test_tolerance_env_accepted(tmp_path):
 
 def test_amplitudes_in_exponent_form():
     # argparse reads a "-" token that is not a plain decimal as an option.
-    plain = run_cli("run", "--gate", "parity_check", "--qubit", "0.6", "0", "-0.8", "0")
-    exponent = run_cli("run", "--gate", "parity_check", "--qubit", "0.6", "0", "-8e-1", "0")
+    plain = run_main("run", "--gate", "parity_check", "--qubit", "0.6", "0", "-0.8", "0")
+    exponent = run_main("run", "--gate", "parity_check", "--qubit", "0.6", "0", "-8e-1", "0")
     assert plain.returncode == exponent.returncode == EXIT_OK, exponent.stderr
     assert exponent.stdout == plain.stdout
-    doc = run_json("run", "--gate", "cnot", "--two-qubit", *("-1e0", "0") + ("0",) * 6)
+    two_qubit = ("-1e0", "0") + ("0",) * 6
+    doc = run_json("run", "--gate", "cnot", "--two-qubit", *two_qubit, run=run_main)
     assert abs(doc["success_probability"] - 0.25) < 1e-12
     for gate, option, values in (
         ("parity_check", "--qubit", ("0.6", "0", "-inf", "0")),
         ("cnot", "--two-qubit", ("-INF",) + ("0",) * 7),
     ):
-        proc = run_cli("run", "--gate", gate, option, *values)
+        proc = run_main("run", "--gate", gate, option, *values)
         assert proc.returncode == EXIT_CONFIG
         assert "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,16 +1,24 @@
 """Compiled circuits and packed configurations: edge cases of the engine."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from pbsgates import circuit, fock, gates
-from pbsgates.circuit import CircuitSpec, DetectorSpec, InputDecl, enumerate_outcomes, execute
-from pbsgates.errors import ModeCollision, UndeclaredMode
-from pbsgates.fock import POL_H, POL_V, BasisState
+from pbsgates import circuit, dsl, fock, gates
+from pbsgates.circuit import (
+    CircuitSpec,
+    DetectorSpec,
+    InputDecl,
+    build_input_state,
+    enumerate_outcomes,
+    execute,
+)
+from pbsgates.errors import DetectedModeReuse, ModeCollision, OverlappingModes, UndeclaredMode
+from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
 from pbsgates.optics import BASIS_HV, PbsElement, RotatorElement, apply_element
 
-from conftest import random_qubit, random_two_qubit
+from conftest import circuit_path, random_qubit, random_two_qubit
 
 
 def occupation(state) -> dict[str, complex]:
@@ -132,3 +140,164 @@ def test_the_six_gates_share_the_plan_cache():
             getattr(gates, name)(*args)
     info = circuit._compile.cache_info()
     assert (info.misses, info.hits) == (6, 6)
+
+
+def parity_check_spec() -> CircuitSpec:
+    with open(circuit_path("parity_check"), encoding="utf-8") as handle:
+        return dsl.parse_circuit(handle.read())
+
+
+def test_input_on_an_undeclared_mode_is_rejected_by_compile():
+    spec = parity_check_spec()
+    qubit, ancilla = spec.inputs
+    spec = replace(
+        spec, inputs=(qubit, replace(ancilla, modes=("z",))), outputs=("2", "z")
+    )
+    with pytest.raises(UndeclaredMode, match="'z'"):
+        execute(spec)
+
+
+def test_two_detectors_on_one_mode_are_rejected_by_compile():
+    spec = parity_check_spec()
+    (det,) = spec.detectors
+    spec = replace(spec, detectors=(det, DetectorSpec(det.mode, BASIS_HV, "c2")))
+    with pytest.raises(DetectedModeReuse, match="'c'"):
+        execute(spec)
+
+
+def test_rule_on_an_undeclared_label_is_rejected_by_compile():
+    spec = parity_check_spec()
+    (rule,) = spec.rules
+    spec = replace(spec, rules=(rule, replace(rule, label="nobody")))
+    with pytest.raises(UndeclaredMode, match="'nobody'"):
+        execute(spec)
+
+
+def test_inputs_sharing_a_mode_are_rejected_by_compile():
+    spec = parity_check_spec()
+    qubit, ancilla = spec.inputs
+    spec = replace(spec, inputs=(qubit, replace(ancilla, modes=qubit.modes)))
+    with pytest.raises(OverlappingModes):
+        execute(spec)
+
+
+def reference_input_state(spec: CircuitSpec) -> PhotonState:
+    """The input as built before inputs were compiled: a chain of tensors."""
+    state = fock.vacuum(0.0)
+    for decl in spec.inputs:
+        if decl.kind == "qubit":
+            part = gates.qubit_state(decl.modes[0], *decl.amplitudes, tolerance=0.0)
+        elif decl.kind == "bell":
+            part = gates.bell_phi_plus(*decl.modes)
+        elif decl.kind == "chi":
+            part = gates.chi_state(*decl.modes)
+        else:
+            part = gates.two_qubit_input(*decl.modes, decl.amplitudes, tolerance=0.0)
+        state = fock.tensor(state, part)
+    return state
+
+
+def reference_target(name: str, args: tuple, tolerance: float) -> PhotonState | None:
+    """Each gate's fidelity target as built before targets were compiled."""
+    if name == "parity_check":
+        (q,) = args
+        return gates.qubit_state("2", q.alpha, q.beta, tolerance)
+    if name == "destructive_cnot":
+        t, c = args
+        if abs(abs(c.alpha) - 1.0) <= 1e-12:
+            return gates.qubit_state("3", t.alpha, t.beta, tolerance)
+        if abs(abs(c.beta) - 1.0) <= 1e-12:
+            return gates.qubit_state("3", t.beta, t.alpha, tolerance)
+        return None
+    if name == "encoder":
+        (q,) = args
+        return gates.two_qubit_input("2", "b", (q.alpha, 0, 0, q.beta), tolerance)
+    if name in ("cnot", "gc_cnot"):
+        (s,) = args
+        return gates.two_qubit_input("2", "3", gates.ideal_cnot(s), tolerance)
+    return gates.chi_state("1", "2", "3", "4")
+
+
+def bits(state: PhotonState) -> tuple:
+    """Every term, in the state's own order and sorted, with its exact bits."""
+
+    def exact(terms):
+        return [(b.key_string(), a.real.hex(), a.imag.hex()) for b, a in terms]
+
+    return exact(state.terms.items()), exact(state.sorted_terms()), state.tolerance
+
+
+#: Amplitudes with exact zeros and negative zeros in every position.
+QUBITS = [
+    gates.QubitState(1.0, 0.0),
+    gates.QubitState(0, 1),
+    gates.QubitState(-0.0, -1.0),
+    gates.QubitState(complex(-0.0, -0.0), complex(0.0, -1.0)),
+    gates.QubitState(0.0, complex(-0.0, 1.0)),
+    gates.QubitState(complex(-0.0, 0.6), complex(-0.8, -0.0)),
+    gates.QubitState(-0.6, 0.8j),
+]
+TWO_QUBITS = [
+    gates.TwoQubitState(1.0, 0.0, 0.0, 0.0),
+    gates.TwoQubitState(0, 0, complex(-0.0, 1.0), 0),
+    gates.TwoQubitState(-0.5, complex(-0.0, -0.5), 0.5j, complex(0.5, -0.0)),
+]
+
+
+def gate_calls(rng):
+    qubits = QUBITS + [random_qubit(rng) for _ in range(6)]
+    two_qubits = TWO_QUBITS + [random_two_qubit(rng) for _ in range(6)]
+    controls = [gates.QubitState(1.0, 0.0), gates.QubitState(0.0, -1.0), qubits[-1]]
+    yield from (("parity_check", (q,)) for q in qubits)
+    yield from (("encoder", (q,)) for q in qubits)
+    yield from (("destructive_cnot", (q, c)) for q in qubits for c in controls)
+    yield from (("cnot", (s,)) for s in two_qubits)
+    yield from (("gc_cnot", (s,)) for s in two_qubits)
+    yield "chi_via_cnot", ()
+
+
+@pytest.mark.parametrize("tolerance", [fock.DEFAULT_TOLERANCE, 0.0])
+def test_bound_inputs_and_targets_match_the_tensor_chain_bit_for_bit(tolerance, rng):
+    kinds = set()
+    for name, args in gate_calls(rng):
+        report = getattr(gates, name)(*args, tolerance=tolerance)
+        kinds.update(decl.kind for decl in report.spec.inputs)
+        assert bits(build_input_state(report.spec)) == bits(reference_input_state(report.spec))
+        target = reference_target(name, args, tolerance)
+        if target is None:
+            assert report.target is None and report.fidelities == {}
+            continue
+        assert bits(report.target) == bits(target)
+        assert report.fidelities == {
+            pattern: gates.fidelity(state, target)
+            for pattern, (_, state) in report.result.outcomes.items()
+        }
+    assert kinds == {"qubit", "bell", "chi", "state"}
+
+
+def test_targets_are_packed_like_the_outputs():
+    report = gates.cnot(gates.TwoQubitState(0.5, 0.5, 0.5, 0.5))
+    for _, state in report.result.outcomes.values():
+        assert state.packing == report.target.packing
+
+
+def test_warm_gate_calls_build_no_basis_states_and_no_tensors(monkeypatch):
+    calls = {"from_dict": 0, "tensor": 0}
+    from_dict, tensor = BasisState.from_dict, fock.tensor
+
+    def counting_from_dict(occupations):
+        calls["from_dict"] += 1
+        return from_dict(occupations)
+
+    def counting_tensor(a, b):
+        calls["tensor"] += 1
+        return tensor(a, b)
+
+    q, s = gates.QubitState(0.6, 0.8), gates.TwoQubitState(0.5, 0.5, 0.5, 0.5)
+    gates.parity_check(q), gates.cnot(s)
+    monkeypatch.setattr(BasisState, "from_dict", staticmethod(counting_from_dict))
+    monkeypatch.setattr(fock, "tensor", counting_tensor)
+    for i in range(50):
+        gates.parity_check(q, passive=i % 2 == 1)
+        gates.cnot(s, passive=i % 2 == 1)
+    assert calls == {"from_dict": 0, "tensor": 0}
