@@ -308,9 +308,10 @@ _PLAN_CACHE_SIZE = 16
 def compile(spec: CircuitSpec) -> CompiledCircuit:
     """Check a spec's structure and compile it, once per distinct structure.
 
-    The slot index covers every polarization label of each declared mode
-    (and of any mode an element touches).  Calls that differ only in their
-    input amplitudes share one compiled circuit.
+    The slot index covers every polarization label of each declared mode;
+    an input, element, correction or detector on any other mode is an
+    error, and so is a correction on a detected mode.  Calls that differ
+    only in their input amplitudes share one compiled circuit.
     """
     shapes = tuple((decl.kind, decl.modes) for decl in spec.inputs)
     return _compile(spec.modes, shapes, spec.elements, spec.detectors, spec.rules)
@@ -340,10 +341,18 @@ def _compile(modes, shapes, elements, detectors, rules) -> CompiledCircuit:
             raise UndeclaredMode(f"feed-forward rule on undeclared detector label {rule.label!r}")
     elements = tuple(map(_step, elements))
     corrections = tuple(tuple(map(_step, rule.corrections)) for rule in rules)
-    every_step = [*elements, *(step for rule_steps in corrections for step in rule_steps)]
-    touched = {mode for _, m in every_step for mode, _ in fock.map_slots(m)}
+    for what, steps in (
+        ("element", elements),
+        ("correction", [step for rule_steps in corrections for step in rule_steps]),
+    ):
+        for _, m in steps:
+            for mode, _ in fock.map_slots(m):
+                if mode not in modes:
+                    raise UndeclaredMode(f"{what} on undeclared mode {mode!r}")
+                if what == "correction" and mode in detected:
+                    raise DetectedModeReuse(f"correction on detected mode {mode!r}")
     index = fock.slot_index(
-        (mode, pol) for mode in {*modes, *touched} for pol in (POL_F, POL_H, POL_S, POL_V)
+        (mode, pol) for mode in modes for pol in (POL_F, POL_H, POL_S, POL_V)
     )
 
     def indexed(steps: tuple[Step, ...]) -> tuple[Step, ...]:

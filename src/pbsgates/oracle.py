@@ -1,14 +1,20 @@
 """Independent dense brute-force simulator used to cross-check the engine.
 
-Everything here is deliberately separate from the sparse engine: element
-unitaries are derived from explicit single-particle matrices and expanded
-into many-body operators by closed-form multinomial combinatorics, states
-are dense vectors over an explicitly enumerated occupation basis, and
-outcome probabilities come from 0/1 projectors.  The expansion is computed
-once per local occupation (the photons on the slots an element touches,
-plus those already on its output slots) and placed on every basis state
-with that occupation; it shares no code with the engine's photon-by-photon
-slot transform.  Simple before fast.
+Everything here is deliberately separate from the sparse engine.  Element
+unitaries come from explicit single-particle matrices and are expanded into
+sparse many-body operators by the closed-form multinomial sum (Scheel,
+quant-ph/0406127).  States are dense vectors over an explicitly enumerated
+occupation basis, and an outcome's probability is the squared norm of the
+amplitudes whose detector counts match it.
+
+The expansion of a map depends only on the local occupation: the photons on
+the slots it reads and those already on the slots it writes.  So each
+operator is expanded once per local occupation, and one compiled circuit
+shares the multinomial sums among all its operators that have the same
+single-particle matrix.  Every basis state has an integer key, its
+occupations read as digits, and an expanded entry finds its row by adding
+an offset to the column's key.  None of this shares code with the engine's
+photon-by-photon slot transform.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import CircuitSpec, DetectorSpec, OutcomePattern, is_1ao1, is_passive
+from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive
 from .errors import TruncationTooSmall
 from .fock import POL_H, POL_V, BasisState, Slot
 from .optics import (
@@ -49,12 +55,28 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _place_values(radix: int, digits: int) -> np.ndarray:
+    """Place value of each of ``digits`` digits in ``radix``, the first digit
+    most significant: int64 when every such number fits, Python ints if not."""
+    dtype = np.int64 if radix**digits <= 2**63 else object
+    return np.array([radix**i for i in reversed(range(digits))], dtype=dtype)
+
+
+def _numbers(digits: np.ndarray, place_values: np.ndarray) -> np.ndarray:
+    """The number each row of ``digits`` spells with these place values."""
+    return (digits.astype(place_values.dtype) * place_values).sum(axis=1)
+
+
 class DenseBasis:
     """Enumerated occupation basis over a declared slot set.
 
     The default enumeration holds every configuration with total photon
     number up to ``n_max`` (dimension = number of multisets of size <= n_max
-    over the slots), in a fixed deterministic order.
+    over the slots), in a fixed deterministic order.  Explicit ``states``
+    may hold at most ``n_max`` photons each.
+
+    Each state also has an integer key: its occupations read as the digits
+    of a number in radix ``n_max + 1``, the first slot most significant.
     """
 
     def __init__(self, slots: list[Slot], n_max: int = 4, states=None):
@@ -68,9 +90,28 @@ class DenseBasis:
         self.index = {state: i for i, state in enumerate(self.states)}
         self.dim = len(self.states)
         self._slot_position = {slot: i for i, slot in enumerate(self.slots)}
+        self.occupations = np.array(self.states, dtype=np.int64).reshape(
+            self.dim, len(self.slots)
+        )
+        if self.dim and self.occupations.sum(axis=1).max() > n_max:
+            raise ValueError(f"a state holds more than n_max={n_max} photons")
+        self.place_values = _place_values(n_max + 1, len(self.slots))
+        self.keys = _numbers(self.occupations, self.place_values)
+        self._order = np.argsort(self.keys, kind="stable")
+        self._sorted_keys = self.keys[self._order]
 
     def slot_index(self, slot: Slot) -> int:
         return self._slot_position[slot]
+
+    def rows_of(self, keys: np.ndarray) -> np.ndarray:
+        """The index of the state with each key; a key of no state is an error."""
+        at = np.minimum(np.searchsorted(self._sorted_keys, keys), self.dim - 1)
+        found = self._sorted_keys[at] == keys
+        if not found.all():
+            key = int(keys[np.argmin(found)])
+            state = tuple(key // int(v) % (self.n_max + 1) for v in self.place_values)
+            raise TruncationTooSmall(f"operator image {state} outside basis")
+        return self._order[at]
 
     def basis_state(self, i: int) -> BasisState:
         return BasisState.from_dict(
@@ -159,61 +200,79 @@ def _local_image(
 
 
 def _expand_operator(
-    basis: DenseBasis, ins: list[Slot], outs: list[Slot], u: np.ndarray
+    basis: DenseBasis,
+    ins: list[Slot],
+    outs: list[Slot],
+    u: np.ndarray,
+    images: dict | None = None,
 ) -> sp.csr_matrix:
     """Many-body operator for a single-particle map, by multinomial expansion.
 
     For an input configuration with n_j photons in slot j, the image is the
     sum over all ways of distributing each group of n_j photons among the
     output slots, with multinomial weights and bosonic sqrt(m!) factors.
+
+    The image depends only on the local occupation: the photons on the
+    input slots and the spectators already on the output slots.  It is
+    worked out once per local occupation as (key offset, amplitude) pairs
+    and placed on every state with that occupation; the row of each entry
+    is the state whose key is the column's key plus the offset.
+    ``images`` keeps :func:`_local_image` results by matrix and input
+    counts, so operators that share it share them.
     """
+    if images is None:
+        images = {}
     in_idx = [basis.slot_index(s) for s in ins]
     out_idx = [basis.slot_index(s) for s in outs]
-    n_out = len(outs)
-    # The image of the touched slots depends only on their occupation and on
-    # the spectators already on the output slots: it is computed once per
-    # distinct pair and placed on every state that has it.
-    images: dict[tuple, list[tuple[tuple[int, ...], complex]]] = {}
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis.states):
-        counts = tuple(state[i] for i in in_idx)
-        if not any(counts):
-            rows.append(col)
-            cols.append(col)
-            vals.append(1.0 + 0j)
-            continue
-        spect = list(state)
-        for i in in_idx:
-            spect[i] = 0
-        spect_out = tuple(spect[i] for i in out_idx)
-        image = images.get((counts, spect_out))
+    spectators = basis.occupations.copy()
+    spectators[:, in_idx] = 0
+    local = np.concatenate(
+        [basis.occupations[:, in_idx], spectators[:, out_idx]], axis=1
+    )
+    local_keys = _numbers(local, _place_values(basis.n_max + 1, local.shape[1]))
+    _, representative, group = np.unique(
+        local_keys, return_index=True, return_inverse=True
+    )
+    occupations = local[representative]
+
+    matrix = (u.tobytes(), u.shape, u.dtype.str)
+    dists, values, sizes = [], [], []
+    for occupation in occupations.tolist():
+        counts = tuple(occupation[: len(ins)])
+        spect_out = occupation[len(ins):]
+        image = images.get((matrix, counts))
         if image is None:
-            in_norm, accum = _local_image(counts, u, n_out)
-            image = images[counts, spect_out] = []
-            for dist, amp in accum.items():
-                # sqrt factors for photons landing on already-occupied out slots
-                out_norm = 1.0
-                for s, k in zip(spect_out, dist):
-                    out_norm *= math.factorial(s + k) / math.factorial(s)
-                image.append((dist, amp * math.sqrt(out_norm / in_norm)))
-        for dist, val in image:
-            target = list(spect)
-            for i, k in zip(out_idx, dist):
-                target[i] += k
-            row = basis.index.get(tuple(target))
-            if row is None:
-                raise TruncationTooSmall(
-                    f"operator image {tuple(target)} outside basis"
-                )
-            rows.append(row)
-            cols.append(col)
-            vals.append(val)
+            image = images[matrix, counts] = _local_image(counts, u, len(outs))
+        in_norm, accum = image
+        for dist, amp in accum.items():
+            # sqrt factors for photons landing on already-occupied out slots
+            out_norm = 1.0
+            for s, k in zip(spect_out, dist):
+                out_norm *= math.factorial(s + k) / math.factorial(s)
+            values.append(amp * math.sqrt(out_norm / in_norm))
+        dists.extend(accum)
+        sizes.append(len(accum))
+
+    # Each entry moves the photons off the input slots and puts ``dist`` on
+    # the output slots, which adds this offset to the key.
+    sizes = np.array(sizes)
+    removed = _numbers(occupations[:, : len(ins)], basis.place_values[in_idx])
+    dists = np.array(dists, dtype=np.int64).reshape(len(values), len(outs))
+    offsets = _numbers(dists, basis.place_values[out_idx]) - np.repeat(removed, sizes)
+    # Column c holds its group g's image: entries start[g] to start[g] + sizes[g].
+    per_column = sizes[group]
+    ends = np.cumsum(per_column)
+    start = np.cumsum(sizes) - sizes
+    entry = np.arange(ends[-1]) + np.repeat(start[group] - ends + per_column, per_column)
+    cols = np.repeat(np.arange(basis.dim), per_column)
+    rows = basis.rows_of(basis.keys[cols] + offsets[entry])
+    vals = np.array(values, dtype=complex)[entry]
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
-def element_operator(el, basis: DenseBasis) -> sp.csr_matrix:
+def element_operator(el, basis: DenseBasis, images: dict | None = None) -> sp.csr_matrix:
     ins, outs, u = _single_particle_matrix(el)
-    return _expand_operator(basis, ins, outs, u)
+    return _expand_operator(basis, ins, outs, u, images)
 
 
 def element_matrix(el, basis: DenseBasis) -> np.ndarray:
@@ -221,53 +280,11 @@ def element_matrix(el, basis: DenseBasis) -> np.ndarray:
     return element_operator(el, basis).toarray()
 
 
-def rebase_operator(mode: str, basis: DenseBasis) -> sp.csr_matrix:
+def rebase_operator(
+    mode: str, basis: DenseBasis, images: dict | None = None
+) -> sp.csr_matrix:
     slots = [(mode, POL_H), (mode, POL_V)]
-    return _expand_operator(basis, slots, slots, _REBASE)
-
-
-def detector_patterns(
-    basis: DenseBasis, detectors: tuple[DetectorSpec, ...]
-) -> list[OutcomePattern]:
-    """Every joint count pattern that occurs in the basis, in index order."""
-    seen = []
-    found = set()
-    for state in basis.states:
-        pattern = _pattern_of(basis, state, detectors)
-        if pattern not in found:
-            found.add(pattern)
-            seen.append(pattern)
-    return seen
-
-
-def _pattern_of(basis, state, detectors) -> OutcomePattern:
-    return tuple(
-        (
-            state[basis.slot_index((det.mode, POL_H))],
-            state[basis.slot_index((det.mode, POL_V))],
-        )
-        for det in detectors
-    )
-
-
-def outcome_projector(
-    pattern: OutcomePattern,
-    basis: DenseBasis,
-    detectors: tuple[DetectorSpec, ...],
-) -> np.ndarray:
-    """Orthogonal 0/1 projector onto one joint detection outcome.
-
-    The basis must already be expressed in each detector's splitting basis,
-    so transmitted counts live on the numeric H slot and reflected counts on
-    the numeric V slot.  Projectors over all patterns sum to the identity.
-    """
-    diag = np.array(
-        [
-            1.0 if _pattern_of(basis, state, detectors) == pattern else 0.0
-            for state in basis.states
-        ]
-    )
-    return np.diag(diag)
+    return _expand_operator(basis, slots, slots, _REBASE, images)
 
 
 @dataclass
@@ -284,7 +301,9 @@ class DenseCircuit:
     Polarizing beam splitters are applied in place: the physical slots of
     the input modes are kept and relabeled, which keeps the basis small.
     The basis is restricted to the exact photon-number sector of each group
-    of modes coupled by a beam splitter.
+    of modes coupled by a beam splitter.  A mode that an element, detector
+    or correction names but no photon occupies becomes a physical mode with
+    no photons.
     """
 
     def __init__(self, spec: CircuitSpec):
@@ -299,10 +318,22 @@ class DenseCircuit:
             return m
 
         alias = {mode: mode for mode in per_mode}
+
+        def physical(mode):
+            """The physical mode that holds ``mode``: a new, empty one if no
+            photon is on it."""
+            if mode not in alias:
+                phys = mode
+                while phys in per_mode:
+                    phys += "'"
+                per_mode[phys] = 0
+                group_of[phys] = alias[mode] = phys
+            return alias[mode]
+
         physical_elements = []
         for el in spec.elements:
             if isinstance(el, PbsElement):
-                p1, p2 = alias[el.in1], alias[el.in2]
+                p1, p2 = physical(el.in1), physical(el.in2)
                 group_of[find(p1)] = find(p2)
                 physical_elements.append(PbsElement(p1, p2, p1, p2, el.basis))
                 alias.pop(el.in1, None)
@@ -310,11 +341,16 @@ class DenseCircuit:
                 alias[el.out1] = p1
                 alias[el.out2] = p2
             elif isinstance(el, RotatorElement):
-                physical_elements.append(RotatorElement(alias[el.mode], el.angle_deg))
+                physical_elements.append(RotatorElement(physical(el.mode), el.angle_deg))
             else:
                 physical_elements.append(
-                    PolPhaseElement(alias[el.mode], el.pol, el.phase_deg)
+                    PolPhaseElement(physical(el.mode), el.pol, el.phase_deg)
                 )
+        for det in spec.detectors:
+            physical(det.mode)
+        for rule in spec.rules:
+            for corr in rule.corrections:
+                physical(corr.mode)
         self.alias = alias
 
         groups: dict[str, list[str]] = {}
@@ -335,12 +371,16 @@ class DenseCircuit:
         total = sum(per_mode.values())
         self.basis = DenseBasis(slot_list, n_max=total, states=states)
 
+        # Local images of every operator of this circuit, by matrix and
+        # input counts (see _expand_operator).
+        self._images: dict = {}
         operator = sp.identity(self.basis.dim, dtype=complex, format="csr")
         for el in physical_elements:
-            operator = element_operator(el, self.basis) @ operator
+            operator = element_operator(el, self.basis, self._images) @ operator
         for det in spec.detectors:
             if det.basis == BASIS_FS:
-                operator = rebase_operator(alias[det.mode], self.basis) @ operator
+                rebase = rebase_operator(alias[det.mode], self.basis, self._images)
+                operator = rebase @ operator
         self.operator = operator
         self.det_slots = [
             (
@@ -501,7 +541,7 @@ class DenseCircuit:
             op = self._corrections.get((n_max, el))
             if op is None:
                 op = self._corrections[n_max, el] = element_operator(
-                    el, reduced_basis
+                    el, reduced_basis, self._images
                 )
             vec = op @ vec
         return {

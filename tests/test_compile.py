@@ -9,6 +9,7 @@ from pbsgates import circuit, dsl, fock, gates
 from pbsgates.circuit import (
     CircuitSpec,
     DetectorSpec,
+    FeedForwardRule,
     InputDecl,
     build_input_state,
     enumerate_outcomes,
@@ -179,6 +180,45 @@ def test_inputs_sharing_a_mode_are_rejected_by_compile():
     spec = replace(spec, inputs=(qubit, replace(ancilla, modes=qubit.modes)))
     with pytest.raises(OverlappingModes):
         execute(spec)
+
+
+@pytest.mark.parametrize("where", ["rotator", "pbs", "correction"])
+def test_elements_and_corrections_on_undeclared_modes_are_rejected_by_compile(where):
+    # Valid with the empty mode "c" in place of "zz"; the parser rejects the
+    # same text with the same class.
+    base = CircuitSpec(
+        modes=("a", "b", "c"),
+        inputs=(
+            InputDecl("qubit", ("a",), (0.6, 0.8)),
+            InputDecl("qubit", ("b",), (1.0, 0.0)),
+        ),
+        elements=(),
+        detectors=(DetectorSpec("b", BASIS_HV, "d"),),
+        outputs=("a", "c"),
+    )
+    spec = {
+        "rotator": replace(base, elements=(RotatorElement("zz", 30.0),)),
+        "pbs": replace(base, elements=(PbsElement("a", "b", "a", "zz"),)),
+        "correction": replace(
+            base, rules=(FeedForwardRule("d", POL_V, (RotatorElement("zz", 90.0),)),)
+        ),
+    }[where]
+    execute(dsl.parse_circuit(dsl.format_circuit(spec).replace("zz", "c")))
+    with pytest.raises(UndeclaredMode, match="'zz'"):
+        execute(spec)
+    with pytest.raises(UndeclaredMode, match="'zz'"):
+        dsl.parse_circuit(dsl.format_circuit(spec))
+
+
+def test_correction_on_a_detected_mode_is_rejected_by_compile():
+    spec = parity_check_spec()
+    (det,) = spec.detectors
+    (rule,) = spec.rules
+    spec = replace(spec, rules=(replace(rule, corrections=(RotatorElement(det.mode, 90.0),)),))
+    with pytest.raises(DetectedModeReuse, match="'c'"):
+        execute(spec)
+    with pytest.raises(DetectedModeReuse, match="'c'"):
+        dsl.parse_circuit(dsl.format_circuit(spec))
 
 
 def reference_input_state(spec: CircuitSpec) -> PhotonState:

@@ -20,9 +20,8 @@ from pbsgates.oracle import (
     _expand_operator,
     _single_particle_matrix,
     compositions,
-    detector_patterns,
     element_matrix,
-    outcome_projector,
+    element_operator,
     rebase_operator,
     run_dense,
 )
@@ -214,6 +213,74 @@ def test_expansion_onto_occupied_output_slots_matches_reference(rng):
             assert_expansion_matches_reference(basis, ins, outs, u)
 
 
+def test_operators_sharing_images_match_the_reference():
+    # One images dict for every operator, as in a DenseCircuit compile: the
+    # two rebases share theirs, and each element meets its own again.
+    basis = DenseBasis(XY_SLOTS, n_max=4)
+    images = {}
+    for el in in_place_elements() * 2:
+        got = element_operator(el, basis, images).toarray()
+        expected = reference_expand(basis, *_single_particle_matrix(el)).toarray()
+        assert np.array_equal(got, expected), el
+    for mode in ("x", "y"):
+        slots = [(mode, POL_H), (mode, POL_V)]
+        got = rebase_operator(mode, basis, images).toarray()
+        assert np.array_equal(got, reference_expand(basis, slots, slots, _REBASE).toarray())
+
+
+def test_expansion_with_object_keys_matches_reference(rng):
+    # 44 slots at radix n_max + 1 = 3: keys reach 2 * 3**43 > 2**63, so
+    # they are Python ints.  Photons on the first four slots, which the maps
+    # act on, and at most one spectator far from them.
+    slots = [(f"m{i}", pol) for i in range(22) for pol in (POL_H, POL_V)]
+    states = []
+    for spectator in (None, 21, 43):
+        for n in range(3 if spectator is None else 2):
+            for local in compositions(n, 4):
+                state = list(local) + [0] * 40
+                if spectator is not None:
+                    state[spectator] = 1
+                states.append(tuple(state))
+    basis = DenseBasis(slots, n_max=2, states=states)
+    assert basis.keys.dtype == object and max(basis.keys) > 2**63
+    assert_expansion_matches_reference(basis, slots[:2], slots[:2], _REBASE)
+    for ins, outs in ((slots[:4], slots[:4]), (slots[:2], slots[1:4]), (slots[3:4], slots[:2])):
+        for _ in range(3):
+            u = random_matrix(rng, len(outs), len(ins))
+            assert_expansion_matches_reference(basis, ins, outs, u)
+
+
+def test_expansion_outside_the_basis_raises():
+    basis = DenseBasis(XY_SLOTS, n_max=1, states=[(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+    # The HV PBS reflects x:V onto y:V, which the basis lacks.
+    with pytest.raises(TruncationTooSmall, match=r"\(0, 0, 0, 1\)"):
+        element_matrix(PbsElement("x", "y", "x", "y", BASIS_HV), basis)
+    with pytest.raises(ValueError):
+        DenseBasis(XY_SLOTS, n_max=1, states=[(1, 1, 0, 0)])
+
+
+def pattern_of(basis, state, detectors):
+    return tuple(
+        (
+            state[basis.slot_index((det.mode, POL_H))],
+            state[basis.slot_index((det.mode, POL_V))],
+        )
+        for det in detectors
+    )
+
+
+def detector_patterns(basis, detectors):
+    """Every joint count pattern that occurs in the basis, in index order."""
+    return list(dict.fromkeys(pattern_of(basis, state, detectors) for state in basis.states))
+
+
+def outcome_projector(pattern, basis, detectors):
+    """Orthogonal 0/1 projector onto one joint detection outcome."""
+    return np.diag(
+        [1.0 if pattern_of(basis, state, detectors) == pattern else 0.0 for state in basis.states]
+    )
+
+
 def test_projectors_complete_idempotent_orthogonal():
     basis = DenseBasis(XY_SLOTS, n_max=2)
     detectors = (DetectorSpec("x", BASIS_HV, "x"), DetectorSpec("y", BASIS_HV, "y"))
@@ -248,6 +315,64 @@ def test_dense_matches_sparse_on_shipped_circuits():
         assert_engines_agree(
             execute(spec, passive=True), run_dense(spec, passive=True)
         )
+
+
+EMPTY_MODE_CIRCUITS = {
+    "vacuum PBS input port": """
+        mode a
+        mode b
+        input qubit a 0.6 0 0.8 0
+        pbs hv a b a b
+        detect hv a as d
+        output b
+    """,
+    "rotator on an empty mode": """
+        mode a
+        mode b
+        input qubit a 0.6 0 0.8 0
+        rotate b 30
+        detect hv a as d
+        output b
+    """,
+    "detector on an empty mode": """
+        mode a
+        mode b
+        input qubit a 0.6 0 0.8 0
+        detect fs b as d
+        output a
+    """,
+    "correction on an empty mode": """
+        mode a
+        mode b
+        mode c
+        input qubit a 0.6 0 0.8 0
+        pbs hv a b a b
+        rotate b 45
+        detect hv a as d
+        on d H do rotate c 90 ; polphase c V 90
+        output b c
+    """,
+    "mode emptied by a PBS, then used": """
+        mode a
+        mode b
+        mode c
+        mode d
+        input qubit a 0.6 0 0.8 0
+        input qubit b 0 0 1 0
+        pbs hv a b c d
+        rotate a 45
+        polphase a H 30
+        detect hv c as x
+        output a d
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_MODE_CIRCUITS))
+def test_dense_runs_elements_and_detectors_on_empty_modes(name):
+    spec = dsl.parse_circuit(EMPTY_MODE_CIRCUITS[name])
+    for passive in (False, True):
+        assert_engines_agree(execute(spec, passive=passive), run_dense(spec, passive=passive))
 
 
 def test_dense_circuit_reusable_across_inputs(rng):
