@@ -15,9 +15,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 from . import fock, optics
 from .errors import (
+    CircuitSyntaxError,
     DetectedModeReuse,
     MissingOutput,
     NonPhysicalInput,
@@ -25,7 +27,7 @@ from .errors import (
     UndeclaredMode,
 )
 from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState, Slot
-from .optics import BASIS_FS, BASIS_HV, OpticalElement
+from .optics import BASIS_FS, BASIS_HV, OpticalElement, PbsElement
 
 #: Per detector, photon counts in the (transmitted, reflected) polarization
 #: of the detector basis; patterns are ordered like the declared detectors.
@@ -39,6 +41,10 @@ class DetectorSpec:
     mode: str
     basis: str
     label: str
+
+    def __post_init__(self):
+        if self.basis not in (BASIS_HV, BASIS_FS):
+            raise ValueError(f"unknown detector basis: {self.basis!r}")
 
     @property
     def transmitted_pol(self) -> str:
@@ -120,8 +126,14 @@ _CHI_TERMS = (
     (POL_V, POL_H, POL_V, POL_V),
     (POL_V, POL_V, POL_V, POL_H),
 )
-#: Modes each input kind takes, one photon on each.
-_INPUT_MODES = {"qubit": 1, "bell": 2, "chi": 4, "state": 2}
+#: Input kind -> (number of modes, one photon on each; names of the complex
+#: amplitudes it declares).
+INPUT_FORMS = {
+    "qubit": (1, ("aH", "aV")),
+    "state": (2, ("HH", "HV", "VH", "VV")),
+    "bell": (2, ()),
+    "chi": (4, ()),
+}
 
 
 def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...], ...]:
@@ -131,11 +143,11 @@ def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...]
     (``qubit_state``, ``bell_phi_plus``, ``chi_state``, ``two_qubit_input``)
     list them; sums over a state run in that order, so it fixes result bits.
     """
-    count = _INPUT_MODES.get(kind)
-    if count is None:
+    if kind not in INPUT_FORMS:
         raise ValueError(f"unknown input kind: {kind!r}")
-    if len(set(modes)) != count or len(modes) != count:
-        raise ValueError(f"a {kind} input takes {count} distinct mode(s), got {modes!r}")
+    count, _ = INPUT_FORMS[kind]
+    if len(modes) != count:
+        raise ValueError(f"a {kind} input takes {count} mode(s), got {modes!r}")
     if kind == "qubit":
         return tuple(((modes[0], pol),) for pol in (POL_H, POL_V))
     if kind == "bell":
@@ -156,12 +168,15 @@ def _declared_amplitudes(decl: InputDecl) -> tuple[complex, ...]:
     creating each photon on the vacuum and superposing; the rest are the
     declared (or fixed) values made complex.
     """
+    _, names = INPUT_FORMS[decl.kind]
+    if len(decl.amplitudes) != len(names):
+        raise ValueError(
+            f"a {decl.kind} input takes {len(names)} amplitude(s), got {decl.amplitudes!r}"
+        )
     if decl.kind == "qubit":
         alpha, beta = decl.amplitudes
         return (_ONE * alpha, 0j + _ONE * beta)
     if decl.kind == "state":
-        if len(decl.amplitudes) != 4:
-            raise ValueError(f"a two-qubit state needs 4 amplitudes, got {decl.amplitudes!r}")
         return tuple(map(complex, decl.amplitudes))
     return _BELL_AMPLITUDES if decl.kind == "bell" else _CHI_AMPLITUDES
 
@@ -232,11 +247,7 @@ def enumerate_outcomes(
 
 #: One optical element ready to run: the modes that must be empty when it
 #: acts (see :func:`optics.collision_modes`) and its slot map.
-Step = tuple[tuple[str, ...], fock.SlotMap | fock.IndexedMap]
-
-
-def _step(el: OpticalElement) -> Step:
-    return optics.collision_modes(el), optics.slot_map(el)
+Step = tuple[tuple[str, ...], fock.IndexedMap]
 
 
 def _run_steps(state: PhotonState, steps: tuple[Step, ...]) -> PhotonState:
@@ -251,17 +262,15 @@ def apply_feedforward(
     pattern: OutcomePattern,
     detectors: tuple[DetectorSpec, ...],
     rules: tuple[FeedForwardRule, ...],
-    compiled: tuple[tuple[Step, ...], ...] | None = None,
+    compiled: tuple[tuple[Step, ...], ...],
 ) -> PhotonState:
     """Apply every triggered rule's corrections, in declared order.
 
     Rules for distinct detectors compose independently: each fired detector
     triggers its own rule once, so e.g. a pi phase triggered twice is the
-    identity.  ``compiled``, when given, holds each rule's corrections as
-    compiled steps (:attr:`CompiledCircuit.corrections`).
+    identity.  ``compiled`` holds each rule's corrections as compiled steps
+    (:attr:`CompiledCircuit.corrections`).
     """
-    if compiled is None:
-        compiled = tuple(tuple(map(_step, rule.corrections)) for rule in rules)
     fired: dict[str, list[str]] = {}
     for (ct, cr), det in zip(pattern, detectors):
         pols = fired.setdefault(det.label, [])
@@ -275,14 +284,79 @@ def apply_feedforward(
     return state
 
 
+def _element_modes(el: OpticalElement) -> tuple[str, ...]:
+    return (el.in1, el.in2, el.out1, el.out2) if isinstance(el, PbsElement) else (el.mode,)
+
+
+def validate(spec: CircuitSpec) -> None:
+    """Raise the first rule ``spec`` breaks, checking entries in spec order.
+
+    Every mode named is declared, and declared once.  No two inputs share a
+    mode; no two detectors share a mode or a label.  A rule's label is a
+    detector's and its pol one of that detector's basis pols.  No correction
+    and no output is on a detected mode; outputs are non-empty and distinct.
+    The error's ``entry`` is ``(field, index, name)``: the spec field (or
+    ``"corrections"``, indexed by rule), the entry and the name at fault.
+    """
+    declared: set[str] = set()
+    sourced: set[str] = set()
+    detected: set[str] = set()
+    labels: set[str] = set()
+    listed: set[str] = set()
+
+    def refuse(error: type, message: str, field: str, i: int, name: str) -> NoReturn:
+        raise error(message.format(name), entry=(field, i, name))
+
+    def check_declared(field: str, i: int, mode: str):
+        if mode not in declared:
+            refuse(UndeclaredMode, "mode {!r} is not declared", field, i, mode)
+
+    def once(seen: set[str], error: type, message: str, field: str, i: int, name: str):
+        if name in seen:
+            refuse(error, message, field, i, name)
+        seen.add(name)
+
+    for i, mode in enumerate(spec.modes):
+        once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode)
+    for i, decl in enumerate(spec.inputs):
+        for mode in decl.modes:
+            check_declared("inputs", i, mode)
+            once(sourced, OverlappingModes, "mode {!r} has two inputs", "inputs", i, mode)
+    for i, el in enumerate(spec.elements):
+        for mode in _element_modes(el):
+            check_declared("elements", i, mode)
+    for i, det in enumerate(spec.detectors):
+        check_declared("detectors", i, det.mode)
+        once(detected, DetectedModeReuse, "mode {!r} has two detectors", "detectors", i, det.mode)
+        once(labels, CircuitSyntaxError, "label {!r} declared twice", "detectors", i, det.label)
+    by_label = {det.label: det for det in spec.detectors}
+    for i, rule in enumerate(spec.rules):
+        det = by_label.get(rule.label)
+        if det is None:
+            refuse(UndeclaredMode, "no detector is labelled {!r}", "rules", i, rule.label)
+        if rule.pol not in (det.transmitted_pol, det.reflected_pol):
+            refuse(CircuitSyntaxError, "trigger {!r} is not in the basis", "rules", i, rule.pol)
+        for mode in (mode for el in rule.corrections for mode in _element_modes(el)):
+            check_declared("corrections", i, mode)
+            if mode in detected:
+                refuse(DetectedModeReuse, "corrects detected mode {!r}", "corrections", i, mode)
+    if not spec.outputs:
+        raise MissingOutput("circuit declares no output modes")
+    for i, mode in enumerate(spec.outputs):
+        check_declared("outputs", i, mode)
+        once(listed, CircuitSyntaxError, "output mode {!r} listed twice", "outputs", i, mode)
+        if mode in detected:
+            refuse(DetectedModeReuse, "output on detected mode {!r}", "outputs", i, mode)
+
+
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A circuit's structure as packed configurations and integer-indexed slot
     maps over one slot index.
 
-    Built by :func:`compile`; it depends on the modes, elements, detectors
-    and rules of a spec and on the kind and modes of each input declaration,
-    never on the input amplitudes.
+    Built by :func:`compile`; it depends on the modes, elements, detectors,
+    rules and outputs of a spec and on the kind and modes of each input
+    declaration, never on the input amplitudes.
     """
 
     index: fock.SlotIndex
@@ -306,57 +380,30 @@ _PLAN_CACHE_SIZE = 16
 
 
 def compile(spec: CircuitSpec) -> CompiledCircuit:
-    """Check a spec's structure and compile it, once per distinct structure.
+    """Validate a spec and compile it, once per distinct structure.
 
-    The slot index covers every polarization label of each declared mode;
-    an input, element, correction or detector on any other mode is an
-    error, and so is a correction on a detected mode.  Calls that differ
-    only in their input amplitudes share one compiled circuit.
+    The slot index covers every polarization label of each declared mode.
+    Calls that differ only in their input amplitudes share one compiled
+    circuit, so :func:`validate` runs only when a structure is first seen.
     """
     shapes = tuple((decl.kind, decl.modes) for decl in spec.inputs)
-    return _compile(spec.modes, shapes, spec.elements, spec.detectors, spec.rules)
+    return _compile(spec.modes, shapes, spec.elements, spec.detectors, spec.rules, spec.outputs)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _compile(modes, shapes, elements, detectors, rules) -> CompiledCircuit:
+def _compile(modes, shapes, elements, detectors, rules, outputs) -> CompiledCircuit:
+    inputs = tuple(InputDecl(kind, input_modes) for kind, input_modes in shapes)
+    validate(CircuitSpec(modes, inputs, elements, detectors, rules, outputs))
     parts = [_declared_slots(kind, input_modes) for kind, input_modes in shapes]
-    sourced: set[str] = set()
-    for _, input_modes in shapes:
-        for mode in input_modes:
-            if mode not in modes:
-                raise UndeclaredMode(f"input on undeclared mode {mode!r}")
-            if mode in sourced:
-                raise OverlappingModes(f"mode {mode!r} has two inputs")
-        sourced.update(input_modes)
-    detected: set[str] = set()
-    for det in detectors:
-        if det.mode not in modes:
-            raise UndeclaredMode(f"detector on undeclared mode {det.mode!r}")
-        if det.mode in detected:
-            raise DetectedModeReuse(f"mode {det.mode!r} has two detectors")
-        detected.add(det.mode)
-    labels = {det.label for det in detectors}
-    for rule in rules:
-        if rule.label not in labels:
-            raise UndeclaredMode(f"feed-forward rule on undeclared detector label {rule.label!r}")
-    elements = tuple(map(_step, elements))
-    corrections = tuple(tuple(map(_step, rule.corrections)) for rule in rules)
-    for what, steps in (
-        ("element", elements),
-        ("correction", [step for rule_steps in corrections for step in rule_steps]),
-    ):
-        for _, m in steps:
-            for mode, _ in fock.map_slots(m):
-                if mode not in modes:
-                    raise UndeclaredMode(f"{what} on undeclared mode {mode!r}")
-                if what == "correction" and mode in detected:
-                    raise DetectedModeReuse(f"correction on detected mode {mode!r}")
     index = fock.slot_index(
         (mode, pol) for mode in modes for pol in (POL_F, POL_H, POL_S, POL_V)
     )
 
-    def indexed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-        return tuple((guarded, fock.IndexedMap(m, index)) for guarded, m in steps)
+    def steps(chain: tuple[OpticalElement, ...]) -> tuple[Step, ...]:
+        return tuple(
+            (optics.collision_modes(el), fock.IndexedMap(optics.slot_map(el), index))
+            for el in chain
+        )
 
     photons = sum(len(part[0]) for part in parts)
     starts = list(itertools.accumulate(map(len, parts), initial=0))
@@ -372,13 +419,13 @@ def _compile(modes, shapes, elements, detectors, rules) -> CompiledCircuit:
         index=index,
         photons=photons,
         inputs=inputs,
-        elements=indexed(elements),
+        elements=steps(elements),
         rebases=tuple(
             fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index)
             for det in detectors
             if det.basis == BASIS_FS
         ),
-        corrections=tuple(map(indexed, corrections)),
+        corrections=tuple(steps(rule.corrections) for rule in rules),
     )
 
 

@@ -15,33 +15,22 @@ Grammar (one statement per line, ``#`` starts a comment)::
     output <mode>...
 
 Corrections reuse the ``rotate`` / ``polphase`` statement forms.  Mode
-identifiers are opaque tokens (``2'`` is a valid mode).  Diagnostics carry
-1-based line and column numbers.
+identifiers are opaque tokens (``2'`` is a valid mode).  Statements may come
+in any order, except that none may name a mode after that mode's ``detect``.
+Diagnostics carry 1-based line and column numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
-from .circuit import CircuitSpec, DetectorSpec, FeedForwardRule, InputDecl
-from .errors import (
-    CircuitSyntaxError,
-    DetectedModeReuse,
-    MissingOutput,
-    UndeclaredMode,
-)
+from .circuit import INPUT_FORMS, CircuitSpec, DetectorSpec, FeedForwardRule, InputDecl, validate
+from .errors import CircuitError, CircuitSyntaxError, DetectedModeReuse
 from .fock import POL_F, POL_H, POL_S, POL_V
 from .optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
 
 _TOKEN = re.compile(r"\S+")
-
-#: Input kind -> (number of modes, names of its complex amplitudes).
-_INPUT_FORMS = {
-    "qubit": (1, ("aH", "aV")),
-    "state": (2, ("HH", "HV", "VH", "VV")),
-    "bell": (2, ()),
-    "chi": (4, ()),
-}
 
 
 class _Token:
@@ -84,7 +73,7 @@ class _Line:
                 f"expected {what}, got {tok.text!r}", tok.line, tok.column
             ) from None
 
-    def next_choice(self, what: str, choices: tuple[str, ...]) -> str:
+    def next_choice(self, what: str, choices: tuple[str, ...]) -> _Token:
         tok = self.next(what)
         if tok.text not in choices:
             raise CircuitSyntaxError(
@@ -92,7 +81,7 @@ class _Line:
                 tok.line,
                 tok.column,
             )
-        return tok.text
+        return tok
 
     def done(self):
         if not self.exhausted():
@@ -103,115 +92,87 @@ class _Line:
 
 
 class _Parser:
+    """Builds a spec statement by statement; :func:`validate` checks its meaning.
+
+    The one rule kept here is about text order, which a spec does not
+    record: no statement may name a mode after that mode's ``detect``.  Its
+    first breach is raised only if the spec passes :func:`validate`, so that
+    a spec's own faults are reported as the library reports them.
+    """
+
     def __init__(self):
-        self.modes: list[str] = []
-        self.inputs: list[InputDecl] = []
-        self.elements: list = []
-        self.detectors: list[DetectorSpec] = []
-        self.rules: list[FeedForwardRule] = []
-        self.outputs: list[str] = []
-        self.sourced: set[str] = set()
+        self.fields = {field.name: [] for field in dataclasses.fields(CircuitSpec)}
+        #: (field, index) -> the tokens that name the entry's modes, labels
+        #: and pols; ``("corrections", i)`` holds rule i's correction modes.
+        self.names: dict[tuple[str, int], list[_Token]] = {}
         self.detected: dict[str, str] = {}
-        self.labels: dict[str, DetectorSpec] = {}
+        self.reuse: DetectedModeReuse | None = None
+
+    def add(self, field: str, entry, names: list[_Token]):
+        self.names[field, len(self.fields[field])] = names
+        self.fields[field].append(entry)
 
     def next_mode(self, line: _Line) -> _Token:
         tok = line.next("mode identifier")
-        if tok.text not in self.modes:
-            raise UndeclaredMode(
-                f"mode {tok.text!r} is not declared", tok.line, tok.column
-            )
-        if tok.text in self.detected:
-            raise DetectedModeReuse(
-                f"mode {tok.text!r} was consumed by detector "
-                f"{self.detected[tok.text]!r}",
-                tok.line,
-                tok.column,
-            )
+        if tok.text in self.detected and self.reuse is None:
+            message = f"mode {tok.text!r} was consumed by detector {self.detected[tok.text]!r}"
+            self.reuse = DetectedModeReuse(message, tok.line, tok.column)
         return tok
 
     def stmt_mode(self, line: _Line):
-        tok = line.next("mode identifier")
-        if tok.text in self.modes:
-            raise CircuitSyntaxError(
-                f"mode {tok.text!r} declared twice", tok.line, tok.column
-            )
+        tok = self.next_mode(line)
         line.done()
-        self.modes.append(tok.text)
+        self.add("modes", tok.text, [tok])
 
     def stmt_input(self, line: _Line):
-        kind = line.next_choice("input kind", tuple(_INPUT_FORMS))
-        arity, amplitude_names = _INPUT_FORMS[kind]
-        modes: list[str] = []
-        for _ in range(arity):
-            tok = self.next_mode(line)
-            if tok.text in self.sourced or tok.text in modes:
-                raise CircuitSyntaxError(
-                    f"mode {tok.text!r} already has an input", tok.line, tok.column
-                )
-            modes.append(tok.text)
+        kind = line.next_choice("input kind", tuple(INPUT_FORMS)).text
+        arity, amplitude_names = INPUT_FORMS[kind]
+        modes = [self.next_mode(line) for _ in range(arity)]
         amplitudes = tuple(
             complex(line.next_float(f"re({a})"), line.next_float(f"im({a})"))
             for a in amplitude_names
         )
         line.done()
-        self.sourced.update(modes)
-        self.inputs.append(InputDecl(kind, tuple(modes), amplitudes))
+        self.add("inputs", InputDecl(kind, tuple(t.text for t in modes), amplitudes), modes)
 
     def stmt_pbs(self, line: _Line):
-        basis = line.next_choice("PBS basis", (BASIS_HV, BASIS_FS))
-        in1 = self.next_mode(line)
-        in2 = self.next_mode(line)
-        out1 = self.next_mode(line)
-        out2 = self.next_mode(line)
-        if in1.text == in2.text or out1.text == out2.text:
-            raise CircuitSyntaxError("PBS ports must be distinct", in1.line, in1.column)
+        basis = line.next_choice("PBS basis", (BASIS_HV, BASIS_FS)).text
+        ports = [self.next_mode(line) for _ in range(4)]
+        in1, in2, out1, out2 = (tok.text for tok in ports)
+        if in1 == in2 or out1 == out2:
+            raise CircuitSyntaxError("PBS ports must be distinct", ports[0].line, ports[0].column)
         line.done()
-        self.elements.append(
-            PbsElement(in1.text, in2.text, out1.text, out2.text, basis)
-        )
+        self.add("elements", PbsElement(in1, in2, out1, out2, basis), ports)
 
     def parse_correction(self, line: _Line, keyword: str | None = None):
+        """The next ``rotate`` or ``polphase`` element and its mode token."""
         if keyword is None:
-            keyword = line.next_choice("correction", ("rotate", "polphase"))
-        if keyword == "rotate":
-            mode = self.next_mode(line)
-            angle = line.next_float("angle in degrees")
-            return RotatorElement(mode.text, angle)
+            keyword = line.next_choice("correction", ("rotate", "polphase")).text
         mode = self.next_mode(line)
-        pol = line.next_choice("polarization", (POL_H, POL_V))
-        phase = line.next_float("phase in degrees")
-        return PolPhaseElement(mode.text, pol, phase)
+        if keyword == "rotate":
+            return RotatorElement(mode.text, line.next_float("angle in degrees")), mode
+        pol = line.next_choice("polarization", (POL_H, POL_V)).text
+        return PolPhaseElement(mode.text, pol, line.next_float("phase in degrees")), mode
 
     def stmt_rotate(self, line: _Line):
-        self.elements.append(self.parse_correction(line, line.tokens[0].text))
+        element, mode = self.parse_correction(line, line.tokens[0].text)
         line.done()
+        self.add("elements", element, [mode])
 
     stmt_polphase = stmt_rotate
 
     def stmt_detect(self, line: _Line):
-        basis = line.next_choice("detector basis", (BASIS_HV, BASIS_FS))
+        basis = line.next_choice("detector basis", (BASIS_HV, BASIS_FS)).text
         mode = self.next_mode(line)
         line.next_choice("'as'", ("as",))
-        tok = line.next("detector label")
-        if tok.text in self.labels:
-            raise CircuitSyntaxError(
-                f"detector label {tok.text!r} declared twice", tok.line, tok.column
-            )
+        label = line.next("detector label")
         line.done()
-        det = DetectorSpec(mode.text, basis, tok.text)
-        self.detectors.append(det)
-        self.labels[tok.text] = det
-        self.detected[mode.text] = tok.text
+        self.add("detectors", DetectorSpec(mode.text, basis, label.text), [mode, label])
+        self.detected[mode.text] = label.text
 
     def stmt_on(self, line: _Line):
-        tok = line.next("detector label")
-        det = self.labels.get(tok.text)
-        if det is None:
-            raise UndeclaredMode(
-                f"detector label {tok.text!r} is not declared", tok.line, tok.column
-            )
-        pols = (POL_H, POL_V) if det.basis == BASIS_HV else (POL_F, POL_S)
-        pol = line.next_choice("trigger polarization", pols)
+        label = line.next("detector label")
+        pol = line.next_choice("trigger polarization", (POL_H, POL_V, POL_F, POL_S))
         line.next_choice("'do'", ("do",))
         corrections = [self.parse_correction(line)]
         while not line.exhausted():
@@ -223,7 +184,9 @@ class _Parser:
                     sep.column,
                 )
             corrections.append(self.parse_correction(line))
-        self.rules.append(FeedForwardRule(tok.text, pol, tuple(corrections)))
+        self.names["corrections", len(self.fields["rules"])] = [m for _, m in corrections]
+        rule = FeedForwardRule(label.text, pol.text, tuple(el for el, _ in corrections))
+        self.add("rules", rule, [label, pol])
 
     def stmt_output(self, line: _Line):
         if line.exhausted():
@@ -233,27 +196,15 @@ class _Parser:
             )
         while not line.exhausted():
             tok = self.next_mode(line)
-            if tok.text in self.outputs:
-                raise CircuitSyntaxError(
-                    f"output mode {tok.text!r} listed twice", tok.line, tok.column
-                )
-            self.outputs.append(tok.text)
-
-
-_STATEMENTS = {
-    "mode": _Parser.stmt_mode,
-    "input": _Parser.stmt_input,
-    "pbs": _Parser.stmt_pbs,
-    "rotate": _Parser.stmt_rotate,
-    "polphase": _Parser.stmt_polphase,
-    "detect": _Parser.stmt_detect,
-    "on": _Parser.stmt_on,
-    "output": _Parser.stmt_output,
-}
+            self.add("outputs", tok.text, [tok])
 
 
 def parse_circuit(text: str) -> CircuitSpec:
-    """Parse and validate a circuit document; diagnostics carry line/column."""
+    """Parse and validate a circuit document; diagnostics carry line/column.
+
+    A rule that :func:`validate` finds broken is reported at the statement
+    that made the entry at fault, at the offending token.
+    """
     parser = _Parser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -263,22 +214,24 @@ def parse_circuit(text: str) -> CircuitSpec:
         if not tokens:
             continue
         head = tokens[0]
-        handler = _STATEMENTS.get(head.text)
+        handler = getattr(parser, f"stmt_{head.text}", None)
         if handler is None:
             raise CircuitSyntaxError(
                 f"unknown statement {head.text!r}", head.line, head.column
             )
-        handler(parser, _Line(tokens))
-    if not parser.outputs:
-        raise MissingOutput("circuit declares no output modes")
-    return CircuitSpec(
-        modes=tuple(parser.modes),
-        inputs=tuple(parser.inputs),
-        elements=tuple(parser.elements),
-        detectors=tuple(parser.detectors),
-        rules=tuple(parser.rules),
-        outputs=tuple(parser.outputs),
-    )
+        handler(_Line(tokens))
+    spec = CircuitSpec(**{field: tuple(entries) for field, entries in parser.fields.items()})
+    try:
+        validate(spec)
+    except CircuitError as exc:
+        if exc.entry is None:
+            raise
+        field, index, name = exc.entry
+        tok = next(tok for tok in parser.names[field, index] if tok.text == name)
+        raise type(exc)(str(exc), tok.line, tok.column) from None
+    if parser.reuse is not None:
+        raise parser.reuse
+    return spec
 
 
 def _fmt(value: float) -> str:
@@ -307,5 +260,6 @@ def format_circuit(spec: CircuitSpec) -> str:
     for rule in spec.rules:
         body = " ; ".join(_format_correction(c) for c in rule.corrections)
         lines.append(f"on {rule.label} {rule.pol} do {body}")
-    lines.append("output " + " ".join(spec.outputs))
+    if spec.outputs:
+        lines.append("output " + " ".join(spec.outputs))
     return "\n".join(lines) + "\n"

@@ -5,10 +5,6 @@ class PbsGatesError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class OverlappingModes(PbsGatesError):
-    """Tensor product of two states that share a spatial mode label."""
-
-
 class ModeCollision(PbsGatesError):
     """An element output would land on a mode already carrying unrelated photons."""
 
@@ -26,11 +22,15 @@ class TruncationTooSmall(PbsGatesError):
 
 
 class CircuitError(PbsGatesError):
-    """Base class for circuit-description problems, with optional location."""
+    """Base class for circuit-description problems, with optional location.
 
-    def __init__(self, message, line=None, column=None):
+    ``entry`` is the spec entry at fault, as :func:`pbsgates.circuit.validate` names it.
+    """
+
+    def __init__(self, message, line=None, column=None, entry=None):
         self.line = line
         self.column = column
+        self.entry = entry
         if line is not None:
             message = f"line {line}, column {column or 1}: {message}"
         super().__init__(message)
@@ -40,12 +40,16 @@ class CircuitSyntaxError(CircuitError):
     """Malformed circuit-description text."""
 
 
+class OverlappingModes(CircuitError):
+    """Two inputs, or the two sides of a tensor product, share a spatial mode."""
+
+
 class UndeclaredMode(CircuitError):
-    """A port, detector, or output references a mode that was never declared."""
+    """A port, detector, or output names an undeclared mode; a rule an unknown label."""
 
 
 class DetectedModeReuse(CircuitError):
-    """A detected (consumed) mode is referenced by a later element or output."""
+    """A detected (consumed) mode is detected again, corrected or listed as an output."""
 
 
 class MissingOutput(CircuitError):

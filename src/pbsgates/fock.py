@@ -428,13 +428,6 @@ def split_counts(
     }
 
 
-def map_slots(mapping: SlotMap) -> list[Slot]:
-    slots = list(mapping)
-    for targets in mapping.values():
-        slots.extend(target for target, _ in targets)
-    return slots
-
-
 class IndexedMap:
     """A :data:`SlotMap` compiled to the positions of one :class:`SlotIndex`.
 
@@ -490,7 +483,8 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
     """
     if not (isinstance(mapping, IndexedMap) and mapping.index is state._index):
         slot_map = mapping.slot_map if isinstance(mapping, IndexedMap) else mapping
-        state = state.reindexed(state._index.including(map_slots(slot_map)))
+        targets = (target for pairs in slot_map.values() for target, _ in pairs)
+        state = state.reindexed(state._index.including([*slot_map, *targets]))
         mapping = IndexedMap(slot_map, state._index)
     width = state._width
     field = (1 << width) - 1
@@ -568,7 +562,3 @@ def rebase_polarization(state: PhotonState, mode: str, direction: str) -> Photon
     """
     return transform_slots(state, rebase_map(mode, direction))
 
-
-def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-10) -> bool:
-    keys = set(a.terms) | set(b.terms)
-    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in keys)

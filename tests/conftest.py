@@ -29,6 +29,11 @@ def single(mode: str, pol: str, amp: complex = 1.0) -> PhotonState:
     return PhotonState({BasisState.from_dict({(mode, pol): 1}): amp})
 
 
+def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-10) -> bool:
+    keys = set(a.terms) | set(b.terms)
+    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in keys)
+
+
 def random_state(rng, modes=("x", "y"), max_photons=3) -> PhotonState:
     """Random non-normalized few-photon state over HV slots of ``modes``."""
     slots = [(m, p) for m in modes for p in (POL_H, POL_V)]

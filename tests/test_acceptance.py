@@ -18,7 +18,7 @@ from pbsgates.gates import (
 from pbsgates.optics import PolPhaseElement
 from pbsgates.oracle import DenseCircuit
 
-from conftest import random_qubit, random_state, random_two_qubit
+from conftest import random_qubit, random_state, random_two_qubit, states_close
 
 PROB_TOL = 1e-12
 FID_TOL = 1e-12
@@ -216,12 +216,12 @@ def test_criterion_8_property_suites(rng):
         back = fock.rebase_polarization(
             fock.rebase_polarization(st, "x", fock.HV_TO_FS), "x", fock.FS_TO_HV
         )
-        ok &= fock.states_close(st, back, tol=1e-10)
+        ok &= states_close(st, back, tol=1e-10)
     flip = PolPhaseElement("x", fock.POL_H, 180.0)
     for _ in range(1000):
         st = random_state(rng)
         twice = optics.apply_element(optics.apply_element(st, flip), flip)
-        ok &= fock.states_close(st, twice, tol=1e-10)
+        ok &= states_close(st, twice, tol=1e-10)
     # Parser round-trip on shipped circuits plus 1000-case mutation fuzz.
     from conftest import circuit_path
     from test_dsl import VALID

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pbsgates import fock
+from pbsgates import circuit, fock
 from pbsgates.circuit import (
     CircuitSpec,
     DetectorSpec,
@@ -23,7 +23,7 @@ from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
 from pbsgates.gates import QubitState, parity_check
 from pbsgates.optics import BASIS_FS, BASIS_HV, PolPhaseElement
 
-from conftest import random_qubit, random_state
+from conftest import random_qubit, random_state, states_close
 
 
 def test_pattern_predicates():
@@ -108,15 +108,24 @@ def test_enumerate_outcomes_consumes_only_detected_mode():
 
 
 def test_feedforward_applies_once_per_firing():
-    detectors = (DetectorSpec("c", BASIS_HV, "c"),)
-    rules = (FeedForwardRule("c", POL_V, (PolPhaseElement("m", POL_H, 180.0),)),)
+    spec = CircuitSpec(
+        modes=("m", "c"),
+        inputs=(),
+        elements=(),
+        detectors=(DetectorSpec("c", BASIS_HV, "c"),),
+        rules=(FeedForwardRule("c", POL_V, (PolPhaseElement("m", POL_H, 180.0),)),),
+        outputs=("m",),
+    )
+    compiled = circuit.compile(spec).corrections
+
+    def fire(branch, pattern):
+        return apply_feedforward(branch, pattern, spec.detectors, spec.rules, compiled)
+
     branch = PhotonState({BasisState.from_dict({("m", POL_H): 1}): 1.0})
-    out = apply_feedforward(branch, ((0, 1),), detectors, rules)
+    out = fire(branch, ((0, 1),))
     assert abs(out.amplitude(BasisState.from_dict({("m", POL_H): 1})) + 1.0) < 1e-12
-    untouched = apply_feedforward(branch, ((1, 0),), detectors, rules)
-    assert fock.states_close(branch, untouched)
-    twice = apply_feedforward(branch, ((0, 2),), detectors, rules)
-    assert fock.states_close(branch, twice)
+    assert states_close(branch, fire(branch, ((1, 0),)))
+    assert states_close(branch, fire(branch, ((0, 2),)))
 
 
 def test_execute_rejects_unnormalized_input():

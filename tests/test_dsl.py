@@ -8,6 +8,7 @@ from pbsgates.errors import (
     CircuitSyntaxError,
     DetectedModeReuse,
     MissingOutput,
+    OverlappingModes,
     UndeclaredMode,
 )
 from pbsgates.gates import GATE_NAMES
@@ -101,6 +102,22 @@ def test_detected_mode_reuse():
     assert err.line == 5
 
 
+def test_output_before_the_detect_of_its_mode():
+    err = diag(
+        "mode m\nmode n\ninput qubit m 1 0 0 0\ninput qubit n 1 0 0 0\n"
+        "output m n\ndetect hv n as n\n"
+    )
+    assert isinstance(err, DetectedModeReuse)
+    assert (err.line, err.column) == (5, 10)
+
+
+def test_statements_in_any_order_before_a_detect():
+    # A mode may be named before its mode line, a rule before its detector.
+    lines = VALID.splitlines()
+    moved = lines[:4] + lines[5:8] + [lines[9], lines[4], lines[8], lines[10]]
+    assert parse("\n".join(moved)) == parse(VALID)
+
+
 def test_bad_float_diagnostic():
     for statement, column in (
         ("input qubit m one 0 0 0", 15),
@@ -154,7 +171,7 @@ def test_input_mode_used_twice():
     err = diag(
         "mode m\ninput qubit m 1 0 0 0\ninput qubit m 1 0 0 0\noutput m\n"
     )
-    assert isinstance(err, CircuitSyntaxError)
+    assert isinstance(err, OverlappingModes)
     assert err.line == 3
 
 

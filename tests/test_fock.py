@@ -17,7 +17,7 @@ from pbsgates.fock import (
     PhotonState,
 )
 
-from conftest import random_state, single
+from conftest import random_state, single, states_close
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -121,7 +121,7 @@ def test_rebase_round_trip_fuzz(rng):
         back = fock.rebase_polarization(
             fock.rebase_polarization(st, "x", HV_TO_FS), "x", FS_TO_HV
         )
-        assert fock.states_close(st, back, tol=1e-10)
+        assert states_close(st, back, tol=1e-10)
 
 
 def test_rebase_preserves_norm_fuzz(rng):
@@ -152,7 +152,7 @@ def test_compose_slot_maps_matches_sequential(rng):
         st = random_state(rng)
         sequential = fock.transform_slots(fock.transform_slots(st, first), second)
         at_once = fock.transform_slots(st, composed)
-        assert fock.states_close(sequential, at_once, tol=1e-10)
+        assert states_close(sequential, at_once, tol=1e-10)
 
 
 def test_normalized_and_scaled():

@@ -15,7 +15,7 @@ from pbsgates.optics import (
     RotatorElement,
     apply_element,
 )
-from conftest import random_state, single
+from conftest import random_state, single, states_close
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -184,7 +184,7 @@ def test_pi_phase_involution_fuzz(rng):
         pol = POL_H if rng.integers(2) else POL_V
         el = PolPhaseElement("x", pol, 180.0)
         twice = apply_element(apply_element(st, el), el)
-        assert fock.states_close(st, twice, tol=1e-10)
+        assert states_close(st, twice, tol=1e-10)
 
 
 def test_rotator_inverse_fuzz(rng):
@@ -193,7 +193,7 @@ def test_rotator_inverse_fuzz(rng):
         angle = float(rng.uniform(-360, 360))
         fwd = apply_element(st, RotatorElement("x", angle))
         back = apply_element(fwd, RotatorElement("x", -angle))
-        assert fock.states_close(st, back, tol=1e-9)
+        assert states_close(st, back, tol=1e-9)
 
 
 def test_hv_pbs_self_inverse(rng):
@@ -201,4 +201,4 @@ def test_hv_pbs_self_inverse(rng):
     for _ in range(200):
         st = random_state(rng)
         back = apply_element(apply_element(st, HV_PBS), reverse)
-        assert fock.states_close(st, back, tol=1e-10)
+        assert states_close(st, back, tol=1e-10)

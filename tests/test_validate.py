@@ -1,0 +1,210 @@
+"""One validator for every spec: the library and the DSL reject alike."""
+
+from dataclasses import replace
+
+import pytest
+
+from pbsgates import circuit, dsl
+from pbsgates.circuit import CircuitSpec, DetectorSpec, build_input_state
+from pbsgates.errors import (
+    CircuitError,
+    CircuitSyntaxError,
+    DetectedModeReuse,
+    MissingOutput,
+    OverlappingModes,
+    UndeclaredMode,
+)
+from pbsgates.fock import POL_H, POL_V
+from pbsgates.gates import GATE_NAMES
+from pbsgates.optics import BASIS_HV, PbsElement, PolPhaseElement
+
+from conftest import circuit_path
+
+
+def shipped_spec(name: str) -> CircuitSpec:
+    with open(circuit_path(name), encoding="utf-8") as handle:
+        return dsl.parse_circuit(handle.read())
+
+
+#: parity_check.circ: modes 2' a 2 c, qubits on 2' and a, ``pbs hv 2' a 2 c``,
+#: ``detect fs c as c``, ``on c S do polphase 2 H 180`` and ``output 2``.
+PARITY = shipped_spec("parity_check")
+QUBIT, ANCILLA = PARITY.inputs
+(DETECTOR,) = PARITY.detectors
+(RULE,) = PARITY.rules
+
+
+def corrected_on(mode: str) -> tuple:
+    return (replace(RULE, corrections=(PolPhaseElement(mode, POL_H, 180.0),)),)
+
+
+#: One row per rule of :func:`circuit.validate`: the fields that corrupt
+#: parity_check, the class that both paths raise and the name at fault.
+RULES = {
+    "input on an undeclared mode": (
+        dict(inputs=(QUBIT, replace(ANCILLA, modes=("z",)))),
+        UndeclaredMode,
+        "z",
+    ),
+    "element on an undeclared mode": (
+        dict(elements=(PbsElement("2'", "a", "2", "z"),)),
+        UndeclaredMode,
+        "z",
+    ),
+    "detector on an undeclared mode": (
+        dict(detectors=(DetectorSpec("z", BASIS_HV, "c"),)),
+        UndeclaredMode,
+        "z",
+    ),
+    "correction on an undeclared mode": (dict(rules=corrected_on("z")), UndeclaredMode, "z"),
+    "output on an undeclared mode": (dict(outputs=("2", "z")), UndeclaredMode, "z"),
+    "mode declared twice": (dict(modes=("2'", "a", "2", "c", "a")), CircuitSyntaxError, "a"),
+    "two inputs on one mode": (
+        dict(inputs=(QUBIT, replace(ANCILLA, modes=QUBIT.modes))),
+        OverlappingModes,
+        "2'",
+    ),
+    "two detectors on one mode": (
+        dict(detectors=(DETECTOR, DetectorSpec("c", BASIS_HV, "c2"))),
+        DetectedModeReuse,
+        "c",
+    ),
+    "two detectors with one label": (
+        dict(detectors=(DETECTOR, DetectorSpec("a", BASIS_HV, "c"))),
+        CircuitSyntaxError,
+        "c",
+    ),
+    "rule on an unknown label": (
+        dict(rules=(replace(RULE, label="nobody"),)),
+        UndeclaredMode,
+        "nobody",
+    ),
+    "rule pol outside its detector's basis": (
+        dict(rules=(replace(RULE, pol=POL_V),)),
+        CircuitSyntaxError,
+        POL_V,
+    ),
+    "correction on a detected mode": (dict(rules=corrected_on("c")), DetectedModeReuse, "c"),
+    "output on a detected mode": (dict(outputs=("2", "c")), DetectedModeReuse, "c"),
+    "no outputs": (dict(outputs=()), MissingOutput, None),
+    "output listed twice": (dict(outputs=("2", "2")), CircuitSyntaxError, "2"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_library_and_dsl_raise_the_same_class(rule):
+    changes, error, name = RULES[rule]
+    spec = replace(PARITY, **changes)
+    with pytest.raises(error):
+        circuit.compile(spec)
+    text = dsl.format_circuit(spec)
+    with pytest.raises(error) as info:
+        dsl.parse_circuit(text)
+    err = info.value
+    if name is None:
+        assert err.line is None
+    else:
+        assert text.splitlines()[err.line - 1][err.column - 1:].startswith(name)
+
+
+def test_correction_error_points_at_the_correction_mode():
+    spec = replace(PARITY, rules=corrected_on("c"))
+    with pytest.raises(DetectedModeReuse) as info:
+        dsl.parse_circuit(dsl.format_circuit(spec))
+    # "on c S do polphase c H 180": the label is column 4, the mode 20.
+    assert (info.value.line, info.value.column) == (9, 20)
+
+
+def test_warm_compile_validates_nothing(monkeypatch):
+    spec = shipped_spec("cnot")
+    circuit.compile(spec)
+    monkeypatch.setattr(circuit, "validate", None)
+    circuit.compile(spec)
+
+
+def test_detector_rejects_an_unknown_basis():
+    with pytest.raises(ValueError, match="'xy'"):
+        DetectorSpec("c", "xy", "c")
+
+
+def test_input_amplitude_count_is_checked_against_its_kind():
+    spec = replace(PARITY, inputs=(QUBIT, replace(ANCILLA, amplitudes=(0.6, 0.8, 0.0))))
+    with pytest.raises(ValueError, match="qubit"):
+        build_input_state(spec)
+
+
+def mutate(spec: CircuitSpec, rng) -> CircuitSpec:
+    """Swap one mode, label, pol or output of ``spec`` for a random one."""
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def at(entries: tuple, change) -> tuple:
+        """``entries`` with one of them, at random, passed through ``change``."""
+        i = int(rng.integers(len(entries)))
+        return entries[:i] + (change(entries[i]),) + entries[i + 1:]
+
+    def remode(el):
+        ports = ("in1", "in2", "out1", "out2") if isinstance(el, PbsElement) else ("mode",)
+        return replace(el, **{pick(ports): pick(modes)})
+
+    def reinput(decl):
+        return replace(decl, modes=at(decl.modes, lambda _: pick(modes)))
+
+    def redetect(det):
+        return replace(det, mode=pick(modes))
+
+    def relabel(det):
+        return replace(det, label=pick(labels))
+
+    def retrigger(rule):
+        return replace(rule, label=pick(labels), pol=pick("HVFS"))
+
+    def recorrect(rule):
+        return replace(rule, corrections=at(rule.corrections, remode))
+
+    modes = (*spec.modes, "zz")
+    labels = (*(det.label for det in spec.detectors), "nobody")
+    field, change = pick((
+        ("inputs", reinput),
+        ("elements", remode),
+        ("detectors", redetect),
+        ("detectors", relabel),
+        ("rules", retrigger),
+        ("rules", recorrect),
+        ("outputs", None),
+    ))
+    if change is None:
+        outputs = pick(((), spec.outputs + spec.outputs[:1], spec.outputs + (pick(modes),)))
+        return replace(spec, outputs=outputs)
+    return replace(spec, **{field: at(getattr(spec, field), change)})
+
+
+def raised(call) -> type | None:
+    try:
+        call()
+    except CircuitError as exc:
+        return type(exc)
+    return None
+
+
+def test_mutated_shipped_specs_fail_alike_in_the_library_and_the_dsl(rng):
+    seen = set()
+    for _ in range(300):
+        spec = shipped_spec(GATE_NAMES[int(rng.integers(len(GATE_NAMES)))])
+        try:
+            spec = mutate(spec, rng)
+        except ValueError:  # a PBS with two equal ports cannot be built
+            continue
+        library = raised(lambda: circuit.compile(spec))
+        text = dsl.format_circuit(spec)
+        assert raised(lambda: dsl.parse_circuit(text)) == library, text
+        seen.add(library)
+    assert seen >= {
+        None,
+        UndeclaredMode,
+        DetectedModeReuse,
+        OverlappingModes,
+        CircuitSyntaxError,
+        MissingOutput,
+    }
