@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -27,7 +28,14 @@ from .errors import (
     UndeclaredMode,
 )
 from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState, Slot
-from .optics import BASIS_FS, BASIS_HV, OpticalElement, PbsElement
+from .optics import (
+    BASIS_FS,
+    BASIS_HV,
+    OpticalElement,
+    PbsElement,
+    PolPhaseElement,
+    RotatorElement,
+)
 
 #: Per detector, photon counts in the (transmitted, reflected) polarization
 #: of the detector basis; patterns are ordered like the declared detectors.
@@ -288,13 +296,38 @@ def _element_modes(el: OpticalElement) -> tuple[str, ...]:
     return (el.in1, el.in2, el.out1, el.out2) if isinstance(el, PbsElement) else (el.mode,)
 
 
+#: A mode name or detector label is one token of the circuit language: not
+#: empty, and free of whitespace (which ends tokens and lines), ``#`` (which
+#: starts a comment) and ``;`` (which separates corrections).
+NAME = re.compile(r"[^\s#;]+")
+
+
+def check_name(name: str, field: str, i: int) -> None:
+    """Raise :class:`CircuitSyntaxError` if ``name``, of entry ``i`` of
+    ``field``, is not a :data:`NAME`."""
+    if not NAME.fullmatch(name):
+        raise CircuitSyntaxError(f"name {name!r} is not one token", entry=(field, i, name))
+
+
+def check_correction(el: OpticalElement, i: int) -> None:
+    """Raise :class:`CircuitSyntaxError` unless ``el``, a correction of rule
+    ``i``, is a rotator or a phase plate."""
+    if not isinstance(el, (RotatorElement, PolPhaseElement)):
+        raise CircuitSyntaxError(
+            f"correction {el!r} is not a rotator or phase plate",
+            entry=("corrections", i, _element_modes(el)[0]),
+        )
+
+
 def validate(spec: CircuitSpec) -> None:
     """Raise the first rule ``spec`` breaks, checking entries in spec order.
 
-    Every mode named is declared, and declared once.  No two inputs share a
-    mode; no two detectors share a mode or a label.  A rule's label is a
-    detector's and its pol one of that detector's basis pols.  No correction
-    and no output is on a detected mode; outputs are non-empty and distinct.
+    Every mode named is declared, and declared once; mode names and labels
+    are single tokens (:data:`NAME`).  No two inputs share a mode; no two
+    detectors share a mode or a label.  A rule's label is a detector's and
+    its pol one of that detector's basis pols.  Corrections are rotators or
+    phase plates, none on a detected mode, and no output is on a detected
+    mode either; outputs are non-empty and distinct.
     The error's ``entry`` is ``(field, index, name)``: the spec field (or
     ``"corrections"``, indexed by rule), the entry and the name at fault.
     """
@@ -317,6 +350,7 @@ def validate(spec: CircuitSpec) -> None:
         seen.add(name)
 
     for i, mode in enumerate(spec.modes):
+        check_name(mode, "modes", i)
         once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode)
     for i, decl in enumerate(spec.inputs):
         for mode in decl.modes:
@@ -328,6 +362,7 @@ def validate(spec: CircuitSpec) -> None:
     for i, det in enumerate(spec.detectors):
         check_declared("detectors", i, det.mode)
         once(detected, DetectedModeReuse, "mode {!r} has two detectors", "detectors", i, det.mode)
+        check_name(det.label, "detectors", i)
         once(labels, CircuitSyntaxError, "label {!r} declared twice", "detectors", i, det.label)
     by_label = {det.label: det for det in spec.detectors}
     for i, rule in enumerate(spec.rules):
@@ -336,10 +371,13 @@ def validate(spec: CircuitSpec) -> None:
             refuse(UndeclaredMode, "no detector is labelled {!r}", "rules", i, rule.label)
         if rule.pol not in (det.transmitted_pol, det.reflected_pol):
             refuse(CircuitSyntaxError, "trigger {!r} is not in the basis", "rules", i, rule.pol)
-        for mode in (mode for el in rule.corrections for mode in _element_modes(el)):
-            check_declared("corrections", i, mode)
-            if mode in detected:
-                refuse(DetectedModeReuse, "corrects detected mode {!r}", "corrections", i, mode)
+        for el in rule.corrections:
+            check_correction(el, i)
+            for mode in _element_modes(el):
+                check_declared("corrections", i, mode)
+                if mode in detected:
+                    message = "corrects detected mode {!r}"
+                    refuse(DetectedModeReuse, message, "corrections", i, mode)
     if not spec.outputs:
         raise MissingOutput("circuit declares no output modes")
     for i, mode in enumerate(spec.outputs):

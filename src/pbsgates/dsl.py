@@ -15,7 +15,8 @@ Grammar (one statement per line, ``#`` starts a comment)::
     output <mode>...
 
 Corrections reuse the ``rotate`` / ``polphase`` statement forms.  Mode
-identifiers are opaque tokens (``2'`` is a valid mode).  Statements may come
+identifiers and labels are opaque tokens (``2'`` is a valid mode) without
+``;`` (:data:`pbsgates.circuit.NAME`).  Statements may come
 in any order, except that none may name a mode after that mode's ``detect``.
 Diagnostics carry 1-based line and column numbers.
 """
@@ -25,7 +26,16 @@ from __future__ import annotations
 import dataclasses
 import re
 
-from .circuit import INPUT_FORMS, CircuitSpec, DetectorSpec, FeedForwardRule, InputDecl, validate
+from .circuit import (
+    INPUT_FORMS,
+    CircuitSpec,
+    DetectorSpec,
+    FeedForwardRule,
+    InputDecl,
+    check_correction,
+    check_name,
+    validate,
+)
 from .errors import CircuitError, CircuitSyntaxError, DetectedModeReuse
 from .fock import POL_F, POL_H, POL_S, POL_V
 from .optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
@@ -245,7 +255,20 @@ def _format_correction(el) -> str:
 
 
 def format_circuit(spec: CircuitSpec) -> str:
-    """Pretty-print a spec so that reparsing yields an equal spec."""
+    """Pretty-print a spec so that reparsing yields an equal spec.
+
+    A spec that cannot be written raises the :class:`CircuitSyntaxError`
+    that :func:`validate` raises for it: a declared mode or a detector label
+    that is not one token, or a correction other than a rotator or phase
+    plate.
+    """
+    for i, mode in enumerate(spec.modes):
+        check_name(mode, "modes", i)
+    for i, det in enumerate(spec.detectors):
+        check_name(det.label, "detectors", i)
+    for i, rule in enumerate(spec.rules):
+        for el in rule.corrections:
+            check_correction(el, i)
     lines = [f"mode {m}" for m in spec.modes]
     for decl in spec.inputs:
         reals = [_fmt(x) for a in decl.amplitudes for x in (a.real, a.imag)]

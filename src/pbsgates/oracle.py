@@ -11,10 +11,14 @@ The expansion of a map depends only on the local occupation: the photons on
 the slots it reads and those already on the slots it writes.  So each
 operator is expanded once per local occupation, and one compiled circuit
 shares the multinomial sums among all its operators that have the same
-single-particle matrix.  Every basis state has an integer key, its
-occupations read as digits, and an expanded entry finds its row by adding
-an offset to the column's key.  None of this shares code with the engine's
-photon-by-photon slot transform.
+single-particle matrix, together with each input slot's list of ways to
+distribute its photons, built once per compile.  Ways whose amplitude is
+exactly zero are left out of those lists (a beam splitter's permutation
+matrix leaves one way per photon), since every product holding one would be
+dropped.  Every basis state has an integer key, its occupations read as
+digits, and an expanded entry finds its row by adding an offset to the
+column's key; operators are assembled column by column.  None of this
+shares code with the engine's photon-by-photon slot transform.
 """
 
 from __future__ import annotations
@@ -163,40 +167,82 @@ def _single_particle_matrix(el) -> tuple[list[Slot], list[Slot], np.ndarray]:
     raise TypeError(f"not an optical element: {el!r}")
 
 
+def _slot_options(
+    u: np.ndarray, j: int, n_j: int, n_out: int, width: int
+) -> list[tuple[int, complex]]:
+    """Every way of distributing n_j photons of input slot j among the
+    output slots, as (packed distribution, multinomial weight times
+    prod_i u[i, j]**k_i).  A distribution's counts are packed ``width`` bits
+    each, the first output slot most significant.
+
+    Options whose value is exactly zero are left out: every product that
+    holds one is zero, so :func:`_local_image` would drop it anyway.
+    """
+    if n_j == 0:
+        return [(0, 1.0 + 0j)]
+    options = []
+    for dist in compositions(n_j, n_out):
+        weight = math.factorial(n_j)
+        amp = complex(1.0)
+        packed = 0
+        for i, k in enumerate(dist):
+            weight //= math.factorial(k)
+            amp *= u[i, j] ** k
+            packed = (packed << width) | k
+        value = weight * amp
+        if value:
+            options.append((packed, value))
+    return options
+
+
 def _local_image(
-    counts: tuple[int, ...], u: np.ndarray, n_out: int
+    counts: tuple[int, ...], u: np.ndarray, n_out: int, options: dict
 ) -> tuple[int, dict[tuple[int, ...], complex]]:
     """(prod n_j!, {output distribution: amplitude}) for ``counts`` photons
     on the input slots: every way of distributing each group of n_j photons
-    among the output slots, with multinomial weights, summed by distribution."""
+    among the output slots, with multinomial weights, summed by distribution.
+
+    ``options`` keeps each input slot's :func:`_slot_options` by (slot,
+    n_j, width), so that calls with the same matrix build each list once.
+    """
     in_norm = math.prod(math.factorial(n) for n in counts)
+    # Wide enough for any output count, so packed distributions add up.
+    width = max(8, sum(counts).bit_length())
     per_slot = []
     for j, n_j in enumerate(counts):
-        options = []
-        if n_j == 0:
-            options.append((tuple([0] * n_out), 1.0 + 0j))
-        else:
-            for dist in compositions(n_j, n_out):
-                weight = math.factorial(n_j)
-                amp = complex(1.0)
-                for i, k in enumerate(dist):
-                    weight //= math.factorial(k)
-                    amp *= u[i, j] ** k
-                options.append((dist, weight * amp))
-        per_slot.append(options)
-    accum: dict[tuple[int, ...], complex] = {}
+        slot = options.get((j, n_j, width))
+        if slot is None:
+            slot = options[j, n_j, width] = _slot_options(u, j, n_j, n_out, width)
+        per_slot.append(slot)
+    accum: dict[int, complex] = {}
     for combo in itertools.product(*per_slot):
-        total_dist = [0] * n_out
+        packed = 0
         amp = complex(1.0)
-        for dist, a in combo:
+        for part, a in combo:
             amp *= a
-            for i, k in enumerate(dist):
-                total_dist[i] += k
+            packed += part
         if not amp:
             continue
-        key = tuple(total_dist)
-        accum[key] = accum.get(key, 0j) + amp
-    return in_norm, accum
+        accum[packed] = accum.get(packed, 0j) + amp
+    mask = (1 << width) - 1
+    shifts = [width * i for i in reversed(range(n_out))]
+    return in_norm, {
+        tuple(packed >> shift & mask for shift in shifts): amp
+        for packed, amp in accum.items()
+    }
+
+
+def _scaled(accum: dict, spect_out: list[int], in_norm: int) -> list[complex]:
+    """Each amplitude of an image times its bosonic factor sqrt(out_norm /
+    in_norm), out_norm counting the spectators already on the output slots."""
+    values = []
+    for dist, amp in accum.items():
+        # sqrt factors for photons landing on already-occupied out slots
+        out_norm = 1.0
+        for s, k in zip(spect_out, dist):
+            out_norm *= math.factorial(s + k) / math.factorial(s)
+        values.append(amp * math.sqrt(out_norm / in_norm))
+    return values
 
 
 def _expand_operator(
@@ -217,8 +263,10 @@ def _expand_operator(
     worked out once per local occupation as (key offset, amplitude) pairs
     and placed on every state with that occupation; the row of each entry
     is the state whose key is the column's key plus the offset.
-    ``images`` keeps :func:`_local_image` results by matrix and input
-    counts, so operators that share it share them.
+    ``images`` keeps, by matrix, the :func:`_local_image` results by input
+    counts (with their bosonically scaled values when no spectator sits on
+    the output slots) and the option lists they are built from, so
+    operators that share it share them.
     """
     if images is None:
         images = {}
@@ -236,20 +284,24 @@ def _expand_operator(
     occupations = local[representative]
 
     matrix = (u.tobytes(), u.shape, u.dtype.str)
+    known = images.get(matrix)
+    if known is None:
+        known = images[matrix] = ({}, {})
+    by_counts, options = known
     dists, values, sizes = [], [], []
     for occupation in occupations.tolist():
         counts = tuple(occupation[: len(ins)])
         spect_out = occupation[len(ins):]
-        image = images.get((matrix, counts))
+        image = by_counts.get(counts)
         if image is None:
-            image = images[matrix, counts] = _local_image(counts, u, len(outs))
-        in_norm, accum = image
-        for dist, amp in accum.items():
-            # sqrt factors for photons landing on already-occupied out slots
-            out_norm = 1.0
-            for s, k in zip(spect_out, dist):
-                out_norm *= math.factorial(s + k) / math.factorial(s)
-            values.append(amp * math.sqrt(out_norm / in_norm))
+            in_norm, accum = _local_image(counts, u, len(outs), options)
+            image = by_counts[counts] = (
+                in_norm,
+                accum,
+                _scaled(accum, [0] * len(outs), in_norm),
+            )
+        in_norm, accum, alone = image
+        values.extend(_scaled(accum, spect_out, in_norm) if any(spect_out) else alone)
         dists.extend(accum)
         sizes.append(len(accum))
 
@@ -264,10 +316,11 @@ def _expand_operator(
     ends = np.cumsum(per_column)
     start = np.cumsum(sizes) - sizes
     entry = np.arange(ends[-1]) + np.repeat(start[group] - ends + per_column, per_column)
-    cols = np.repeat(np.arange(basis.dim), per_column)
-    rows = basis.rows_of(basis.keys[cols] + offsets[entry])
+    rows = basis.rows_of(np.repeat(basis.keys, per_column) + offsets[entry])
     vals = np.array(values, dtype=complex)[entry]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    # Entries come column by column, each column's in image order.
+    indptr = np.concatenate(([0], ends))
+    return sp.csc_matrix((vals, rows, indptr), shape=(basis.dim, basis.dim)).tocsr()
 
 
 def element_operator(el, basis: DenseBasis, images: dict | None = None) -> sp.csr_matrix:
@@ -371,8 +424,8 @@ class DenseCircuit:
         total = sum(per_mode.values())
         self.basis = DenseBasis(slot_list, n_max=total, states=states)
 
-        # Local images of every operator of this circuit, by matrix and
-        # input counts (see _expand_operator).
+        # Local images and option lists of every operator of this circuit,
+        # by matrix (see _expand_operator).
         self._images: dict = {}
         operator = sp.identity(self.basis.dim, dtype=complex, format="csr")
         for el in physical_elements:

@@ -18,6 +18,7 @@ from pbsgates.oracle import (
     DenseBasis,
     DenseCircuit,
     _expand_operator,
+    _local_image,
     _single_particle_matrix,
     compositions,
     element_matrix,
@@ -248,6 +249,71 @@ def test_expansion_with_object_keys_matches_reference(rng):
         for _ in range(3):
             u = random_matrix(rng, len(outs), len(ins))
             assert_expansion_matches_reference(basis, ins, outs, u)
+
+
+def assert_same_csr(got, expected):
+    """The same CSR arrays: ``@`` sums in index order, so equal dense forms
+    are not enough; ``data`` is compared bit for bit."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_expansion_has_the_reference_csr_arrays(rng):
+    slots = XY_SLOTS + [("z", POL_H), ("z", POL_V)]
+    basis = DenseBasis(slots, n_max=4)
+    images = {}
+    for el in in_place_elements():
+        args = _single_particle_matrix(el)
+        assert_same_csr(_expand_operator(basis, *args, images), reference_expand(basis, *args))
+    for ins, outs in ((slots[:2], slots[:2]), (slots[:4], slots[:4]), (slots[:2], slots[1:4])):
+        u = random_matrix(rng, len(outs), len(ins))
+        got = _expand_operator(basis, ins, outs, u)
+        assert_same_csr(got, reference_expand(basis, ins, outs, u))
+
+
+def with_planted_zeros(rng, u):
+    """``u`` with exact zeros of either sign planted at about half of its
+    entries: the whole entry, or (if complex) its real or imaginary part."""
+    u = u.copy()
+    for i, j in zip(*np.nonzero(rng.random(u.shape) < 0.5)):
+        zero = (0.0, -0.0)[rng.integers(2)]
+        if u.dtype.kind == "f":
+            u[i, j] = zero
+        else:
+            part = rng.integers(3)
+            u[i, j] = complex(
+                zero if part != 1 else u[i, j].real, zero if part != 0 else u[i, j].imag
+            )
+    return u
+
+
+def test_expansion_with_zero_entries_matches_reference(rng):
+    # The reference keeps every zero option; the expansion leaves them out.
+    slots = XY_SLOTS + [("z", POL_H), ("z", POL_V)]
+    basis = DenseBasis(slots, n_max=4)
+    for ins, outs in (
+        (slots[:4], slots[:4]),
+        (slots[:2], slots[:2]),
+        (slots[:2], slots[2:5]),
+        (slots[:3], slots[3:]),
+        (slots[4:], slots[:3]),
+    ):
+        for _ in range(4):
+            u = random_matrix(rng, len(outs), len(ins))
+            for planted in (with_planted_zeros(rng, u), with_planted_zeros(rng, u.real)):
+                got = _expand_operator(basis, ins, outs, planted)
+                assert_same_csr(got, reference_expand(basis, ins, outs, planted))
+
+
+def test_hv_pbs_local_image_has_one_entry():
+    _, _, u = _single_particle_matrix(PbsElement("x", "y", "x", "y", BASIS_HV))
+    options = {}
+    # x:H stays, x:V goes to y:V and y:H stays: one term, amplitude 1.
+    assert _local_image((2, 1, 1, 0), u, 4, options) == (2, {(2, 0, 1, 1): 1.0})
+    assert all(len(slot) == 1 for slot in options.values())
+    for counts in compositions(4, 4):
+        assert len(_local_image(counts, u, 4, options)[1]) == 1
 
 
 def test_expansion_outside_the_basis_raises():

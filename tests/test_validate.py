@@ -38,6 +38,17 @@ def corrected_on(mode: str) -> tuple:
     return (replace(RULE, corrections=(PolPhaseElement(mode, POL_H, 180.0),)),)
 
 
+def renamed(mode: str) -> dict:
+    """parity_check's mode ``2`` renamed ``mode`` wherever it is named."""
+    (pbs,) = PARITY.elements
+    return dict(
+        modes=("2'", "a", mode, "c"),
+        elements=(replace(pbs, out1=mode),),
+        rules=corrected_on(mode),
+        outputs=(mode,),
+    )
+
+
 #: One row per rule of :func:`circuit.validate`: the fields that corrupt
 #: parity_check, the class that both paths raise and the name at fault.
 RULES = {
@@ -88,6 +99,28 @@ RULES = {
     "output on a detected mode": (dict(outputs=("2", "c")), DetectedModeReuse, "c"),
     "no outputs": (dict(outputs=()), MissingOutput, None),
     "output listed twice": (dict(outputs=("2", "2")), CircuitSyntaxError, "2"),
+    "mode name that is not one token": (renamed("two #2"), CircuitSyntaxError, "two #2"),
+    "empty detector label": (
+        dict(detectors=(replace(DETECTOR, label=""),)),
+        CircuitSyntaxError,
+        "",
+    ),
+    "correction that is a PBS": (
+        dict(
+            modes=(*PARITY.modes, "e"),
+            rules=(replace(RULE, corrections=(PbsElement("2", "e", "e", "2"),)),),
+        ),
+        CircuitSyntaxError,
+        "2",
+    ),
+}
+
+#: Rows whose spec the DSL cannot write: the printer refuses it as the
+#: library does.
+UNWRITABLE = {
+    "mode name that is not one token",
+    "empty detector label",
+    "correction that is a PBS",
 }
 
 
@@ -95,8 +128,13 @@ RULES = {
 def test_library_and_dsl_raise_the_same_class(rule):
     changes, error, name = RULES[rule]
     spec = replace(PARITY, **changes)
-    with pytest.raises(error):
+    with pytest.raises(error) as library:
         circuit.compile(spec)
+    if rule in UNWRITABLE:
+        with pytest.raises(error) as printer:
+            dsl.format_circuit(spec)
+        assert printer.value.entry == library.value.entry
+        return
     text = dsl.format_circuit(spec)
     with pytest.raises(error) as info:
         dsl.parse_circuit(text)
@@ -113,6 +151,14 @@ def test_correction_error_points_at_the_correction_mode():
         dsl.parse_circuit(dsl.format_circuit(spec))
     # "on c S do polphase c H 180": the label is column 4, the mode 20.
     assert (info.value.line, info.value.column) == (9, 20)
+
+
+def test_parser_refuses_a_token_holding_a_semicolon():
+    # "2;" is one token to the parser, but ';' separates corrections.
+    text = dsl.format_circuit(PARITY).replace("mode 2\n", "mode 2;\n")
+    with pytest.raises(CircuitSyntaxError, match="not one token") as info:
+        dsl.parse_circuit(text)
+    assert (info.value.line, info.value.column) == (3, 6)
 
 
 def test_warm_compile_validates_nothing(monkeypatch):
