@@ -10,6 +10,15 @@ Inside a state, a configuration is one packed int over a :class:`SlotIndex`:
 the count of the slot at position ``i`` sits in bits ``[i*w, (i+1)*w)``, and
 the field width ``w`` is sized from the state's photon number.  The sorted
 :class:`BasisState` form is built only where a caller sees a configuration.
+
+A slot transform (:func:`transform_slots`) expands each term by the
+multinomial sum over its mapped photons, which depends only on the term's
+local occupation: its counts on the slots the map reads and writes.  So each
+local occupation's expansion is worked out once as a program, kept on the
+compiled map (:class:`IndexedMap`) for later calls, and replayed on every
+term that has that occupation.  A replay does the same float operations in
+the same order as expanding the term afresh, so cached programs never change
+an amplitude's bits, signed zeros included.
 """
 
 from __future__ import annotations
@@ -231,13 +240,22 @@ class PhotonState:
     ) -> "PhotonState":
         """A state over configurations packed over ``index`` for up to ``photons``
         photons (see :meth:`SlotIndex.pack`), pruned like the constructor."""
+        floor = tolerance or _LEAST_MAGNITUDE
+        terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= floor}
+        return cls._unpruned(terms, index, photons, tolerance)
+
+    @classmethod
+    def _unpruned(
+        cls, terms: dict[int, complex], index: SlotIndex, photons: int, tolerance: float
+    ) -> "PhotonState":
+        """Like :meth:`packed`, for ``terms`` that its filter would all keep:
+        the caller knows that no amplitude is below the tolerance."""
         state = cls.__new__(cls)
         state.tolerance = tolerance
         state._index = index
         state._photons = photons
         state._width = _width(photons)
-        floor = tolerance or _LEAST_MAGNITUDE
-        state._terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= floor}
+        state._terms = terms
         return state
 
     @property
@@ -301,12 +319,13 @@ class PhotonState:
         return PhotonState.packed(self._terms, self._index, self._photons, tolerance)
 
     def scaled(self, factor: complex) -> "PhotonState":
-        return PhotonState.packed(
-            {cfg: a * factor for cfg, a in self._terms.items()},
-            self._index,
-            self._photons,
-            self.tolerance,
-        )
+        terms = {cfg: a * factor for cfg, a in self._terms.items()}
+        # A real factor of magnitude 1 or more shrinks neither part of any
+        # amplitude (rounding is monotonic), so nothing new falls below the
+        # tolerance that this state already passed.
+        if isinstance(factor, (int, float)) and abs(factor) >= 1:
+            return PhotonState._unpruned(terms, self._index, self._photons, self.tolerance)
+        return PhotonState.packed(terms, self._index, self._photons, self.tolerance)
 
     def normalized(self) -> "PhotonState":
         n2 = self.norm_sq()
@@ -414,17 +433,23 @@ def split_counts(
     for sa, sb in shifts:
         counted |= field << sa | field << sb
     keep = ~counted
-    groups: dict[tuple[tuple[int, int], ...], dict[int, complex]] = {}
+    groups: dict[int, dict[int, complex]] = {}
     for cfg, amp in state._terms.items():
-        key = tuple([(cfg >> sa & field, cfg >> sb & field) for sa, sb in shifts])
-        group = groups.get(key)
+        counts = cfg & counted
+        group = groups.get(counts)
         if group is None:
-            group = groups[key] = {}
-        rest = cfg & keep
-        group[rest] = group.get(rest, 0j) + amp
+            group = groups[counts] = {}
+        # ``cfg`` is ``counts | rest``, so no two terms of a group share a
+        # rest and nothing is summed; ``0j +`` keeps the bits of a sum with
+        # nothing (a real -0.0 becomes 0.0).
+        group[cfg & keep] = 0j + amp
+    # The groups partition a pruned state without changing an amplitude's
+    # magnitude, so none needs pruning again.
     return {
-        key: PhotonState.packed(terms, index, photons, state.tolerance)
-        for key, terms in groups.items()
+        tuple([(counts >> sa & field, counts >> sb & field) for sa, sb in shifts]): (
+            PhotonState._unpruned(terms, index, photons, state.tolerance)
+        )
+        for counts, terms in groups.items()
     }
 
 
@@ -434,6 +459,9 @@ class IndexedMap:
     ``moves`` holds ``(source position, ((target position, coefficient),
     ...))`` in increasing source position, zero coefficients left out.  The
     bit shifts for a field width are worked out on first use and kept.
+    From the second call at a width on, so are the expansion programs of the
+    local occupations met (see :func:`transform_slots`): a map that runs
+    once, as in a circuit that never repeats, leaves none behind.
     """
 
     __slots__ = ("index", "slot_map", "moves", "_by_width")
@@ -454,19 +482,71 @@ class IndexedMap:
         self._by_width = None
 
     def for_width(self, width: int):
-        """(width, moves as (shift, ((shift, unit, coeff), ...)), moved-field mask)."""
+        """(width, moves as (shift, ((shift, unit, coeff), ...)), moved-field
+        mask, local-occupation mask, {local occupation: expansion program}).
+
+        A configuration's local occupation is its counts on the moved and the
+        target fields, ``cfg & mask``: all that its expansion reads.  The
+        program dict is a new, empty one on the first call at a width and
+        the kept one after that.
+        """
         packed = self._by_width
-        if packed is None or packed[0] != width:
-            field = (1 << width) - 1
-            moves = tuple(
-                (source * width, tuple((t * width, 1 << t * width, c) for t, c in targets))
-                for source, targets in self.moves
-            )
-            moved = 0
-            for source, _ in self.moves:
-                moved |= field << source * width
-            packed = self._by_width = (width, moves, moved)
-        return packed
+        if packed is not None and packed[0] == width:
+            return packed
+        field = (1 << width) - 1
+        moves = tuple(
+            (source * width, tuple((t * width, 1 << t * width, c) for t, c in targets))
+            for source, targets in self.moves
+        )
+        moved = local = 0
+        for source, targets in self.moves:
+            moved |= field << source * width
+            for target, _ in targets:
+                local |= field << target * width
+        self._by_width = (width, moves, moved, moved | local, {})
+        return (width, moves, moved, moved | local, {})
+
+
+def _expansion_program(local: int, width: int, moves, moved: int, photons: int):
+    """How one local occupation expands: (divisors, stages, offsets).
+
+    This is the per-term expansion of the slot transform worked out on the
+    occupation alone, with each configuration replaced by its entry in a
+    list.  Each mapped slot with ``n`` photons contributes a divisor
+    sqrt(n!) and ``n`` creation stages.  A stage ``(first, more)`` makes the
+    next list: entry ``j`` starts as ``0j + partial[src] * coeff * root``
+    with ``(src, coeff, root) = first[j]``, then each ``(dst, src, coeff,
+    root)`` of ``more`` adds ``partial[src] * coeff * root`` to entry
+    ``dst``.  That is the order in which the dict-based expansion visited the
+    steps, and entries are numbered in the order it first made their keys.
+    ``offsets`` is what each final entry adds to the configuration with its
+    mapped photons removed.
+    """
+    field = (1 << width) - 1
+    sqrt_factorial, sqrt = _sqrt_tables(photons)
+    base = local & ~moved
+    partial = {base: 0}  # configuration -> its entry in the list
+    divisors = []
+    stages = []
+    for shift, targets in moves:
+        n = local >> shift & field
+        if not n:
+            continue
+        divisors.append(sqrt_factorial[n])
+        for _ in range(n):
+            nxt: dict[int, int] = {}
+            first, more = [], []
+            for pcfg, src in partial.items():
+                for target, unit, coeff in targets:
+                    root = sqrt[(pcfg >> target & field) + 1]
+                    dst = nxt.setdefault(pcfg + unit, len(nxt))
+                    if dst == len(first):
+                        first.append((src, coeff, root))
+                    else:
+                        more.append((dst, src, coeff, root))
+            stages.append((tuple(first), tuple(more)))
+            partial = nxt
+    return tuple(divisors), tuple(stages), tuple(key - base for key in partial)
 
 
 def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> PhotonState:
@@ -480,42 +560,47 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
     An :class:`IndexedMap` over the state's own index runs as it is; any
     other map is first compiled for the state, whose index grows by the
     map's slots if needed.
+
+    A term's expansion depends only on its local occupation, so it is
+    worked out once per occupation as an expansion program and replayed on
+    lists for every term with that occupation; a map run more than once
+    keeps its programs for later calls (see :class:`IndexedMap`).  The
+    replay does the float operations of the per-term expansion in the same
+    order, ``0j +`` on a fresh entry included, so every amplitude keeps its
+    bits, signed zeros too.
     """
     if not (isinstance(mapping, IndexedMap) and mapping.index is state._index):
         slot_map = mapping.slot_map if isinstance(mapping, IndexedMap) else mapping
         targets = (target for pairs in slot_map.values() for target, _ in pairs)
         state = state.reindexed(state._index.including([*slot_map, *targets]))
         mapping = IndexedMap(slot_map, state._index)
-    width = state._width
-    field = (1 << width) - 1
-    _, moves, moved = mapping.for_width(width)
+    width, moves, moved, mask, programs = mapping.for_width(state._width)
     keep = ~moved
-    sqrt_factorial, sqrt = _sqrt_tables(state._photons)
     out: dict[int, complex] = {}
     for cfg, amp in state._terms.items():
         if not cfg & moved:
             out[cfg] = out.get(cfg, 0j) + amp
             continue
+        local = cfg & mask
+        program = programs.get(local)
+        if program is None:
+            program = programs[local] = _expansion_program(
+                local, width, moves, moved, state._photons
+            )
+        divisors, stages, offsets = program
         # |..n..> carries 1/sqrt(n!) relative to the bare operator product;
-        # the expansion below restores sqrt-factors one creation at a time.
-        prefactor = amp
-        creations = []
-        for shift, targets in moves:
-            n = cfg >> shift & field
-            if n:
-                prefactor /= sqrt_factorial[n]
-                creations.append((n, targets))
-        partial = {cfg & keep: prefactor}
-        for n, targets in creations:
-            for _ in range(n):
-                nxt: dict[int, complex] = {}
-                for pcfg, pamp in partial.items():
-                    for shift, unit, coeff in targets:
-                        key = pcfg + unit
-                        k = pcfg >> shift & field
-                        nxt[key] = nxt.get(key, 0j) + pamp * coeff * sqrt[k + 1]
-                partial = nxt
-        for key, value in partial.items():
+        # the stages restore sqrt-factors one creation at a time.
+        for divisor in divisors:
+            amp /= divisor
+        partial = [amp]
+        for first, more in stages:
+            nxt = [0j + partial[src] * coeff * root for src, coeff, root in first]
+            for dst, src, coeff, root in more:
+                nxt[dst] = nxt[dst] + partial[src] * coeff * root
+            partial = nxt
+        base = cfg & keep
+        for offset, value in zip(offsets, partial):
+            key = base + offset
             out[key] = out.get(key, 0j) + value
     return PhotonState.packed(out, state._index, state._photons, state.tolerance)
 

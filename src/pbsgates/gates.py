@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from . import dsl, fock
@@ -156,12 +156,19 @@ def _report(
     state and the tolerance it is pruned with; it is packed like the
     outputs.
     """
-    spec = _shipped_spec(name)
+    shipped = _shipped_spec(name)
     inputs = tuple(
-        replace(decl, amplitudes=bound.get(decl.modes, decl.amplitudes))
-        for decl in spec.inputs
+        InputDecl(decl.kind, decl.modes, bound.get(decl.modes, decl.amplitudes))
+        for decl in shipped.inputs
     )
-    spec = replace(spec, inputs=inputs)
+    spec = CircuitSpec(
+        shipped.modes,
+        inputs,
+        shipped.elements,
+        shipped.detectors,
+        shipped.rules,
+        shipped.outputs,
+    )
     result = execute(spec, passive=passive, tolerance=tolerance)
     fidelities = {}
     target_state = None

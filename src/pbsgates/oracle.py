@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive
+from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive, validate
 from .errors import TruncationTooSmall
 from .fock import POL_H, POL_V, BasisState, Slot
 from .optics import (
@@ -232,6 +232,11 @@ def _local_image(
     }
 
 
+#: k! as a float for every k whose factorial is a finite float: the value
+#: that ``math.factorial(k) / math.factorial(0)`` rounds to.
+_FLOAT_FACTORIAL = [float(math.factorial(k)) for k in range(171)]
+
+
 def _scaled(accum: dict, spect_out: list[int], in_norm: int) -> list[complex]:
     """Each amplitude of an image times its bosonic factor sqrt(out_norm /
     in_norm), out_norm counting the spectators already on the output slots."""
@@ -240,7 +245,7 @@ def _scaled(accum: dict, spect_out: list[int], in_norm: int) -> list[complex]:
         # sqrt factors for photons landing on already-occupied out slots
         out_norm = 1.0
         for s, k in zip(spect_out, dist):
-            out_norm *= math.factorial(s + k) / math.factorial(s)
+            out_norm *= math.factorial(s + k) / math.factorial(s) if s else _FLOAT_FACTORIAL[k]
         values.append(amp * math.sqrt(out_norm / in_norm))
     return values
 
@@ -356,10 +361,12 @@ class DenseCircuit:
     The basis is restricted to the exact photon-number sector of each group
     of modes coupled by a beam splitter.  A mode that an element, detector
     or correction names but no photon occupies becomes a physical mode with
-    no photons.
+    no photons.  A spec that breaks a rule of :func:`circuit.validate` is
+    refused with the error that the engine raises for it.
     """
 
     def __init__(self, spec: CircuitSpec):
+        validate(spec)
         self.spec = spec
         per_mode = self._input_photon_counts(spec)
         group_of = {mode: mode for mode in per_mode}

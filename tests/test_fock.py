@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pbsgates import fock
+from pbsgates import fock, optics
 from pbsgates.errors import OverlappingModes
 from pbsgates.fock import (
     FS_TO_HV,
@@ -15,6 +15,13 @@ from pbsgates.fock import (
     POL_V,
     BasisState,
     PhotonState,
+)
+from pbsgates.optics import (
+    BASIS_FS,
+    BASIS_HV,
+    PbsElement,
+    PolPhaseElement,
+    RotatorElement,
 )
 
 from conftest import random_state, single, states_close
@@ -161,3 +168,167 @@ def test_normalized_and_scaled():
     assert math.isclose(st.scaled(0.5).norm_sq(), 1.0)
     with pytest.raises(ValueError):
         PhotonState({}).normalized()
+
+
+# --- The slot transform's cached expansion programs keep every bit -----------
+
+MODES = ("a", "b", "c", "d")
+ALL_SLOTS = tuple((mode, pol) for mode in MODES for pol in (POL_F, POL_H, POL_S, POL_V))
+
+#: Maps of every kind a circuit runs, with targets on their own modes and on
+#: others (where spectators wait), and maps with zero coefficients.
+TEST_MAPS = {
+    "hv pbs in place": optics.slot_map(PbsElement("a", "b", "a", "b", BASIS_HV)),
+    "hv pbs onto other modes": optics.slot_map(PbsElement("a", "b", "c", "d", BASIS_HV)),
+    "fs pbs in place": optics.slot_map(PbsElement("a", "b", "a", "b", BASIS_FS)),
+    "fs pbs onto other modes": optics.slot_map(PbsElement("b", "a", "d", "c", BASIS_FS)),
+    "rotator": optics.slot_map(RotatorElement("a", 22.5)),
+    "rotator by zero": optics.slot_map(RotatorElement("b", 0.0)),
+    "phase": optics.slot_map(PolPhaseElement("a", POL_H, 180.0)),
+    "rebase to fs": fock.rebase_map("c", HV_TO_FS),
+    "rebase to hv": fock.rebase_map("a", FS_TO_HV),
+    "zero coefficients": {
+        ("a", POL_H): ((("a", POL_H), 0j), (("b", POL_V), -1.0)),
+        ("a", POL_V): ((("c", POL_H), 0.0),),
+        ("b", POL_H): ((("b", POL_H), 1.0), (("a", POL_V), 0.0), (("d", POL_S), 1j)),
+    },
+}
+
+
+def reference_transform(state: PhotonState, mapping: fock.IndexedMap) -> PhotonState:
+    """The per-term dict expansion that the programs replaced, verbatim."""
+    width = state._width
+    field = (1 << width) - 1
+    moves = tuple(
+        (source * width, tuple((t * width, 1 << t * width, c) for t, c in targets))
+        for source, targets in mapping.moves
+    )
+    moved = 0
+    for source, _ in mapping.moves:
+        moved |= field << source * width
+    keep = ~moved
+    sqrt_factorial = [math.sqrt(math.factorial(n)) for n in range(state._photons + 1)]
+    sqrt = [math.sqrt(n) for n in range(state._photons + 1)]
+    out: dict[int, complex] = {}
+    for cfg, amp in state._terms.items():
+        if not cfg & moved:
+            out[cfg] = out.get(cfg, 0j) + amp
+            continue
+        # |..n..> carries 1/sqrt(n!) relative to the bare operator product;
+        # the expansion below restores sqrt-factors one creation at a time.
+        prefactor = amp
+        creations = []
+        for shift, targets in moves:
+            n = cfg >> shift & field
+            if n:
+                prefactor /= sqrt_factorial[n]
+                creations.append((n, targets))
+        partial = {cfg & keep: prefactor}
+        for n, targets in creations:
+            for _ in range(n):
+                nxt: dict[int, complex] = {}
+                for pcfg, pamp in partial.items():
+                    for shift, unit, coeff in targets:
+                        key = pcfg + unit
+                        k = pcfg >> shift & field
+                        nxt[key] = nxt.get(key, 0j) + pamp * coeff * sqrt[k + 1]
+                partial = nxt
+        for key, value in partial.items():
+            out[key] = out.get(key, 0j) + value
+    return PhotonState.packed(out, state._index, state._photons, state.tolerance)
+
+
+def reference_split_counts(state: PhotonState, slot_pairs) -> dict:
+    """The grouping by pattern tuples that ``split_counts`` replaced, verbatim."""
+    state = state.reindexed(state._index.including([s for pair in slot_pairs for s in pair]))
+    index, width = state._index, state._width
+    photons = state._photons
+    field = (1 << width) - 1
+    shifts = [(index.position[a] * width, index.position[b] * width) for a, b in slot_pairs]
+    counted = 0
+    for sa, sb in shifts:
+        counted |= field << sa | field << sb
+    keep = ~counted
+    groups: dict = {}
+    for cfg, amp in state._terms.items():
+        key = tuple([(cfg >> sa & field, cfg >> sb & field) for sa, sb in shifts])
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = {}
+        rest = cfg & keep
+        group[rest] = group.get(rest, 0j) + amp
+    return {
+        key: PhotonState.packed(terms, index, photons, state.tolerance)
+        for key, terms in groups.items()
+    }
+
+
+def bits(state: PhotonState) -> list:
+    """Every term in order, with the exact bits of both parts of its amplitude."""
+    return [(basis, amp.real.hex(), amp.imag.hex()) for basis, amp in state.terms.items()]
+
+
+def random_amplitude(rng, tolerance: float) -> complex:
+    """Random, real or imaginary only, with a signed zero in either part, or
+    just above the pruning floor (an exact zero at tolerance 0)."""
+    x, y = rng.normal(), rng.normal()
+    return (
+        complex(x, y),
+        complex(x, 0.0),
+        complex(0.0, y),
+        complex(-0.0, y),
+        complex(x, -0.0),
+        complex(tolerance * (1.0 + 1e-6 * rng.random()), 0.0),
+    )[int(rng.integers(6))]
+
+
+def random_fock_state(rng, photons: int, tolerance: float) -> PhotonState:
+    """Up to 12 terms over every slot of ``MODES``, one with ``photons`` photons
+    and the others with at most as many; photons off a map are spectators."""
+    terms = {}
+    for i in range(int(rng.integers(1, 13))):
+        total = photons if i == 0 else int(rng.integers(0, photons + 1))
+        occ: dict = {}
+        for _ in range(total):
+            slot = ALL_SLOTS[int(rng.integers(len(ALL_SLOTS)))]
+            occ[slot] = occ.get(slot, 0) + 1
+        terms[BasisState.from_dict(occ)] = random_amplitude(rng, tolerance)
+    return PhotonState(terms, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, fock.DEFAULT_TOLERANCE])
+@pytest.mark.parametrize("name", sorted(TEST_MAPS))
+def test_transform_slots_keeps_the_bits_of_the_per_term_expansion(name, tolerance, rng):
+    index = fock.slot_index(ALL_SLOTS)
+    # One map for every state: programs that one state's call kept serve
+    # states with other amplitudes; widths change between runs of calls.
+    shared = fock.IndexedMap(TEST_MAPS[name], index)
+    kept = 0
+    for photons in (1, 2, 6, 3, 5, 4, 2, 6):
+        for _ in range(8):
+            state = random_fock_state(rng, photons, tolerance).reindexed(index)
+            expected = bits(reference_transform(state, shared))
+            assert bits(fock.transform_slots(state, shared)) == expected
+            fresh = fock.IndexedMap(TEST_MAPS[name], index)
+            assert bits(fock.transform_slots(state, fresh)) == expected
+            # The same map given as a plain slot map, compiled per call.
+            assert bits(fock.transform_slots(state, TEST_MAPS[name])) == expected
+        # From its second call at a width on, the map keeps its programs.
+        kept += len(shared.for_width(state._width)[4])
+    assert kept
+
+
+@pytest.mark.parametrize("tolerance", [0.0, fock.DEFAULT_TOLERANCE])
+def test_unpruned_paths_equal_their_pruned_forms(tolerance, rng):
+    pairs = ((("a", POL_H), ("a", POL_V)), (("c", POL_F), ("c", POL_S)))
+    for _ in range(100):
+        state = random_fock_state(rng, int(rng.integers(1, 7)), tolerance)
+        for factor in (1.0, 1.5, -2.0, 1 / math.sqrt(0.3), 0.5, 1j):
+            scaled = state.scaled(factor)
+            assert bits(scaled) == bits(scaled.with_tolerance(tolerance))
+        groups = fock.split_counts(state, pairs)
+        expected = reference_split_counts(state, pairs)
+        assert list(groups) == list(expected)
+        for pattern, group in groups.items():
+            assert bits(group) == bits(expected[pattern])
+            assert bits(group) == bits(group.with_tolerance(tolerance))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from pbsgates import circuit, dsl
+from pbsgates import circuit, dsl, oracle
 from pbsgates.circuit import CircuitSpec, DetectorSpec, build_input_state
 from pbsgates.errors import (
     CircuitError,
@@ -143,6 +143,17 @@ def test_library_and_dsl_raise_the_same_class(rule):
         assert err.line is None
     else:
         assert text.splitlines()[err.line - 1][err.column - 1:].startswith(name)
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_oracle_raises_the_same_class(rule):
+    changes, error, _ = RULES[rule]
+    spec = replace(PARITY, **changes)
+    with pytest.raises(error) as library:
+        circuit.compile(spec)
+    with pytest.raises(error) as dense:
+        oracle.run_dense(spec)
+    assert dense.value.entry == library.value.entry
 
 
 def test_correction_error_points_at_the_correction_mode():
