@@ -147,9 +147,9 @@ INPUT_FORMS = {
 def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...], ...]:
     """The occupied slots of each term of a declared state, one photon each.
 
-    Terms come in the order the builders in :mod:`pbsgates.gates`
-    (``qubit_state``, ``bell_phi_plus``, ``chi_state``, ``two_qubit_input``)
-    list them; sums over a state run in that order, so it fixes result bits.
+    Terms come in a fixed order: a qubit's H, V; a bell pair's HH, VV; chi's
+    as :data:`_CHI_TERMS` lists them; a state's HH, HV, VH, VV.  Sums over a
+    state run in that order, so it fixes result bits.
     """
     if kind not in INPUT_FORMS:
         raise ValueError(f"unknown input kind: {kind!r}")
@@ -170,7 +170,7 @@ def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...]
 
 
 def _declared_amplitudes(decl: InputDecl) -> tuple[complex, ...]:
-    """The amplitude of each term of a declared state, as its builder computes it.
+    """The amplitude of each term of a declared state, in :func:`_declared_slots` order.
 
     A qubit's are ``(1+0j)*alpha`` and ``0j + (1+0j)*beta``, the products of
     creating each photon on the vacuum and superposing; the rest are the
@@ -196,8 +196,11 @@ def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None)
     (by default ``compile(spec)``), so the state is packed over the plan's
     index.  Each term's amplitude is the product that the tensor product of
     the declarations computes: starting from the vacuum's ``1+0j``, each
-    declaration in order multiplies in one of its amplitudes as
-    ``0j + product * amplitude``.  A product with a zero (or nan) factor is
+    declaration in order multiplies in one of its amplitudes (see
+    :func:`_declared_amplitudes`, so a qubit's are ``(1+0j)*alpha`` and
+    ``0j + (1+0j)*beta``) as ``0j + product * amplitude``.  Terms come in
+    the order of that product: the first declaration's terms outermost, each
+    in :func:`_declared_slots` order.  A product with a zero (or nan) factor is
     zero (or nan), so pruning at tolerance 0 drops the terms that the
     tensor product dropped along the way.
     """
@@ -218,10 +221,12 @@ def declared_state(
 ) -> PhotonState:
     """One declaration's state on its own, pruned with ``tolerance``.
 
-    It has the terms, in order, and the amplitude bits of the state that the
-    builders in :mod:`pbsgates.gates` make.  With ``like`` it is packed as
-    ``like`` is, so that :func:`fock.inner_product` of the two needs no
-    repacking.
+    Its terms come in :func:`_declared_slots` order (qubit H, V; bell HH,
+    VV; chi as :data:`_CHI_TERMS`; state HH, HV, VH, VV) with the amplitudes
+    of :func:`_declared_amplitudes`: a qubit's are ``(1+0j)*alpha`` and
+    ``0j + (1+0j)*beta``, the rest the declared values made complex.  With
+    ``like`` it is packed as ``like`` is, so that :func:`fock.inner_product`
+    of the two needs no repacking.
     """
     slots = _declared_slots(decl.kind, decl.modes)
     if like is None:

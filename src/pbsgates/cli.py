@@ -192,7 +192,10 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and each parser built anew would leave reference cycles behind."""
     parser = argparse.ArgumentParser(
         prog="pbsgates",
         description="Simulate probabilistic photonic logic gates built from "

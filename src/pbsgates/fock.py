@@ -74,25 +74,13 @@ class BasisState:
     def as_dict(self) -> dict[Slot, int]:
         return dict(self.occ)
 
-    def count(self, slot: Slot) -> int:
-        for s, n in self.occ:
-            if s == slot:
-                return n
-        return 0
-
     @property
     def total_photons(self) -> int:
         return sum(n for _, n in self.occ)
 
-    def modes(self) -> set[str]:
-        return {mode for (mode, _), _ in self.occ}
-
     def key_string(self) -> str:
         """Stable human-readable form, e.g. ``2:H:1,c:V:2``."""
         return ",".join(f"{mode}:{pol}:{n}" for (mode, pol), n in self.occ)
-
-
-VACUUM = BasisState()
 
 
 class SlotIndex:
@@ -288,9 +276,6 @@ class PhotonState:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def modes(self) -> set[str]:
         occupied = 0
         for cfg in self._terms:
@@ -327,25 +312,12 @@ class PhotonState:
             return PhotonState._unpruned(terms, self._index, self._photons, self.tolerance)
         return PhotonState.packed(terms, self._index, self._photons, self.tolerance)
 
-    def normalized(self) -> "PhotonState":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return self.scaled(1.0 / math.sqrt(n2))
-
     def sorted_terms(self) -> list[tuple[BasisState, complex]]:
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __repr__(self):
         parts = [f"({a:.6g})|{b.key_string() or 'vac'}>" for b, a in self.sorted_terms()]
         return " + ".join(parts) if parts else "0"
-
-
-_NO_SLOTS = SlotIndex()
-
-
-def vacuum(tolerance: float = DEFAULT_TOLERANCE) -> PhotonState:
-    return PhotonState.packed({0: 1.0 + 0j}, _NO_SLOTS, 0, tolerance)
 
 
 def _joint(a: PhotonState, b: PhotonState, photons: int):
@@ -357,31 +329,6 @@ def _joint(a: PhotonState, b: PhotonState, photons: int):
         _repack(a._terms, a._index, a._width, index, width),
         _repack(b._terms, b._index, b._width, index, width),
     )
-
-
-def create(state: PhotonState, slot: Slot) -> PhotonState:
-    """Apply the creation operator on ``slot``: a†|n> = sqrt(n+1)|n+1>."""
-    photons = state._photons + 1
-    width = _width(photons)
-    index = state._index.including((slot,))
-    terms = _repack(state._terms, state._index, state._width, index, width)
-    shift = index.position[slot] * width
-    field = (1 << width) - 1
-    unit = 1 << shift
-    out: dict[int, complex] = {}
-    for cfg, amp in terms.items():
-        key = cfg + unit
-        out[key] = out.get(key, 0j) + amp * math.sqrt((cfg >> shift & field) + 1)
-    return PhotonState.packed(out, index, photons, state.tolerance)
-
-
-def superpose(a: PhotonState, ca: complex, b: PhotonState, cb: complex) -> PhotonState:
-    photons = max(a._photons, b._photons)
-    index, a_terms, b_terms = _joint(a, b, photons)
-    out = {cfg: amp * ca for cfg, amp in a_terms.items()}
-    for cfg, amp in b_terms.items():
-        out[cfg] = out.get(cfg, 0j) + amp * cb
-    return PhotonState.packed(out, index, photons, min(a.tolerance, b.tolerance))
 
 
 def tensor(a: PhotonState, b: PhotonState) -> PhotonState:

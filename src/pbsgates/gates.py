@@ -1,4 +1,4 @@
-"""Built-in gates, ancilla factories, and fidelity metrics.
+"""Built-in gates and fidelity metrics.
 
 Each gate runs the circuit file shipped with the package,
 ``circuits/<name>.circ``, with the caller's amplitudes bound to the inputs
@@ -11,17 +11,13 @@ used by the CLI.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 from importlib import resources
 
 from . import dsl, fock
 from .circuit import CircuitSpec, GateResult, InputDecl, OutcomePattern, declared_state, execute
 from .errors import NonNormalized
-from .fock import POL_H, POL_V, PhotonState
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+from .fock import PhotonState
 
 
 @dataclass(frozen=True)
@@ -63,62 +59,6 @@ class GateReport:
     target: PhotonState | None
     fidelities: dict[OutcomePattern, float]
     success_probability: float
-
-
-def qubit_state(
-    mode: str, alpha: complex, beta: complex, tolerance: float = fock.DEFAULT_TOLERANCE
-) -> PhotonState:
-    vac = fock.vacuum(tolerance)
-    return fock.superpose(
-        fock.create(vac, (mode, POL_H)), alpha, fock.create(vac, (mode, POL_V)), beta
-    )
-
-
-def bell_phi_plus(m1: str, m2: str) -> PhotonState:
-    """(H_m1 H_m2 + V_m1 V_m2)/sqrt(2)."""
-    if m1 == m2:
-        raise ValueError("Bell pair needs two distinct modes")
-    terms = {
-        fock.BasisState.from_dict({(m1, POL_H): 1, (m2, POL_H): 1}): _SQRT_HALF,
-        fock.BasisState.from_dict({(m1, POL_V): 1, (m2, POL_V): 1}): _SQRT_HALF,
-    }
-    return PhotonState(terms)
-
-
-def chi_state(m1: str, m2: str, m3: str, m4: str) -> PhotonState:
-    """Four-photon resource: (H1H4H2H3 + H1V4H2V3 + V1H4V2V3 + V1V4V2H3)/2."""
-    if len({m1, m2, m3, m4}) != 4:
-        raise ValueError("chi needs four distinct modes")
-    combos = [
-        (POL_H, POL_H, POL_H, POL_H),
-        (POL_H, POL_V, POL_H, POL_V),
-        (POL_V, POL_H, POL_V, POL_V),
-        (POL_V, POL_V, POL_V, POL_H),
-    ]
-    terms = {}
-    for p1, p4, p2, p3 in combos:
-        key = fock.BasisState.from_dict(
-            {(m1, p1): 1, (m4, p4): 1, (m2, p2): 1, (m3, p3): 1}
-        )
-        terms[key] = 0.5
-    return PhotonState(terms)
-
-
-def two_qubit_input(
-    m1: str,
-    m2: str,
-    amplitudes: TwoQubitState | tuple[complex, ...],
-    tolerance: float = fock.DEFAULT_TOLERANCE,
-) -> PhotonState:
-    """Two photons on ``m1`` and ``m2``; amplitudes of HH, HV, VH, VV."""
-    if m1 == m2:
-        raise ValueError("two-qubit state needs two distinct modes")
-    pols = itertools.product((POL_H, POL_V), repeat=2)
-    terms = {
-        fock.BasisState.from_dict({(m1, p1): 1, (m2, p2): 1}): amp
-        for (p1, p2), amp in zip(pols, amplitudes, strict=True)
-    }
-    return PhotonState(terms, tolerance)
 
 
 def ideal_cnot(state: TwoQubitState) -> TwoQubitState:

@@ -1,11 +1,13 @@
-"""Shared fixtures and random-state helpers for the test suite."""
+"""Shared fixtures, state builders and random-state helpers for the test suite."""
 
+import itertools
+import math
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
+from pbsgates.fock import DEFAULT_TOLERANCE, POL_H, POL_V, BasisState, PhotonState
 from pbsgates.gates import QubitState, TwoQubitState
 
 
@@ -27,6 +29,51 @@ def random_two_qubit(rng: np.random.Generator) -> TwoQubitState:
 
 def single(mode: str, pol: str, amp: complex = 1.0) -> PhotonState:
     return PhotonState({BasisState.from_dict({(mode, pol): 1}): amp})
+
+
+# The four declared input kinds built term by term, as an independent
+# reference for the states that ``compile`` binds: the terms come in the
+# declared order and a qubit's amplitudes carry the arithmetic of creating
+# each photon on the vacuum and superposing the two.
+
+
+def qubit_state(
+    mode: str, alpha: complex, beta: complex, tolerance: float = DEFAULT_TOLERANCE
+) -> PhotonState:
+    """alpha·H + beta·V on ``mode``."""
+    h, v = (BasisState.from_dict({(mode, pol): 1}) for pol in (POL_H, POL_V))
+    return PhotonState({h: (1 + 0j) * alpha, v: 0j + (1 + 0j) * beta}, tolerance)
+
+
+def bell_phi_plus(m1: str, m2: str) -> PhotonState:
+    """(H_m1 H_m2 + V_m1 V_m2)/sqrt(2)."""
+    amp = 1.0 / math.sqrt(2.0)
+    return PhotonState(
+        {BasisState.from_dict({(m1, pol): 1, (m2, pol): 1}): amp for pol in (POL_H, POL_V)}
+    )
+
+
+def chi_state(m1: str, m2: str, m3: str, m4: str) -> PhotonState:
+    """Four-photon resource: (H1H4H2H3 + H1V4H2V3 + V1H4V2V3 + V1V4V2H3)/2."""
+    terms = {}
+    for p1, p4, p2, p3 in ("HHHH", "HVHV", "VHVV", "VVVH"):
+        occupations = {(m1, p1): 1, (m4, p4): 1, (m2, p2): 1, (m3, p3): 1}
+        terms[BasisState.from_dict(occupations)] = 0.5
+    return PhotonState(terms)
+
+
+def two_qubit_input(
+    m1: str, m2: str, amplitudes, tolerance: float = DEFAULT_TOLERANCE
+) -> PhotonState:
+    """One photon on each of ``m1`` and ``m2``; amplitudes of HH, HV, VH, VV."""
+    pols = itertools.product((POL_H, POL_V), repeat=2)
+    return PhotonState(
+        {
+            BasisState.from_dict({(m1, p1): 1, (m2, p2): 1}): amp
+            for (p1, p2), amp in zip(pols, amplitudes, strict=True)
+        },
+        tolerance,
+    )
 
 
 def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-10) -> bool:

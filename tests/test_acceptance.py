@@ -7,18 +7,19 @@ their exact rational values; engine-vs-oracle amplitudes within 1e-10.
 
 from pbsgates import dsl, fock, gates, optics
 from pbsgates.errors import CircuitError
-from pbsgates.gates import (
-    QubitState,
-    TwoQubitState,
-    chi_state,
-    fidelity,
-    ideal_cnot,
-    two_qubit_input,
-)
+from pbsgates.gates import QubitState, TwoQubitState, fidelity, ideal_cnot
 from pbsgates.optics import PolPhaseElement
 from pbsgates.oracle import DenseCircuit
 
-from conftest import random_qubit, random_state, random_two_qubit, states_close
+from conftest import (
+    chi_state,
+    qubit_state,
+    random_qubit,
+    random_state,
+    random_two_qubit,
+    states_close,
+    two_qubit_input,
+)
 
 PROB_TOL = 1e-12
 FID_TOL = 1e-12
@@ -61,8 +62,8 @@ def test_criterion_2_destructive_cnot(rng):
         ok &= abs(
             gates.destructive_cnot(t, V, passive=True).success_probability - 0.25
         ) < PROB_TOL
-        swap = gates.qubit_state("3", t.beta, t.alpha)
-        same = gates.qubit_state("3", t.alpha, t.beta)
+        swap = qubit_state("3", t.beta, t.alpha)
+        same = qubit_state("3", t.alpha, t.beta)
         ok &= all(
             abs(fidelity(out, swap) - 1.0) < FID_TOL
             for _, out in flip.result.outcomes.values()

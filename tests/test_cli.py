@@ -1,6 +1,7 @@
 """CLI tests: JSON reports, determinism, exit codes, gate/circuit parity."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -290,6 +291,45 @@ def test_cli_tolerance_does_not_reach_library_calls(monkeypatch, tmp_path):
     monkeypatch.delenv(TOLERANCE_ENV)
     report = gates.gc_cnot(TwoQubitState(1, 0, 0, 0))
     assert abs(report.success_probability - 0.25) < 1e-12
+
+
+def test_main_reuses_one_parser_and_leaves_no_argparse_garbage(tmp_path):
+    # One parser serves every call of the process: calls in a row with
+    # different options report what fresh ones do, and none leaves argparse
+    # objects for the cyclic collector.
+    report = tmp_path / "report.json"
+    calls = [
+        ("run", "--circuit", circuit_path("cnot")),
+        ("run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8", "0", "--passive"),
+        ("run", "--circuit", circuit_path("parity_check"), "--passive"),
+        ("run", "--gate", "cnot", "--two-qubit", *_PLUS_H),
+        ("run", "--circuit", circuit_path("encoder"), "--output", str(report)),
+        ("run", "--gate", "destructive_cnot", "--qubit", "0", "0", "1", "0"),
+        ("check", circuit_path("gc_cnot")),
+    ]
+
+    def run_all(fresh_parser: bool):
+        outs = []
+        for args in calls:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            proc = run_main(*args)
+            outs.append((proc.returncode, proc.stdout, proc.stderr))
+        return outs, report.read_text()
+
+    fresh = run_all(fresh_parser=True)
+    assert cli.build_parser() is cli.build_parser()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        in_a_row = run_all(fresh_parser=False)
+        gc.collect()
+        leaked = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert in_a_row == fresh
+    assert leaked == []
 
 
 def test_photons_off_the_outputs_are_config_error(tmp_path):

@@ -6,19 +6,16 @@ import pytest
 
 from pbsgates import gates
 from pbsgates.errors import NonNormalized
-from pbsgates.fock import POL_H, BasisState
-from pbsgates.gates import (
-    QubitState,
-    TwoQubitState,
+from pbsgates.gates import QubitState, TwoQubitState, fidelity, ideal_cnot
+
+from conftest import (
     bell_phi_plus,
     chi_state,
-    fidelity,
-    ideal_cnot,
     qubit_state,
+    random_qubit,
+    random_two_qubit,
     two_qubit_input,
 )
-
-from conftest import random_qubit, random_two_qubit
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -31,25 +28,6 @@ BASIS_2Q = {
     "VH": TwoQubitState(0.0, 0.0, 1.0, 0.0),
     "VV": TwoQubitState(0.0, 0.0, 0.0, 1.0),
 }
-
-
-def test_state_factories():
-    q = qubit_state("m", 0.6, 0.8)
-    assert abs(q.norm_sq() - 1.0) < 1e-12
-    bell = bell_phi_plus("a", "b")
-    assert bell.num_terms() == 2
-    assert abs(bell.norm_sq() - 1.0) < 1e-12
-    hh = BasisState.from_dict({("a", POL_H): 1, ("b", POL_H): 1})
-    assert abs(bell.amplitude(hh) - SQRT_HALF) < 1e-12
-    chi = chi_state("1", "2", "3", "4")
-    assert chi.num_terms() == 4
-    assert all(abs(a - 0.5) < 1e-12 for a in chi.terms.values())
-    with pytest.raises(ValueError):
-        bell_phi_plus("a", "a")
-    with pytest.raises(ValueError):
-        two_qubit_input("a", "a", BASIS_2Q["HH"])
-    with pytest.raises(ValueError):
-        chi_state("1", "1", "3", "4")
 
 
 def test_state_validation():

@@ -6,7 +6,7 @@ import pytest
 
 from pbsgates import fock, optics
 from pbsgates.errors import ModeCollision
-from pbsgates.fock import POL_H, POL_V, BasisState
+from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
 from pbsgates.optics import (
     BASIS_FS,
     BASIS_HV,
@@ -15,7 +15,7 @@ from pbsgates.optics import (
     RotatorElement,
     apply_element,
 )
-from conftest import random_state, single, states_close
+from conftest import qubit_state, random_state, single, states_close
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -68,7 +68,8 @@ def test_hv_pbs_two_photon_routing():
     key = BasisState.from_dict({("u", POL_V): 1, ("w", POL_V): 1})
     assert abs(out.amplitude(key) - 1.0) < 1e-12
 
-    hv_same_port = fock.create(single("x", POL_H), ("x", POL_V))
+    hv = BasisState.from_dict({("x", POL_H): 1, ("x", POL_V): 1})
+    hv_same_port = PhotonState({hv: 1.0})
     out = apply_element(hv_same_port, HV_PBS)
     key = BasisState.from_dict({("u", POL_H): 1, ("w", POL_V): 1})
     assert abs(out.amplitude(key) - 1.0) < 1e-12
@@ -84,13 +85,13 @@ def test_hv_pbs_opposite_polarizations_bunch():
 
 
 def test_fs_pbs_transmits_f_and_reflects_s():
-    f_in = fock.superpose(single("x", POL_H), SQRT_HALF, single("x", POL_V), SQRT_HALF)
+    f_in = qubit_state("x", SQRT_HALF, SQRT_HALF)
     out = apply_element(f_in, FS_PBS)
     assert abs(one(out, "u", POL_H) - SQRT_HALF) < 1e-12
     assert abs(one(out, "u", POL_V) - SQRT_HALF) < 1e-12
     assert abs(one(out, "w", POL_H)) < 1e-12
 
-    s_in = fock.superpose(single("x", POL_V), SQRT_HALF, single("x", POL_H), -SQRT_HALF)
+    s_in = qubit_state("x", -SQRT_HALF, SQRT_HALF)
     out = apply_element(s_in, FS_PBS)
     assert abs(one(out, "w", POL_V) - SQRT_HALF) < 1e-12
     assert abs(one(out, "w", POL_H) + SQRT_HALF) < 1e-12
@@ -115,7 +116,7 @@ def test_rotator_basis_action():
 
 def test_pol_phase_flips_only_target_slot():
     el = PolPhaseElement("x", POL_H, 180.0)
-    st = fock.superpose(single("x", POL_H), 0.6, single("x", POL_V), 0.8)
+    st = qubit_state("x", 0.6, 0.8)
     out = apply_element(st, el)
     assert abs(one(out, "x", POL_H) + 0.6) < 1e-12
     assert abs(one(out, "x", POL_V) - 0.8) < 1e-12
@@ -123,7 +124,7 @@ def test_pol_phase_flips_only_target_slot():
 
 def test_pol_phase_counts_occupation():
     # Phase is e^{i phase k}: a doubly occupied slot picks up the phase twice.
-    st = fock.create(fock.create(fock.vacuum(), ("x", POL_H)), ("x", POL_H))
+    st = PhotonState({BasisState.from_dict({("x", POL_H): 2}): math.sqrt(2.0)})
     out = apply_element(st, PolPhaseElement("x", POL_H, 90.0))
     key = BasisState.from_dict({("x", POL_H): 2})
     assert abs(out.amplitude(key) - (-1.0) * st.amplitude(key)) < 1e-12

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from pbsgates import circuit, dsl, oracle
-from pbsgates.circuit import CircuitSpec, DetectorSpec, build_input_state
+from pbsgates.circuit import CircuitSpec, DetectorSpec, InputDecl, build_input_state
 from pbsgates.errors import (
     CircuitError,
     CircuitSyntaxError,
@@ -74,6 +74,11 @@ RULES = {
         dict(inputs=(QUBIT, replace(ANCILLA, modes=QUBIT.modes))),
         OverlappingModes,
         "2'",
+    ),
+    "one input naming a mode twice": (
+        dict(inputs=(QUBIT, InputDecl("bell", ("a", "a")))),
+        OverlappingModes,
+        "a",
     ),
     "two detectors on one mode": (
         dict(detectors=(DETECTOR, DetectorSpec("c", BASIS_HV, "c2"))),
