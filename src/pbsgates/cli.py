@@ -147,7 +147,7 @@ def _load_circuit(path: str) -> CircuitSpec:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG) from None
     try:
@@ -175,8 +175,11 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _config_error(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -1,28 +1,29 @@
 """Independent dense brute-force simulator used to cross-check the engine.
 
-Everything here is deliberately separate from the sparse engine.  Element
-unitaries come from explicit single-particle matrices and are expanded into
-sparse many-body operators by the closed-form multinomial sum (Scheel,
-quant-ph/0406127).  States are dense vectors over an explicitly enumerated
-occupation basis, and an outcome's probability is the squared norm of the
-amplitudes whose detector counts match it.
+Everything here is deliberately separate from the sparse engine, which
+pushes photons through the circuit one element at a time.  The oracle
+instead composes the single-particle matrix ``U`` of the whole network (the
+optical elements, then the rotation of each FS detector's mode) and reads
+each many-body amplitude as a permanent (Scheel, quant-ph/0406127; Aaronson
+& Arkhipov, arXiv:1011.3245):
 
-The expansion of a map depends only on the local occupation: the photons on
-the slots it reads and those already on the slots it writes.  So each
-operator is expanded once per local occupation, and one compiled circuit
-shares the multinomial sums among all its operators that have the same
-single-particle matrix, together with each input slot's list of ways to
-distribute its photons, built once per compile.  Ways whose amplitude is
-exactly zero are left out of those lists (a beam splitter's permutation
-matrix leaves one way per photon), since every product holding one would be
-dropped.  Every basis state has an integer key, its occupations read as
-digits, and an expanded entry finds its row by adding an offset to the
-column's key; operators are assembled column by column.  None of this
-shares code with the engine's photon-by-photon slot transform.
+    <T|W|S> = Perm(U[T, S]) / sqrt(prod t! * prod s!)
+
+where ``U[T, S]`` repeats row t of ``U`` once per photon of the output
+configuration T on it, and column s once per photon of the input S.
+Permanents are evaluated by Glynn's formula, vectorised over the rows.
+
+``U`` is block-diagonal over the groups of modes that beam splitters couple,
+so a circuit's basis is the product of the groups' photon-number sectors and
+each amplitude factors into one permanent per group.  Only the columns of
+the configurations that the declared inputs can hold are computed.  States
+are dense vectors over that basis, and an outcome's probability is the
+squared norm of the amplitudes whose detector counts match it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +49,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # transmitted (F) component and the "V" slot the reflected (S) component.
 _REBASE = np.array([[_INV_SQRT2, _INV_SQRT2], [-_INV_SQRT2, _INV_SQRT2]])
 
+#: Polarizations on modes (1, 4, 2, 3) of each term of the chi resource,
+#: every term with amplitude 1/2.
+_CHI_TERMS = (
+    (POL_H, POL_H, POL_H, POL_H),
+    (POL_H, POL_V, POL_H, POL_V),
+    (POL_V, POL_H, POL_V, POL_V),
+    (POL_V, POL_V, POL_V, POL_H),
+)
 
 def compositions(total: int, parts: int):
     """All tuples of ``parts`` nonnegative integers summing to ``total``."""
@@ -59,18 +68,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _place_values(radix: int, digits: int) -> np.ndarray:
-    """Place value of each of ``digits`` digits in ``radix``, the first digit
-    most significant: int64 when every such number fits, Python ints if not."""
-    dtype = np.int64 if radix**digits <= 2**63 else object
-    return np.array([radix**i for i in reversed(range(digits))], dtype=dtype)
-
-
-def _numbers(digits: np.ndarray, place_values: np.ndarray) -> np.ndarray:
-    """The number each row of ``digits`` spells with these place values."""
-    return (digits.astype(place_values.dtype) * place_values).sum(axis=1)
-
-
 class DenseBasis:
     """Enumerated occupation basis over a declared slot set.
 
@@ -78,9 +75,6 @@ class DenseBasis:
     number up to ``n_max`` (dimension = number of multisets of size <= n_max
     over the slots), in a fixed deterministic order.  Explicit ``states``
     may hold at most ``n_max`` photons each.
-
-    Each state also has an integer key: its occupations read as the digits
-    of a number in radix ``n_max + 1``, the first slot most significant.
     """
 
     def __init__(self, slots: list[Slot], n_max: int = 4, states=None):
@@ -99,23 +93,9 @@ class DenseBasis:
         )
         if self.dim and self.occupations.sum(axis=1).max() > n_max:
             raise ValueError(f"a state holds more than n_max={n_max} photons")
-        self.place_values = _place_values(n_max + 1, len(self.slots))
-        self.keys = _numbers(self.occupations, self.place_values)
-        self._order = np.argsort(self.keys, kind="stable")
-        self._sorted_keys = self.keys[self._order]
 
     def slot_index(self, slot: Slot) -> int:
         return self._slot_position[slot]
-
-    def rows_of(self, keys: np.ndarray) -> np.ndarray:
-        """The index of the state with each key; a key of no state is an error."""
-        at = np.minimum(np.searchsorted(self._sorted_keys, keys), self.dim - 1)
-        found = self._sorted_keys[at] == keys
-        if not found.all():
-            key = int(keys[np.argmin(found)])
-            state = tuple(key // int(v) % (self.n_max + 1) for v in self.place_values)
-            raise TruncationTooSmall(f"operator image {state} outside basis")
-        return self._order[at]
 
     def basis_state(self, i: int) -> BasisState:
         return BasisState.from_dict(
@@ -167,170 +147,86 @@ def _single_particle_matrix(el) -> tuple[list[Slot], list[Slot], np.ndarray]:
     raise TypeError(f"not an optical element: {el!r}")
 
 
-def _slot_options(
-    u: np.ndarray, j: int, n_j: int, n_out: int, width: int
-) -> list[tuple[int, complex]]:
-    """Every way of distributing n_j photons of input slot j among the
-    output slots, as (packed distribution, multinomial weight times
-    prod_i u[i, j]**k_i).  A distribution's counts are packed ``width`` bits
-    each, the first output slot most significant.
+def _embedded(position: dict[Slot, int], ins, outs, u: np.ndarray) -> np.ndarray:
+    """The single-particle matrix over every slot of ``position`` of the map
+    a†(ins[j]) -> sum_i u[i, j] a†(outs[i]), which leaves other slots alone."""
+    matrix = np.eye(len(position), dtype=complex)
+    cols = [position[s] for s in ins]
+    matrix[:, cols] = 0.0
+    matrix[np.ix_([position[s] for s in outs], cols)] = u
+    return matrix
 
-    Options whose value is exactly zero are left out: every product that
-    holds one is zero, so :func:`_local_image` would drop it anyway.
+
+@functools.cache
+def _glynn(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Glynn's sign vectors for n x n permanents as the columns of an
+    (n, 2**(n - 1)) array, the first sign always +1, and each vector's
+    sign product over 2**(n - 1)."""
+    deltas = np.array(
+        [(1,) + rest for rest in itertools.product((1, -1), repeat=n - 1)],
+        dtype=float,
+    ).T
+    return deltas, deltas.prod(axis=0) / 2 ** (n - 1)
+
+
+def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
+    """<T|W|S> for each output occupation T (a row of ``outs``) and input
+    occupation S (a row of ``ins``), all holding the same number of photons,
+    where W is the many-body map of the single-particle matrix ``u``.
+
+    By Glynn's formula, Perm(A) = sum over sign vectors d of prod(d) *
+    prod over rows t of (A[t] . d), over 2**(n - 1).  The row sums of every
+    output slot come from one matrix product per input configuration.
     """
-    if n_j == 0:
-        return [(0, 1.0 + 0j)]
-    options = []
-    for dist in compositions(n_j, n_out):
-        weight = math.factorial(n_j)
-        amp = complex(1.0)
-        packed = 0
-        for i, k in enumerate(dist):
-            weight //= math.factorial(k)
-            amp *= u[i, j] ** k
-            packed = (packed << width) | k
-        value = weight * amp
-        if value:
-            options.append((packed, value))
-    return options
-
-
-def _local_image(
-    counts: tuple[int, ...], u: np.ndarray, n_out: int, options: dict
-) -> tuple[int, dict[tuple[int, ...], complex]]:
-    """(prod n_j!, {output distribution: amplitude}) for ``counts`` photons
-    on the input slots: every way of distributing each group of n_j photons
-    among the output slots, with multinomial weights, summed by distribution.
-
-    ``options`` keeps each input slot's :func:`_slot_options` by (slot,
-    n_j, width), so that calls with the same matrix build each list once.
-    """
-    in_norm = math.prod(math.factorial(n) for n in counts)
-    # Wide enough for any output count, so packed distributions add up.
-    width = max(8, sum(counts).bit_length())
-    per_slot = []
-    for j, n_j in enumerate(counts):
-        slot = options.get((j, n_j, width))
-        if slot is None:
-            slot = options[j, n_j, width] = _slot_options(u, j, n_j, n_out, width)
-        per_slot.append(slot)
-    accum: dict[int, complex] = {}
-    for combo in itertools.product(*per_slot):
-        packed = 0
-        amp = complex(1.0)
-        for part, a in combo:
-            amp *= a
-            packed += part
-        if not amp:
-            continue
-        accum[packed] = accum.get(packed, 0j) + amp
-    mask = (1 << width) - 1
-    shifts = [width * i for i in reversed(range(n_out))]
-    return in_norm, {
-        tuple(packed >> shift & mask for shift in shifts): amp
-        for packed, amp in accum.items()
-    }
-
-
-#: k! as a float for every k whose factorial is a finite float: the value
-#: that ``math.factorial(k) / math.factorial(0)`` rounds to.
-_FLOAT_FACTORIAL = [float(math.factorial(k)) for k in range(171)]
-
-
-def _scaled(accum: dict, spect_out: list[int], in_norm: int) -> list[complex]:
-    """Each amplitude of an image times its bosonic factor sqrt(out_norm /
-    in_norm), out_norm counting the spectators already on the output slots."""
-    values = []
-    for dist, amp in accum.items():
-        # sqrt factors for photons landing on already-occupied out slots
-        out_norm = 1.0
-        for s, k in zip(spect_out, dist):
-            out_norm *= math.factorial(s + k) / math.factorial(s) if s else _FLOAT_FACTORIAL[k]
-        values.append(amp * math.sqrt(out_norm / in_norm))
-    return values
+    amps = np.zeros((len(outs), len(ins)), dtype=complex)
+    if not amps.size:
+        return amps
+    n = int(ins[0].sum())
+    if n == 0:
+        return amps + 1.0
+    deltas, weights = _glynn(n)
+    slots = np.arange(u.shape[0])
+    # Row k of ``photons`` lists the slot of each photon of configuration k.
+    out_photons = np.repeat(np.tile(slots, len(outs)), outs.ravel()).reshape(-1, n)
+    in_photons = np.repeat(np.tile(slots, len(ins)), ins.ravel()).reshape(-1, n)
+    factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
+    norms = np.sqrt(np.outer(factorial[outs].prod(axis=1), factorial[ins].prod(axis=1)))
+    for c, photons in enumerate(in_photons):
+        sums = u[:, photons] @ deltas
+        products = sums[out_photons[:, 0]]
+        for k in range(1, n):
+            products = products * sums[out_photons[:, k]]
+        amps[:, c] = products @ weights
+    return amps / norms
 
 
 def _expand_operator(
-    basis: DenseBasis,
-    ins: list[Slot],
-    outs: list[Slot],
-    u: np.ndarray,
-    images: dict | None = None,
+    basis: DenseBasis, ins: list[Slot], outs: list[Slot], u: np.ndarray
 ) -> sp.csr_matrix:
-    """Many-body operator for a single-particle map, by multinomial expansion.
-
-    For an input configuration with n_j photons in slot j, the image is the
-    sum over all ways of distributing each group of n_j photons among the
-    output slots, with multinomial weights and bosonic sqrt(m!) factors.
-
-    The image depends only on the local occupation: the photons on the
-    input slots and the spectators already on the output slots.  It is
-    worked out once per local occupation as (key offset, amplitude) pairs
-    and placed on every state with that occupation; the row of each entry
-    is the state whose key is the column's key plus the offset.
-    ``images`` keeps, by matrix, the :func:`_local_image` results by input
-    counts (with their bosonically scaled values when no spectator sits on
-    the output slots) and the option lists they are built from, so
-    operators that share it share them.
-    """
-    if images is None:
-        images = {}
-    in_idx = [basis.slot_index(s) for s in ins]
-    out_idx = [basis.slot_index(s) for s in outs]
-    spectators = basis.occupations.copy()
-    spectators[:, in_idx] = 0
-    local = np.concatenate(
-        [basis.occupations[:, in_idx], spectators[:, out_idx]], axis=1
-    )
-    local_keys = _numbers(local, _place_values(basis.n_max + 1, local.shape[1]))
-    _, representative, group = np.unique(
-        local_keys, return_index=True, return_inverse=True
-    )
-    occupations = local[representative]
-
-    matrix = (u.tobytes(), u.shape, u.dtype.str)
-    known = images.get(matrix)
-    if known is None:
-        known = images[matrix] = ({}, {})
-    by_counts, options = known
-    dists, values, sizes = [], [], []
-    for occupation in occupations.tolist():
-        counts = tuple(occupation[: len(ins)])
-        spect_out = occupation[len(ins):]
-        image = by_counts.get(counts)
-        if image is None:
-            in_norm, accum = _local_image(counts, u, len(outs), options)
-            image = by_counts[counts] = (
-                in_norm,
-                accum,
-                _scaled(accum, [0] * len(outs), in_norm),
-            )
-        in_norm, accum, alone = image
-        values.extend(_scaled(accum, spect_out, in_norm) if any(spect_out) else alone)
-        dists.extend(accum)
-        sizes.append(len(accum))
-
-    # Each entry moves the photons off the input slots and puts ``dist`` on
-    # the output slots, which adds this offset to the key.
-    sizes = np.array(sizes)
-    removed = _numbers(occupations[:, : len(ins)], basis.place_values[in_idx])
-    dists = np.array(dists, dtype=np.int64).reshape(len(values), len(outs))
-    offsets = _numbers(dists, basis.place_values[out_idx]) - np.repeat(removed, sizes)
-    # Column c holds its group g's image: entries start[g] to start[g] + sizes[g].
-    per_column = sizes[group]
-    ends = np.cumsum(per_column)
-    start = np.cumsum(sizes) - sizes
-    entry = np.arange(ends[-1]) + np.repeat(start[group] - ends + per_column, per_column)
-    rows = basis.rows_of(np.repeat(basis.keys, per_column) + offsets[entry])
-    vals = np.array(values, dtype=complex)[entry]
-    # Entries come column by column, each column's in image order.
-    indptr = np.concatenate(([0], ends))
-    return sp.csc_matrix((vals, rows, indptr), shape=(basis.dim, basis.dim)).tocsr()
+    """Many-body operator on ``basis`` of the single-particle map
+    a†(ins[j]) -> sum_i u[i, j] a†(outs[i]), built one photon-number sector
+    at a time.  An image with weight on a state that the basis lacks raises
+    :class:`TruncationTooSmall`, naming that state's occupations."""
+    matrix = _embedded(basis._slot_position, ins, outs, u)
+    totals = basis.occupations.sum(axis=1)
+    entries = []
+    for n in np.unique(totals).tolist():
+        columns = np.flatnonzero(totals == n)
+        targets = np.array(list(compositions(n, len(basis.slots))))
+        amps = _amplitudes(matrix, targets, basis.occupations[columns])
+        hit, which = np.nonzero(amps)
+        found = np.array([basis.index.get(t, -1) for t in map(tuple, targets.tolist())])[hit]
+        if (found < 0).any():
+            state = tuple(targets[hit[np.argmin(found)]].tolist())
+            raise TruncationTooSmall(f"operator image {state} outside basis")
+        entries.append((amps[hit, which], found, columns[which]))
+    vals, rows, cols = map(np.concatenate, zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
-def element_operator(el, basis: DenseBasis, images: dict | None = None) -> sp.csr_matrix:
+def element_operator(el, basis: DenseBasis) -> sp.csr_matrix:
     ins, outs, u = _single_particle_matrix(el)
-    return _expand_operator(basis, ins, outs, u, images)
+    return _expand_operator(basis, ins, outs, u)
 
 
 def element_matrix(el, basis: DenseBasis) -> np.ndarray:
@@ -338,11 +234,52 @@ def element_matrix(el, basis: DenseBasis) -> np.ndarray:
     return element_operator(el, basis).toarray()
 
 
-def rebase_operator(
-    mode: str, basis: DenseBasis, images: dict | None = None
-) -> sp.csr_matrix:
+def rebase_operator(mode: str, basis: DenseBasis) -> sp.csr_matrix:
     slots = [(mode, POL_H), (mode, POL_V)]
-    return _expand_operator(basis, slots, slots, _REBASE, images)
+    return _expand_operator(basis, slots, slots, _REBASE)
+
+
+def _declaration_terms(decl) -> list[tuple[tuple[Slot, ...], complex]]:
+    """One input declaration's terms as (slot of each photon, amplitude)."""
+    if decl.kind == "qubit":
+        (m,) = decl.modes
+        a_h, a_v = decl.amplitudes
+        return [(((m, POL_H),), a_h), (((m, POL_V),), a_v)]
+    if decl.kind == "state":
+        m1, m2 = decl.modes
+        pols = itertools.product((POL_H, POL_V), repeat=2)  # HH HV VH VV
+        return [
+            (((m1, p1), (m2, p2)), a)
+            for (p1, p2), a in zip(pols, decl.amplitudes, strict=True)
+        ]
+    if decl.kind == "bell":
+        m1, m2 = decl.modes
+        return [(((m1, p), (m2, p)), _INV_SQRT2) for p in (POL_H, POL_V)]
+    if decl.kind == "chi":
+        m1, m2, m3, m4 = decl.modes
+        return [
+            (((m1, p1), (m4, p4), (m2, p2), (m3, p3)), 0.5)
+            for p1, p4, p2, p3 in _CHI_TERMS
+        ]
+    raise ValueError(f"unknown input kind: {decl.kind!r}")
+
+
+def _input_terms(spec: CircuitSpec, slots: list[Slot]) -> dict[tuple[int, ...], complex]:
+    """The declared input as {occupation of ``slots``: amplitude}.
+
+    Every term of the product of the declarations is kept, zero amplitudes
+    too, so the keys are every configuration that declarations of these
+    kinds on these modes can hold.  Declarations share no mode and put one
+    photon on each of theirs, so no slot holds two photons and no term needs
+    a bosonic factor.
+    """
+    terms: dict[tuple[Slot, ...], complex] = {(): 1.0 + 0j}
+    for decl in spec.inputs:
+        options = _declaration_terms(decl)
+        terms = {
+            held + photons: amp * a for held, amp in terms.items() for photons, a in options
+        }
+    return {tuple(int(slot in held) for slot in slots): amp for held, amp in terms.items()}
 
 
 @dataclass
@@ -363,6 +300,12 @@ class DenseCircuit:
     or correction names but no photon occupies becomes a physical mode with
     no photons.  A spec that breaks a rule of :func:`circuit.validate` is
     refused with the error that the engine raises for it.
+
+    ``unitary`` is the network's single-particle matrix over the basis
+    slots, and ``blocks`` the slice of slots of each coupled group.
+    ``operator`` holds the network's many-body map on the columns of
+    ``support``, the configurations that the declared inputs can hold; a
+    run whose input has weight elsewhere is refused.
     """
 
     def __init__(self, spec: CircuitSpec):
@@ -417,31 +360,58 @@ class DenseCircuit:
         for mode in per_mode:
             groups.setdefault(find(mode), []).append(mode)
         slot_list: list[Slot] = []
-        group_states = []
+        sectors = []
+        self.blocks: list[slice] = []
         for root in sorted(groups):
             members = sorted(groups[root])
             gslots = [(m, pol) for m in members for pol in (POL_H, POL_V)]
             count = sum(per_mode[m] for m in members)
+            self.blocks.append(slice(len(slot_list), len(slot_list) + len(gslots)))
             slot_list.extend(gslots)
-            group_states.append(list(compositions(count, len(gslots))))
+            sectors.append(list(compositions(count, len(gslots))))
         states = [
             tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*group_states)
+            for combo in itertools.product(*sectors)
         ]
         total = sum(per_mode.values())
         self.basis = DenseBasis(slot_list, n_max=total, states=states)
 
-        # Local images and option lists of every operator of this circuit,
-        # by matrix (see _expand_operator).
-        self._images: dict = {}
-        operator = sp.identity(self.basis.dim, dtype=complex, format="csr")
+        position = self.basis._slot_position
+        unitary = np.eye(len(slot_list), dtype=complex)
         for el in physical_elements:
-            operator = element_operator(el, self.basis, self._images) @ operator
+            unitary = _embedded(position, *_single_particle_matrix(el)) @ unitary
         for det in spec.detectors:
             if det.basis == BASIS_FS:
-                rebase = rebase_operator(alias[det.mode], self.basis, self._images)
-                operator = rebase @ operator
-        self.operator = operator
+                slots = [(alias[det.mode], POL_H), (alias[det.mode], POL_V)]
+                unitary = _embedded(position, slots, slots, _REBASE) @ unitary
+        outside = unitary.copy()
+        for block in self.blocks:
+            outside[block, block] = 0.0
+        eye = np.eye(len(slot_list))
+        if outside.any() or not np.allclose(unitary.conj().T @ unitary, eye, atol=1e-10):
+            raise ValueError(
+                "the network's single-particle matrix is not unitary and "
+                "block-diagonal over its coupled groups"
+            )
+        self.unitary = unitary
+
+        # Each support column is the Kronecker product of its groups' images.
+        support = sorted(_input_terms(spec, slot_list))
+        self.support = frozenset(support)
+        columns = np.array(support, dtype=np.int64).reshape(-1, len(slot_list))
+        images = np.ones((1, len(columns)), dtype=complex)
+        for block, sector in zip(self.blocks, sectors):
+            local, inverse = np.unique(columns[:, block], axis=0, return_inverse=True)
+            amps = _amplitudes(unitary[block, block], np.array(sector), local)
+            images = (images[:, None, :] * amps[:, inverse.ravel()][None]).reshape(
+                -1, len(columns)
+            )
+        rows, which = np.nonzero(images)
+        cols = np.array([self.basis.index[state] for state in support])
+        self.operator = sp.csr_matrix(
+            (images[rows, which], (rows, cols[which])),
+            shape=(self.basis.dim, self.basis.dim),
+        )
         self.det_slots = [
             (
                 self.basis.slot_index((alias[det.mode], POL_H)),
@@ -456,10 +426,6 @@ class DenseCircuit:
         self.reduced_slots = [
             (back[slot_list[i][0]], slot_list[i][1]) for i in self.kept
         ]
-        # Correction bases by photon number and operators by (photon number,
-        # element), built the first time an accepted pattern needs them.
-        self._reduced_bases: dict[int, DenseBasis] = {}
-        self._corrections: dict[tuple, sp.csr_matrix] = {}
 
     @staticmethod
     def _input_photon_counts(spec: CircuitSpec) -> dict[str, int]:
@@ -470,60 +436,18 @@ class DenseCircuit:
         return counts
 
     def input_vector(self, spec: CircuitSpec) -> np.ndarray:
-        """Dense input vector, built directly from the declarations."""
-        terms: dict[tuple, complex] = {(): 1.0 + 0j}
-
-        def product_with(options):
-            nonlocal terms
-            nxt: dict[tuple, complex] = {}
-            for occ, amp in terms.items():
-                for slots, a in options:
-                    nxt[occ + slots] = nxt.get(occ + slots, 0j) + amp * a
-            terms = nxt
-
-        for decl in spec.inputs:
-            if decl.kind == "qubit":
-                (m,) = decl.modes
-                a_h, a_v = decl.amplitudes
-                product_with([(((m, POL_H),), a_h), (((m, POL_V),), a_v)])
-            elif decl.kind == "state":
-                m1, m2 = decl.modes
-                pols = itertools.product((POL_H, POL_V), repeat=2)  # HH HV VH VV
-                product_with(
-                    [
-                        (((m1, p1), (m2, p2)), a)
-                        for (p1, p2), a in zip(pols, decl.amplitudes, strict=True)
-                    ]
-                )
-            elif decl.kind == "bell":
-                m1, m2 = decl.modes
-                product_with(
-                    [
-                        (((m1, POL_H), (m2, POL_H)), _INV_SQRT2),
-                        (((m1, POL_V), (m2, POL_V)), _INV_SQRT2),
-                    ]
-                )
-            elif decl.kind == "chi":
-                m1, m2, m3, m4 = decl.modes
-                product_with(
-                    [
-                        (((m1, POL_H), (m4, POL_H), (m2, POL_H), (m3, POL_H)), 0.5),
-                        (((m1, POL_H), (m4, POL_V), (m2, POL_H), (m3, POL_V)), 0.5),
-                        (((m1, POL_V), (m4, POL_H), (m2, POL_V), (m3, POL_V)), 0.5),
-                        (((m1, POL_V), (m4, POL_V), (m2, POL_V), (m3, POL_H)), 0.5),
-                    ]
-                )
-            else:
-                raise ValueError(f"unknown input kind: {decl.kind!r}")
-
+        """Dense input vector, built directly from the declarations.  An
+        input with weight on a configuration outside ``support`` raises
+        ``ValueError``."""
         vec = np.zeros(self.basis.dim, dtype=complex)
-        for occ_slots, amp in terms.items():
-            occ: dict[Slot, int] = {}
-            for slot in occ_slots:
-                occ[slot] = occ.get(slot, 0) + 1
-            state = tuple(occ.get(slot, 0) for slot in self.basis.slots)
-            norm = math.prod(math.sqrt(math.factorial(n)) for n in occ.values())
-            vec[self.basis.index[state]] += amp * norm
+        for state, amp in _input_terms(spec, self.basis.slots).items():
+            if not amp:
+                continue
+            if state not in self.support:
+                raise ValueError(
+                    f"input configuration {state} is outside the compiled support"
+                )
+            vec[self.basis.index[state]] = amp
         return vec
 
     def run(self, spec: CircuitSpec, passive: bool = False) -> DenseRunResult:
@@ -575,38 +499,23 @@ class DenseCircuit:
             pols = fired.setdefault(det.label, [])
             pols.extend([det.transmitted_pol] * ct)
             pols.extend([det.reflected_pol] * cr)
-        elements = []
+        position = {slot: i for i, slot in enumerate(self.reduced_slots)}
+        matrix = None
         for rule in spec.rules:
             times = fired.get(rule.label, []).count(rule.pol)
             for _ in range(times):
                 for corr in rule.corrections:
-                    if isinstance(corr, RotatorElement):
-                        elements.append(RotatorElement(corr.mode, corr.angle_deg))
-                    else:
-                        elements.append(
-                            PolPhaseElement(corr.mode, corr.pol, corr.phase_deg)
-                        )
-        if not elements:
+                    step = _embedded(position, *_single_particle_matrix(corr))
+                    matrix = step if matrix is None else step @ matrix
+        if matrix is None:
             return bucket
-        n_max = max(sum(red) for red in bucket)
-        reduced_basis = self._reduced_bases.get(n_max)
-        if reduced_basis is None:
-            reduced_basis = self._reduced_bases[n_max] = DenseBasis(
-                list(self.reduced_slots), n_max=n_max
-            )
-        vec = np.zeros(reduced_basis.dim, dtype=complex)
-        for red, amp in bucket.items():
-            vec[reduced_basis.index[red]] += amp
-        for el in elements:
-            op = self._corrections.get((n_max, el))
-            if op is None:
-                op = self._corrections[n_max, el] = element_operator(
-                    el, reduced_basis, self._images
-                )
-            vec = op @ vec
-        return {
-            reduced_basis.states[i]: amp for i, amp in enumerate(vec) if amp
-        }
+        # Every state of one pattern's bucket holds the same number of photons.
+        n = sum(next(iter(bucket)))
+        targets = np.array(list(compositions(n, len(position))))
+        amps = _amplitudes(matrix, targets, np.array(list(bucket))) @ np.array(
+            list(bucket.values())
+        )
+        return {tuple(t): amp for t, amp in zip(targets.tolist(), amps) if amp}
 
 
 def run_dense(spec: CircuitSpec, passive: bool = False) -> DenseRunResult:

@@ -207,6 +207,25 @@ def test_unreadable_circuit_is_config_error(tmp_path):
     assert proc.returncode == EXIT_CONFIG
 
 
+def test_undecodable_circuit_is_config_error(tmp_path):
+    path = tmp_path / "latin1.circ"
+    path.write_bytes(b"mode a\xff\n")
+    for args in (("check", str(path)), ("run", "--circuit", str(path))):
+        proc = run_cli(*args)
+        assert proc.returncode == EXIT_CONFIG, args
+        assert proc.stderr.startswith(f"error: cannot read {path}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_unwritable_output_is_config_error(tmp_path):
+    path = tmp_path / "no such dir" / "report.json"
+    proc = run_cli("run", "--gate", "chi_via_cnot", "--output", str(path))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bad_tolerance_env(monkeypatch):
     import os
 
