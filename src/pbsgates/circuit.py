@@ -11,6 +11,7 @@ input amplitudes share them and only bind the amplitudes.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -125,68 +126,35 @@ def pattern_name(pattern: OutcomePattern, detectors: tuple[DetectorSpec, ...]) -
 
 
 _ONE = 1.0 + 0j
-_BELL_AMPLITUDES = (complex(1.0 / math.sqrt(2.0)),) * 2
-_CHI_AMPLITUDES = (0.5 + 0j,) * 4
-#: Polarizations on modes (1, 4, 2, 3) of each term of the chi resource.
-_CHI_TERMS = (
-    (POL_H, POL_H, POL_H, POL_H),
-    (POL_H, POL_V, POL_H, POL_V),
-    (POL_V, POL_H, POL_V, POL_V),
-    (POL_V, POL_V, POL_V, POL_H),
-)
-#: Input kind -> (number of modes, one photon on each; names of the complex
-#: amplitudes it declares).
+#: Input kind -> (each term's polarizations, one photon per declared mode in
+#: mode order, in term order; the names of the complex amplitudes it
+#: declares).  A kind that declares none is the equal superposition of its terms.
 INPUT_FORMS = {
-    "qubit": (1, ("aH", "aV")),
-    "state": (2, ("HH", "HV", "VH", "VV")),
-    "bell": (2, ()),
-    "chi": (4, ()),
+    "qubit": (("H", "V"), ("aH", "aV")),
+    "state": (("HH", "HV", "VH", "VV"), ("HH", "HV", "VH", "VV")),
+    "bell": (("HH", "VV"), ()),
+    "chi": (("HHHH", "HHVV", "VVVH", "VVHV"), ()),
 }
 
 
 def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...], ...]:
-    """The occupied slots of each term of a declared state, one photon each.
-
-    Terms come in a fixed order: a qubit's H, V; a bell pair's HH, VV; chi's
-    as :data:`_CHI_TERMS` lists them; a state's HH, HV, VH, VV.  Sums over a
-    state run in that order, so it fixes result bits.
-    """
-    if kind not in INPUT_FORMS:
-        raise ValueError(f"unknown input kind: {kind!r}")
-    count, _ = INPUT_FORMS[kind]
-    if len(modes) != count:
-        raise ValueError(f"a {kind} input takes {count} mode(s), got {modes!r}")
-    if kind == "qubit":
-        return tuple(((modes[0], pol),) for pol in (POL_H, POL_V))
-    if kind == "bell":
-        return tuple(tuple((mode, pol) for mode in modes) for pol in (POL_H, POL_V))
-    if kind == "chi":
-        m1, m2, m3, m4 = modes
-        return tuple(
-            ((m1, p1), (m4, p4), (m2, p2), (m3, p3)) for p1, p4, p2, p3 in _CHI_TERMS
-        )
-    pols = itertools.product((POL_H, POL_V), repeat=2)
-    return tuple(tuple(zip(modes, pair)) for pair in pols)
+    """Each term's occupied slots, in :data:`INPUT_FORMS` term order: sums
+    over a state run in that order, so it fixes result bits."""
+    return tuple(tuple(zip(modes, pols)) for pols in INPUT_FORMS[kind][0])
 
 
 def _declared_amplitudes(decl: InputDecl) -> tuple[complex, ...]:
-    """The amplitude of each term of a declared state, in :func:`_declared_slots` order.
-
-    A qubit's are ``(1+0j)*alpha`` and ``0j + (1+0j)*beta``, the products of
-    creating each photon on the vacuum and superposing; the rest are the
-    declared (or fixed) values made complex.
-    """
-    _, names = INPUT_FORMS[decl.kind]
-    if len(decl.amplitudes) != len(names):
-        raise ValueError(
-            f"a {decl.kind} input takes {len(names)} amplitude(s), got {decl.amplitudes!r}"
-        )
+    """The amplitude of each term of a declared state, in :func:`_declared_slots` order:
+    a qubit's are ``(1+0j)*alpha`` and ``0j + (1+0j)*beta``, the products of
+    creating each photon on the vacuum and superposing; a state's are the
+    declared values made complex, and a fixed kind's ``1/sqrt(terms)``."""
+    terms, names = INPUT_FORMS[decl.kind]
+    if not names:
+        return (complex(1.0 / math.sqrt(len(terms))),) * len(terms)
     if decl.kind == "qubit":
         alpha, beta = decl.amplitudes
         return (_ONE * alpha, 0j + _ONE * beta)
-    if decl.kind == "state":
-        return tuple(map(complex, decl.amplitudes))
-    return _BELL_AMPLITUDES if decl.kind == "bell" else _CHI_AMPLITUDES
+    return tuple(map(complex, decl.amplitudes))
 
 
 def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None) -> PhotonState:
@@ -196,17 +164,20 @@ def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None)
     (by default ``compile(spec)``), so the state is packed over the plan's
     index.  Each term's amplitude is the product that the tensor product of
     the declarations computes: starting from the vacuum's ``1+0j``, each
-    declaration in order multiplies in one of its amplitudes (see
-    :func:`_declared_amplitudes`, so a qubit's are ``(1+0j)*alpha`` and
-    ``0j + (1+0j)*beta``) as ``0j + product * amplitude``.  Terms come in
-    the order of that product: the first declaration's terms outermost, each
-    in :func:`_declared_slots` order.  A product with a zero (or nan) factor is
-    zero (or nan), so pruning at tolerance 0 drops the terms that the
-    tensor product dropped along the way.
+    declaration in order multiplies in one of its amplitudes
+    (:func:`_declared_amplitudes`) as ``0j + product * amplitude``.  Terms
+    come in the order of that product: the first declaration's terms
+    outermost, each in :func:`_declared_slots` order.  A product with a zero
+    factor is zero, so pruning at tolerance 0 drops the terms that the
+    tensor product dropped along the way.  A non-finite amplitude, which a
+    warm plan's :func:`validate` did not see, raises :class:`NonPhysicalInput`.
     """
     if plan is None:
         plan = compile(spec)
     values = [amp for decl in spec.inputs for amp in _declared_amplitudes(decl)]
+    if not all(map(cmath.isfinite, values)):
+        bad = next(a for decl in spec.inputs for a in decl.amplitudes if not cmath.isfinite(a))
+        raise NonPhysicalInput(f"input amplitude {bad!r} is not finite")
     terms = {}
     for cfg, recipe in plan.inputs:
         amp = _ONE
@@ -221,19 +192,13 @@ def declared_state(
 ) -> PhotonState:
     """One declaration's state on its own, pruned with ``tolerance``.
 
-    Its terms come in :func:`_declared_slots` order (qubit H, V; bell HH,
-    VV; chi as :data:`_CHI_TERMS`; state HH, HV, VH, VV) with the amplitudes
-    of :func:`_declared_amplitudes`: a qubit's are ``(1+0j)*alpha`` and
-    ``0j + (1+0j)*beta``, the rest the declared values made complex.  With
-    ``like`` it is packed as ``like`` is, so that :func:`fock.inner_product`
-    of the two needs no repacking.
+    Its terms come in :func:`_declared_slots` order with the amplitudes of
+    :func:`_declared_amplitudes`.  With ``like`` it is packed as ``like``
+    is, so that :func:`fock.inner_product` of the two needs no repacking.
     """
     slots = _declared_slots(decl.kind, decl.modes)
-    if like is None:
-        index, photons = fock.slot_index(slot for term in slots for slot in term), len(slots[0])
-    else:
-        index, photons = like.packing
-        index = index.including(slot for term in slots for slot in term)
+    index, photons = (fock.SlotIndex(), len(slots[0])) if like is None else like.packing
+    index = index.including(slot for term in slots for slot in term)
     terms = {
         index.pack(term, photons): amp for term, amp in zip(slots, _declared_amplitudes(decl))
     }
@@ -328,11 +293,13 @@ def validate(spec: CircuitSpec) -> None:
     """Raise the first rule ``spec`` breaks, checking entries in spec order.
 
     Every mode named is declared, and declared once; mode names and labels
-    are single tokens (:data:`NAME`).  No two inputs share a mode; no two
-    detectors share a mode or a label.  A rule's label is a detector's and
-    its pol one of that detector's basis pols.  Corrections are rotators or
-    phase plates, none on a detected mode, and no output is on a detected
-    mode either; outputs are non-empty and distinct.
+    are single tokens (:data:`NAME`).  Each input is of a kind in
+    :data:`INPUT_FORMS` and has that kind's number of modes and amplitudes;
+    amplitudes, angles and phases are finite.  No two inputs share a mode;
+    no two detectors share a mode or a label.  A rule's label is a
+    detector's and its pol one of that detector's basis pols.  Corrections
+    are rotators or phase plates, none on a detected mode, and no output is
+    on a detected mode either; outputs are non-empty and distinct.
     The error's ``entry`` is ``(field, index, name)``: the spec field (or
     ``"corrections"``, indexed by rule), the entry and the name at fault.
     """
@@ -354,16 +321,30 @@ def validate(spec: CircuitSpec) -> None:
             refuse(error, message, field, i, name)
         seen.add(name)
 
+    def check_finite(field: str, i: int, el: OpticalElement):
+        if not math.isfinite(getattr(el, "angle_deg", getattr(el, "phase_deg", 0))):
+            refuse(CircuitSyntaxError, "angle or phase on {!r} is not finite", field, i, el.mode)
+
     for i, mode in enumerate(spec.modes):
         check_name(mode, "modes", i)
         once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode)
     for i, decl in enumerate(spec.inputs):
+        entry = ("inputs", i, next(iter(decl.modes), None))
+        terms, names = INPUT_FORMS.get(decl.kind, ((), ()))
+        if not terms:
+            raise CircuitSyntaxError(f"unknown input kind {decl.kind!r}", entry=entry)
+        if (len(decl.modes), len(decl.amplitudes)) != (len(terms[0]), len(names)):
+            shape = f"{len(terms[0])} mode(s) and {len(names)} amplitude(s)"
+            raise CircuitSyntaxError(f"a {decl.kind} input takes {shape}", entry=entry)
+        if not all(map(cmath.isfinite, decl.amplitudes)):
+            raise CircuitSyntaxError(f"input amplitudes {decl.amplitudes} not finite", entry=entry)
         for mode in decl.modes:
             check_declared("inputs", i, mode)
             once(sourced, OverlappingModes, "mode {!r} has two inputs", "inputs", i, mode)
     for i, el in enumerate(spec.elements):
         for mode in _element_modes(el):
             check_declared("elements", i, mode)
+        check_finite("elements", i, el)
     for i, det in enumerate(spec.detectors):
         check_declared("detectors", i, det.mode)
         once(detected, DetectedModeReuse, "mode {!r} has two detectors", "detectors", i, det.mode)
@@ -383,6 +364,7 @@ def validate(spec: CircuitSpec) -> None:
                 if mode in detected:
                     message = "corrects detected mode {!r}"
                     refuse(DetectedModeReuse, message, "corrections", i, mode)
+            check_finite("corrections", i, el)
     if not spec.outputs:
         raise MissingOutput("circuit declares no output modes")
     for i, mode in enumerate(spec.outputs):
@@ -398,8 +380,8 @@ class CompiledCircuit:
     maps over one slot index.
 
     Built by :func:`compile`; it depends on the modes, elements, detectors,
-    rules and outputs of a spec and on the kind and modes of each input
-    declaration, never on the input amplitudes.
+    rules and outputs of a spec and on the kind, modes and amplitude count
+    of each input declaration, never on the amplitudes' values.
     """
 
     index: fock.SlotIndex
@@ -422,25 +404,32 @@ class CompiledCircuit:
 _PLAN_CACHE_SIZE = 16
 
 
+class _Structure(tuple):
+    """The plan cache's key for a spec: its fields, each input by its kind,
+    modes and amplitude count.  ``spec`` rides along outside the key, so
+    that a cache miss validates the spec itself."""
+
+
 def compile(spec: CircuitSpec) -> CompiledCircuit:
     """Validate a spec and compile it, once per distinct structure.
 
     The slot index covers every polarization label of each declared mode.
-    Calls that differ only in their input amplitudes share one compiled
-    circuit, so :func:`validate` runs only when a structure is first seen.
+    Calls that differ only in amplitude values share one compiled circuit,
+    so :func:`validate` runs only when a structure is first seen.
     """
-    shapes = tuple((decl.kind, decl.modes) for decl in spec.inputs)
-    return _compile(spec.modes, shapes, spec.elements, spec.detectors, spec.rules, spec.outputs)
+    shapes = tuple((decl.kind, decl.modes, len(decl.amplitudes)) for decl in spec.inputs)
+    key = (spec.modes, shapes, spec.elements, spec.detectors, spec.rules, spec.outputs)
+    structure = _Structure(key)
+    structure.spec = spec
+    return _compile(structure)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _compile(modes, shapes, elements, detectors, rules, outputs) -> CompiledCircuit:
-    inputs = tuple(InputDecl(kind, input_modes) for kind, input_modes in shapes)
-    validate(CircuitSpec(modes, inputs, elements, detectors, rules, outputs))
-    parts = [_declared_slots(kind, input_modes) for kind, input_modes in shapes]
-    index = fock.slot_index(
-        (mode, pol) for mode in modes for pol in (POL_F, POL_H, POL_S, POL_V)
-    )
+def _compile(structure: _Structure) -> CompiledCircuit:
+    spec = structure.spec
+    validate(spec)
+    parts = [_declared_slots(decl.kind, decl.modes) for decl in spec.inputs]
+    index = fock.SlotIndex((m, pol) for m in spec.modes for pol in (POL_F, POL_H, POL_S, POL_V))
 
     def steps(chain: tuple[OpticalElement, ...]) -> tuple[Step, ...]:
         return tuple(
@@ -462,13 +451,13 @@ def _compile(modes, shapes, elements, detectors, rules, outputs) -> CompiledCirc
         index=index,
         photons=photons,
         inputs=inputs,
-        elements=steps(elements),
+        elements=steps(spec.elements),
         rebases=tuple(
             fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index)
-            for det in detectors
+            for det in spec.detectors
             if det.basis == BASIS_FS
         ),
-        corrections=tuple(steps(rule.corrections) for rule in rules),
+        corrections=tuple(steps(rule.corrections) for rule in spec.rules),
     )
 
 

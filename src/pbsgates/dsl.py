@@ -136,8 +136,8 @@ class _Parser:
 
     def stmt_input(self, line: _Line):
         kind = line.next_choice("input kind", tuple(INPUT_FORMS)).text
-        arity, amplitude_names = INPUT_FORMS[kind]
-        modes = [self.next_mode(line) for _ in range(arity)]
+        terms, amplitude_names = INPUT_FORMS[kind]
+        modes = [self.next_mode(line) for _ in terms[0]]
         amplitudes = tuple(
             complex(line.next_float(f"re({a})"), line.next_float(f"im({a})"))
             for a in amplitude_names

@@ -90,22 +90,16 @@ class SlotIndex:
     a configuration field by field gives its canonical form directly.
     """
 
-    __slots__ = ("slots", "position", "_by_mode")
+    __slots__ = ("slots", "position")
 
     def __init__(self, slots=()):
         self.slots = tuple(sorted(set(slots)))
         self.position = {slot: i for i, slot in enumerate(self.slots)}
-        self._by_mode: dict[str, tuple[int, ...]] = {}
-        for i, (mode, _) in enumerate(self.slots):
-            self._by_mode[mode] = self._by_mode.get(mode, ()) + (i,)
 
     def including(self, slots) -> "SlotIndex":
         """This index if it has every slot in ``slots``, else a wider one."""
         missing = [slot for slot in slots if slot not in self.position]
-        return slot_index((*self.slots, *missing)) if missing else self
-
-    def mode_positions(self, mode: str) -> tuple[int, ...]:
-        return self._by_mode.get(mode, ())
+        return SlotIndex((*self.slots, *missing)) if missing else self
 
     def pack(self, slots, photons: int) -> int:
         """The configuration with one photon on each of ``slots`` (distinct, all
@@ -113,17 +107,6 @@ class SlotIndex:
         width = _width(photons)
         position = self.position
         return sum(1 << position[slot] * width for slot in slots)
-
-
-def slot_index(slots) -> SlotIndex:
-    """The index over ``slots``, shared with recent callers that asked for the
-    same set, so that states built apart still need no repacking to meet."""
-    return _shared_index(tuple(sorted(set(slots))))
-
-
-@functools.lru_cache(maxsize=32)
-def _shared_index(slots: tuple[Slot, ...]) -> SlotIndex:
-    return SlotIndex(slots)
 
 
 def _width(photons: int) -> int:
@@ -207,7 +190,7 @@ class PhotonState:
     __slots__ = ("_terms", "_index", "_photons", "_width", "tolerance")
 
     def __init__(self, terms, tolerance: float = DEFAULT_TOLERANCE):
-        index = slot_index(slot for basis in terms for slot, _ in basis.occ)
+        index = SlotIndex(slot for basis in terms for slot, _ in basis.occ)
         photons = max((basis.total_photons for basis in terms), default=0)
         width = _width(photons)
         position = index.position
@@ -282,14 +265,6 @@ class PhotonState:
             occupied |= cfg
         slots = self._index.slots
         return {slots[pos][0] for pos, _ in _fields(occupied, self._width)}
-
-    def has_mode(self, mode: str) -> bool:
-        """True when some configuration puts a photon on ``mode``."""
-        field = (1 << self._width) - 1
-        mask = 0
-        for pos in self._index.mode_positions(mode):
-            mask |= field << pos * self._width
-        return any(cfg & mask for cfg in self._terms) if mask else False
 
     def reindexed(self, index: SlotIndex) -> "PhotonState":
         """The same state packed over ``index``, widened by any slot it lacks."""

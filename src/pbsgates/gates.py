@@ -29,7 +29,7 @@ class QubitState:
 
     def __post_init__(self):
         n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n2 - 1.0) > 1e-9:
+        if not abs(n2 - 1.0) <= 1e-9:  # so that nan fails too
             raise NonNormalized(f"qubit squared norm is {n2!r}")
 
 
@@ -44,7 +44,7 @@ class TwoQubitState:
 
     def __post_init__(self):
         n2 = sum(abs(a) ** 2 for a in self)
-        if abs(n2 - 1.0) > 1e-9:
+        if not abs(n2 - 1.0) <= 1e-9:
             raise NonNormalized(f"two-qubit squared norm is {n2!r}")
 
     def __iter__(self):
@@ -84,7 +84,7 @@ def _shipped_spec(name: str) -> CircuitSpec:
 def _report(
     name: str,
     bound: dict[tuple[str, ...], tuple[complex, ...]],
-    target: tuple[InputDecl, float] | None,
+    target: InputDecl | None,
     passive: bool,
     tolerance: float,
 ) -> GateReport:
@@ -92,9 +92,8 @@ def _report(
 
     ``bound`` maps the modes of an input declaration to the amplitudes that
     replace the file's; the other declarations keep the file's values.  The
-    run prunes with ``tolerance``.  ``target`` declares the ideal output
-    state and the tolerance it is pruned with; it is packed like the
-    outputs.
+    run prunes with ``tolerance``, and so does ``target``, the declared
+    ideal output state, packed like the outputs.
     """
     shipped = _shipped_spec(name)
     inputs = tuple(
@@ -114,7 +113,7 @@ def _report(
     target_state = None
     if target is not None:
         outputs = [state for _, state in result.outcomes.values()]
-        target_state = declared_state(*target, like=outputs[0] if outputs else None)
+        target_state = declared_state(target, tolerance, like=outputs[0] if outputs else None)
         for pattern, (_, state) in result.outcomes.items():
             fidelities[pattern] = fidelity(state, target_state)
     return GateReport(
@@ -132,7 +131,7 @@ def parity_check(
 ) -> GateReport:
     """Transfer the qubit from mode 2' to mode 2 when parities agree."""
     bound = {("2'",): (q.alpha, q.beta)}
-    target = InputDecl("qubit", ("2",), (q.alpha, q.beta)), tolerance
+    target = InputDecl("qubit", ("2",), (q.alpha, q.beta))
     return _report("parity_check", bound, target, passive, tolerance)
 
 
@@ -154,9 +153,9 @@ def destructive_cnot(
     }
     ideal = None
     if abs(abs(control.alpha) - 1.0) <= 1e-12:
-        ideal = InputDecl("qubit", ("3",), (target.alpha, target.beta)), tolerance
+        ideal = InputDecl("qubit", ("3",), (target.alpha, target.beta))
     elif abs(abs(control.beta) - 1.0) <= 1e-12:
-        ideal = InputDecl("qubit", ("3",), (target.beta, target.alpha)), tolerance
+        ideal = InputDecl("qubit", ("3",), (target.beta, target.alpha))
     return _report("destructive_cnot", bound, ideal, passive, tolerance)
 
 
@@ -164,7 +163,7 @@ def encoder(
     q: QubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Copy the qubit's basis value onto modes 2 and b: aH+bV -> aHH+bVV."""
-    target = InputDecl("state", ("2", "b"), (q.alpha, 0, 0, q.beta)), tolerance
+    target = InputDecl("state", ("2", "b"), (q.alpha, 0, 0, q.beta))
     return _report("encoder", {("2'",): (q.alpha, q.beta)}, target, passive, tolerance)
 
 
@@ -173,7 +172,7 @@ def cnot(
 ) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
     bound = {("2'", "3'"): tuple(state)}
-    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state))), tolerance
+    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state)))
     return _report("cnot", bound, target, passive, tolerance)
 
 
@@ -182,7 +181,7 @@ def gc_cnot(
 ) -> GateReport:
     """Teleportation-style gate consuming the four-photon chi resource."""
     bound = {("A", "B"): tuple(state)}
-    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state))), tolerance
+    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state)))
     return _report("gc_cnot", bound, target, passive, tolerance)
 
 
@@ -190,8 +189,7 @@ def chi_via_cnot(
     passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Produce chi constructively: composed CNOT across two Bell pairs."""
-    # The chi target keeps the default tolerance whatever the run's.
-    target = InputDecl("chi", ("1", "2", "3", "4")), fock.DEFAULT_TOLERANCE
+    target = InputDecl("chi", ("1", "2", "3", "4"))
     return _report("chi_via_cnot", {}, target, passive, tolerance)
 
 

@@ -128,8 +128,9 @@ def collision_modes(el: OpticalElement) -> tuple[str, ...]:
 
 
 def check_collisions(state: PhotonState, modes: tuple[str, ...]):
+    live = state.modes() if modes else set()
     for mode in modes:
-        if state.has_mode(mode):
+        if mode in live:
             raise ModeCollision(
                 f"PBS output {mode!r} collides with a live mode that is not an input"
             )

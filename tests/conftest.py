@@ -53,13 +53,15 @@ def bell_phi_plus(m1: str, m2: str) -> PhotonState:
     )
 
 
-def chi_state(m1: str, m2: str, m3: str, m4: str) -> PhotonState:
+def chi_state(
+    m1: str, m2: str, m3: str, m4: str, tolerance: float = DEFAULT_TOLERANCE
+) -> PhotonState:
     """Four-photon resource: (H1H4H2H3 + H1V4H2V3 + V1H4V2V3 + V1V4V2H3)/2."""
     terms = {}
     for p1, p4, p2, p3 in ("HHHH", "HVHV", "VHVV", "VVVH"):
         occupations = {(m1, p1): 1, (m4, p4): 1, (m2, p2): 1, (m3, p3): 1}
         terms[BasisState.from_dict(occupations)] = 0.5
-    return PhotonState(terms)
+    return PhotonState(terms, tolerance)
 
 
 def two_qubit_input(

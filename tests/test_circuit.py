@@ -18,7 +18,7 @@ from pbsgates.circuit import (
     is_passive,
     pattern_name,
 )
-from pbsgates.errors import NonPhysicalInput
+from pbsgates.errors import CircuitSyntaxError, NonPhysicalInput
 from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
 from pbsgates.gates import QubitState, parity_check
 from pbsgates.optics import BASIS_FS, BASIS_HV, PolPhaseElement
@@ -82,7 +82,7 @@ def test_build_input_state_unknown_kind():
         detectors=(),
         outputs=("m",),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(CircuitSyntaxError, match="unknown input kind 'pair'"):
         build_input_state(spec)
 
 

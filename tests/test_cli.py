@@ -8,6 +8,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from pbsgates import cli, gates
 from pbsgates.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, TOLERANCE_ENV
 from pbsgates.gates import GATE_NAMES, TwoQubitState
@@ -200,6 +202,33 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in proc.stderr
     proc = run_cli("check", str(bad))
     assert proc.returncode == EXIT_PARSE
+
+
+#: parity_check.circ with one non-finite angle, phase or amplitude: the
+#: text replaced, its replacement, and where the error must point (the mode
+#: that the edited statement names).
+NON_FINITE = {
+    "rotator angle inf": ("pbs hv", "rotate 2' inf\npbs hv", 11, 8),
+    "rotator angle nan": ("pbs hv", "rotate 2' nan\npbs hv", 11, 8),
+    "phase-plate phase inf": ("pbs hv", "polphase 2' H inf\npbs hv", 11, 10),
+    "correction phase nan": ("polphase 2 H 180", "polphase 2 H nan", 14, 20),
+    "input amplitude nan": ("2' 0.6 0 0.8 0", "2' nan 0 0 0", 8, 13),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(NON_FINITE))
+def test_non_finite_values_are_parse_errors_at_their_statement(variant, tmp_path):
+    old, new, line, column = NON_FINITE[variant]
+    with open(circuit_path("parity_check"), encoding="utf-8") as handle:
+        text = handle.read()
+    assert text.count(old) == 1
+    path = tmp_path / "non_finite.circ"
+    path.write_text(text.replace(old, new))
+    for args in (("run", "--circuit", str(path)), ("check", str(path))):
+        proc = run_main(*args)
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert f"line {line}, column {column}: " in proc.stderr
+        assert "finite" in proc.stderr and proc.stdout == ""
 
 
 def test_unreadable_circuit_is_config_error(tmp_path):

@@ -260,7 +260,7 @@ def reference_target(name: str, args: tuple, tolerance: float) -> PhotonState | 
     if name in ("cnot", "gc_cnot"):
         (s,) = args
         return two_qubit_input("2", "3", gates.ideal_cnot(s), tolerance)
-    return chi_state("1", "2", "3", "4")
+    return chi_state("1", "2", "3", "4", tolerance)
 
 
 def bits(state: PhotonState) -> tuple:

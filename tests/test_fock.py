@@ -269,7 +269,7 @@ def random_fock_state(rng, photons: int, tolerance: float) -> PhotonState:
 @pytest.mark.parametrize("tolerance", [0.0, fock.DEFAULT_TOLERANCE])
 @pytest.mark.parametrize("name", sorted(TEST_MAPS))
 def test_transform_slots_keeps_the_bits_of_the_per_term_expansion(name, tolerance, rng):
-    index = fock.slot_index(ALL_SLOTS)
+    index = fock.SlotIndex(ALL_SLOTS)
     # One map for every state: programs that one state's call kept serve
     # states with other amplitudes; widths change between runs of calls.
     shared = fock.IndexedMap(TEST_MAPS[name], index)

@@ -39,6 +39,14 @@ def test_state_validation():
         fidelity(qubit_state("m", 0.6, 0.8).scaled(2.0), qubit_state("m", 1.0, 0.0))
 
 
+def test_states_with_a_nan_amplitude_are_not_normalized():
+    for amplitudes in ((math.nan, 0.0), (1.0, complex(0.0, math.nan))):
+        with pytest.raises(NonNormalized, match="nan"):
+            QubitState(*amplitudes)
+    with pytest.raises(NonNormalized, match="nan"):
+        TwoQubitState(math.nan, 0.0, 0.0, 0.0)
+
+
 def test_fidelity_basic_values():
     h = qubit_state("m", 1.0, 0.0)
     v = qubit_state("m", 0.0, 1.0)

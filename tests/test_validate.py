@@ -1,5 +1,6 @@
 """One validator for every spec: the library and the DSL reject alike."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -11,12 +12,13 @@ from pbsgates.errors import (
     CircuitSyntaxError,
     DetectedModeReuse,
     MissingOutput,
+    NonPhysicalInput,
     OverlappingModes,
     UndeclaredMode,
 )
 from pbsgates.fock import POL_H, POL_V
 from pbsgates.gates import GATE_NAMES
-from pbsgates.optics import BASIS_HV, PbsElement, PolPhaseElement
+from pbsgates.optics import BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
 
 from conftest import circuit_path
 
@@ -34,8 +36,17 @@ QUBIT, ANCILLA = PARITY.inputs
 (RULE,) = PARITY.rules
 
 
-def corrected_on(mode: str) -> tuple:
-    return (replace(RULE, corrections=(PolPhaseElement(mode, POL_H, 180.0),)),)
+def corrected_on(mode: str, phase: float = 180.0) -> tuple:
+    return (replace(RULE, corrections=(PolPhaseElement(mode, POL_H, phase),)),)
+
+
+def first_input(*amplitudes) -> dict:
+    """The change that gives parity_check's qubit on mode 2' ``amplitudes``."""
+    return dict(inputs=(replace(QUBIT, amplitudes=amplitudes), ANCILLA))
+
+
+def before_the_pbs(element) -> dict:
+    return dict(elements=(element, *PARITY.elements))
 
 
 def renamed(mode: str) -> dict:
@@ -118,6 +129,24 @@ RULES = {
         CircuitSyntaxError,
         "2",
     ),
+    "infinite rotator angle": (
+        before_the_pbs(RotatorElement("2'", math.inf)),
+        CircuitSyntaxError,
+        "2'",
+    ),
+    "nan rotator angle": (before_the_pbs(RotatorElement("2'", math.nan)), CircuitSyntaxError, "2'"),
+    "infinite phase-plate phase": (
+        before_the_pbs(PolPhaseElement("2'", POL_H, math.inf)),
+        CircuitSyntaxError,
+        "2'",
+    ),
+    "nan correction phase": (dict(rules=corrected_on("2", math.nan)), CircuitSyntaxError, "2"),
+    "nan input amplitude": (first_input(math.nan, 0.0), CircuitSyntaxError, "2'"),
+    "infinite imaginary part of an amplitude": (
+        first_input(0.6, complex(0.0, math.inf)),
+        CircuitSyntaxError,
+        "2'",
+    ),
 }
 
 #: Rows whose spec the DSL cannot write: the printer refuses it as the
@@ -133,6 +162,8 @@ UNWRITABLE = {
 def test_library_and_dsl_raise_the_same_class(rule):
     changes, error, name = RULES[rule]
     spec = replace(PARITY, **changes)
+    # A warm plan skips validate, and the input amplitude rows share one.
+    circuit._compile.cache_clear()
     with pytest.raises(error) as library:
         circuit.compile(spec)
     if rule in UNWRITABLE:
@@ -154,6 +185,7 @@ def test_library_and_dsl_raise_the_same_class(rule):
 def test_oracle_raises_the_same_class(rule):
     changes, error, _ = RULES[rule]
     spec = replace(PARITY, **changes)
+    circuit._compile.cache_clear()
     with pytest.raises(error) as library:
         circuit.compile(spec)
     with pytest.raises(error) as dense:
@@ -189,10 +221,48 @@ def test_detector_rejects_an_unknown_basis():
         DetectorSpec("c", "xy", "c")
 
 
+#: Input declarations of a shape that no kind of :data:`circuit.INPUT_FORMS`
+#: has, each in place of parity_check's qubit on mode 2' (with a mode "z"
+#: declared).  The DSL prints them, but its grammar refuses the text at
+#: another token, so only the library and the oracle are compared.
+INPUT_SHAPES = {
+    "unknown kind": InputDecl("pair", ("2'",)),
+    "qubit on two modes": InputDecl("qubit", ("2'", "z"), QUBIT.amplitudes),
+    "bell on one mode": InputDecl("bell", ("2'",)),
+    "chi on two modes": InputDecl("chi", ("2'", "z")),
+    "qubit with three amplitudes": InputDecl("qubit", ("2'",), (0.6, 0.8, 0.0)),
+    "state with two amplitudes": InputDecl("state", ("2'", "z"), (0.6, 0.8)),
+    "bell with an amplitude": InputDecl("bell", ("2'", "z"), (1,)),
+}
+
+
+def misshapen(rule: str) -> CircuitSpec:
+    return replace(PARITY, modes=(*PARITY.modes, "z"), inputs=(INPUT_SHAPES[rule], ANCILLA))
+
+
+@pytest.mark.parametrize("rule", sorted(INPUT_SHAPES))
+def test_library_and_oracle_refuse_an_input_shape_alike(rule):
+    spec = misshapen(rule)
+    with pytest.raises(CircuitSyntaxError) as library:
+        circuit.compile(spec)
+    with pytest.raises(CircuitSyntaxError) as dense:
+        oracle.run_dense(spec)
+    assert library.value.entry == dense.value.entry == ("inputs", 0, "2'")
+
+
 def test_input_amplitude_count_is_checked_against_its_kind():
-    spec = replace(PARITY, inputs=(QUBIT, replace(ANCILLA, amplitudes=(0.6, 0.8, 0.0))))
-    with pytest.raises(ValueError, match="qubit"):
-        build_input_state(spec)
+    for rule, kind in (("qubit with three amplitudes", "qubit"), ("bell with an amplitude", "bell")):
+        with pytest.raises(CircuitSyntaxError, match=f"a {kind} input takes"):
+            build_input_state(misshapen(rule))
+
+
+def test_a_warm_plan_refuses_a_non_finite_amplitude():
+    # The plan of parity_check serves any amplitude values, so validate does
+    # not run; the nan must not be pruned as if it were zero.
+    circuit.compile(PARITY)
+    spec = replace(PARITY, **first_input(math.nan, 1.0))
+    with pytest.raises(NonPhysicalInput, match="nan.* is not finite"):
+        circuit.execute(spec)
 
 
 def mutate(spec: CircuitSpec, rng) -> CircuitSpec:
