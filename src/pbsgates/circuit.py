@@ -289,17 +289,30 @@ def check_correction(el: OpticalElement, i: int) -> None:
         )
 
 
+def check_input(decl: InputDecl, i: int) -> None:
+    """Raise :class:`CircuitSyntaxError` unless ``decl``, input ``i``, is of
+    a kind in :data:`INPUT_FORMS` and has that kind's numbers of modes and
+    amplitudes."""
+    entry = ("inputs", i, next(iter(decl.modes), None))
+    terms, names = INPUT_FORMS.get(decl.kind, ((), ()))
+    if not terms:
+        raise CircuitSyntaxError(f"unknown input kind {decl.kind!r}", entry=entry)
+    if (len(decl.modes), len(decl.amplitudes)) != (len(terms[0]), len(names)):
+        shape = f"{len(terms[0])} mode(s) and {len(names)} amplitude(s)"
+        raise CircuitSyntaxError(f"a {decl.kind} input takes {shape}", entry=entry)
+
+
 def validate(spec: CircuitSpec) -> None:
     """Raise the first rule ``spec`` breaks, checking entries in spec order.
 
     Every mode named is declared, and declared once; mode names and labels
-    are single tokens (:data:`NAME`).  Each input is of a kind in
-    :data:`INPUT_FORMS` and has that kind's number of modes and amplitudes;
-    amplitudes, angles and phases are finite.  No two inputs share a mode;
-    no two detectors share a mode or a label.  A rule's label is a
-    detector's and its pol one of that detector's basis pols.  Corrections
-    are rotators or phase plates, none on a detected mode, and no output is
-    on a detected mode either; outputs are non-empty and distinct.
+    are single tokens (:data:`NAME`).  Each input has a shape that
+    :func:`check_input` accepts; amplitudes, angles and phases are finite.
+    No two inputs share a mode; no two detectors share a mode or a label.
+    A rule's label is a detector's and its pol one of that detector's basis
+    pols.  Corrections are rotators or phase plates, none on a detected
+    mode, and no output is on a detected mode either; outputs are non-empty
+    and distinct.
     The error's ``entry`` is ``(field, index, name)``: the spec field (or
     ``"corrections"``, indexed by rule), the entry and the name at fault.
     """
@@ -329,15 +342,10 @@ def validate(spec: CircuitSpec) -> None:
         check_name(mode, "modes", i)
         once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode)
     for i, decl in enumerate(spec.inputs):
-        entry = ("inputs", i, next(iter(decl.modes), None))
-        terms, names = INPUT_FORMS.get(decl.kind, ((), ()))
-        if not terms:
-            raise CircuitSyntaxError(f"unknown input kind {decl.kind!r}", entry=entry)
-        if (len(decl.modes), len(decl.amplitudes)) != (len(terms[0]), len(names)):
-            shape = f"{len(terms[0])} mode(s) and {len(names)} amplitude(s)"
-            raise CircuitSyntaxError(f"a {decl.kind} input takes {shape}", entry=entry)
+        check_input(decl, i)
         if not all(map(cmath.isfinite, decl.amplitudes)):
-            raise CircuitSyntaxError(f"input amplitudes {decl.amplitudes} not finite", entry=entry)
+            message = f"input amplitudes {decl.amplitudes} not finite"
+            raise CircuitSyntaxError(message, entry=("inputs", i, decl.modes[0]))
         for mode in decl.modes:
             check_declared("inputs", i, mode)
             once(sourced, OverlappingModes, "mode {!r} has two inputs", "inputs", i, mode)

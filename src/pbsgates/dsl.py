@@ -33,6 +33,7 @@ from .circuit import (
     FeedForwardRule,
     InputDecl,
     check_correction,
+    check_input,
     check_name,
     validate,
 )
@@ -259,11 +260,15 @@ def format_circuit(spec: CircuitSpec) -> str:
 
     A spec that cannot be written raises the :class:`CircuitSyntaxError`
     that :func:`validate` raises for it: a declared mode or a detector label
-    that is not one token, or a correction other than a rotator or phase
-    plate.
+    that is not one token, an input declaration whose kind, mode count or
+    amplitude count is wrong, or a correction other than a rotator or phase
+    plate.  Non-finite values are written, so that the parser reports them
+    at their line and column.
     """
     for i, mode in enumerate(spec.modes):
         check_name(mode, "modes", i)
+    for i, decl in enumerate(spec.inputs):
+        check_input(decl, i)
     for i, det in enumerate(spec.detectors):
         check_name(det.label, "detectors", i)
     for i, rule in enumerate(spec.rules):

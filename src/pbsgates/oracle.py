@@ -68,6 +68,14 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@functools.cache
+def _targets(total: int, parts: int) -> np.ndarray:
+    """The rows of :func:`compositions` in its order, as a read-only array."""
+    rows = np.array(list(compositions(total, parts)), dtype=np.int64).reshape(-1, parts)
+    rows.flags.writeable = False
+    return rows
+
+
 class DenseBasis:
     """Enumerated occupation basis over a declared slot set.
 
@@ -157,6 +165,17 @@ def _embedded(position: dict[Slot, int], ins, outs, u: np.ndarray) -> np.ndarray
     return matrix
 
 
+def _compose(position: dict[Slot, int], maps) -> np.ndarray:
+    """The single-particle matrix over every slot of ``position`` of the maps
+    (ins, outs, u), applied in order.  Each map writes exactly the slots it
+    reads (``ins == outs``), so it updates only their rows."""
+    matrix = np.eye(len(position), dtype=complex)
+    for ins, _, u in maps:
+        rows = [position[s] for s in ins]
+        matrix[rows] = u @ matrix[rows]
+    return matrix
+
+
 @functools.cache
 def _glynn(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Glynn's sign vectors for n x n permanents as the columns of an
@@ -212,7 +231,7 @@ def _expand_operator(
     entries = []
     for n in np.unique(totals).tolist():
         columns = np.flatnonzero(totals == n)
-        targets = np.array(list(compositions(n, len(basis.slots))))
+        targets = _targets(n, len(basis.slots))
         amps = _amplitudes(matrix, targets, basis.occupations[columns])
         hit, which = np.nonzero(amps)
         found = np.array([basis.index.get(t, -1) for t in map(tuple, targets.tolist())])[hit]
@@ -368,22 +387,21 @@ class DenseCircuit:
             count = sum(per_mode[m] for m in members)
             self.blocks.append(slice(len(slot_list), len(slot_list) + len(gslots)))
             slot_list.extend(gslots)
-            sectors.append(list(compositions(count, len(gslots))))
+            sectors.append(_targets(count, len(gslots)))
         states = [
             tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*sectors)
+            for combo in itertools.product(*(sector.tolist() for sector in sectors))
         ]
         total = sum(per_mode.values())
         self.basis = DenseBasis(slot_list, n_max=total, states=states)
 
         position = self.basis._slot_position
-        unitary = np.eye(len(slot_list), dtype=complex)
-        for el in physical_elements:
-            unitary = _embedded(position, *_single_particle_matrix(el)) @ unitary
+        maps = [_single_particle_matrix(el) for el in physical_elements]
         for det in spec.detectors:
             if det.basis == BASIS_FS:
                 slots = [(alias[det.mode], POL_H), (alias[det.mode], POL_V)]
-                unitary = _embedded(position, slots, slots, _REBASE) @ unitary
+                maps.append((slots, slots, _REBASE))
+        unitary = _compose(position, maps)
         outside = unitary.copy()
         for block in self.blocks:
             outside[block, block] = 0.0
@@ -402,7 +420,7 @@ class DenseCircuit:
         images = np.ones((1, len(columns)), dtype=complex)
         for block, sector in zip(self.blocks, sectors):
             local, inverse = np.unique(columns[:, block], axis=0, return_inverse=True)
-            amps = _amplitudes(unitary[block, block], np.array(sector), local)
+            amps = _amplitudes(unitary[block, block], sector, local)
             images = (images[:, None, :] * amps[:, inverse.ravel()][None]).reshape(
                 -1, len(columns)
             )
@@ -412,19 +430,37 @@ class DenseCircuit:
             (images[rows, which], (rows, cols[which])),
             shape=(self.basis.dim, self.basis.dim),
         )
-        self.det_slots = [
-            (
-                self.basis.slot_index((alias[det.mode], POL_H)),
-                self.basis.slot_index((alias[det.mode], POL_V)),
-            )
+        # The (transmitted, reflected) slot of each detector, in detector order.
+        self._det_columns = [
+            self.basis.slot_index((alias[det.mode], pol))
             for det in spec.detectors
+            for pol in (POL_H, POL_V)
         ]
-        consumed = {i for pair in self.det_slots for i in pair}
-        self.kept = [i for i in range(len(slot_list)) if i not in consumed]
-        # Reduced slots are reported under logical output mode names.
+        consumed = set(self._det_columns)
+        # Reduced slots are reported under logical output mode names, in
+        # sorted order, which is the order of a BasisState's entries.
         back = {phys: logical for logical, phys in alias.items()}
-        self.reduced_slots = [
-            (back[slot_list[i][0]], slot_list[i][1]) for i in self.kept
+        reduced = sorted(
+            ((back[slot_list[i][0]], slot_list[i][1]), i)
+            for i in range(len(slot_list))
+            if i not in consumed
+        )
+        self.reduced_slots = [slot for slot, _ in reduced]
+        self.kept = [i for _, i in reduced]
+
+        # Per rule with corrections: its detector, the side of that detector's
+        # counts that fires it (0 transmitted, 1 reflected) and its
+        # corrections as one matrix, applied once per photon counted there.
+        reduced_position = {slot: i for i, slot in enumerate(self.reduced_slots)}
+        detector_of = {det.label: d for d, det in enumerate(spec.detectors)}
+        self._triggers = [
+            (
+                detector_of[rule.label],
+                int(rule.pol != spec.detectors[detector_of[rule.label]].transmitted_pol),
+                _compose(reduced_position, map(_single_particle_matrix, rule.corrections)),
+            )
+            for rule in spec.rules
+            if rule.corrections
         ]
 
     @staticmethod
@@ -451,18 +487,34 @@ class DenseCircuit:
         return vec
 
     def run(self, spec: CircuitSpec, passive: bool = False) -> DenseRunResult:
+        """Outcome table of ``spec``'s input through the compiled circuit.
+
+        A spec other than the compiled one must pass :func:`circuit.validate`
+        and have the compiled spec's modes, elements, detectors, rules and
+        outputs, and its inputs on the same modes; else ``ValueError`` names
+        the field.  Its inputs may differ in amplitudes, and in kind as far
+        as :meth:`input_vector` allows.
+        """
+        if spec is not self.spec:
+            validate(spec)
+            for field in ("modes", "elements", "detectors", "rules", "outputs"):
+                if getattr(spec, field) != getattr(self.spec, field):
+                    raise ValueError(f"spec {field} differ from the compiled spec's")
+            if [d.modes for d in spec.inputs] != [d.modes for d in self.spec.inputs]:
+                raise ValueError("spec inputs are on other modes than the compiled spec's")
         vec = self.operator @ self.input_vector(spec)
+        nonzero = np.flatnonzero(vec)
+        occupations = self.basis.occupations[nonzero]
+        # Detector and kept slots partition every state, so each (pattern,
+        # reduced) pair occurs once.
         branches: dict[OutcomePattern, dict[tuple, complex]] = {}
-        for i, amp in enumerate(vec):
-            if not amp:
-                continue
-            state = self.basis.states[i]
-            pattern = tuple(
-                (state[ti], state[ri]) for ti, ri in self.det_slots
-            )
-            reduced = tuple(state[k] for k in self.kept)
-            bucket = branches.setdefault(pattern, {})
-            bucket[reduced] = bucket.get(reduced, 0j) + amp
+        for counts, reduced, amp in zip(
+            occupations[:, self._det_columns].tolist(),
+            occupations[:, self.kept].tolist(),
+            vec[nonzero].tolist(),
+        ):
+            pattern = tuple(zip(counts[::2], counts[1::2]))
+            branches.setdefault(pattern, {})[tuple(reduced)] = amp
 
         outcomes = {}
         rejected = {}
@@ -475,8 +527,8 @@ class DenseCircuit:
                 corrected = self._apply_corrections(bucket, pattern)
                 scale = 1.0 / math.sqrt(prob)
                 terms = {
-                    BasisState.from_dict(
-                        {s: n for s, n in zip(self.reduced_slots, red) if n}
+                    BasisState(
+                        tuple((s, n) for s, n in zip(self.reduced_slots, red) if n)
                     ): amp * scale
                     for red, amp in corrected.items()
                     if amp
@@ -493,29 +545,21 @@ class DenseCircuit:
         )
 
     def _apply_corrections(self, bucket, pattern):
-        spec = self.spec
-        fired: dict[str, list[str]] = {}
-        for (ct, cr), det in zip(pattern, spec.detectors):
-            pols = fired.setdefault(det.label, [])
-            pols.extend([det.transmitted_pol] * ct)
-            pols.extend([det.reflected_pol] * cr)
-        position = {slot: i for i, slot in enumerate(self.reduced_slots)}
+        """``bucket`` after the corrections that ``pattern`` fires, rule by
+        rule in declared order; unchanged if it fires none."""
         matrix = None
-        for rule in spec.rules:
-            times = fired.get(rule.label, []).count(rule.pol)
-            for _ in range(times):
-                for corr in rule.corrections:
-                    step = _embedded(position, *_single_particle_matrix(corr))
-                    matrix = step if matrix is None else step @ matrix
+        for det, side, rule_matrix in self._triggers:
+            for _ in range(pattern[det][side]):
+                matrix = rule_matrix if matrix is None else rule_matrix @ matrix
         if matrix is None:
             return bucket
         # Every state of one pattern's bucket holds the same number of photons.
         n = sum(next(iter(bucket)))
-        targets = np.array(list(compositions(n, len(position))))
+        targets = _targets(n, len(self.reduced_slots))
         amps = _amplitudes(matrix, targets, np.array(list(bucket))) @ np.array(
             list(bucket.values())
         )
-        return {tuple(t): amp for t, amp in zip(targets.tolist(), amps) if amp}
+        return {tuple(t): amp for t, amp in zip(targets.tolist(), amps.tolist()) if amp}
 
 
 def run_dense(spec: CircuitSpec, passive: bool = False) -> DenseRunResult:

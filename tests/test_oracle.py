@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pbsgates import dsl, optics
+from pbsgates import dsl, gates, optics, oracle
 from pbsgates.circuit import DetectorSpec, execute
-from pbsgates.errors import TruncationTooSmall
+from pbsgates.errors import CircuitSyntaxError, DetectedModeReuse, TruncationTooSmall
 from pbsgates.fock import POL_H, POL_V, BasisState
 from pbsgates.gates import GATE_NAMES
 from pbsgates.optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
@@ -20,13 +20,14 @@ from pbsgates.oracle import (
     DenseCircuit,
     _expand_operator,
     _single_particle_matrix,
+    _targets,
     compositions,
     element_matrix,
     rebase_operator,
     run_dense,
 )
 
-from conftest import circuit_path, random_state
+from conftest import circuit_path, random_qubit, random_state, random_two_qubit
 
 XY_SLOTS = [(m, p) for m in ("x", "y") for p in (POL_H, POL_V)]
 
@@ -38,6 +39,16 @@ def test_compositions_count():
         assert len(found) == math.comb(total + parts - 1, parts - 1)
         assert len(set(found)) == len(found)
         assert all(sum(c) == total for c in found)
+
+
+def test_targets_are_the_compositions_read_only():
+    for total in range(7):
+        for parts in range(1, 9):
+            rows = _targets(total, parts)
+            assert rows.tolist() == [list(c) for c in compositions(total, parts)]
+            assert rows.shape == (math.comb(total + parts - 1, parts - 1), parts)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
 
 
 def test_dense_basis_enumeration():
@@ -467,3 +478,87 @@ def test_run_refuses_an_input_outside_the_compiled_support():
     # An HV term is a configuration that a Bell pair cannot hold.
     with pytest.raises(ValueError, match="outside the compiled support"):
         dense.run(with_pair((math.sqrt(0.5), math.sqrt(0.5), 0, 0)))
+
+
+def test_run_checks_a_spec_other_than_the_compiled_one(monkeypatch):
+    spec = shipped_spec("parity_check")
+    dense = DenseCircuit(spec)
+    qubit, ancilla = spec.inputs
+    nan_qubit = replace(spec, inputs=(replace(qubit, amplitudes=(math.nan, 1.0)), ancilla))
+    with pytest.raises(CircuitSyntaxError) as info:
+        dense.run(nan_qubit)
+    assert info.value.entry == ("inputs", 0, "2'")
+    with pytest.raises(DetectedModeReuse):
+        dense.run(replace(spec, outputs=("2", "c")))
+    (rule,) = spec.rules
+    (flip,) = rule.corrections
+    for field, value in (
+        ("outputs", ("2", "a")),
+        ("rules", (replace(rule, corrections=(replace(flip, phase_deg=90.0),)),)),
+        ("modes", tuple(reversed(spec.modes))),
+        ("inputs", (replace(qubit, modes=("a",)), replace(ancilla, modes=("2'",)))),
+    ):
+        with pytest.raises(ValueError, match=field):
+            dense.run(replace(spec, **{field: value}))
+    # Equal specs with other amplitudes run; the compiled spec itself is
+    # not checked again.
+    other = replace(spec, inputs=(replace(qubit, amplitudes=(0.6, 0.8j)), ancilla))
+    assert_engines_agree(execute(other), dense.run(other))
+    monkeypatch.setattr(oracle, "validate", None)
+    assert_engines_agree(execute(spec), dense.run(spec))
+
+
+GATE_CALLS = {
+    "parity_check": lambda rng, passive: gates.parity_check(random_qubit(rng), passive),
+    "destructive_cnot": lambda rng, passive: gates.destructive_cnot(
+        random_qubit(rng), random_qubit(rng), passive
+    ),
+    "encoder": lambda rng, passive: gates.encoder(random_qubit(rng), passive),
+    "cnot": lambda rng, passive: gates.cnot(random_two_qubit(rng), passive),
+    "gc_cnot": lambda rng, passive: gates.gc_cnot(random_two_qubit(rng), passive),
+    "chi_via_cnot": lambda rng, passive: gates.chi_via_cnot(passive),
+}
+
+
+def assert_dense_runs_agree(a, b, amp_tol=1e-10, prob_tol=1e-12):
+    assert set(a.outcomes) == set(b.outcomes)
+    assert set(a.rejected) == set(b.rejected)
+    assert abs(a.success_probability - b.success_probability) < prob_tol
+    for pattern, (probability, terms) in a.outcomes.items():
+        b_prob, b_terms = b.outcomes[pattern]
+        assert abs(probability - b_prob) < prob_tol
+        for key in set(terms) | set(b_terms):
+            assert abs(terms.get(key, 0j) - b_terms.get(key, 0j)) < amp_tol
+    for pattern, probability in a.rejected.items():
+        assert abs(probability - b.rejected[pattern]) < prob_tol
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_one_dense_circuit_serves_feedforward_and_passive_runs(name, rng):
+    dense = None
+    for passive in (False, True, False):
+        report = GATE_CALLS[name](rng, passive)
+        if dense is None:
+            dense = DenseCircuit(report.spec)
+        reused = dense.run(report.spec, passive=passive)
+        assert_engines_agree(report.result, reused)
+        fresh = DenseCircuit(report.spec).run(report.spec, passive=passive)
+        assert_dense_runs_agree(fresh, reused)
+
+
+def test_a_pattern_that_fires_no_rule_keeps_its_bucket():
+    # parity_check corrects mode 2 on "c S"; an F count on c fires nothing.
+    dense = DenseCircuit(shipped_spec("parity_check"))
+    h, v = (dense.reduced_slots.index(("2", pol)) for pol in (POL_H, POL_V))
+    bucket = {}
+    for slot, amp in ((h, 0.6), (v, 0.8j)):
+        reduced = [0] * len(dense.reduced_slots)
+        reduced[slot] = 1
+        bucket[tuple(reduced)] = amp
+    assert dense._apply_corrections(bucket, ((1, 0),)) is bucket
+    # An S count fires the H phase flip.
+    flipped = dense._apply_corrections(bucket, ((0, 1),))
+    assert set(flipped) == set(bucket)
+    for reduced, amp in bucket.items():
+        sign = -1.0 if reduced[h] else 1.0
+        assert abs(flipped[reduced] - sign * amp) < 1e-12

@@ -223,8 +223,9 @@ def test_detector_rejects_an_unknown_basis():
 
 #: Input declarations of a shape that no kind of :data:`circuit.INPUT_FORMS`
 #: has, each in place of parity_check's qubit on mode 2' (with a mode "z"
-#: declared).  The DSL prints them, but its grammar refuses the text at
-#: another token, so only the library and the oracle are compared.
+#: declared).  The library, the oracle and the DSL's printer refuse each
+#: with one class and entry; the printer writes no text that its parser
+#: would refuse at another token.
 INPUT_SHAPES = {
     "unknown kind": InputDecl("pair", ("2'",)),
     "qubit on two modes": InputDecl("qubit", ("2'", "z"), QUBIT.amplitudes),
@@ -247,7 +248,10 @@ def test_library_and_oracle_refuse_an_input_shape_alike(rule):
         circuit.compile(spec)
     with pytest.raises(CircuitSyntaxError) as dense:
         oracle.run_dense(spec)
-    assert library.value.entry == dense.value.entry == ("inputs", 0, "2'")
+    with pytest.raises(CircuitSyntaxError) as printer:
+        dsl.format_circuit(spec)
+    entries = (library.value.entry, dense.value.entry, printer.value.entry)
+    assert entries == (("inputs", 0, "2'"),) * 3
 
 
 def test_input_amplitude_count_is_checked_against_its_kind():
