@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive, validate
-from .errors import TruncationTooSmall
+from .errors import MissingOutput, ModeCollision, TruncationTooSmall
 from .fock import POL_H, POL_V, BasisState, Slot
 from .optics import (
     BASIS_FS,
@@ -82,25 +82,27 @@ class DenseBasis:
     The default enumeration holds every configuration with total photon
     number up to ``n_max`` (dimension = number of multisets of size <= n_max
     over the slots), in a fixed deterministic order.  Explicit ``states``
-    may hold at most ``n_max`` photons each.
+    (rows of occupations) may hold at most ``n_max`` photons each.
+    ``states`` as tuples and their ``index`` are built on first use.
     """
 
     def __init__(self, slots: list[Slot], n_max: int = 4, states=None):
         self.slots = list(slots)
-        self.n_max = n_max
         if states is None:
-            states = []
-            for total in range(n_max + 1):
-                states.extend(compositions(total, len(self.slots)))
-        self.states: list[tuple[int, ...]] = list(states)
-        self.index = {state: i for i, state in enumerate(self.states)}
-        self.dim = len(self.states)
+            states = np.concatenate([_targets(t, len(self.slots)) for t in range(n_max + 1)])
+        self.occupations = np.array(states, dtype=np.int64).reshape(-1, len(self.slots))
+        self.dim = len(self.occupations)
         self._slot_position = {slot: i for i, slot in enumerate(self.slots)}
-        self.occupations = np.array(self.states, dtype=np.int64).reshape(
-            self.dim, len(self.slots)
-        )
         if self.dim and self.occupations.sum(axis=1).max() > n_max:
             raise ValueError(f"a state holds more than n_max={n_max} photons")
+
+    @functools.cached_property
+    def states(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {state: i for i, state in enumerate(self.states)}
 
     def slot_index(self, slot: Slot) -> int:
         return self._slot_position[slot]
@@ -316,21 +318,27 @@ class DenseCircuit:
     the input modes are kept and relabeled, which keeps the basis small.
     The basis is restricted to the exact photon-number sector of each group
     of modes coupled by a beam splitter.  A mode that an element, detector
-    or correction names but no photon occupies becomes a physical mode with
-    no photons.  A spec that breaks a rule of :func:`circuit.validate` is
+    or output names but no photon occupies becomes a physical mode with no
+    photons.  A spec that breaks a rule of :func:`circuit.validate` is
     refused with the error that the engine raises for it.
 
     ``unitary`` is the network's single-particle matrix over the basis
     slots, and ``blocks`` the slice of slots of each coupled group.
-    ``operator`` holds the network's many-body map on the columns of
-    ``support``, the configurations that the declared inputs can hold; a
-    run whose input has weight elsewhere is refused.
+    ``operator`` is the network's many-body map, of shape (``basis.dim``,
+    ``len(support)``); ``support`` maps each configuration that the declared
+    inputs can hold to its column, and an input with weight elsewhere is
+    refused.  Outputs are reported by name.  As in the engine, a run may
+    leave photons only on detected and output modes, so a correction on any
+    other mode is left out.  Photons left there are refused: with
+    ``ModeCollision`` if a PBS output wrote over their mode (no later
+    element touches it, so they were on it then), else ``MissingOutput``.
     """
 
     def __init__(self, spec: CircuitSpec):
         validate(spec)
         self.spec = spec
-        per_mode = self._input_photon_counts(spec)
+        # Declarations share no mode and put one photon on each of theirs.
+        per_mode = dict.fromkeys((m for decl in spec.inputs for m in decl.modes), 1)
         group_of = {mode: mode for mode in per_mode}
 
         def find(m):
@@ -340,6 +348,8 @@ class DenseCircuit:
             return m
 
         alias = {mode: mode for mode in per_mode}
+        # Each physical mode that a PBS output wrote over, with that output.
+        self._overwritten: dict[str, str] = {}
 
         def physical(mode):
             """The physical mode that holds ``mode``: a new, empty one if no
@@ -360,6 +370,7 @@ class DenseCircuit:
                 physical_elements.append(PbsElement(p1, p2, p1, p2, el.basis))
                 alias.pop(el.in1, None)
                 alias.pop(el.in2, None)
+                self._overwritten.update((alias[o], o) for o in (el.out1, el.out2) if o in alias)
                 alias[el.out1] = p1
                 alias[el.out2] = p2
             elif isinstance(el, RotatorElement):
@@ -368,11 +379,8 @@ class DenseCircuit:
                 physical_elements.append(
                     PolPhaseElement(physical(el.mode), el.pol, el.phase_deg)
                 )
-        for det in spec.detectors:
-            physical(det.mode)
-        for rule in spec.rules:
-            for corr in rule.corrections:
-                physical(corr.mode)
+        for mode in [det.mode for det in spec.detectors] + list(spec.outputs):
+            physical(mode)
         self.alias = alias
 
         groups: dict[str, list[str]] = {}
@@ -381,19 +389,18 @@ class DenseCircuit:
         slot_list: list[Slot] = []
         sectors = []
         self.blocks: list[slice] = []
+        # The product of the groups' sectors, in itertools.product order.
+        occupations = np.zeros((1, 0), dtype=np.int64)
         for root in sorted(groups):
             members = sorted(groups[root])
             gslots = [(m, pol) for m in members for pol in (POL_H, POL_V)]
-            count = sum(per_mode[m] for m in members)
+            sector = _targets(sum(per_mode[m] for m in members), len(gslots))
             self.blocks.append(slice(len(slot_list), len(slot_list) + len(gslots)))
             slot_list.extend(gslots)
-            sectors.append(_targets(count, len(gslots)))
-        states = [
-            tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*(sector.tolist() for sector in sectors))
-        ]
-        total = sum(per_mode.values())
-        self.basis = DenseBasis(slot_list, n_max=total, states=states)
+            sectors.append(sector)
+            rows = np.repeat(occupations, len(sector), axis=0)
+            occupations = np.hstack([rows, np.tile(sector, (len(occupations), 1))])
+        self.basis = DenseBasis(slot_list, n_max=sum(per_mode.values()), states=occupations)
 
         position = self.basis._slot_position
         maps = [_single_particle_matrix(el) for el in physical_elements]
@@ -415,7 +422,7 @@ class DenseCircuit:
 
         # Each support column is the Kronecker product of its groups' images.
         support = sorted(_input_terms(spec, slot_list))
-        self.support = frozenset(support)
+        self.support = {state: c for c, state in enumerate(support)}
         columns = np.array(support, dtype=np.int64).reshape(-1, len(slot_list))
         images = np.ones((1, len(columns)), dtype=complex)
         for block, sector in zip(self.blocks, sectors):
@@ -424,58 +431,41 @@ class DenseCircuit:
             images = (images[:, None, :] * amps[:, inverse.ravel()][None]).reshape(
                 -1, len(columns)
             )
-        rows, which = np.nonzero(images)
-        cols = np.array([self.basis.index[state] for state in support])
-        self.operator = sp.csr_matrix(
-            (images[rows, which], (rows, cols[which])),
-            shape=(self.basis.dim, self.basis.dim),
-        )
+        self.operator = sp.csr_matrix(images)
         # The (transmitted, reflected) slot of each detector, in detector order.
         self._det_columns = [
-            self.basis.slot_index((alias[det.mode], pol))
-            for det in spec.detectors
-            for pol in (POL_H, POL_V)
+            position[(alias[det.mode], pol)] for det in spec.detectors for pol in (POL_H, POL_V)
         ]
-        consumed = set(self._det_columns)
-        # Reduced slots are reported under logical output mode names, in
-        # sorted order, which is the order of a BasisState's entries.
-        back = {phys: logical for logical, phys in alias.items()}
-        reduced = sorted(
-            ((back[slot_list[i][0]], slot_list[i][1]), i)
-            for i in range(len(slot_list))
-            if i not in consumed
-        )
-        self.reduced_slots = [slot for slot, _ in reduced]
-        self.kept = [i for _, i in reduced]
+        # Reduced slots are the outputs' slots under their names, in sorted
+        # order, which is the order of a BasisState's entries.
+        self.reduced_slots = sorted((m, pol) for m in spec.outputs for pol in (POL_H, POL_V))
+        self.kept = [position[(alias[m], pol)] for m, pol in self.reduced_slots]
+        self._empty_slots = np.ones(len(slot_list), dtype=bool)
+        self._empty_slots[self._det_columns + self.kept] = False
 
         # Per rule with corrections: its detector, the side of that detector's
         # counts that fires it (0 transmitted, 1 reflected) and its
-        # corrections as one matrix, applied once per photon counted there.
+        # corrections on outputs as one matrix, applied once per photon
+        # counted there.
         reduced_position = {slot: i for i, slot in enumerate(self.reduced_slots)}
         detector_of = {det.label: d for d, det in enumerate(spec.detectors)}
         self._triggers = [
             (
                 detector_of[rule.label],
                 int(rule.pol != spec.detectors[detector_of[rule.label]].transmitted_pol),
-                _compose(reduced_position, map(_single_particle_matrix, rule.corrections)),
+                _compose(reduced_position, [
+                    _single_particle_matrix(c) for c in rule.corrections if c.mode in spec.outputs
+                ]),
             )
             for rule in spec.rules
             if rule.corrections
         ]
 
-    @staticmethod
-    def _input_photon_counts(spec: CircuitSpec) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for decl in spec.inputs:
-            for mode in decl.modes:
-                counts[mode] = counts.get(mode, 0) + 1
-        return counts
-
     def input_vector(self, spec: CircuitSpec) -> np.ndarray:
-        """Dense input vector, built directly from the declarations.  An
-        input with weight on a configuration outside ``support`` raises
-        ``ValueError``."""
-        vec = np.zeros(self.basis.dim, dtype=complex)
+        """Input amplitudes in ``support`` order, built directly from the
+        declarations.  An input with weight on a configuration outside
+        ``support`` raises ``ValueError``."""
+        vec = np.zeros(len(self.support), dtype=complex)
         for state, amp in _input_terms(spec, self.basis.slots).items():
             if not amp:
                 continue
@@ -483,7 +473,7 @@ class DenseCircuit:
                 raise ValueError(
                     f"input configuration {state} is outside the compiled support"
                 )
-            vec[self.basis.index[state]] = amp
+            vec[self.support[state]] = amp
         return vec
 
     def run(self, spec: CircuitSpec, passive: bool = False) -> DenseRunResult:
@@ -505,8 +495,21 @@ class DenseCircuit:
         vec = self.operator @ self.input_vector(spec)
         nonzero = np.flatnonzero(vec)
         occupations = self.basis.occupations[nonzero]
-        # Detector and kept slots partition every state, so each (pattern,
-        # reduced) pair occurs once.
+        # Photons on a slot neither detected nor an output are refused, unless
+        # below 1e-12 (the engine's default tolerance): that rounding noise is
+        # dropped, so each (pattern, reduced) pair occurs once.
+        stray = occupations[:, self._empty_slots].any(axis=1)
+        held = occupations[stray & (abs(vec[nonzero]) >= 1e-12)].any(axis=0) & self._empty_slots
+        modes = {self.basis.slots[i][0] for i in np.flatnonzero(held)}
+        for mode, out in self._overwritten.items():
+            if mode in modes:
+                raise ModeCollision(
+                    f"PBS output {out!r} collides with a live mode that is not an input"
+                )
+        if modes:
+            names = sorted(m for m, phys in self.alias.items() if phys in modes)
+            raise MissingOutput(f"photons left on undetected non-output modes {names}")
+        nonzero, occupations = nonzero[~stray], occupations[~stray]
         branches: dict[OutcomePattern, dict[tuple, complex]] = {}
         for counts, reduced, amp in zip(
             occupations[:, self._det_columns].tolist(),

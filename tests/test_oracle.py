@@ -1,5 +1,7 @@
 """Dense brute-force oracle: matrix properties and engine cross-checks."""
 
+import ast
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -8,9 +10,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pbsgates import dsl, gates, optics, oracle
+from pbsgates import dsl, errors, gates, optics, oracle
 from pbsgates.circuit import DetectorSpec, execute
-from pbsgates.errors import CircuitSyntaxError, DetectedModeReuse, TruncationTooSmall
+from pbsgates.errors import (
+    CircuitSyntaxError,
+    DetectedModeReuse,
+    MissingOutput,
+    ModeCollision,
+    TruncationTooSmall,
+)
 from pbsgates.fock import POL_H, POL_V, BasisState
 from pbsgates.gates import GATE_NAMES
 from pbsgates.optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
@@ -394,6 +402,33 @@ EMPTY_MODE_CIRCUITS = {
         detect hv c as x
         output a d
     """,
+    "rotator on an empty mode, then a PBS writes onto it": """
+        mode a
+        mode b
+        mode c
+        mode d
+        input qubit a 0.6 0 0.8 0
+        rotate c 30
+        pbs hv a b c d
+        detect hv d as x
+        output c
+    """,
+    "PBS writes onto a mode an earlier PBS left empty": """
+        mode a
+        mode b
+        mode c
+        mode d
+        mode e
+        input qubit a 1 0 0 0
+        pbs hv a b c d
+        pbs hv e b d e
+        detect hv e as x
+        output c
+    """,
+    "no inputs": """
+        mode a
+        output a
+    """,
 }
 
 
@@ -402,6 +437,74 @@ def test_dense_runs_elements_and_detectors_on_empty_modes(name):
     spec = dsl.parse_circuit(EMPTY_MODE_CIRCUITS[name])
     for passive in (False, True):
         assert_engines_agree(execute(spec, passive=passive), run_dense(spec, passive=passive))
+
+
+REFUSED_CIRCUITS = {
+    "PBS output onto a mode that holds a photon": (
+        """
+        mode a
+        mode b
+        mode c
+        mode d
+        input qubit a 0.6 0 0.8 0
+        input qubit c 1 0 0 0
+        pbs hv a b c d
+        detect hv d as x
+        output c
+        """,
+        ModeCollision,
+    ),
+    "photon left on a mode neither detected nor an output": (
+        """
+        mode a
+        mode b
+        mode c
+        input qubit a 0.6 0 0.8 0
+        input qubit c 1 0 0 0
+        pbs hv a b a b
+        detect hv b as x
+        output a
+        """,
+        MissingOutput,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_CIRCUITS))
+def test_dense_refuses_what_the_engine_refuses(name):
+    text, error = REFUSED_CIRCUITS[name]
+    spec = dsl.parse_circuit(text)
+    with pytest.raises(error) as engine:
+        execute(spec)
+    with pytest.raises(error) as dense:
+        run_dense(spec)
+    assert str(dense.value) == str(engine.value)
+
+
+def test_dense_drops_rounding_noise_left_on_a_mode_it_keeps_empty():
+    # H rotated by 45 degrees is F, which the FS PBS sends whole onto c; the
+    # composed network leaves about 6e-17 on d, which the engine prunes.
+    spec = dsl.parse_circuit("""
+        mode a
+        mode b
+        mode c
+        mode d
+        input qubit a 1 0 0 0
+        rotate a 45
+        pbs fs a b c d
+        detect fs c as x
+        output a
+    """)
+    dense = DenseCircuit(spec)
+    vec = dense.operator @ dense.input_vector(spec)
+    stray = dense.basis.occupations[:, dense._empty_slots].any(axis=1)
+    assert 0.0 < np.abs(vec[stray]).max() < 1e-12
+    for passive in (False, True):
+        result, run = execute(spec, passive=passive), dense.run(spec, passive=passive)
+        # Like every dense run, it keeps branches of rounding noise elsewhere.
+        noise = [run.outcomes.pop(p)[0] for p in set(run.outcomes) - set(result.outcomes)]
+        assert max(noise, default=0.0) < 1e-24
+        assert_engines_agree(result, run)
 
 
 def test_dense_applies_elements_in_order():
@@ -442,12 +545,28 @@ def shipped_spec(name):
         return dsl.parse_circuit(handle.read())
 
 
-@pytest.mark.parametrize(
+COMPILED_SPECS = pytest.mark.parametrize(
     "spec",
     [shipped_spec(name) for name in GATE_NAMES]
     + [dsl.parse_circuit(text) for text in EMPTY_MODE_CIRCUITS.values()],
     ids=list(GATE_NAMES) + list(EMPTY_MODE_CIRCUITS),
 )
+
+
+@COMPILED_SPECS
+def test_basis_is_the_product_of_the_group_sectors(spec):
+    # The reference enumeration: every group holds its input photons.
+    dense = DenseCircuit(spec)
+    sectors = [
+        compositions(int(dense.basis.occupations[0, block].sum()), block.stop - block.start)
+        for block in dense.blocks
+    ]
+    expected = [sum(combo, ()) for combo in itertools.product(*sectors)]
+    assert dense.basis.states == expected
+    assert dense.basis.dim == len(expected)
+
+
+@COMPILED_SPECS
 def test_network_unitary_is_unitary_and_block_diagonal(spec):
     dense = DenseCircuit(spec)
     u = dense.unitary
@@ -461,6 +580,63 @@ def test_network_unitary_is_unitary_and_block_diagonal(spec):
         covered[block] += 1
     assert np.array_equal(covered, np.ones(size, dtype=int))
     assert not outside.any()
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_operator_holds_only_the_support_columns(name):
+    # perfbench reads ``basis.dim`` and ``operator.nnz`` of each compile.
+    spec = shipped_spec(name)
+    dense = DenseCircuit(spec)
+    dense.run(spec)
+    assert dense.operator.shape == (dense.basis.dim, len(dense.support))
+    assert sorted(dense.support.values()) == list(range(len(dense.support)))
+    # Column c is the image of the configuration that ``support`` maps to c,
+    # here as permanents of the whole network matrix instead of its blocks.
+    columns = np.array(sorted(dense.support, key=dense.support.get), dtype=np.int64)
+    images = oracle._amplitudes(dense.unitary, dense.basis.occupations, columns)
+    assert np.allclose(dense.operator.toarray(), images, rtol=0.0, atol=1e-12)
+    assert dense.operator.nnz == np.count_nonzero(dense.operator.toarray())
+    assert "states" not in vars(dense.basis)
+    assert "index" not in vars(dense.basis)
+
+
+#: What ``oracle.py`` may import from the package: types, predicates and
+#: constants, never a simulation routine of the sparse engine.
+ORACLE_IMPORTS = {
+    "circuit": {"CircuitSpec", "OutcomePattern", "is_1ao1", "is_passive", "validate"},
+    "fock": {"POL_H", "POL_V", "BasisState", "Slot"},
+    "optics": {"BASIS_FS", "BASIS_HV", "PbsElement", "PolPhaseElement", "RotatorElement"},
+    "errors": {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    },
+}
+
+
+def imported_module(node):
+    """The package module that an import statement reads from: ``""`` for
+    the package itself, ``None`` for a module outside it."""
+    if isinstance(node, ast.Import):
+        return "" if any(a.name.split(".")[0] == "pbsgates" for a in node.names) else None
+    if node.level:
+        return node.module or ""
+    package, _, module = (node.module or "").partition(".")
+    return module if package == "pbsgates" else None
+
+
+def test_oracle_shares_no_simulation_code_with_the_engine():
+    # ``import pbsgates.fock`` or ``from . import optics`` would hand over a
+    # whole engine module, so only named imports of the allow-list pass.
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        module = imported_module(node)
+        if module is None:
+            continue
+        assert module in ORACLE_IMPORTS, (node.lineno, module)
+        names = {alias.name for alias in node.names}
+        assert names <= ORACLE_IMPORTS[module], (node.lineno, names - ORACLE_IMPORTS[module])
 
 
 def test_run_refuses_an_input_outside_the_compiled_support():
