@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import fock, optics
 from .errors import (
@@ -90,19 +90,36 @@ class CircuitSpec:
     outputs: tuple[str, ...] = ()
 
 
-@dataclass
 class GateResult:
     """Exhaustive outcome table of one circuit execution.
 
     ``outcomes`` maps each accepted pattern to its probability and the
-    corrected conditional state (normalized to 1).  ``rejected`` keeps the
-    probability of every other pattern so that totals can be audited.
+    corrected conditional state (normalized to 1).  ``rejected`` gives the
+    probability of every other pattern, so that totals can be audited.  A
+    run that drops unacceptable terms (see :func:`execute`) no longer knows
+    it, so it is worked out on first read, by one run of the same compiled
+    circuit that drops nothing: the table, and any error, are the ones such
+    a run gives.
     """
 
-    outcomes: dict[OutcomePattern, tuple[float, PhotonState]]
-    rejected: dict[OutcomePattern, float]
-    success_probability: float
-    failure_probability: float
+    def __init__(
+        self,
+        outcomes: dict[OutcomePattern, tuple[float, PhotonState]],
+        rejected: dict[OutcomePattern, float] | Callable[[], dict[OutcomePattern, float]],
+        success_probability: float,
+        failure_probability: float,
+    ):
+        self.outcomes = outcomes
+        #: The table, or the function that works it out.
+        self._rejected = rejected
+        self.success_probability = success_probability
+        self.failure_probability = failure_probability
+
+    @property
+    def rejected(self) -> dict[OutcomePattern, float]:
+        if callable(self._rejected):
+            self._rejected = self._rejected()
+        return self._rejected
 
 
 def is_1ao1(pattern: OutcomePattern) -> bool:
@@ -405,6 +422,49 @@ class CompiledCircuit:
     rebases: tuple[fock.IndexedMap, ...]
     #: The corrections of each rule, in rule order.
     corrections: tuple[tuple[Step, ...], ...]
+    #: ``(point, mask, allowed)`` for each point of the element list where
+    #: detected modes become final, in order: point ``k`` comes after the
+    #: first ``k`` elements, and a term there that fails
+    #: :func:`fock.one_photon_test` on those modes can no longer be
+    #: accepted (see :func:`final_modes`).  Empty when dropping such terms
+    #: could change a refusal.
+    drops: tuple[tuple[int, int, frozenset[int]], ...]
+
+
+def final_modes(spec: CircuitSpec) -> tuple[tuple[str, ...], ...] | None:
+    """For each point ``k`` of the element list, from 0 to ``len(elements)``:
+    the detected modes, in detector order, that become final there.  Element
+    ``k - 1`` is the last PBS to touch them; at point 0 are those that no
+    PBS touches.
+
+    Only a PBS moves photons between modes, so a term with a count other
+    than one on such a mode can no longer be accepted, in either mode of
+    :func:`execute`.  ``None`` when dropping such terms could change a
+    refusal: when a PBS may write onto a live mode other than its inputs
+    (:func:`optics.collision_modes`), or a photon may end on a mode that is
+    neither detected nor an output.  A mode may be live once an input
+    declares it, until a PBS reads it; a PBS that reads a live mode makes
+    both its outputs live.
+    """
+    live = {mode for decl in spec.inputs for mode in decl.modes}
+    last = {det.mode: 0 for det in spec.detectors}
+    for k, el in enumerate(spec.elements, 1):
+        if not isinstance(el, PbsElement):
+            continue
+        if live.intersection(optics.collision_modes(el)):
+            return None
+        inputs = {el.in1, el.in2}
+        if live & inputs:
+            live = live - inputs | {el.out1, el.out2}
+        for mode in _element_modes(el):
+            if mode in last:
+                last[mode] = k
+    if live - set(last) - set(spec.outputs):
+        return None
+    points: list[tuple[str, ...]] = [()] * (len(spec.elements) + 1)
+    for mode, k in last.items():
+        points[k] += (mode,)
+    return tuple(points)
 
 
 #: Compiled circuits kept by :func:`compile`: enough for the built-in gates
@@ -466,7 +526,28 @@ def _compile(structure: _Structure) -> CompiledCircuit:
             if det.basis == BASIS_FS
         ),
         corrections=tuple(steps(rule.corrections) for rule in spec.rules),
+        drops=tuple(
+            (k, *fock.one_photon_test(index, photons, modes))
+            for k, modes in enumerate(final_modes(spec) or ())
+            if modes
+        ),
     )
+
+
+def _run_elements(
+    state: PhotonState, plan: CompiledCircuit, drop: bool
+) -> tuple[PhotonState, float]:
+    """``state`` through the plan's elements and, with ``drop``, without the
+    terms that can no longer be accepted, dropped at each point of
+    :attr:`CompiledCircuit.drops`; and the squared norm dropped."""
+    dropped = 0.0
+    done = 0
+    for point, mask, allowed in plan.drops if drop else ():
+        state = _run_steps(state, plan.elements[done:point])
+        done = point
+        state, norm = fock.keep_matching(state, mask, allowed)
+        dropped += norm
+    return _run_steps(state, plan.elements[done:]), dropped
 
 
 def execute(
@@ -485,11 +566,34 @@ def execute(
     pruning then removes more than rounding noise, of the input or during the
     run, that is an error too.  So are photons left by the elements on a mode
     that is neither detected nor declared as an output.
+
+    Once no later PBS touches a detected mode, a term with a photon count
+    other than one there can never be accepted, so the run drops it and
+    counts its squared norm as dropped, not as pruned
+    (:attr:`CompiledCircuit.drops`).  Every accepted probability and state,
+    and the success probability, keep the bits that a run without the drop
+    gives.  Where :func:`final_modes` cannot prove that the drop changes no
+    refusal, nothing is dropped.  When the plan drops terms, ``rejected`` is
+    worked out when it is first read (see :class:`GateResult`).
     """
-    plan = compile(spec)
+    return _execute(spec, compile(spec), passive, tolerance, drop=True)
+
+
+def _execute(
+    spec: CircuitSpec,
+    plan: CompiledCircuit,
+    passive: bool,
+    tolerance: float,
+    drop: bool,
+) -> GateResult:
+    """:func:`execute` on ``plan``, the compiled ``spec``; ``drop`` off runs
+    every term to the end and gives the complete ``rejected`` table."""
     state = build_input_state(spec, plan=plan)
-    norm = state.norm_sq()
-    if abs(norm - 1.0) > 1e-9:
+    try:
+        norm = state.norm_sq()
+    except OverflowError:
+        norm = math.inf
+    if not abs(norm - 1.0) <= 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
     state = state.with_tolerance(tolerance)
     kept = state.norm_sq()
@@ -499,7 +603,7 @@ def execute(
             f"{norm - kept!r} of the input"
         )
 
-    state = _run_steps(state, plan.elements)
+    state, dropped = _run_elements(state, plan, drop)
     stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
     if stray:
         raise MissingOutput(f"photons left on undetected non-output modes {sorted(stray)}")
@@ -522,14 +626,18 @@ def execute(
             success += probability
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
-    lost = kept - success - sum(rejected.values())
+    lost = kept - success - sum(rejected.values()) - dropped
     if lost > 1e-9:
         raise NonPhysicalInput(
             f"amplitude tolerance {tolerance!r} prunes squared norm {lost!r} during the run"
         )
     return GateResult(
         outcomes=outcomes,
-        rejected=rejected,
+        rejected=(
+            (lambda: _execute(spec, plan, passive, tolerance, drop=False).rejected)
+            if drop and plan.drops
+            else rejected
+        ),
         success_probability=success,
         failure_probability=1.0 - success,
     )

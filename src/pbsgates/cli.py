@@ -51,7 +51,7 @@ def _amplitude_argument(state_type, what: str, values: list[float]):
     if not all(map(math.isfinite, values)):
         raise _config_error(f"{what} amplitudes must be finite, got {values!r}")
     amps = [complex(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-    norm2 = sum(abs(a) ** 2 for a in amps)
+    norm2 = fock.squared_norm(amps)
     dev = abs(norm2 - 1.0)
     if dev > 1e-6:
         raise _config_error(

@@ -375,6 +375,47 @@ def split_counts(
     }
 
 
+def one_photon_test(index: SlotIndex, photons: int, modes) -> tuple[int, frozenset[int]]:
+    """``(mask, allowed)`` such that a configuration packed over ``index`` for
+    up to ``photons`` photons holds exactly one photon on each of ``modes``,
+    in any polarization, when ``cfg & mask`` is in ``allowed``."""
+    width = _width(photons)
+    field = (1 << width) - 1
+    mask = 0
+    allowed = {0}
+    for mode in modes:
+        units = [1 << pos * width for (m, _), pos in index.position.items() if m == mode]
+        for unit in units:
+            mask |= field * unit
+        allowed = {held + unit for held in allowed for unit in units}
+    return mask, frozenset(allowed)
+
+
+def keep_matching(
+    state: PhotonState, mask: int, allowed: frozenset[int]
+) -> tuple[PhotonState, float]:
+    """The terms of ``state`` whose ``cfg & mask`` is in ``allowed`` (see
+    :func:`one_photon_test`), and the squared norm of the others.  Kept
+    amplitudes keep their bits and their order."""
+    terms = state._terms
+    kept = {cfg: amp for cfg, amp in terms.items() if cfg & mask in allowed}
+    if len(kept) == len(terms):
+        return state, 0.0
+    dropped = sum(abs(amp) ** 2 for cfg, amp in terms.items() if cfg not in kept)
+    return PhotonState._unpruned(kept, state._index, state._photons, state.tolerance), dropped
+
+
+def squared_norm(amplitudes) -> float:
+    """``sum(abs(a) ** 2)`` over ``amplitudes``, summed as
+    :meth:`PhotonState.norm_sq` sums it, or ``inf`` where a square
+    overflows: a normalization check then refuses the amplitudes instead of
+    raising ``OverflowError``."""
+    try:
+        return sum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        return math.inf
+
+
 class IndexedMap:
     """A :data:`SlotMap` compiled to the positions of one :class:`SlotIndex`.
 

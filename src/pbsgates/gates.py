@@ -28,7 +28,7 @@ class QubitState:
     beta: complex
 
     def __post_init__(self):
-        n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        n2 = fock.squared_norm((self.alpha, self.beta))
         if not abs(n2 - 1.0) <= 1e-9:  # so that nan fails too
             raise NonNormalized(f"qubit squared norm is {n2!r}")
 
@@ -43,7 +43,7 @@ class TwoQubitState:
     a4: complex
 
     def __post_init__(self):
-        n2 = sum(abs(a) ** 2 for a in self)
+        n2 = fock.squared_norm(self)
         if not abs(n2 - 1.0) <= 1e-9:
             raise NonNormalized(f"two-qubit squared norm is {n2!r}")
 

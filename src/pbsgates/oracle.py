@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive, validate
-from .errors import MissingOutput, ModeCollision, TruncationTooSmall
+from .errors import MissingOutput, ModeCollision, NonPhysicalInput, TruncationTooSmall
 from .fock import POL_H, POL_V, BasisState, Slot
 from .optics import (
     BASIS_FS,
@@ -483,7 +483,8 @@ class DenseCircuit:
         and have the compiled spec's modes, elements, detectors, rules and
         outputs, and its inputs on the same modes; else ``ValueError`` names
         the field.  Its inputs may differ in amplitudes, and in kind as far
-        as :meth:`input_vector` allows.
+        as :meth:`input_vector` allows.  An input whose squared norm is not 1
+        to within 1e-9 raises :class:`NonPhysicalInput`, as in the engine.
         """
         if spec is not self.spec:
             validate(spec)
@@ -492,7 +493,14 @@ class DenseCircuit:
                     raise ValueError(f"spec {field} differ from the compiled spec's")
             if [d.modes for d in spec.inputs] != [d.modes for d in self.spec.inputs]:
                 raise ValueError("spec inputs are on other modes than the compiled spec's")
-        vec = self.operator @ self.input_vector(spec)
+        amplitudes = self.input_vector(spec)
+        # The engine's rule: the input's squared norm is 1 to within 1e-9.
+        # Amplitudes too large to square make it inf, which is refused too.
+        with np.errstate(over="ignore"):
+            norm = float(np.sum(np.abs(amplitudes) ** 2))
+        if not abs(norm - 1.0) <= 1e-9:
+            raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
+        vec = self.operator @ amplitudes
         nonzero = np.flatnonzero(vec)
         occupations = self.basis.occupations[nonzero]
         # Photons on a slot neither detected nor an output are refused, unless

@@ -140,6 +140,19 @@ def test_execute_rejects_unnormalized_input():
         execute(spec)
 
 
+def test_execute_refuses_an_amplitude_too_large_to_square():
+    # abs(1e200) ** 2 overflows; the input check refuses it instead of crashing.
+    spec = CircuitSpec(
+        modes=("m",),
+        inputs=(InputDecl("qubit", ("m",), (0.6, 1e200)),),
+        elements=(),
+        detectors=(),
+        outputs=("m",),
+    )
+    with pytest.raises(NonPhysicalInput, match="input squared norm is inf"):
+        execute(spec)
+
+
 def test_execute_tolerance_argument_prunes():
     spec = CircuitSpec(
         modes=("m",),

@@ -182,6 +182,22 @@ def test_unnormalized_qubit_rejected():
         assert "Traceback" not in proc.stderr
 
 
+def test_amplitudes_too_large_to_square_are_config_errors(tmp_path):
+    huge = tmp_path / "huge.circ"
+    text = open(circuit_path("parity_check"), encoding="utf-8").read()
+    declared = "input qubit 2' 0.6 0 0.8 0"
+    assert declared in text
+    huge.write_text(text.replace(declared, "input qubit 2' 0.6 0 1e200 0"))
+    for args, message in (
+        (("--circuit", str(huge)), "input squared norm is inf"),
+        (("--gate", "parity_check", "--qubit", "1e200", "0", "0.8", "0"), "not normalized"),
+        (("--gate", "cnot", "--two-qubit", "1e200", *("0",) * 7), "not normalized"),
+    ):
+        proc = run_main("run", *args)
+        assert proc.returncode == EXIT_CONFIG
+        assert message in proc.stderr
+
+
 def test_slightly_off_normalization_warns(tmp_path):
     eps = 1 + 5e-8
     proc = run_cli(

@@ -1,6 +1,8 @@
 """Gate-level behavior: success probabilities, truth tables, fidelities."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,13 @@ def test_state_validation():
         TwoQubitState(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(NonNormalized):
         fidelity(qubit_state("m", 0.6, 0.8).scaled(2.0), qubit_state("m", 1.0, 0.0))
+
+
+def test_states_with_an_amplitude_too_large_to_square_are_not_normalized():
+    with pytest.raises(NonNormalized, match="inf"):
+        QubitState(1e200, 0.0)
+    with pytest.raises(NonNormalized, match="inf"):
+        TwoQubitState(0.6, 0.0, 0.0, complex(1e300, 1e300))
 
 
 def test_states_with_a_nan_amplitude_are_not_normalized():
@@ -185,3 +194,34 @@ def test_cnot_equals_gc_cnot_branchwise(rng):
         for x in outs_a:
             for y in outs_b:
                 assert abs(fidelity(x, y) - 1.0) < 1e-12
+
+
+#: One call per gate for the README table, with feed-forward or passive.
+TABLE_CALLS = {
+    "parity_check": lambda passive: gates.parity_check(QubitState(0.6, 0.8), passive),
+    "destructive_cnot": lambda passive: gates.destructive_cnot(QubitState(0.6, 0.8), V, passive),
+    "encoder": lambda passive: gates.encoder(QubitState(0.6, 0.8), passive),
+    "cnot": lambda passive: gates.cnot(BASIS_2Q["VH"], passive),
+    "gc_cnot": lambda passive: gates.gc_cnot(BASIS_2Q["VH"], passive),
+    "chi_via_cnot": lambda passive: gates.chi_via_cnot(passive),
+}
+
+
+def readme_gate_table():
+    """Gate name -> (feed-forward, passive) success cells of the README table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            rows[cells[0].strip("`")] = (cells[2], cells[3])
+    return rows
+
+
+def test_readme_gate_table_matches_the_gates():
+    table = readme_gate_table()
+    assert sorted(table) == sorted(gates.GATE_NAMES)
+    for name, cells in table.items():
+        for passive, cell in zip((False, True), cells):
+            success = TABLE_CALLS[name](passive).success_probability
+            assert abs(success - float(Fraction(cell))) < 1e-12, (name, passive, cell)

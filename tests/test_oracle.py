@@ -639,6 +639,30 @@ def test_oracle_shares_no_simulation_code_with_the_engine():
         assert names <= ORACLE_IMPORTS[module], (node.lineno, names - ORACLE_IMPORTS[module])
 
 
+UNNORMALIZED = """\
+mode a
+mode b
+input qubit a 1 0 1 0
+pbs hv a b a b
+detect hv b as x
+output a
+"""
+
+
+def test_run_refuses_an_unnormalized_input_as_the_engine_does():
+    spec = dsl.parse_circuit(UNNORMALIZED)
+    for run in (execute, oracle.run_dense):
+        with pytest.raises(errors.NonPhysicalInput, match="input squared norm is 2.0"):
+            run(spec)
+
+
+def test_run_refuses_an_amplitude_too_large_to_square():
+    spec = dsl.parse_circuit(UNNORMALIZED.replace("1 0 1 0", "0.6 0 1e200 0"))
+    for run in (execute, oracle.run_dense):
+        with pytest.raises(errors.NonPhysicalInput, match="input squared norm is inf"):
+            run(spec)
+
+
 def test_run_refuses_an_input_outside_the_compiled_support():
     spec = shipped_spec("cnot")
     dense = DenseCircuit(spec)
