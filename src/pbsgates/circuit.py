@@ -579,15 +579,16 @@ def execute(
     return _execute(spec, compile(spec), passive, tolerance, drop=True)
 
 
-def _execute(
-    spec: CircuitSpec,
-    plan: CompiledCircuit,
-    passive: bool,
-    tolerance: float,
-    drop: bool,
-) -> GateResult:
-    """:func:`execute` on ``plan``, the compiled ``spec``; ``drop`` off runs
-    every term to the end and gives the complete ``rejected`` table."""
+def checked_input(
+    spec: CircuitSpec, plan: CompiledCircuit, tolerance: float
+) -> tuple[PhotonState, float]:
+    """The input of ``spec`` bound on ``plan`` and pruned with ``tolerance``,
+    and its squared norm after pruning.
+
+    Raises :class:`NonPhysicalInput` unless the squared norm of the declared
+    amplitudes, before pruning, is 1 to within 1e-9, and again if pruning
+    removes more than 1e-9 of it.
+    """
     state = build_input_state(spec, plan=plan)
     try:
         norm = state.norm_sq()
@@ -602,7 +603,19 @@ def _execute(
             f"amplitude tolerance {tolerance!r} prunes squared norm "
             f"{norm - kept!r} of the input"
         )
+    return state, kept
 
+
+def _execute(
+    spec: CircuitSpec,
+    plan: CompiledCircuit,
+    passive: bool,
+    tolerance: float,
+    drop: bool,
+) -> GateResult:
+    """:func:`execute` on ``plan``, the compiled ``spec``; ``drop`` off runs
+    every term to the end and gives the complete ``rejected`` table."""
+    state, kept = checked_input(spec, plan, tolerance)
     state, dropped = _run_elements(state, plan, drop)
     stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
     if stray:
@@ -611,33 +624,57 @@ def _execute(
         state = fock.transform_slots(state, rebase)
 
     branches = enumerate_outcomes(state, spec.detectors)
-    outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
+    accepted = []
     rejected: dict[OutcomePattern, float] = {}
-    success = 0.0
     for pattern in sorted(branches):
         branch = branches[pattern]
         probability = branch.norm_sq()
-        accepted = is_passive(pattern) if passive else is_1ao1(pattern)
-        if accepted and probability > 0.0:
+        if (is_passive(pattern) if passive else is_1ao1(pattern)) and probability > 0.0:
             corrected = apply_feedforward(
                 branch, pattern, spec.detectors, spec.rules, plan.corrections
             )
-            outcomes[pattern] = (probability, corrected.scaled(1.0 / math.sqrt(probability)))
-            success += probability
+            accepted.append((pattern, probability, corrected))
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
-    lost = kept - success - sum(rejected.values()) - dropped
-    if lost > 1e-9:
-        raise NonPhysicalInput(
-            f"amplitude tolerance {tolerance!r} prunes squared norm {lost!r} during the run"
-        )
-    return GateResult(
-        outcomes=outcomes,
-        rejected=(
+    return settle(
+        accepted,
+        (
             (lambda: _execute(spec, plan, passive, tolerance, drop=False).rejected)
             if drop and plan.drops
             else rejected
         ),
+        tolerance,
+        lambda success: kept - success - sum(rejected.values()) - dropped,
+    )
+
+
+def settle(
+    accepted: list[tuple[OutcomePattern, float, PhotonState]],
+    rejected: dict[OutcomePattern, float] | Callable[[], dict[OutcomePattern, float]],
+    tolerance: float,
+    lost: Callable[[float], float],
+) -> GateResult:
+    """The result of a run that accepts ``accepted``: each pattern, in
+    order, with its probability (positive) and its corrected state, not yet
+    normalised.
+
+    ``lost(success)`` is the squared norm that pruning removed during the
+    run, given the summed probability of ``accepted``; more than 1e-9 of it
+    raises :class:`NonPhysicalInput`.
+    """
+    outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
+    success = 0.0
+    for pattern, probability, state in accepted:
+        outcomes[pattern] = (probability, state.scaled(1.0 / math.sqrt(probability)))
+        success += probability
+    pruned = lost(success)
+    if pruned > 1e-9:
+        raise NonPhysicalInput(
+            f"amplitude tolerance {tolerance!r} prunes squared norm {pruned!r} during the run"
+        )
+    return GateResult(
+        outcomes=outcomes,
+        rejected=rejected,
         success_probability=success,
         failure_probability=1.0 - success,
     )

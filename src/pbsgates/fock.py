@@ -235,6 +235,12 @@ class PhotonState:
         for: a state :meth:`packed` alike meets this one without repacking."""
         return self._index, self._photons
 
+    @property
+    def packed_terms(self) -> dict[int, complex]:
+        """``{configuration: amplitude}``, packed as :attr:`packing` says; the
+        state's own dict, so a caller must not change it."""
+        return self._terms
+
     def _basis(self, cfg: int) -> BasisState:
         slots = self._index.slots
         return BasisState(tuple((slots[pos], n) for pos, n in _fields(cfg, self._width)))

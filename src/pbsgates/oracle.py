@@ -421,7 +421,8 @@ class DenseCircuit:
         self.unitary = unitary
 
         # Each support column is the Kronecker product of its groups' images.
-        support = sorted(_input_terms(spec, slot_list))
+        self._input_terms = _input_terms(spec, slot_list)
+        support = sorted(self._input_terms)
         self.support = {state: c for c, state in enumerate(support)}
         columns = np.array(support, dtype=np.int64).reshape(-1, len(slot_list))
         images = np.ones((1, len(columns)), dtype=complex)
@@ -463,10 +464,15 @@ class DenseCircuit:
 
     def input_vector(self, spec: CircuitSpec) -> np.ndarray:
         """Input amplitudes in ``support`` order, built directly from the
-        declarations.  An input with weight on a configuration outside
-        ``support`` raises ``ValueError``."""
+        declarations (the compiled spec's were built by the compile).  An
+        input with weight on a configuration outside ``support`` raises
+        ``ValueError``."""
+        if spec is self.spec:
+            terms = self._input_terms
+        else:
+            terms = _input_terms(spec, self.basis.slots)
         vec = np.zeros(len(self.support), dtype=complex)
-        for state, amp in _input_terms(spec, self.basis.slots).items():
+        for state, amp in terms.items():
             if not amp:
                 continue
             if state not in self.support:
@@ -501,13 +507,15 @@ class DenseCircuit:
         if not abs(norm - 1.0) <= 1e-9:
             raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
         vec = self.operator @ amplitudes
-        nonzero = np.flatnonzero(vec)
+        # Amplitudes below 1e-12 (the engine's default tolerance) are rounding
+        # noise, which the engine prunes: dropping them keeps noise from
+        # making an outcome of its own, or a refusal.
+        nonzero = np.flatnonzero(abs(vec) >= 1e-12)
         occupations = self.basis.occupations[nonzero]
-        # Photons on a slot neither detected nor an output are refused, unless
-        # below 1e-12 (the engine's default tolerance): that rounding noise is
-        # dropped, so each (pattern, reduced) pair occurs once.
+        # Photons on a slot neither detected nor an output are refused; with
+        # those rows gone, each (pattern, reduced) pair occurs once.
         stray = occupations[:, self._empty_slots].any(axis=1)
-        held = occupations[stray & (abs(vec[nonzero]) >= 1e-12)].any(axis=0) & self._empty_slots
+        held = occupations[stray].any(axis=0) & self._empty_slots
         modes = {self.basis.slots[i][0] for i in np.flatnonzero(held)}
         for mode, out in self._overwritten.items():
             if mode in modes:

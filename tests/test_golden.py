@@ -39,7 +39,7 @@ CIRCUIT_REPORTS = {
 GATE_REPORTS = {
     "parity_check --qubit 0.6 0 0.8 0": "c92307950dd67ef4097da1de42a480f2cba2c217e8557a6f6276e70ec778ea47",
     "cnot --two-qubit 1 0 0 0 0 0 0 0": "4d6fe1333a50ae87b48457271d6cd92bb455c402c487b4bd9ad45eeebf28b4f4",
-    "destructive_cnot --qubit 0.6 0 0.8 0 --control-pol V": "b06cf2a75271d551dbf4e8d64185bc73df4cade376c293ce71b484326933a5d6",
+    "destructive_cnot --qubit 0.6 0 0.8 0 --control-pol V": "ada21f0cecba6e0e5ed9d78149f114b235531f1680417cd46d121b020d9ebe15",
     "gc_cnot --two-qubit 1 0 0 0 0 0 0 0 --passive": "f1d685d6cbc22e336e8006526bcc33b2e31e25fc46fed5d28b98a30feb2c2509",
     "chi_via_cnot": "26cf0f3584d5a3b9f7e3d6b4e5f299dc7dfd27ecb99530ce6f2c5592f954745c",
 }

@@ -507,6 +507,50 @@ def test_dense_drops_rounding_noise_left_on_a_mode_it_keeps_empty():
         assert_engines_agree(result, run)
 
 
+def test_dense_reports_no_rounding_noise_as_an_outcome():
+    # Before the FS PBS the pair is F_a S_b + S_a F_b, which it sends whole
+    # onto a or onto b: the detector counts (1, 1) or (0, 0), both rejected.
+    # The composed network leaves about 1e-17 on the rows with one photon
+    # on a, which the engine prunes.
+    spec = dsl.parse_circuit("""
+        mode a
+        mode b
+        input bell b a
+        pbs hv a b a b
+        polphase a V 180
+        pbs fs a b a b
+        detect fs a as La
+        output b
+    """)
+    for passive in (False, True):
+        engine, dense = execute(spec, passive=passive), run_dense(spec, passive=passive)
+        assert engine.outcomes == {} and dense.outcomes == {}
+        assert sorted(dense.rejected) == sorted(engine.rejected)
+        assert_engines_agree(engine, dense)
+
+
+def test_a_run_of_the_compiled_spec_reuses_its_input_terms(monkeypatch):
+    specs = [gates.cnot(gates.TwoQubitState(0.5, 0.5j, -0.5, 0.5)).spec]
+    for name in GATE_NAMES:
+        with open(circuit_path(name), encoding="utf-8") as handle:
+            specs.append(dsl.parse_circuit(handle.read()))
+    for spec in specs:
+        dense = DenseCircuit(spec)
+        calls = []
+        original = oracle._input_terms
+        monkeypatch.setattr(
+            oracle, "_input_terms", lambda *args: calls.append(args) or original(*args)
+        )
+        compiled = dense.input_vector(spec)
+        assert calls == []
+        # A spec equal to the compiled one, but not the same object, is
+        # built afresh, with the same bits.
+        other = dense.input_vector(replace(spec))
+        assert len(calls) == 1
+        assert compiled.tobytes() == other.tobytes()
+        monkeypatch.undo()
+
+
 def test_dense_applies_elements_in_order():
     # Rotators and beam splitters on shared modes do not commute, so the
     # network matrix must be composed in the circuit's order.
