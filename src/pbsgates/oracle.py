@@ -11,7 +11,8 @@ each many-body amplitude as a permanent (Scheel, quant-ph/0406127; Aaronson
 
 where ``U[T, S]`` repeats row t of ``U`` once per photon of the output
 configuration T on it, and column s once per photon of the input S.
-Permanents are evaluated by Glynn's formula, vectorised over the rows.
+Permanents are evaluated by Glynn's formula, vectorised over the rows and,
+in chunks of bounded size, over the input configurations.
 
 ``U`` is block-diagonal over the groups of modes that beam splitters couple,
 so a circuit's basis is the product of the groups' photon-number sectors and
@@ -49,6 +50,25 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # transmitted (F) component and the "V" slot the reflected (S) component.
 _REBASE = np.array([[_INV_SQRT2, _INV_SQRT2], [-_INV_SQRT2, _INV_SQRT2]])
 
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: A PBS's single-particle matrix over (in1 H, in1 V, in2 H, in2 V) onto the
+#: same slots of (out1, out2): the HV one transmits H (in1 -> out1, in2 ->
+#: out2) and reflects V (in1 -> out2, in2 -> out1); the FS one does the same
+#: in the rotated basis of ``_REBASE``.
+_HV_PBS = _read_only(np.eye(4)[[0, 3, 2, 1]])
+_FS_PBS = _read_only(
+    np.linalg.inv(np.kron(np.eye(2), _REBASE)) @ _HV_PBS @ np.kron(np.eye(2), _REBASE)
+)
+
+#: Most complex entries that one chunk of input columns may put in each
+#: intermediate of :func:`_amplitudes`; a single column may need more.
+_CHUNK_ENTRIES = 2**18
+
 #: Polarizations on modes (1, 4, 2, 3) of each term of the chi resource,
 #: every term with amplitude 1/2.
 _CHI_TERMS = (
@@ -72,8 +92,7 @@ def compositions(total: int, parts: int):
 def _targets(total: int, parts: int) -> np.ndarray:
     """The rows of :func:`compositions` in its order, as a read-only array."""
     rows = np.array(list(compositions(total, parts)), dtype=np.int64).reshape(-1, parts)
-    rows.flags.writeable = False
-    return rows
+    return _read_only(rows)
 
 
 class DenseBasis:
@@ -131,13 +150,7 @@ def _single_particle_matrix(el) -> tuple[list[Slot], list[Slot], np.ndarray]:
     if isinstance(el, PbsElement):
         ins = [(el.in1, POL_H), (el.in1, POL_V), (el.in2, POL_H), (el.in2, POL_V)]
         outs = [(el.out1, POL_H), (el.out1, POL_V), (el.out2, POL_H), (el.out2, POL_V)]
-        # Transmitted pol: in1->out1, in2->out2; reflected: in1->out2, in2->out1.
-        route = np.zeros((4, 4))
-        route[0, 0] = route[3, 1] = route[2, 2] = route[1, 3] = 1.0
-        if el.basis == BASIS_HV:
-            return ins, outs, route
-        both = np.kron(np.eye(2), _REBASE)
-        return ins, outs, np.linalg.inv(both) @ route @ both
+        return ins, outs, _HV_PBS if el.basis == BASIS_HV else _FS_PBS
     if isinstance(el, RotatorElement):
         theta = math.radians(el.angle_deg)
         u = np.array(
@@ -197,7 +210,8 @@ def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
 
     By Glynn's formula, Perm(A) = sum over sign vectors d of prod(d) *
     prod over rows t of (A[t] . d), over 2**(n - 1).  The row sums of every
-    output slot come from one matrix product per input configuration.
+    output slot come from one stacked matrix product per chunk of input
+    configurations, each chunk as large as ``_CHUNK_ENTRIES`` allows.
     """
     amps = np.zeros((len(outs), len(ins)), dtype=complex)
     if not amps.size:
@@ -212,12 +226,16 @@ def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
     in_photons = np.repeat(np.tile(slots, len(ins)), ins.ravel()).reshape(-1, n)
     factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
     norms = np.sqrt(np.outer(factorial[outs].prod(axis=1), factorial[ins].prod(axis=1)))
-    for c, photons in enumerate(in_photons):
-        sums = u[:, photons] @ deltas
+    # Per column, ``sums`` holds (slots, signs) entries and ``products``
+    # (outputs, signs); there are at least as many signs as photons.
+    step = max(1, _CHUNK_ENTRIES // (max(len(slots), len(outs)) * len(weights)))
+    for start in range(0, len(ins), step):
+        chunk = slice(start, start + step)
+        sums = u[:, in_photons[chunk]] @ deltas
         products = sums[out_photons[:, 0]]
         for k in range(1, n):
-            products = products * sums[out_photons[:, k]]
-        amps[:, c] = products @ weights
+            products *= sums[out_photons[:, k]]
+        amps[:, chunk] = products @ weights
     return amps / norms
 
 
@@ -324,14 +342,16 @@ class DenseCircuit:
 
     ``unitary`` is the network's single-particle matrix over the basis
     slots, and ``blocks`` the slice of slots of each coupled group.
-    ``operator`` is the network's many-body map, of shape (``basis.dim``,
-    ``len(support)``); ``support`` maps each configuration that the declared
-    inputs can hold to its column, and an input with weight elsewhere is
-    refused.  Outputs are reported by name.  As in the engine, a run may
-    leave photons only on detected and output modes, so a correction on any
-    other mode is left out.  Photons left there are refused: with
-    ``ModeCollision`` if a PBS output wrote over their mode (no later
-    element touches it, so they were on it then), else ``MissingOutput``.
+    ``images`` is the network's many-body map as a dense array of shape
+    (``basis.dim``, ``len(support)``), and ``operator`` the same map as a
+    CSR matrix, built on first read; ``support`` maps each configuration
+    that the declared inputs can hold to its column, and an input with
+    weight elsewhere is refused.  Outputs are reported by name.  As in the
+    engine, a run may leave photons only on detected and output modes, so a
+    correction on any other mode is left out.  Photons left there are
+    refused: with ``ModeCollision`` if a PBS output wrote over their mode
+    (no later element touches it, so they were on it then), else
+    ``MissingOutput``.
     """
 
     def __init__(self, spec: CircuitSpec):
@@ -413,7 +433,9 @@ class DenseCircuit:
         for block in self.blocks:
             outside[block, block] = 0.0
         eye = np.eye(len(slot_list))
-        if outside.any() or not np.allclose(unitary.conj().T @ unitary, eye, atol=1e-10):
+        # np.allclose's rule at atol 1e-10 and its default rtol 1e-5.
+        close = abs(unitary.conj().T @ unitary - eye) <= 1e-10 + 1e-5 * eye
+        if outside.any() or not close.all():
             raise ValueError(
                 "the network's single-particle matrix is not unitary and "
                 "block-diagonal over its coupled groups"
@@ -427,12 +449,18 @@ class DenseCircuit:
         columns = np.array(support, dtype=np.int64).reshape(-1, len(slot_list))
         images = np.ones((1, len(columns)), dtype=complex)
         for block, sector in zip(self.blocks, sectors):
-            local, inverse = np.unique(columns[:, block], axis=0, return_inverse=True)
-            amps = _amplitudes(unitary[block, block], sector, local)
+            # A support column holds at most one photon per slot, so its bits
+            # on the slots that hold a photon in some column key its local
+            # configuration: at most two per photon of the group.
+            local = columns[:, block]
+            held = np.flatnonzero(local.any(axis=0))
+            keys = local[:, held] @ (1 << np.arange(len(held), dtype=np.int64))
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            amps = _amplitudes(unitary[block, block], sector, local[first])
             images = (images[:, None, :] * amps[:, inverse.ravel()][None]).reshape(
                 -1, len(columns)
             )
-        self.operator = sp.csr_matrix(images)
+        self.images = images
         # The (transmitted, reflected) slot of each detector, in detector order.
         self._det_columns = [
             position[(alias[det.mode], pol)] for det in spec.detectors for pol in (POL_H, POL_V)
@@ -461,6 +489,10 @@ class DenseCircuit:
             for rule in spec.rules
             if rule.corrections
         ]
+
+    @functools.cached_property
+    def operator(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.images)
 
     def input_vector(self, spec: CircuitSpec) -> np.ndarray:
         """Input amplitudes in ``support`` order, built directly from the
@@ -506,7 +538,7 @@ class DenseCircuit:
             norm = float(np.sum(np.abs(amplitudes) ** 2))
         if not abs(norm - 1.0) <= 1e-9:
             raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
-        vec = self.operator @ amplitudes
+        vec = self.images @ amplitudes
         # Amplitudes below 1e-12 (the engine's default tolerance) are rounding
         # noise, which the engine prunes: dropping them keeps noise from
         # making an outcome of its own, or a refusal.

@@ -296,6 +296,87 @@ def test_expansion_outside_the_basis_raises():
         DenseBasis(XY_SLOTS, n_max=1, states=[(1, 1, 0, 0)])
 
 
+def test_pbs_matrices_are_read_only_constants():
+    route = np.zeros((4, 4))
+    route[0, 0] = route[3, 1] = route[2, 2] = route[1, 3] = 1.0
+    both = np.kron(np.eye(2), _REBASE)
+    expected = {BASIS_HV: route, BASIS_FS: np.linalg.inv(both) @ route @ both}
+    for basis, matrix in expected.items():
+        _, _, u = _single_particle_matrix(PbsElement("x", "y", "x", "y", basis))
+        assert np.array_equal(u, matrix)
+        assert u is _single_particle_matrix(PbsElement("a", "b", "c", "d", basis))[2]
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.5
+
+
+def per_column_glynn(u, outs, ins):
+    """``oracle._amplitudes`` as it was written before it batched the input
+    columns: Glynn's formula with one matrix product per input column."""
+    amps = np.zeros((len(outs), len(ins)), dtype=complex)
+    if not amps.size:
+        return amps
+    n = int(ins[0].sum())
+    if n == 0:
+        return amps + 1.0
+    deltas, weights = oracle._glynn(n)
+    slots = np.arange(u.shape[0])
+    out_photons = np.repeat(np.tile(slots, len(outs)), outs.ravel()).reshape(-1, n)
+    in_photons = np.repeat(np.tile(slots, len(ins)), ins.ravel()).reshape(-1, n)
+    factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
+    norms = np.sqrt(np.outer(factorial[outs].prod(axis=1), factorial[ins].prod(axis=1)))
+    for c, photons in enumerate(in_photons):
+        sums = u[:, photons] @ deltas
+        products = sums[out_photons[:, 0]]
+        for k in range(1, n):
+            products = products * sums[out_photons[:, k]]
+        amps[:, c] = products @ weights
+    return amps / norms
+
+
+def assert_amplitudes_match_per_column(u, outs, ins):
+    got = oracle._amplitudes(u, outs, ins)
+    assert got.shape == (len(outs), len(ins))
+    assert np.allclose(got, per_column_glynn(u, outs, ins), rtol=0.0, atol=1e-12)
+
+
+def test_batched_amplitudes_match_the_per_column_reference(rng):
+    for slots in (1, 2, 4, 6):
+        u = random_unitary(rng, slots)
+        for n in range(6):
+            targets = _targets(n, slots)
+            # Every configuration as output; as inputs a random subset, which
+            # for n >= 2 has rows with two photons on one slot.
+            ins = targets[rng.permutation(len(targets))[: max(1, len(targets) // 2)]]
+            assert_amplitudes_match_per_column(u, targets, ins)
+            assert_amplitudes_match_per_column(u, targets[::3], targets)
+
+
+def test_batched_amplitudes_of_doubly_occupied_inputs(rng):
+    # The buckets that ``_apply_corrections`` maps hold rows like these.
+    u = random_unitary(rng, 4)
+    ins = np.array([[2, 0, 0, 0], [0, 2, 1, 0], [1, 0, 0, 2], [0, 0, 3, 0]])
+    assert_amplitudes_match_per_column(u, _targets(3, 4), ins[1:])
+    assert_amplitudes_match_per_column(u, _targets(2, 4), ins[:1])
+
+
+def test_batched_amplitudes_with_no_outputs_or_no_inputs(rng):
+    u = random_unitary(rng, 4)
+    targets = _targets(2, 4)
+    for outs, ins in ((targets[:0], targets), (targets, targets[:0]), (targets[:0], targets[:0])):
+        assert_amplitudes_match_per_column(u, outs, ins)
+
+
+@pytest.mark.parametrize("budget", [1, 40, 1000])
+def test_batched_amplitudes_split_into_chunks(monkeypatch, rng, budget):
+    # 4 slots and 3 photons: 20 outputs and 4 signs, 80 entries per column,
+    # so a budget of 1 or 40 takes one column per chunk and 1000 takes 12,
+    # which leaves a shorter last chunk.
+    u = random_unitary(rng, 4)
+    targets = _targets(3, 4)
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", budget)
+    assert_amplitudes_match_per_column(u, targets, targets)
+
+
 def pattern_of(basis, state, detectors):
     return tuple(
         (
@@ -437,6 +518,24 @@ def test_dense_runs_elements_and_detectors_on_empty_modes(name):
     spec = dsl.parse_circuit(EMPTY_MODE_CIRCUITS[name])
     for passive in (False, True):
         assert_engines_agree(execute(spec, passive=passive), run_dense(spec, passive=passive))
+
+
+def test_dense_runs_a_group_of_more_than_64_slots():
+    # 31 empty modes chained by PBSs, then coupled to y and z, which hold
+    # the photons and sort last: 66 slots in one group, the photons' slots
+    # at 62-65, past what one bit per slot of the group fits in an int64.
+    chain = [f"m{i:02d}" for i in range(31)]
+    text = "\n".join(
+        [f"mode {m}" for m in chain + ["y", "z"]]
+        + ["input qubit y 0.6 0 0.8 0", "input qubit z 0.8 0 0 0.6"]
+        + [f"pbs hv {a} {b} {a} {b}" for a, b in zip(chain, chain[1:])]
+        + ["pbs hv y z y z", "pbs hv z m00 z m00", "detect hv m00 as x", "output y z"]
+    )
+    spec = dsl.parse_circuit(text)
+    dense = DenseCircuit(spec)
+    assert [block.stop - block.start for block in dense.blocks] == [66]
+    for passive in (False, True):
+        assert_engines_agree(execute(spec, passive=passive), dense.run(spec, passive=passive))
 
 
 REFUSED_CIRCUITS = {
@@ -626,20 +725,49 @@ def test_network_unitary_is_unitary_and_block_diagonal(spec):
     assert not outside.any()
 
 
+def off_diagonal(matrix):
+    matrix[0, 1] += 1e-7
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "perturb, refused",
+    # np.allclose's rule: |G - I| <= 1e-10 + 1e-5 |I|, so G = U^H U may be
+    # off by about 2e-7 on its diagonal but not off it.
+    [(lambda matrix: matrix * (1 + 1e-7), False), (off_diagonal, True)],
+    ids=["diagonal", "off-diagonal"],
+)
+def test_network_unitary_check_follows_allclose(monkeypatch, perturb, refused):
+    compose = oracle._compose
+    monkeypatch.setattr(oracle, "_compose", lambda *args: perturb(compose(*args)))
+    spec = shipped_spec("parity_check")
+    if refused:
+        with pytest.raises(ValueError, match="not unitary"):
+            DenseCircuit(spec)
+    else:
+        DenseCircuit(spec)
+
+
 @pytest.mark.parametrize("name", GATE_NAMES)
 def test_operator_holds_only_the_support_columns(name):
     # perfbench reads ``basis.dim`` and ``operator.nnz`` of each compile.
     spec = shipped_spec(name)
     dense = DenseCircuit(spec)
     dense.run(spec)
-    assert dense.operator.shape == (dense.basis.dim, len(dense.support))
+    # A run multiplies by the dense images; the CSR operator is built on read.
+    assert "operator" not in vars(dense)
+    assert dense.images.shape == (dense.basis.dim, len(dense.support))
     assert sorted(dense.support.values()) == list(range(len(dense.support)))
     # Column c is the image of the configuration that ``support`` maps to c,
     # here as permanents of the whole network matrix instead of its blocks.
     columns = np.array(sorted(dense.support, key=dense.support.get), dtype=np.int64)
     images = oracle._amplitudes(dense.unitary, dense.basis.occupations, columns)
-    assert np.allclose(dense.operator.toarray(), images, rtol=0.0, atol=1e-12)
-    assert dense.operator.nnz == np.count_nonzero(dense.operator.toarray())
+    assert np.allclose(dense.images, images, rtol=0.0, atol=1e-12)
+    operator = dense.operator
+    assert sp.issparse(operator) and operator.format == "csr"
+    assert np.array_equal(operator.toarray(), dense.images)
+    assert operator.nnz == np.count_nonzero(dense.images)
+    assert dense.operator is operator
     assert "states" not in vars(dense.basis)
     assert "index" not in vars(dense.basis)
 
