@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import Callable, Collection, NoReturn
 
 from . import fock, optics
 from .errors import (
@@ -174,51 +174,89 @@ def _declared_amplitudes(decl: InputDecl) -> tuple[complex, ...]:
     return tuple(map(complex, decl.amplitudes))
 
 
-def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None) -> PhotonState:
-    """The declared input, built exactly: only exact zeros are pruned.
-
-    The amplitudes are bound onto the configurations compiled in ``plan``
-    (by default ``compile(spec)``), so the state is packed over the plan's
-    index.  Each term's amplitude is the product that the tensor product of
-    the declarations computes: starting from the vacuum's ``1+0j``, each
-    declaration in order multiplies in one of its amplitudes
-    (:func:`_declared_amplitudes`) as ``0j + product * amplitude``.  Terms
-    come in the order of that product: the first declaration's terms
-    outermost, each in :func:`_declared_slots` order.  A product with a zero
-    factor is zero, so pruning at tolerance 0 drops the terms that the
-    tensor product dropped along the way.  A non-finite amplitude, which a
-    warm plan's :func:`validate` did not see, raises :class:`NonPhysicalInput`.
+def input_amplitudes(spec: CircuitSpec, plan: CompiledCircuit) -> list[complex]:
+    """The amplitude of each configuration of ``plan.inputs``, in that order,
+    with the amplitudes of ``spec`` bound: the product that the tensor
+    product of the declarations computes.  Starting from the vacuum's
+    ``1+0j``, each declaration in order multiplies in one of its amplitudes
+    (:func:`_declared_amplitudes`) as ``0j + product * amplitude``, so a
+    product with a zero factor is an exact zero.  A non-finite amplitude,
+    which a warm plan's :func:`validate` did not see, raises
+    :class:`NonPhysicalInput`.
     """
-    if plan is None:
-        plan = compile(spec)
     values = [amp for decl in spec.inputs for amp in _declared_amplitudes(decl)]
     if not all(map(cmath.isfinite, values)):
         bad = next(a for decl in spec.inputs for a in decl.amplitudes if not cmath.isfinite(a))
         raise NonPhysicalInput(f"input amplitude {bad!r} is not finite")
-    terms = {}
-    for cfg, recipe in plan.inputs:
+    products = []
+    for _, recipe in plan.inputs:
         amp = _ONE
         for position in recipe:
             amp = 0j + amp * values[position]
-        terms[cfg] = amp
+        products.append(amp)
+    return products
+
+
+def input_norm(amplitudes: Collection[complex], tolerance: float) -> float:
+    """The squared norm of an input with ``amplitudes``, after the terms below
+    ``tolerance`` are pruned, as :meth:`PhotonState.packed` prunes them.
+
+    Raises :class:`NonPhysicalInput` unless the squared norm before pruning
+    (exact zeros aside) is 1 to within 1e-9, and again if pruning removes
+    more than 1e-9 of it.  Both sums run in the order of ``amplitudes``,
+    which is read twice.
+    """
+    norm = fock.squared_norm(amp for amp in amplitudes if amp)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
+    floor = tolerance or fock._LEAST_MAGNITUDE
+    kept = sum(abs(amp) ** 2 for amp in amplitudes if abs(amp) >= floor)
+    if abs(kept - 1.0) > 1e-9:
+        raise NonPhysicalInput(
+            f"amplitude tolerance {tolerance!r} prunes squared norm "
+            f"{norm - kept!r} of the input"
+        )
+    return kept
+
+
+def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None) -> PhotonState:
+    """The declared input, built exactly: only exact zeros are pruned.
+
+    The amplitudes (:func:`input_amplitudes`) are bound onto the
+    configurations compiled in ``plan`` (by default ``compile(spec)``), so
+    the state is packed over the plan's index.  Terms come in the order of
+    the declarations' tensor product: the first declaration's terms
+    outermost, each in :func:`_declared_slots` order.  Pruning at tolerance
+    0 drops the terms that the tensor product dropped along the way.
+    """
+    if plan is None:
+        plan = compile(spec)
+    terms = {cfg: amp for (cfg, _), amp in zip(plan.inputs, input_amplitudes(spec, plan))}
     return PhotonState.packed(terms, plan.index, plan.photons, 0.0)
 
 
-def declared_state(
-    decl: InputDecl, tolerance: float, like: PhotonState | None = None
-) -> PhotonState:
-    """One declaration's state on its own, pruned with ``tolerance``.
-
-    Its terms come in :func:`_declared_slots` order with the amplitudes of
-    :func:`_declared_amplitudes`.  With ``like`` it is packed as ``like``
-    is, so that :func:`fock.inner_product` of the two needs no repacking.
+def declared_configurations(
+    kind: str, modes: tuple[str, ...], packing: tuple[fock.SlotIndex, int] | None = None
+) -> tuple[tuple[int, ...], fock.SlotIndex, int]:
+    """The configurations of a ``kind`` declaration on ``modes``, in
+    :func:`_declared_slots` order, packed over ``packing``'s index (widened
+    by any slot it lacks) for its photon bound, or by default over an index
+    of their own slots; and that index and photon bound.  Packed alike, a
+    state and the outputs of a run meet in :func:`fock.inner_product`
+    without repacking.
     """
-    slots = _declared_slots(decl.kind, decl.modes)
-    index, photons = (fock.SlotIndex(), len(slots[0])) if like is None else like.packing
+    slots = _declared_slots(kind, modes)
+    index, photons = (fock.SlotIndex(), len(slots[0])) if packing is None else packing
     index = index.including(slot for term in slots for slot in term)
-    terms = {
-        index.pack(term, photons): amp for term, amp in zip(slots, _declared_amplitudes(decl))
-    }
+    return tuple(index.pack(term, photons) for term in slots), index, photons
+
+
+def declared_state(decl: InputDecl, tolerance: float) -> PhotonState:
+    """One declaration's state on its own, pruned with ``tolerance``: its
+    configurations (:func:`declared_configurations`) with the amplitudes of
+    :func:`_declared_amplitudes`."""
+    cfgs, index, photons = declared_configurations(decl.kind, decl.modes)
+    terms = dict(zip(cfgs, _declared_amplitudes(decl)))
     return PhotonState.packed(terms, index, photons, tolerance)
 
 
@@ -579,33 +617,6 @@ def execute(
     return _execute(spec, compile(spec), passive, tolerance, drop=True)
 
 
-def checked_input(
-    spec: CircuitSpec, plan: CompiledCircuit, tolerance: float
-) -> tuple[PhotonState, float]:
-    """The input of ``spec`` bound on ``plan`` and pruned with ``tolerance``,
-    and its squared norm after pruning.
-
-    Raises :class:`NonPhysicalInput` unless the squared norm of the declared
-    amplitudes, before pruning, is 1 to within 1e-9, and again if pruning
-    removes more than 1e-9 of it.
-    """
-    state = build_input_state(spec, plan=plan)
-    try:
-        norm = state.norm_sq()
-    except OverflowError:
-        norm = math.inf
-    if not abs(norm - 1.0) <= 1e-9:
-        raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
-    state = state.with_tolerance(tolerance)
-    kept = state.norm_sq()
-    if abs(kept - 1.0) > 1e-9:
-        raise NonPhysicalInput(
-            f"amplitude tolerance {tolerance!r} prunes squared norm "
-            f"{norm - kept!r} of the input"
-        )
-    return state, kept
-
-
 def _execute(
     spec: CircuitSpec,
     plan: CompiledCircuit,
@@ -615,8 +626,9 @@ def _execute(
 ) -> GateResult:
     """:func:`execute` on ``plan``, the compiled ``spec``; ``drop`` off runs
     every term to the end and gives the complete ``rejected`` table."""
-    state, kept = checked_input(spec, plan, tolerance)
-    state, dropped = _run_elements(state, plan, drop)
+    state = build_input_state(spec, plan=plan)
+    kept = input_norm(state.packed_terms.values(), tolerance)
+    state, dropped = _run_elements(state.with_tolerance(tolerance), plan, drop)
     stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
     if stray:
         raise MissingOutput(f"photons left on undetected non-output modes {sorted(stray)}")

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
+
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, dsl, fock, gates
 from .circuit import CircuitSpec, execute, pattern_name
@@ -138,6 +139,36 @@ def _run_gate(args, tolerance: float) -> dict:
     )
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    document of dicts with string keys, lists, tuples, strings, numbers,
+    booleans and ``None``.  json's own encoder takes its pure-Python path
+    whenever it indents, and each call of that path leaves reference cycles
+    for the garbage collector; this writer leaves none."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _config_error(message: str) -> SystemExit:
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(EXIT_CONFIG)
@@ -173,7 +204,7 @@ def cmd_run(args) -> int:
     except PbsGatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    text = _json(document) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -5,10 +5,12 @@ Each gate is the circuit file shipped with the package,
 on the gate's named modes, and every accepted outcome is scored against the
 ideal target state.  A gate is linear in each bound input, so the first
 call in each mode runs the circuit once per basis input and keeps each
-accepted pattern's outputs; every call is answered by weighting those
-outputs with the caller's amplitudes.  Catalog names (``parity_check``,
-``destructive_cnot``, ``encoder``, ``cnot``, ``gc_cnot``, ``chi_via_cnot``)
-are stable identifiers used by the CLI.
+accepted pattern's outputs, with what a call needs besides its amplitudes:
+the compiled circuit and the fidelity target's configurations.  Every call
+is answered by weighting those outputs with the caller's amplitudes.
+Catalog names (``parity_check``, ``destructive_cnot``, ``encoder``,
+``cnot``, ``gc_cnot``, ``chi_via_cnot``) are stable identifiers used by the
+CLI.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import circuit, dsl, fock
-from .circuit import CircuitSpec, GateResult, InputDecl, OutcomePattern, declared_state, execute
+from .circuit import CircuitSpec, GateResult, InputDecl, OutcomePattern, execute
 from .errors import MissingOutput, ModeCollision, NonNormalized, PbsGatesError
 from .fock import PhotonState
 
@@ -99,6 +101,18 @@ _BINDS = {
 }
 
 
+#: Gate -> the kind and modes of its ideal output state, the target that
+#: :func:`_report` scores each accepted outcome against.
+_TARGETS = {
+    "parity_check": ("qubit", ("2",)),
+    "destructive_cnot": ("qubit", ("3",)),
+    "encoder": ("state", ("2", "b")),
+    "cnot": ("state", ("2", "3")),
+    "gc_cnot": ("state", ("2", "3")),
+    "chi_via_cnot": ("chi", ("1", "2", "3", "4")),
+}
+
+
 def _bound_spec(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> CircuitSpec:
     """The shipped ``name`` circuit with ``amplitudes`` in place of the file's
     on the declarations of :data:`_BINDS`; the others keep the file's."""
@@ -120,7 +134,8 @@ def _bound_spec(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> Circu
 
 @dataclass(frozen=True)
 class _Responses:
-    """What one gate does, in one mode, to each of its input columns.
+    """What one gate does, in one mode, to each of its input columns, and
+    what a call needs besides the caller's amplitudes.
 
     A column binds one unit amplitude on each declaration of :data:`_BINDS`;
     columns come in the order of ``itertools.product`` over the positions
@@ -130,17 +145,24 @@ class _Responses:
     times the column's output.
     """
 
+    #: The compiled shipped circuit: a call binds its amplitudes on it.
+    plan: circuit.CompiledCircuit
     #: Column -> the refusal that its run raised.
     failures: dict[int, PbsGatesError]
-    #: Column -> one configuration of its input terms.  They all have the
-    #: same amplitude in a call's input (see :func:`_responses`), so the
-    #: input's pruning keeps all of them or none.
+    #: Column -> the position in ``plan.inputs`` of one of its input terms.
+    #: They all have the same amplitude in a call's input (see
+    #: :func:`_responses`), so the input's pruning keeps all of them or none.
     inputs: tuple[int, ...]
     #: Each pattern that some column accepts, in sorted order, with the
     #: unnormalised, corrected output of each column that reaches it:
     #: ``(column, {configuration: amplitude})``, packed as ``packing`` says.
     patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
     packing: tuple[fock.SlotIndex, int] | None
+    #: The configurations of the target (:data:`_TARGETS`), in
+    #: :func:`circuit._declared_slots` order, with the index and photon bound
+    #: they are packed for: ``packing``, widened by any slot the target
+    #: lacks there.  ``None`` when no column accepts anything.
+    target: tuple[tuple[int, ...], fock.SlotIndex, int] | None
 
 
 @functools.cache
@@ -159,8 +181,10 @@ def _responses(name: str, passive: bool) -> _Responses:
     shipped = _shipped_spec(name)
     for decl in shipped.inputs:
         if decl.modes not in _BINDS[name]:
-            if len(set(declared_state(decl, 0.0).packed_terms.values())) != 1:
+            if len(set(circuit.declared_state(decl, 0.0).packed_terms.values())) != 1:
                 raise ValueError(f"{name}: the input on {decl.modes} has unequal amplitudes")
+    plan = circuit.compile(shipped)
+    positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
     declared = {decl.modes: decl for decl in shipped.inputs}
     sizes = [len(declared[modes].amplitudes) for modes in _BINDS[name]]
     failures = {}
@@ -170,7 +194,7 @@ def _responses(name: str, passive: bool) -> _Responses:
     for k, column in enumerate(itertools.product(*map(range, sizes))):
         units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
         spec = _bound_spec(name, units)
-        inputs.append(min(circuit.build_input_state(spec).packed_terms))
+        inputs.append(positions[min(circuit.build_input_state(spec, plan=plan).packed_terms)])
         try:
             result = execute(spec, passive=passive, tolerance=0.0)
         except (ModeCollision, MissingOutput) as exc:
@@ -184,36 +208,45 @@ def _responses(name: str, passive: bool) -> _Responses:
             outputs.setdefault(pattern, []).append((k, terms))
     if len(packings) > 1:
         raise ValueError(f"{name}: the columns' outputs are packed over different indexes")
+    packing = next(iter(packings.values()), None)
+    target = None if packing is None else circuit.declared_configurations(*_TARGETS[name], packing)
     return _Responses(
+        plan=plan,
         failures=failures,
         inputs=tuple(inputs),
         patterns=tuple((pattern, tuple(outputs[pattern])) for pattern in sorted(outputs)),
-        packing=next(iter(packings.values()), None),
+        packing=packing,
+        target=target,
     )
 
 
 def _respond(
-    name: str, amplitudes: tuple[tuple[complex, ...], ...], passive: bool, tolerance: float
+    name: str,
+    amplitudes: tuple[tuple[complex, ...], ...],
+    table: _Responses,
+    passive: bool,
+    tolerance: float,
 ) -> tuple[CircuitSpec, GateResult]:
-    """The bound spec, and its result from the response table.
+    """The bound spec, and its result from the response ``table``.
 
-    The input is checked and pruned as :func:`execute` checks and prunes it,
-    and a column whose input terms that pruning removes adds nothing.  Each
-    accepted pattern's output is summed from the columns, then pruned with
-    ``tolerance`` and normalised (:func:`circuit.settle`); if that pruning
-    loses more than 1e-9 of squared norm in all, the call is refused as a
-    run that loses it.  Where :func:`execute` prunes each state along the
-    run, this prunes the outputs once, so the two differ by more than
-    rounding only if some amplitude inside the run falls below ``tolerance``.
+    The input is checked and pruned as :func:`execute` checks and prunes it
+    (:func:`circuit.input_norm`), and a column whose input terms that pruning
+    removes adds nothing.  Each accepted pattern's output is summed from the
+    columns, then pruned with ``tolerance`` and normalised
+    (:func:`circuit.settle`); if that pruning loses more than 1e-9 of
+    squared norm in all, the call is refused as a run that loses it.  Where
+    :func:`execute` prunes each state along the run, this prunes the outputs
+    once, so the two differ by more than rounding only if some amplitude
+    inside the run falls below ``tolerance``.
     """
     spec = _bound_spec(name, amplitudes)
-    plan = circuit.compile(spec)
-    state, _ = circuit.checked_input(spec, plan, tolerance)
-    kept = state.packed_terms
-    table = _responses(name, passive)
+    plan = table.plan
+    products = circuit.input_amplitudes(spec, plan)
+    circuit.input_norm(products, tolerance)
+    floor = tolerance or fock._LEAST_MAGNITUDE
     coefficients = [
-        math.prod(column) if cfg in kept else 0.0
-        for column, cfg in zip(itertools.product(*amplitudes), table.inputs)
+        math.prod(column) if abs(products[position]) >= floor else 0.0
+        for column, position in zip(itertools.product(*amplitudes), table.inputs)
     ]
     for k, error in table.failures.items():
         if coefficients[k]:
@@ -246,7 +279,7 @@ def _respond(
 def _report(
     name: str,
     amplitudes: tuple[tuple[complex, ...], ...],
-    target: InputDecl | None,
+    target: tuple[complex, ...] | None,
     passive: bool,
     tolerance: float,
 ) -> GateReport:
@@ -254,14 +287,21 @@ def _report(
 
     ``amplitudes`` replace the file's on the declarations of :data:`_BINDS`.
     The outputs are pruned with ``tolerance`` (see :func:`_respond`), and so
-    is ``target``, the declared ideal output state, packed like the outputs.
+    is the target, the ideal output state of :data:`_TARGETS` with the
+    amplitudes ``target`` (``None`` for no target), packed like the outputs.
     """
-    spec, result = _respond(name, amplitudes, passive, tolerance)
+    table = _responses(name, passive)
+    spec, result = _respond(name, amplitudes, table, passive, tolerance)
     fidelities = {}
     target_state = None
     if target is not None:
-        outputs = [state for _, state in result.outcomes.values()]
-        target_state = declared_state(target, tolerance, like=outputs[0] if outputs else None)
+        decl = InputDecl(*_TARGETS[name], target)
+        if result.outcomes:
+            cfgs, index, photons = table.target
+            terms = dict(zip(cfgs, circuit._declared_amplitudes(decl)))
+            target_state = PhotonState.packed(terms, index, photons, tolerance)
+        else:
+            target_state = circuit.declared_state(decl, tolerance)
         for pattern, (_, state) in result.outcomes.items():
             fidelities[pattern] = fidelity(state, target_state)
     return GateReport(
@@ -278,8 +318,7 @@ def parity_check(
     q: QubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Transfer the qubit from mode 2' to mode 2 when parities agree."""
-    target = InputDecl("qubit", ("2",), (q.alpha, q.beta))
-    return _report("parity_check", ((q.alpha, q.beta),), target, passive, tolerance)
+    return _report("parity_check", ((q.alpha, q.beta),), (q.alpha, q.beta), passive, tolerance)
 
 
 def destructive_cnot(
@@ -297,9 +336,9 @@ def destructive_cnot(
     bound = ((target.alpha, target.beta), (control.alpha, control.beta))
     ideal = None
     if abs(abs(control.alpha) - 1.0) <= 1e-12:
-        ideal = InputDecl("qubit", ("3",), (target.alpha, target.beta))
+        ideal = (target.alpha, target.beta)
     elif abs(abs(control.beta) - 1.0) <= 1e-12:
-        ideal = InputDecl("qubit", ("3",), (target.beta, target.alpha))
+        ideal = (target.beta, target.alpha)
     return _report("destructive_cnot", bound, ideal, passive, tolerance)
 
 
@@ -307,7 +346,7 @@ def encoder(
     q: QubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Copy the qubit's basis value onto modes 2 and b: aH+bV -> aHH+bVV."""
-    target = InputDecl("state", ("2", "b"), (q.alpha, 0, 0, q.beta))
+    target = (q.alpha, 0, 0, q.beta)
     return _report("encoder", ((q.alpha, q.beta),), target, passive, tolerance)
 
 
@@ -315,24 +354,21 @@ def cnot(
     state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
-    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state)))
-    return _report("cnot", (tuple(state),), target, passive, tolerance)
+    return _report("cnot", (tuple(state),), tuple(ideal_cnot(state)), passive, tolerance)
 
 
 def gc_cnot(
     state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Teleportation-style gate consuming the four-photon chi resource."""
-    target = InputDecl("state", ("2", "3"), tuple(ideal_cnot(state)))
-    return _report("gc_cnot", (tuple(state),), target, passive, tolerance)
+    return _report("gc_cnot", (tuple(state),), tuple(ideal_cnot(state)), passive, tolerance)
 
 
 def chi_via_cnot(
     passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Produce chi constructively: composed CNOT across two Bell pairs."""
-    target = InputDecl("chi", ("1", "2", "3", "4"))
-    return _report("chi_via_cnot", (), target, passive, tolerance)
+    return _report("chi_via_cnot", (), (), passive, tolerance)
 
 
 GATE_NAMES = (

@@ -83,6 +83,21 @@ def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-10) -> bool:
     return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in keys)
 
 
+def accepted_bits(result):
+    """Everything a run accepts, in a form that tells apart any two floats,
+    signed zeros included."""
+    return repr(
+        (
+            result.success_probability,
+            result.failure_probability,
+            [
+                (pattern, probability, state.sorted_terms(), state.tolerance)
+                for pattern, (probability, state) in sorted(result.outcomes.items())
+            ],
+        )
+    )
+
+
 def random_state(rng, modes=("x", "y"), max_photons=3) -> PhotonState:
     """Random non-normalized few-photon state over HV slots of ``modes``."""
     slots = [(m, p) for m in modes for p in (POL_H, POL_V)]

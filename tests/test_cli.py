@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,7 +192,7 @@ def test_unnormalized_qubit_rejected():
 
 def test_amplitudes_too_large_to_square_are_config_errors(tmp_path):
     huge = tmp_path / "huge.circ"
-    text = open(circuit_path("parity_check"), encoding="utf-8").read()
+    text = Path(circuit_path("parity_check")).read_text(encoding="utf-8")
     declared = "input qubit 2' 0.6 0 0.8 0"
     assert declared in text
     huge.write_text(text.replace(declared, "input qubit 2' 0.6 0 1e200 0"))
@@ -367,7 +368,8 @@ def test_cli_tolerance_does_not_reach_library_calls(monkeypatch, tmp_path):
 def test_main_reuses_one_parser_and_leaves_no_argparse_garbage(tmp_path):
     # One parser serves every call of the process: calls in a row with
     # different options report what fresh ones do, and none leaves argparse
-    # objects for the cyclic collector.
+    # objects, or json encoder closures and instances, for the cyclic
+    # collector.
     report = tmp_path / "report.json"
     calls = [
         ("run", "--circuit", circuit_path("cnot")),
@@ -396,11 +398,30 @@ def test_main_reuses_one_parser_and_leaves_no_argparse_garbage(tmp_path):
         in_a_row = run_all(fresh_parser=False)
         gc.collect()
         leaked = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        encoder = [obj for obj in gc.garbage if getattr(obj, "__module__", None) == "json.encoder"]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
     assert in_a_row == fresh
     assert leaked == []
+    assert encoder == []
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"zero": -0.0, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "none": None},
+        {"tiny": 5e-324, "huge": 1.7976931348623157e308, "third": 1 / 3, "int": -7},
+        {"text": "2'\u00e9\u2028\"\\\t\ud83d\ude00", "\u00fc": ["x", "", True, False]},
+        {"empty list": [], "empty dict": {}, "nested": [[], {}, [{"b": 1, "a": [2.5, []]}]]},
+        {"b": {"d": (1, 2), "c": {}}, "a": [None, -0.0, [math.nan]]},
+        [],
+        {},
+        "scalar",
+    ],
+)
+def test_reports_are_written_as_json_dumps_writes_them(document):
+    assert cli._json(document) == json.dumps(document, indent=2, sort_keys=True)
 
 
 def test_photons_off_the_outputs_are_config_error(tmp_path):

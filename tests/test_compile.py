@@ -135,6 +135,7 @@ def test_cached_plan_gives_the_uncached_result(name, rng):
 
 def test_the_six_gates_share_the_plan_cache():
     circuit._compile.cache_clear()
+    gates._responses.cache_clear()
     q, t = gates.QubitState(0.6, 0.8), gates.TwoQubitState(0.5, 0.5, 0.5, 0.5)
     calls = {
         "parity_check": (q,),
@@ -144,11 +145,15 @@ def test_the_six_gates_share_the_plan_cache():
         "gc_cnot": (t,),
         "chi_via_cnot": (),
     }
+    rounds = []
     for _ in range(2):
         for name, args in calls.items():
             getattr(gates, name)(*args)
-    info = circuit._compile.cache_info()
-    assert (info.misses, info.hits) == (6, 6)
+        rounds.append(circuit._compile.cache_info())
+    # Each structure compiles once; a warm call reads its gate's plan from
+    # the gate's table and makes no lookup at all.
+    assert rounds[0].misses == rounds[1].misses == 6
+    assert rounds[1].hits == rounds[0].hits
 
 
 def parity_check_spec() -> CircuitSpec:

@@ -29,7 +29,7 @@ from pbsgates.optics import (
     RotatorElement,
 )
 
-from conftest import circuit_path
+from conftest import accepted_bits, circuit_path
 
 GATE_CALLS = {
     "parity_check": lambda passive: gates.parity_check(QubitState(0.6, 0.8j), passive),
@@ -49,21 +49,6 @@ PHOTONS = {"qubit": 1, "state": 2, "bell": 2, "chi": 4}
 def drop_off(spec, passive, tolerance=DEFAULT_TOLERANCE):
     """The run that keeps every term to the end."""
     return circuit._execute(spec, compile(spec), passive, tolerance, drop=False)
-
-
-def accepted_bits(result):
-    """Everything a run accepts, in a form that tells apart any two floats,
-    signed zeros included."""
-    return repr(
-        (
-            result.success_probability,
-            result.failure_probability,
-            [
-                (pattern, probability, state.sorted_terms(), state.tolerance)
-                for pattern, (probability, state) in sorted(result.outcomes.items())
-            ],
-        )
-    )
 
 
 def random_amplitudes(rng, n):

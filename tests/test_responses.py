@@ -12,7 +12,7 @@ from pbsgates.circuit import execute
 from pbsgates.errors import MissingOutput, ModeCollision, NonPhysicalInput
 from pbsgates.gates import GATE_NAMES, QubitState, TwoQubitState, fidelity
 
-from conftest import random_qubit, random_two_qubit
+from conftest import accepted_bits, random_qubit, random_two_qubit
 
 H = QubitState(1.0, 0.0)
 V = QubitState(0.0, 1.0)
@@ -103,6 +103,56 @@ def test_warm_calls_run_no_engine(monkeypatch):
     for i, (name, passive) in enumerate(itertools.islice(calls, 50)):
         getattr(gates, name)(*draw_args(name, rng, i), passive)
     assert runs == [] and builds == []
+
+
+def report_bits(report):
+    """A gate report's accepted outcomes, fidelities and target, bit for bit."""
+    target = None if report.target is None else report.target.sorted_terms()
+    return accepted_bits(report.result) + repr((sorted(report.fidelities.items()), target))
+
+
+def test_warm_calls_build_no_plan_input_or_target(monkeypatch):
+    rng = np.random.default_rng(19)
+    calls = [
+        (name, passive, draw_args(name, rng, i))
+        for i, (name, passive) in enumerate(itertools.product(GATE_NAMES, (False, True)))
+    ]
+    for name, passive, args in calls:
+        getattr(gates, name)(*args, passive)
+    before = [report_bits(getattr(gates, name)(*args, passive)) for name, passive, args in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm gate call rebuilt what its table holds")
+
+    for attr in ("compile", "build_input_state", "declared_state"):
+        monkeypatch.setattr(circuit, attr, refuse)
+    after = [report_bits(getattr(gates, name)(*args, passive)) for name, passive, args in calls]
+    assert after == before
+
+
+#: Inputs that each have a term of amplitude 5e-4 (squared norm 2.5e-7), which
+#: a tolerance of 1e-3 prunes from the input.
+COARSE = 5e-4
+PRUNED_TERMS = {
+    "parity_check": (QubitState(math.sqrt(1 - COARSE**2), COARSE),),
+    "destructive_cnot": (QubitState(COARSE, math.sqrt(1 - COARSE**2)), H),
+    "encoder": (QubitState(COARSE, math.sqrt(1 - COARSE**2)),),
+    "cnot": (TwoQubitState(0.6, COARSE, math.sqrt(0.64 - COARSE**2), 0.0),),
+    "gc_cnot": (TwoQubitState(0.0, 0.8, COARSE, math.sqrt(0.36 - COARSE**2)),),
+}
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("name", sorted(PRUNED_TERMS))
+def test_an_input_prune_is_refused_with_the_engines_message(name, passive):
+    args = PRUNED_TERMS[name]
+    bound = tuple(tuple(a) if isinstance(a, TwoQubitState) else (a.alpha, a.beta) for a in args)
+    with pytest.raises(NonPhysicalInput) as engine:
+        execute(gates._bound_spec(name, bound), passive, 1e-3)
+    with pytest.raises(NonPhysicalInput) as ours:
+        getattr(gates, name)(*args, passive, tolerance=1e-3)
+    assert "of the input" in str(engine.value)
+    assert str(ours.value) == str(engine.value)
 
 
 @pytest.mark.parametrize("passive", [False, True])
