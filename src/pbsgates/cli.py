@@ -66,15 +66,46 @@ def _amplitude_argument(state_type, what: str, values: list[float]):
     return state_type(*amps), [x for a in amps for x in (a.real, a.imag)]
 
 
-def _state_terms(state: fock.PhotonState) -> list[dict]:
-    return [
-        {
-            "occupations": basis.key_string(),
-            "re": amp.real,
-            "im": amp.imag,
-        }
-        for basis, amp in state.sorted_terms()
+#: How ``json.dumps`` writes the floats whose ``repr`` is not JSON.
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    text = float.__repr__(value)
+    return _SPECIAL_FLOATS.get(text, text)
+
+
+class _Verbatim(str):
+    """JSON text that :func:`_json` writes as it is."""
+
+
+#: One output-state term as ``json.dumps(indent=2, sort_keys=True)`` writes it
+#: at its depth in a report: an entry of ``outcomes[i]["output_state"]``.
+_TERM = '{\n          "im": %s,\n          "occupations": "%s",\n          "re": %s\n        }'
+
+
+def _output_state(state: fock.PhotonState) -> _Verbatim:
+    """The report's ``output_state`` list, written from the packed terms: one
+    entry per term, in :meth:`~pbsgates.fock.PhotonState.sorted_fields`
+    order, with the occupations of :meth:`BasisState.key_string`."""
+    # Escaping works character by character, so each slot's escaped
+    # ``mode:pol:`` prefix joins into the escaped key string.
+    prefixes = {
+        pos: encode_basestring_ascii(f"{mode}:{pol}:")[1:-1]
+        for pos, (mode, pol) in state.occupied_slots().items()
+    }
+    terms = [
+        _TERM % (
+            _number(amp.imag),
+            ",".join([f"{prefixes[pos]}{n}" for pos, n in fields]),
+            _number(amp.real),
+        )
+        for fields, amp in state.sorted_fields()
     ]
+    if not terms:
+        return _Verbatim("[]")
+    return _Verbatim("[\n        " + ",\n        ".join(terms) + "\n      ]")
 
 
 def _report_document(name, result, detectors, fidelities, input_doc) -> dict:
@@ -84,7 +115,7 @@ def _report_document(name, result, detectors, fidelities, input_doc) -> dict:
         entry = {
             "pattern": pattern_name(pattern, detectors),
             "probability": probability,
-            "output_state": _state_terms(state),
+            "output_state": _output_state(state),
         }
         if fidelities is not None:
             entry["fidelity_to_target"] = fidelities.get(pattern)
@@ -120,17 +151,39 @@ _GATE_OPTIONS = {
     "chi_via_cnot": (),
 }
 
+#: Option -> the value a gate that reads it takes when it is left out.
+_OPTION_DEFAULTS = {"control_pol": "H"}
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
+def _unread_option(args, read) -> str | None:
+    """The flag of the first input option given that a run reading only the
+    options ``read`` would ignore.  Such a run is refused: silently ignored,
+    the option would make the report look like that of another input."""
+    for option in _OPTION_ARGUMENTS:
+        if option not in read and getattr(args, option) is not None:
+            return _flag(option)
+    return None
+
 
 def _run_gate(args, tolerance: float) -> dict:
     name = args.gate
     if name not in _GATE_OPTIONS:
         raise _config_error(f"unknown gate {name!r}; choose from {gates.GATE_NAMES}")
+    unread = _unread_option(args, _GATE_OPTIONS[name])
+    if unread:
+        raise _config_error(f"{name} does not read {unread}")
     gate_args = []
     input_doc = {}
     for option in _GATE_OPTIONS[name]:
         value = getattr(args, option)
         if value is None:
-            raise _config_error(f"{name} needs --{option.replace('_', '-')}")
+            value = _OPTION_DEFAULTS.get(option)
+        if value is None:
+            raise _config_error(f"{name} needs {_flag(option)}")
         argument, input_doc[option] = _OPTION_ARGUMENTS[option](value)
         gate_args.append(argument)
     report = getattr(gates, name)(*gate_args, passive=args.passive, tolerance=tolerance)
@@ -142,21 +195,18 @@ def _run_gate(args, tolerance: float) -> dict:
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
     document of dicts with string keys, lists, tuples, strings, numbers,
-    booleans and ``None``.  json's own encoder takes its pure-Python path
-    whenever it indents, and each call of that path leaves reference cycles
-    for the garbage collector; this writer leaves none."""
+    booleans and ``None``; :class:`_Verbatim` text is written as it is.
+    json's own encoder takes its pure-Python path whenever it indents, and
+    each call of that path leaves reference cycles for the garbage
+    collector; this writer leaves none."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Verbatim else encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
         return {None: "null", True: "true", False: "false"}[value]
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
+        return _number(value)
     inner = indent + "  "
     if isinstance(value, dict):
         items = [
@@ -196,6 +246,11 @@ def cmd_run(args) -> int:
         if args.gate is not None:
             document = _run_gate(args, tolerance)
         else:
+            unread = _unread_option(args, ())
+            if unread:
+                raise _config_error(
+                    f"--circuit does not read {unread}: the circuit file declares its input"
+                )
             spec = _load_circuit(args.circuit)
             result = execute(spec, passive=args.passive, tolerance=tolerance)
             document = _report_document(
@@ -258,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--control-pol",
         choices=("H", "V"),
-        default="H",
-        help="control photon polarization for destructive_cnot",
+        help="control photon polarization for destructive_cnot (default H)",
     )
     run.add_argument(
         "--passive",

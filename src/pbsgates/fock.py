@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import OverlappingModes
 
@@ -115,16 +116,17 @@ def _width(photons: int) -> int:
 
 
 def _fields(cfg: int, width: int) -> list[tuple[int, int]]:
-    """(position, count) of every occupied slot of a packed configuration."""
+    """(position, count) of every occupied slot of a packed configuration, in
+    increasing position.  Each occupied field is found from the lowest set
+    bit left, so empty slots cost nothing."""
     field = (1 << width) - 1
     out = []
-    pos = 0
     while cfg:
-        n = cfg & field
-        if n:
-            out.append((pos, n))
-        cfg >>= width
-        pos += 1
+        pos = ((cfg & -cfg).bit_length() - 1) // width
+        shift = pos * width
+        n = cfg >> shift & field
+        out.append((pos, n))
+        cfg ^= n << shift
     return out
 
 
@@ -265,12 +267,17 @@ class PhotonState:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def modes(self) -> set[str]:
+    def occupied_slots(self) -> dict[int, Slot]:
+        """``{position: slot}`` of every slot that some term occupies, with
+        the positions of :meth:`sorted_fields`."""
         occupied = 0
         for cfg in self._terms:
             occupied |= cfg
         slots = self._index.slots
-        return {slots[pos][0] for pos, _ in _fields(occupied, self._width)}
+        return {pos: slots[pos] for pos, _ in _fields(occupied, self._width)}
+
+    def modes(self) -> set[str]:
+        return {mode for mode, _ in self.occupied_slots().values()}
 
     def reindexed(self, index: SlotIndex) -> "PhotonState":
         """The same state packed over ``index``, widened by any slot it lacks."""
@@ -293,8 +300,26 @@ class PhotonState:
             return PhotonState._unpruned(terms, self._index, self._photons, self.tolerance)
         return PhotonState.packed(terms, self._index, self._photons, self.tolerance)
 
+    def sorted_fields(self) -> list[tuple[list[tuple[int, int]], complex]]:
+        """``(fields, amplitude)`` of every term in :class:`BasisState` order.
+
+        ``fields`` holds the ``(position, count)`` of each occupied slot,
+        positions in :attr:`packing`'s index and increasing.  Positions follow
+        sorted slot order, so these lists sort as the terms' ``BasisState``
+        forms do; every sorted view of a state is built on this one sort.
+        """
+        width = self._width
+        return sorted(
+            [(_fields(cfg, width), amp) for cfg, amp in self._terms.items()],
+            key=itemgetter(0),
+        )
+
     def sorted_terms(self) -> list[tuple[BasisState, complex]]:
-        return sorted(self.terms.items(), key=lambda item: item[0])
+        slots = self._index.slots
+        return [
+            (BasisState(tuple([(slots[pos], n) for pos, n in fields])), amp)
+            for fields, amp in self.sorted_fields()
+        ]
 
     def __repr__(self):
         parts = [f"({a:.6g})|{b.key_string() or 'vac'}>" for b, a in self.sorted_terms()]

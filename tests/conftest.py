@@ -98,6 +98,21 @@ def accepted_bits(result):
     )
 
 
+def reference_sorted_terms(state: PhotonState) -> list[tuple[BasisState, complex]]:
+    """The terms of ``state`` as :class:`BasisState` values in their dataclass
+    order: an independent reference for ``sorted_terms``, which sorts
+    packed ``(position, count)`` fields instead.  Each configuration is
+    unpacked field by field over the whole index."""
+    index, photons = state.packing
+    width = max(1, photons.bit_length())
+    field = (1 << width) - 1
+    terms = {}
+    for cfg, amp in state.packed_terms.items():
+        counts = [(slot, cfg >> pos * width & field) for pos, slot in enumerate(index.slots)]
+        terms[BasisState(tuple((slot, n) for slot, n in counts if n))] = amp
+    return sorted(terms.items(), key=lambda item: item[0])
+
+
 def random_state(rng, modes=("x", "y"), max_photons=3) -> PhotonState:
     """Random non-normalized few-photon state over HV slots of ``modes``."""
     slots = [(m, p) for m in modes for p in (POL_H, POL_V)]

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from pbsgates import cli, gates
+from pbsgates import __version__, cli, dsl, gates
+from pbsgates.circuit import GateResult, execute, pattern_name
 from pbsgates.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, TOLERANCE_ENV
 from pbsgates.gates import GATE_NAMES, TwoQubitState
 
@@ -148,6 +149,104 @@ def test_run_circuit_matches_gate_report():
                 assert abs(
                     complex(ct["re"], ct["im"]) - complex(gt["re"], gt["im"])
                 ) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("--circuit", circuit_path("parity_check"), "--qubit", "1", "0", "0", "0"), "--qubit"),
+        (("--gate", "chi_via_cnot", "--qubit", "1", "0", "0", "0"), "--qubit"),
+        (("--gate", "cnot", "--two-qubit", "1", *"0000000", "--control-pol", "V"), "--control-pol"),
+        (("--gate", "cnot", "--qubit", "1", "0", "0", "0"), "--qubit"),
+        (("--gate", "parity_check", "--qubit", "1", "0", "0", "0", "--control-pol", "H"),
+         "--control-pol"),
+    ],
+)
+def test_options_the_run_does_not_read_are_config_errors(args, flag):
+    proc = run_main("run", *args)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and flag in lines[0]
+
+
+def test_destructive_cnot_reads_no_control_pol_as_h():
+    args = ("run", "--gate", "destructive_cnot", "--qubit", "0.6", "0", "0.8", "0")
+    implicit = run_main(*args)
+    explicit = run_main(*args, "--control-pol", "H")
+    assert implicit.returncode == explicit.returncode == EXIT_OK
+    assert implicit.stdout == explicit.stdout
+    assert json.loads(implicit.stdout)["input"]["control_pol"] == "H"
+
+
+#: Two photons meet at a diagonal PBS and leave bunched (``:2``); the mode
+#: names and the detector label need JSON escapes of every kind.
+_ODD_NAMES_CIRCUIT = """\
+mode q"1
+mode \U0001F600\\\u00e9
+mode d
+input qubit q"1 0.6 0 0 -0.8
+input qubit \U0001F600\\\u00e9 0.6 0 0 -0.8
+input qubit d 0.6 0 0.8 0
+pbs fs q"1 \U0001F600\\\u00e9 q"1 \U0001F600\\\u00e9
+rotate q"1 45
+detect hv d as x"\\\u00e9
+output q"1 \U0001F600\\\u00e9
+"""
+
+
+def _negated(result: GateResult) -> GateResult:
+    outcomes = {
+        pattern: (probability, state.scaled(-1.0))
+        for pattern, (probability, state) in result.outcomes.items()
+    }
+    return GateResult(
+        outcomes, {}, result.success_probability, result.failure_probability
+    )
+
+
+def test_reports_escape_odd_names_as_json_dumps_does(tmp_path, monkeypatch):
+    # The engine never leaves a signed zero: every entry of its sums starts
+    # as ``0j + ...``.  Negating each accepted state turns the +0.0
+    # imaginary part of every negative real amplitude into -0.0.
+    monkeypatch.setattr(cli, "execute", lambda *a, **k: _negated(execute(*a, **k)))
+    monkeypatch.delenv(TOLERANCE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    name = "odd\u00e9.circ"
+    Path(name).write_text(_ODD_NAMES_CIRCUIT, encoding="utf-8")
+    assert cli.main(["run", "--circuit", name, "--output", "report.json"]) == EXIT_OK
+
+    spec = dsl.parse_circuit(_ODD_NAMES_CIRCUIT)
+    result = _negated(execute(spec))
+    outcomes = []
+    for pattern in sorted(result.outcomes):
+        probability, state = result.outcomes[pattern]
+        terms = [
+            {"occupations": basis.key_string(), "re": amp.real, "im": amp.imag}
+            for basis, amp in state.sorted_terms()
+        ]
+        outcomes.append(
+            {
+                "pattern": pattern_name(pattern, spec.detectors),
+                "probability": probability,
+                "output_state": terms,
+            }
+        )
+    document = {
+        "schema": 1,
+        "gate": name,
+        "input": {"circuit": name},
+        "outcomes": outcomes,
+        "success_probability": result.success_probability,
+        "failure_probability": result.failure_probability,
+        "engine_version": __version__,
+    }
+    text = Path("report.json").read_text(encoding="ascii")
+    assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # The report holds what the test is about.
+    for needle in (':2"', '"im": -0.0', "\\ud83d\\ude00", "\\\\", '\\"', "\\u00e9"):
+        assert needle in text, needle
 
 
 def test_check_subcommand():

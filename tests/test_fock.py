@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pbsgates import fock, optics
@@ -24,7 +25,7 @@ from pbsgates.optics import (
     RotatorElement,
 )
 
-from conftest import qubit_state, random_state, single, states_close
+from conftest import qubit_state, random_state, reference_sorted_terms, single, states_close
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -35,6 +36,34 @@ def test_basis_state_canonical_order_and_zero_drop():
     assert a == b
     assert a.total_photons == 3
     assert a.key_string() == "m:H:1,n:V:2"
+
+
+@pytest.mark.parametrize("width, photons", [(1, 1), (2, 3), (3, 7)])
+def test_sorted_terms_follow_the_basis_state_order(width, photons):
+    # Sorting packed (position, count) fields gives the BasisState order,
+    # on the state's own index and on one widened by interleaved slots.
+    rng = np.random.default_rng(width)
+    slots = [(m, p) for m in ("2", "2'", "a", "b10", "b2") for p in (POL_H, POL_V)]
+    wider = fock.SlotIndex([("1", POL_H), ("2'", POL_F), ("ab", POL_V), ("z", POL_S)])
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.integers(1, 30)):
+            occ = {}
+            for _ in range(rng.integers(0, photons + 1)):
+                slot = slots[rng.integers(len(slots))]
+                occ[slot] = occ.get(slot, 0) + 1
+            terms[BasisState.from_dict(occ)] = complex(rng.normal(), rng.normal())
+        # All photons bunched on one slot: a count of `photons`.
+        terms[BasisState.from_dict({slots[rng.integers(len(slots))]: photons})] = 1.0
+        state = PhotonState(terms, tolerance=0.0)
+        index, bound = state.packing
+        assert max(1, bound.bit_length()) == width
+        widened = state.reindexed(wider)
+        assert len(widened.packing[0].slots) > len(index.slots)
+        expected = reference_sorted_terms(state)
+        assert repr(state.sorted_terms()) == repr(expected)
+        assert repr(widened.sorted_terms()) == repr(reference_sorted_terms(widened))
+        assert widened.sorted_terms() == expected
 
 
 def test_basis_state_rejects_negative_occupation():
