@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Collection, NoReturn
+from typing import Callable, Collection, NoReturn, Sequence
 
 from . import fock, optics
 from .errors import (
@@ -160,33 +160,32 @@ def _declared_slots(kind: str, modes: tuple[str, ...]) -> tuple[tuple[Slot, ...]
     return tuple(tuple(zip(modes, pols)) for pols in INPUT_FORMS[kind][0])
 
 
-def _declared_amplitudes(decl: InputDecl) -> tuple[complex, ...]:
-    """The amplitude of each term of a declared state, in :func:`_declared_slots` order:
-    a qubit's are ``(1+0j)*alpha`` and ``0j + (1+0j)*beta``, the products of
-    creating each photon on the vacuum and superposing; a state's are the
-    declared values made complex, and a fixed kind's ``1/sqrt(terms)``."""
-    terms, names = INPUT_FORMS[decl.kind]
+def _declared_amplitudes(kind: str, amplitudes: tuple[complex, ...]) -> tuple[complex, ...]:
+    """The amplitude of each term of a ``kind`` declaration of ``amplitudes``, in
+    :func:`_declared_slots` order: a qubit's are ``(1+0j)*alpha`` and ``0j + (1+0j)*beta``,
+    the products of creating each photon on the vacuum and superposing; a state's
+    are the declared values made complex, and a fixed kind's ``1/sqrt(terms)``."""
+    terms, names = INPUT_FORMS[kind]
     if not names:
         return (complex(1.0 / math.sqrt(len(terms))),) * len(terms)
-    if decl.kind == "qubit":
-        alpha, beta = decl.amplitudes
+    if kind == "qubit":
+        alpha, beta = amplitudes
         return (_ONE * alpha, 0j + _ONE * beta)
-    return tuple(map(complex, decl.amplitudes))
+    return tuple(map(complex, amplitudes))
 
 
-def input_amplitudes(spec: CircuitSpec, plan: CompiledCircuit) -> list[complex]:
+def input_amplitudes(declarations: Sequence[tuple], plan: CompiledCircuit) -> list[complex]:
     """The amplitude of each configuration of ``plan.inputs``, in that order,
-    with the amplitudes of ``spec`` bound: the product that the tensor
-    product of the declarations computes.  Starting from the vacuum's
-    ``1+0j``, each declaration in order multiplies in one of its amplitudes
-    (:func:`_declared_amplitudes`) as ``0j + product * amplitude``, so a
-    product with a zero factor is an exact zero.  A non-finite amplitude,
-    which a warm plan's :func:`validate` did not see, raises
-    :class:`NonPhysicalInput`.
+    with each input declaration's ``(kind, amplitudes)`` bound, in spec order:
+    the product that the tensor product of the declarations computes.  Starting
+    from the vacuum's ``1+0j``, each declaration in order multiplies in one of its
+    amplitudes (:func:`_declared_amplitudes`) as ``0j + product * amplitude``, so a
+    product with a zero factor is an exact zero.  A non-finite amplitude, which a
+    warm plan's :func:`validate` did not see, raises :class:`NonPhysicalInput`.
     """
-    values = [amp for decl in spec.inputs for amp in _declared_amplitudes(decl)]
+    values = [amp for decl in declarations for amp in _declared_amplitudes(*decl)]
     if not all(map(cmath.isfinite, values)):
-        bad = next(a for decl in spec.inputs for a in decl.amplitudes if not cmath.isfinite(a))
+        bad = next(a for _, amps in declarations for a in amps if not cmath.isfinite(a))
         raise NonPhysicalInput(f"input amplitude {bad!r} is not finite")
     products = []
     for _, recipe in plan.inputs:
@@ -231,7 +230,8 @@ def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None)
     """
     if plan is None:
         plan = compile(spec)
-    terms = {cfg: amp for (cfg, _), amp in zip(plan.inputs, input_amplitudes(spec, plan))}
+    declarations = [(decl.kind, decl.amplitudes) for decl in spec.inputs]
+    terms = {cfg: amp for (cfg, _), amp in zip(plan.inputs, input_amplitudes(declarations, plan))}
     return PhotonState.packed(terms, plan.index, plan.photons, 0.0)
 
 
@@ -256,7 +256,7 @@ def declared_state(decl: InputDecl, tolerance: float) -> PhotonState:
     configurations (:func:`declared_configurations`) with the amplitudes of
     :func:`_declared_amplitudes`."""
     cfgs, index, photons = declared_configurations(decl.kind, decl.modes)
-    terms = dict(zip(cfgs, _declared_amplitudes(decl)))
+    terms = dict(zip(cfgs, _declared_amplitudes(decl.kind, decl.amplitudes)))
     return PhotonState.packed(terms, index, photons, tolerance)
 
 

@@ -19,7 +19,7 @@ import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import circuit, dsl, fock
@@ -61,12 +61,19 @@ class TwoQubitState:
 
 @dataclass
 class GateReport:
+    """One gate call's result and fidelities.  ``spec``, the shipped circuit
+    with the call's ``amplitudes`` bound (:func:`_bound_spec`), is built on first read."""
+
     name: str
-    spec: CircuitSpec
+    amplitudes: tuple[tuple[complex, ...], ...]
     result: GateResult
     target: PhotonState | None
     fidelities: dict[OutcomePattern, float]
     success_probability: float
+
+    @functools.cached_property
+    def spec(self) -> CircuitSpec:
+        return _bound_spec(self.name, self.amplitudes)
 
 
 def ideal_cnot(state: TwoQubitState) -> TwoQubitState:
@@ -74,11 +81,17 @@ def ideal_cnot(state: TwoQubitState) -> TwoQubitState:
     return TwoQubitState(state.a1, state.a2, state.a4, state.a3)
 
 
+def _check_normalised(which: str, state: PhotonState) -> None:
+    n2 = state.norm_sq()
+    if abs(n2 - 1.0) > 1e-9:
+        raise NonNormalized(f"{which} state squared norm is {n2!r}")
+
+
 def fidelity(a: PhotonState, b: PhotonState) -> float:
-    for name, st in (("first", a), ("second", b)):
-        n2 = st.norm_sq()
-        if abs(n2 - 1.0) > 1e-9:
-            raise NonNormalized(f"{name} state squared norm is {n2!r}")
+    """|⟨a|b⟩|² of two states whose squared norms are each 1 to within 1e-9;
+    :class:`NonNormalized` names the first that is not."""
+    _check_normalised("first", a)
+    _check_normalised("second", b)
     return abs(fock.inner_product(a, b)) ** 2
 
 
@@ -113,23 +126,22 @@ _TARGETS = {
 }
 
 
-def _bound_spec(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> CircuitSpec:
-    """The shipped ``name`` circuit with ``amplitudes`` in place of the file's
-    on the declarations of :data:`_BINDS`; the others keep the file's."""
-    shipped = _shipped_spec(name)
+def _bound_amplitudes(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> list:
+    """The kind and amplitudes of each input of the shipped ``name`` circuit:
+    ``amplitudes`` on the declarations of :data:`_BINDS`, the file's on the others."""
     bound = dict(zip(_BINDS[name], amplitudes))
+    inputs = _shipped_spec(name).inputs
+    return [(decl.kind, bound.get(decl.modes, decl.amplitudes)) for decl in inputs]
+
+
+def _bound_spec(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> CircuitSpec:
+    """The shipped ``name`` circuit with the inputs of :func:`_bound_amplitudes`."""
+    shipped = _shipped_spec(name)
     inputs = tuple(
-        InputDecl(decl.kind, decl.modes, bound.get(decl.modes, decl.amplitudes))
-        for decl in shipped.inputs
+        InputDecl(kind, decl.modes, amps)
+        for decl, (kind, amps) in zip(shipped.inputs, _bound_amplitudes(name, amplitudes))
     )
-    return CircuitSpec(
-        shipped.modes,
-        inputs,
-        shipped.elements,
-        shipped.detectors,
-        shipped.rules,
-        shipped.outputs,
-    )
+    return replace(shipped, inputs=inputs)
 
 
 @dataclass(frozen=True)
@@ -226,8 +238,8 @@ def _respond(
     table: _Responses,
     passive: bool,
     tolerance: float,
-) -> tuple[CircuitSpec, GateResult]:
-    """The bound spec, and its result from the response ``table``.
+) -> GateResult:
+    """The result of a call of gate ``name`` from its response ``table``.
 
     The input is checked and pruned as :func:`execute` checks and prunes it
     (:func:`circuit.input_norm`), and a column whose input terms that pruning
@@ -239,9 +251,8 @@ def _respond(
     once, so the two differ by more than rounding only if some amplitude
     inside the run falls below ``tolerance``.
     """
-    spec = _bound_spec(name, amplitudes)
     plan = table.plan
-    products = circuit.input_amplitudes(spec, plan)
+    products = circuit.input_amplitudes(_bound_amplitudes(name, amplitudes), plan)
     circuit.input_norm(products, tolerance)
     floor = tolerance or fock._LEAST_MAGNITUDE
     coefficients = [
@@ -267,13 +278,14 @@ def _respond(
         probability = output.norm_sq()
         if probability > 0.0:
             accepted.append((pattern, probability, output))
-    result = circuit.settle(
+    return circuit.settle(
         accepted,
-        lambda: circuit._execute(spec, plan, passive, tolerance, drop=False).rejected,
+        lambda: circuit._execute(
+            _bound_spec(name, amplitudes), plan, passive, tolerance, drop=False
+        ).rejected,
         tolerance,
         lambda success: lost,
     )
-    return spec, result
 
 
 def _report(
@@ -289,24 +301,28 @@ def _report(
     The outputs are pruned with ``tolerance`` (see :func:`_respond`), and so
     is the target, the ideal output state of :data:`_TARGETS` with the
     amplitudes ``target`` (``None`` for no target), packed like the outputs.
+    Each outcome is scored as :func:`fidelity` scores it, but the target's
+    norm is checked once, and not the outputs', which :func:`circuit.settle`
+    has just normalised.
     """
     table = _responses(name, passive)
-    spec, result = _respond(name, amplitudes, table, passive, tolerance)
+    result = _respond(name, amplitudes, table, passive, tolerance)
     fidelities = {}
     target_state = None
     if target is not None:
-        decl = InputDecl(*_TARGETS[name], target)
+        kind, modes = _TARGETS[name]
         if result.outcomes:
             cfgs, index, photons = table.target
-            terms = dict(zip(cfgs, circuit._declared_amplitudes(decl)))
+            terms = dict(zip(cfgs, circuit._declared_amplitudes(kind, target)))
             target_state = PhotonState.packed(terms, index, photons, tolerance)
+            _check_normalised("second", target_state)
         else:
-            target_state = circuit.declared_state(decl, tolerance)
+            target_state = circuit.declared_state(InputDecl(kind, modes, target), tolerance)
         for pattern, (_, state) in result.outcomes.items():
-            fidelities[pattern] = fidelity(state, target_state)
+            fidelities[pattern] = abs(fock.inner_product(state, target_state)) ** 2
     return GateReport(
         name=name,
-        spec=spec,
+        amplitudes=amplitudes,
         result=result,
         target=target_state,
         fidelities=fidelities,

@@ -9,7 +9,7 @@ import pytest
 
 from pbsgates import circuit, dsl, gates
 from pbsgates.circuit import execute
-from pbsgates.errors import MissingOutput, ModeCollision, NonPhysicalInput
+from pbsgates.errors import MissingOutput, ModeCollision, NonNormalized, NonPhysicalInput
 from pbsgates.gates import GATE_NAMES, QubitState, TwoQubitState, fidelity
 
 from conftest import accepted_bits, random_qubit, random_two_qubit
@@ -30,6 +30,11 @@ def draw_args(name, rng, i):
     return ()
 
 
+def bound_amplitudes(args):
+    """The amplitudes that a gate called with ``args`` binds."""
+    return tuple(tuple(a) if isinstance(a, TwoQubitState) else (a.alpha, a.beta) for a in args)
+
+
 def assert_agrees_with_the_engine(report, passive, tolerance):
     engine = execute(report.spec, passive, tolerance)
     assert list(report.result.outcomes) == list(engine.outcomes)
@@ -41,8 +46,12 @@ def assert_agrees_with_the_engine(report, passive, tolerance):
         assert ours.tolerance == state.tolerance
         for basis in set(ours.terms) | set(state.terms):
             assert abs(ours.amplitude(basis) - state.amplitude(basis)) <= 1e-14
+        # A call scores its outputs without checking their norms: they must be
+        # normalised, and each fidelity must be the one gates.fidelity gives.
+        assert abs(ours.norm_sq() - 1.0) <= 1e-12
         if report.target is not None:
             assert abs(report.fidelities[pattern] - fidelity(state, report.target)) <= 1e-14
+            assert report.fidelities[pattern] == fidelity(ours, report.target)
     assert bool(report.fidelities) == (report.target is not None)
 
 
@@ -105,6 +114,35 @@ def test_warm_calls_run_no_engine(monkeypatch):
     assert runs == [] and builds == []
 
 
+def test_a_warm_call_builds_its_spec_only_when_it_is_read(monkeypatch):
+    rng = np.random.default_rng(21)
+    calls = [
+        (name, passive, draw_args(name, rng, i))
+        for i, (name, passive) in enumerate(itertools.product(GATE_NAMES, (False, True)))
+    ]
+    for name, passive, args in calls:
+        getattr(gates, name)(*args, passive)
+    builds = []
+    original = gates._bound_spec
+    monkeypatch.setattr(gates, "_bound_spec", lambda *args: builds.append(args) or original(*args))
+    reports = [getattr(gates, name)(*args, passive) for name, passive, args in calls]
+    assert builds == []
+    for report, (name, passive, args) in zip(reports, calls):
+        builds.clear()
+        spec = report.spec
+        assert report.spec is spec
+        assert len(builds) == 1
+        assert spec == original(name, bound_amplitudes(args))
+        assert report.result.rejected == execute(spec, passive).rejected
+
+
+def test_a_target_that_the_tolerance_denormalises_is_refused():
+    # The tolerance prunes the target's 1e-4 term, 1e-8 of its squared norm.
+    target = (math.sqrt(1 - 1e-8), 1e-4)
+    with pytest.raises(NonNormalized, match="second state squared norm"):
+        gates._report("parity_check", ((1.0, 0.0),), target, False, 1e-3)
+
+
 def report_bits(report):
     """A gate report's accepted outcomes, fidelities and target, bit for bit."""
     target = None if report.target is None else report.target.sorted_terms()
@@ -146,9 +184,8 @@ PRUNED_TERMS = {
 @pytest.mark.parametrize("name", sorted(PRUNED_TERMS))
 def test_an_input_prune_is_refused_with_the_engines_message(name, passive):
     args = PRUNED_TERMS[name]
-    bound = tuple(tuple(a) if isinstance(a, TwoQubitState) else (a.alpha, a.beta) for a in args)
     with pytest.raises(NonPhysicalInput) as engine:
-        execute(gates._bound_spec(name, bound), passive, 1e-3)
+        execute(gates._bound_spec(name, bound_amplitudes(args)), passive, 1e-3)
     with pytest.raises(NonPhysicalInput) as ours:
         getattr(gates, name)(*args, passive, tolerance=1e-3)
     assert "of the input" in str(engine.value)
