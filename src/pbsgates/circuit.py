@@ -200,11 +200,14 @@ def input_norm(amplitudes: Collection[complex], tolerance: float) -> float:
     """The squared norm of an input with ``amplitudes``, after the terms below
     ``tolerance`` are pruned, as :meth:`PhotonState.packed` prunes them.
 
-    Raises :class:`NonPhysicalInput` unless the squared norm before pruning
-    (exact zeros aside) is 1 to within 1e-9, and again if pruning removes
-    more than 1e-9 of it.  Both sums run in the order of ``amplitudes``,
-    which is read twice.
+    Raises :class:`ValueError` for a negative ``tolerance``, which would
+    prune nothing, not even exact zeros.  Raises :class:`NonPhysicalInput`
+    unless the squared norm before pruning (exact zeros aside) is 1 to within
+    1e-9, and again if pruning removes more than 1e-9 of it.  Both sums run
+    in the order of ``amplitudes``, which is read twice.
     """
+    if tolerance < 0:
+        raise ValueError(f"amplitude tolerance {tolerance!r} is negative")
     norm = fock.squared_norm(amp for amp in amplitudes if amp)
     if not abs(norm - 1.0) <= 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
@@ -645,7 +648,7 @@ def _execute(
             corrected = apply_feedforward(
                 branch, pattern, spec.detectors, spec.rules, plan.corrections
             )
-            accepted.append((pattern, probability, corrected))
+            accepted.append((pattern, probability, corrected.packed_terms, corrected.packing))
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
     return settle(
@@ -661,14 +664,15 @@ def _execute(
 
 
 def settle(
-    accepted: list[tuple[OutcomePattern, float, PhotonState]],
+    accepted: list[tuple[OutcomePattern, float, dict[int, complex], tuple[fock.SlotIndex, int]]],
     rejected: dict[OutcomePattern, float] | Callable[[], dict[OutcomePattern, float]],
     tolerance: float,
     lost: Callable[[float], float],
 ) -> GateResult:
     """The result of a run that accepts ``accepted``: each pattern, in
     order, with its probability (positive) and its corrected state, not yet
-    normalised.
+    normalised, as its terms, pruned with ``tolerance``, and their packing
+    (:attr:`PhotonState.packing`).  Each outcome's state is built once, normalised.
 
     ``lost(success)`` is the squared norm that pruning removed during the
     run, given the summed probability of ``accepted``; more than 1e-9 of it
@@ -676,8 +680,10 @@ def settle(
     """
     outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
     success = 0.0
-    for pattern, probability, state in accepted:
-        outcomes[pattern] = (probability, state.scaled(1.0 / math.sqrt(probability)))
+    for pattern, probability, terms, (index, photons) in accepted:
+        factor = 1.0 / math.sqrt(probability)
+        state = PhotonState.scaled_packed(terms, index, photons, tolerance, factor)
+        outcomes[pattern] = (probability, state)
         success += probability
     pruned = lost(success)
     if pruned > 1e-9:

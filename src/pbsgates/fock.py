@@ -291,14 +291,19 @@ class PhotonState:
         """The same state pruned with ``tolerance``."""
         return PhotonState.packed(self._terms, self._index, self._photons, tolerance)
 
-    def scaled(self, factor: complex) -> "PhotonState":
-        terms = {cfg: a * factor for cfg, a in self._terms.items()}
+    @classmethod
+    def scaled_packed(cls, terms, index, photons, tolerance, factor: complex) -> "PhotonState":
+        """:meth:`packed` of ``terms``, which all pass ``tolerance``, times ``factor``."""
+        terms = {cfg: a * factor for cfg, a in terms.items()}
         # A real factor of magnitude 1 or more shrinks neither part of any
         # amplitude (rounding is monotonic), so nothing new falls below the
-        # tolerance that this state already passed.
+        # tolerance that the terms already passed.
         if isinstance(factor, (int, float)) and abs(factor) >= 1:
-            return PhotonState._unpruned(terms, self._index, self._photons, self.tolerance)
-        return PhotonState.packed(terms, self._index, self._photons, self.tolerance)
+            return cls._unpruned(terms, index, photons, tolerance)
+        return cls.packed(terms, index, photons, tolerance)
+
+    def scaled(self, factor: complex) -> "PhotonState":
+        return self.scaled_packed(self._terms, self._index, self._photons, self.tolerance, factor)
 
     def sorted_fields(self) -> list[tuple[list[tuple[int, int]], complex]]:
         """``(fields, amplitude)`` of every term in :class:`BasisState` order.

@@ -232,25 +232,29 @@ def _responses(name: str, passive: bool) -> _Responses:
     )
 
 
-def _respond(
+def _report(
     name: str,
     amplitudes: tuple[tuple[complex, ...], ...],
-    table: _Responses,
+    target: tuple[complex, ...] | None,
     passive: bool,
     tolerance: float,
-) -> GateResult:
-    """The result of a call of gate ``name`` from its response ``table``.
+) -> GateReport:
+    """Answer a call of gate ``name`` from its response table and score it
+    against ``target``.
 
+    ``amplitudes`` replace the file's on the declarations of :data:`_BINDS`.
     The input is checked and pruned as :func:`execute` checks and prunes it
-    (:func:`circuit.input_norm`), and a column whose input terms that pruning
-    removes adds nothing.  Each accepted pattern's output is summed from the
-    columns, then pruned with ``tolerance`` and normalised
-    (:func:`circuit.settle`); if that pruning loses more than 1e-9 of
-    squared norm in all, the call is refused as a run that loses it.  Where
-    :func:`execute` prunes each state along the run, this prunes the outputs
-    once, so the two differ by more than rounding only if some amplitude
-    inside the run falls below ``tolerance``.
+    (:func:`circuit.input_norm`): a column whose input terms it prunes adds
+    nothing.  Each accepted pattern's summed output is pruned with
+    ``tolerance`` once, where :func:`execute` prunes along the run, and
+    normalised by :func:`circuit.settle`; a call whose pruning loses more
+    than 1e-9 of squared norm is refused as a run that loses it.  The
+    target, the ideal state of :data:`_TARGETS` with the amplitudes
+    ``target`` (``None`` for none), is packed like the outputs.  Each outcome
+    is scored as :func:`fidelity` scores it, with the target's norm checked
+    once and not the outputs', which are normalised.
     """
+    table = _responses(name, passive)
     plan = table.plan
     products = circuit.input_amplitudes(_bound_amplitudes(name, amplitudes), plan)
     circuit.input_norm(products, tolerance)
@@ -271,14 +275,13 @@ def _respond(
             if coefficient:
                 for cfg, amp in terms.items():
                     total[cfg] = total.get(cfg, 0j) + coefficient * amp
-        output = PhotonState.packed(total, *table.packing, tolerance)
-        pruned = output.packed_terms
+        pruned = {cfg: amp for cfg, amp in total.items() if abs(amp) >= floor}
         if len(pruned) < len(total):
             lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in pruned)
-        probability = output.norm_sq()
+        probability = fock.squared_norm(pruned.values())
         if probability > 0.0:
-            accepted.append((pattern, probability, output))
-    return circuit.settle(
+            accepted.append((pattern, probability, pruned, table.packing))
+    result = circuit.settle(
         accepted,
         lambda: circuit._execute(
             _bound_spec(name, amplitudes), plan, passive, tolerance, drop=False
@@ -286,27 +289,6 @@ def _respond(
         tolerance,
         lambda success: lost,
     )
-
-
-def _report(
-    name: str,
-    amplitudes: tuple[tuple[complex, ...], ...],
-    target: tuple[complex, ...] | None,
-    passive: bool,
-    tolerance: float,
-) -> GateReport:
-    """Answer a call of gate ``name`` and score it against ``target``.
-
-    ``amplitudes`` replace the file's on the declarations of :data:`_BINDS`.
-    The outputs are pruned with ``tolerance`` (see :func:`_respond`), and so
-    is the target, the ideal output state of :data:`_TARGETS` with the
-    amplitudes ``target`` (``None`` for no target), packed like the outputs.
-    Each outcome is scored as :func:`fidelity` scores it, but the target's
-    norm is checked once, and not the outputs', which :func:`circuit.settle`
-    has just normalised.
-    """
-    table = _responses(name, passive)
-    result = _respond(name, amplitudes, table, passive, tolerance)
     fidelities = {}
     target_state = None
     if target is not None:
@@ -370,14 +352,16 @@ def cnot(
     state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
-    return _report("cnot", (tuple(state),), tuple(ideal_cnot(state)), passive, tolerance)
+    target = (state.a1, state.a2, state.a4, state.a3)  # ideal_cnot's, without its norm check
+    return _report("cnot", (tuple(state),), target, passive, tolerance)
 
 
 def gc_cnot(
     state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Teleportation-style gate consuming the four-photon chi resource."""
-    return _report("gc_cnot", (tuple(state),), tuple(ideal_cnot(state)), passive, tolerance)
+    target = (state.a1, state.a2, state.a4, state.a3)
+    return _report("gc_cnot", (tuple(state),), target, passive, tolerance)
 
 
 def chi_via_cnot(

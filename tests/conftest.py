@@ -1,5 +1,6 @@
 """Shared fixtures, state builders and random-state helpers for the test suite."""
 
+import copy
 import itertools
 import math
 from importlib.resources import files
@@ -7,7 +8,10 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from pbsgates.fock import DEFAULT_TOLERANCE, POL_H, POL_V, BasisState, PhotonState
+from pbsgates import circuit, gates
+from pbsgates.circuit import InputDecl
+from pbsgates.errors import NonNormalized, NonPhysicalInput
+from pbsgates.fock import DEFAULT_TOLERANCE, POL_H, POL_V, BasisState, PhotonState, inner_product
 from pbsgates.gates import QubitState, TwoQubitState
 
 
@@ -111,6 +115,100 @@ def reference_sorted_terms(state: PhotonState) -> list[tuple[BasisState, complex
         counts = [(slot, cfg >> pos * width & field) for pos, slot in enumerate(index.slots)]
         terms[BasisState(tuple((slot, n) for slot, n in counts if n))] = amp
     return sorted(terms.items(), key=lambda item: item[0])
+
+
+def float_bits(x) -> tuple[str, ...]:
+    """A float's or a complex number's bits, signed zeros included."""
+    z = complex(x)
+    return (z.real.hex(), z.imag.hex()) if isinstance(x, complex) else (float(x).hex(),)
+
+
+def state_bits(state: PhotonState | None):
+    """A state's packing, tolerance and terms in their stored order, bit for bit."""
+    if state is None:
+        return None
+    index, photons = state.packing
+    terms = [(cfg, float_bits(amp)) for cfg, amp in state.packed_terms.items()]
+    return index.slots, photons, float_bits(state.tolerance), terms
+
+
+def reference_gate_call(name, amplitudes, target, passive, tolerance):
+    """The bits of a warm ``gates._report(name, amplitudes, target, passive,
+    tolerance)`` worked out plainly from the gate's response table: an
+    independent reference for the table path.
+
+    The input is checked by the functions it shares with ``execute``.  Each
+    column is weighted by the product of its amplitudes unless its input term
+    is pruned; each accepted pattern's sum is packed with ``tolerance``
+    (``PhotonState.packed``), its squared norm is its probability, and it is
+    scaled by ``1 / sqrt(probability)`` (``PhotonState.scaled``).  The target
+    is packed like the outputs and each outcome is scored as
+    ``abs(inner_product(state, target)) ** 2``.  Raises what the call raises.
+    """
+    table = gates._responses(name, passive)
+    products = circuit.input_amplitudes(gates._bound_amplitudes(name, amplitudes), table.plan)
+    circuit.input_norm(products, tolerance)
+    floor = tolerance or math.ulp(0.0)
+    coefficients = []
+    for column, position in zip(itertools.product(*amplitudes), table.inputs):
+        coefficients.append(math.prod(column) if abs(products[position]) >= floor else 0.0)
+    for k, error in table.failures.items():
+        if coefficients[k]:
+            raise copy.copy(error)
+    outcomes = {}
+    success = 0.0
+    lost = 0.0
+    for pattern, responses in table.patterns:
+        total = {}
+        for k, terms in responses:
+            if coefficients[k]:
+                for cfg, amp in terms.items():
+                    total[cfg] = total.get(cfg, 0j) + coefficients[k] * amp
+        output = PhotonState.packed(total, *table.packing, tolerance)
+        lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in output.packed_terms)
+        probability = output.norm_sq()
+        if probability > 0.0:
+            outcomes[pattern] = (probability, output.scaled(1.0 / math.sqrt(probability)))
+            success += probability
+    if lost > 1e-9:
+        raise NonPhysicalInput(
+            f"amplitude tolerance {tolerance!r} prunes squared norm {lost!r} during the run"
+        )
+    fidelities = {}
+    target_state = None
+    if target is not None:
+        kind, modes = gates._TARGETS[name]
+        if outcomes:
+            cfgs, index, photons = table.target
+            terms = dict(zip(cfgs, circuit._declared_amplitudes(kind, target)))
+            target_state = PhotonState.packed(terms, index, photons, tolerance)
+            n2 = target_state.norm_sq()
+            if abs(n2 - 1.0) > 1e-9:
+                raise NonNormalized(f"second state squared norm is {n2!r}")
+        else:
+            target_state = circuit.declared_state(InputDecl(kind, modes, target), tolerance)
+        for pattern, (_, state) in outcomes.items():
+            fidelities[pattern] = abs(inner_product(state, target_state)) ** 2
+    return (
+        float_bits(success),
+        float_bits(1.0 - success),
+        [(pattern, float_bits(p), state_bits(state)) for pattern, (p, state) in outcomes.items()],
+        [(pattern, float_bits(f)) for pattern, f in fidelities.items()],
+        state_bits(target_state),
+    )
+
+
+def report_call_bits(report):
+    """A gate report in the form of :func:`reference_gate_call`."""
+    result = report.result
+    assert report.success_probability == result.success_probability
+    return (
+        float_bits(result.success_probability),
+        float_bits(result.failure_probability),
+        [(pattern, float_bits(p), state_bits(s)) for pattern, (p, s) in result.outcomes.items()],
+        [(pattern, float_bits(f)) for pattern, f in report.fidelities.items()],
+        state_bits(report.target),
+    )
 
 
 def random_state(rng, modes=("x", "y"), max_photons=3) -> PhotonState:

@@ -1,18 +1,33 @@
 """Gate calls answered from cached per-pattern responses: they agree with the
-engine, run no engine once warm, and keep the engine's refusals."""
+engine, run no engine once warm, keep the engine's refusals, and keep the
+bits of the table arithmetic written out plainly (``reference_gate_call``)."""
 
 import itertools
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
-from pbsgates import circuit, dsl, gates
+from pbsgates import circuit, dsl, fock, gates
 from pbsgates.circuit import execute
-from pbsgates.errors import MissingOutput, ModeCollision, NonNormalized, NonPhysicalInput
+from pbsgates.errors import (
+    MissingOutput,
+    ModeCollision,
+    NonNormalized,
+    NonPhysicalInput,
+    PbsGatesError,
+)
 from pbsgates.gates import GATE_NAMES, QubitState, TwoQubitState, fidelity
 
-from conftest import accepted_bits, random_qubit, random_two_qubit
+from conftest import (
+    accepted_bits,
+    random_qubit,
+    random_two_qubit,
+    reference_gate_call,
+    report_call_bits,
+)
 
 H = QubitState(1.0, 0.0)
 V = QubitState(0.0, 1.0)
@@ -276,3 +291,192 @@ def test_a_refused_column_refuses_every_call_that_reaches_it(error, monkeypatch,
     with pytest.raises(error) as engine:
         execute(gates._bound_spec("destructive_cnot", ((0.6, 0.8), (1.0, 0.0))))
     assert str(ours.value) == str(engine.value)
+
+
+#: Values that the bit guard puts on some components: exact and signed zeros.
+ZEROS = (0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+#: Magnitudes that the bit guard gives some components: each falls below some
+#: tolerance of the guard, and 1e-4 is a prune of 1e-8, which 1e-3 refuses.
+SMALLS = (1e-13, 3e-11, 2e-6, 1e-4)
+
+
+def draw_components(rnd, n, small=None):
+    """``n`` normalised amplitudes, some of them zero, signed zero or small;
+    with ``small``, the first has that magnitude."""
+    values = [complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for _ in range(n)]
+    kinds = [rnd.choice("zzsbbbb") for _ in range(n)]
+    kinds[rnd.randrange(1 if small else 0, n)] = "b"
+    if small:
+        kinds[0] = "s"
+    pruned = 0.0
+    for i, kind in enumerate(kinds):
+        if kind == "z":
+            values[i] = rnd.choice(ZEROS)
+        elif kind == "s":
+            values[i] *= (small if small and i == 0 else rnd.choice(SMALLS)) / abs(values[i])
+            pruned += abs(values[i]) ** 2
+    big = math.sqrt(sum(abs(v) ** 2 for v, kind in zip(values, kinds) if kind == "b"))
+    scale = math.sqrt(1.0 - pruned) / big
+    return [v * scale if kind == "b" else v for v, kind in zip(values, kinds)]
+
+
+def draw_guard_args(name, rnd, small=None):
+    """Arguments for a gate call of the bit guard, as :func:`draw_args`, with
+    zeros and small components (the first one of magnitude ``small``, if
+    given); destructive_cnot's control is often H or V up to a phase, so
+    that it has a target."""
+    if name in ("parity_check", "encoder"):
+        return (QubitState(*draw_components(rnd, 2, small)),)
+    if name == "destructive_cnot":
+        phase = rnd.choice((1.0, -1.0, 1j, complex(0.6, 0.8)))
+        zero = rnd.choice(ZEROS)
+        control = rnd.choice(
+            (QubitState(phase, zero), QubitState(zero, phase), QubitState(*draw_components(rnd, 2)))
+        )
+        return (QubitState(*draw_components(rnd, 2, small)), control)
+    if name in ("cnot", "gc_cnot"):
+        return (TwoQubitState(*draw_components(rnd, 4, small)),)
+    return ()
+
+
+def ideal_target(name, args):
+    """The fidelity target that gate ``name`` called with ``args`` scores against."""
+    if name == "destructive_cnot":
+        target, control = args
+        if abs(abs(control.alpha) - 1.0) <= 1e-12:
+            return (target.alpha, target.beta)
+        if abs(abs(control.beta) - 1.0) <= 1e-12:
+            return (target.beta, target.alpha)
+        return None
+    if name in ("parity_check", "encoder"):
+        (q,) = args
+        return (q.alpha, q.beta) if name == "parity_check" else (q.alpha, 0, 0, q.beta)
+    if name in ("cnot", "gc_cnot"):
+        return tuple(gates.ideal_cnot(args[0]))
+    return ()
+
+
+def outcome_of(call):
+    """What ``call()`` gives, or the class and message of what it raises."""
+    try:
+        return call()
+    except PbsGatesError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-10, 1e-3])
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_warm_calls_keep_the_bits_of_the_plain_table_arithmetic(name, passive, tolerance):
+    rnd = random.Random(f"{name} {passive} {tolerance}")
+    calls = 2 if name == "chi_via_cnot" else 16
+    refused = 0
+    for i in range(calls):
+        # The first call has a component of 1e-4, which 1e-3 prunes and refuses.
+        args = draw_guard_args(name, rnd, 1e-4 if i == 0 else None)
+        amplitudes = bound_amplitudes(args)
+        expected = outcome_of(
+            lambda: reference_gate_call(
+                name, amplitudes, ideal_target(name, args), passive, tolerance
+            )
+        )
+        ours = outcome_of(
+            lambda: report_call_bits(getattr(gates, name)(*args, passive, tolerance))
+        )
+        assert ours == expected
+        refused += isinstance(expected[0], type)
+    assert (refused > 0) == (tolerance == 1e-3 and name != "chi_via_cnot")
+
+
+#: Calls that the table path refuses: ``(name, amplitudes, target, tolerance)``.
+REFUSED_CALLS = [
+    ("destructive_cnot", ((1.0 + 4e-10, 0.0),) * 2, None, 0.0),  # the input's norm
+    ("parity_check", ((0.6, 0.8),), (0.6, 0.8), 0.7),  # a prune of the input
+    ("gc_cnot", ((1.0, 0.0, 0.0, 0.0),), (1.0, 0.0, 0.0, 0.0), 0.5),  # a prune in the run
+    ("parity_check", ((1.0, 0.0),), (math.sqrt(1 - 1e-8), 1e-4), 1e-3),  # the target's norm
+    ("encoder", ((0.6, 0.8),), (0.6, 0.0, 0.0, 0.7), 0.0),  # the target's norm
+]
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("call", REFUSED_CALLS, ids=lambda call: call[0])
+def test_a_refused_call_raises_what_the_plain_table_arithmetic_raises(call, passive):
+    name, amplitudes, target, tolerance = call
+    expected = outcome_of(
+        lambda: reference_gate_call(name, amplitudes, target, passive, tolerance)
+    )
+    ours = outcome_of(
+        lambda: report_call_bits(gates._report(name, amplitudes, target, passive, tolerance))
+    )
+    assert isinstance(expected[0], type)
+    assert ours == expected
+
+
+def test_a_warm_call_builds_one_state_per_accepted_outcome_and_one_target(monkeypatch):
+    rnd = random.Random(22)
+    calls = [
+        (name, passive, draw_guard_args(name, rnd))
+        for name, passive in itertools.product(GATE_NAMES, (False, True))
+        for _ in range(5)
+    ]
+    for name, passive, args in calls:
+        getattr(gates, name)(*args, passive)
+    builds = []
+    original = fock.PhotonState._unpruned.__func__
+
+    def counted(cls, *args):
+        builds.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(fock.PhotonState, "_unpruned", classmethod(counted))
+    for name, passive, args in calls:
+        builds.clear()
+        report = getattr(gates, name)(*args, passive)
+        assert len(builds) == len(report.result.outcomes) + (report.target is not None)
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("tolerance", [-1e-300, -1e-12, -1.0, -math.inf])
+def test_a_negative_tolerance_is_refused_by_the_engine_and_by_a_gate_call(tolerance, passive):
+    # A negative tolerance would prune nothing, not even the exact zeros that
+    # every other tolerance drops.
+    state = TwoQubitState(1, 0, 0, 0)
+    spec = gates.cnot(state).spec
+    message = re.escape(f"amplitude tolerance {tolerance!r} is negative")
+    with pytest.raises(ValueError, match=message):
+        execute(spec, passive, tolerance)
+    with pytest.raises(ValueError, match=message):
+        gates.cnot(state, passive, tolerance)
+
+
+def test_tolerance_negative_zero_prunes_as_zero_and_nan_or_one_is_refused():
+    state = TwoQubitState(1, 0, 0, 0)
+    spec = gates.cnot(state).spec
+    runs = (lambda t: execute(spec, tolerance=t), lambda t: gates.cnot(state, tolerance=t).result)
+    for run in runs:
+        zero, negative = run(0.0), run(-0.0)
+        for result in (zero, negative):
+            assert sum(s.num_terms() for _, s in result.outcomes.values()) == 6
+            assert len(result.rejected) == 11
+        assert [
+            (pattern, probability, state.sorted_terms())
+            for pattern, (probability, state) in negative.outcomes.items()
+        ] == [
+            (pattern, probability, state.sorted_terms())
+            for pattern, (probability, state) in zero.outcomes.items()
+        ]
+        for tolerance in (math.nan, 1.0):
+            with pytest.raises(NonPhysicalInput, match="of the input"):
+                run(tolerance)
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_gate_calls_agree_with_the_engine_at_random_tolerances(name, passive):
+    rnd = random.Random(f"tolerances {name} {passive}")
+    rng = np.random.default_rng(list(map(ord, name)) + [passive])
+    draws = 2 if name == "chi_via_cnot" else 11
+    tolerances = [0.0] + [10 ** rnd.uniform(-16, -10) for _ in range(draws)]
+    for i, tolerance in enumerate(tolerances):
+        report = getattr(gates, name)(*draw_args(name, rng, i), passive, tolerance)
+        assert_agrees_with_the_engine(report, passive, tolerance)
