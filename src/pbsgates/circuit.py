@@ -200,18 +200,16 @@ def input_norm(amplitudes: Collection[complex], tolerance: float) -> float:
     """The squared norm of an input with ``amplitudes``, after the terms below
     ``tolerance`` are pruned, as :meth:`PhotonState.packed` prunes them.
 
-    Raises :class:`ValueError` for a negative ``tolerance``, which would
-    prune nothing, not even exact zeros.  Raises :class:`NonPhysicalInput`
-    unless the squared norm before pruning (exact zeros aside) is 1 to within
-    1e-9, and again if pruning removes more than 1e-9 of it.  Both sums run
-    in the order of ``amplitudes``, which is read twice.
+    Raises :func:`fock.prune_floor`'s :class:`ValueError` for a negative
+    ``tolerance``.  Raises :class:`NonPhysicalInput` unless the squared norm
+    before pruning (exact zeros aside) is 1 to within 1e-9, and again if
+    pruning removes more than 1e-9 of it.  Both sums run in the order of
+    ``amplitudes``, which is read twice.
     """
-    if tolerance < 0:
-        raise ValueError(f"amplitude tolerance {tolerance!r} is negative")
+    floor = fock.prune_floor(tolerance)
     norm = fock.squared_norm(amp for amp in amplitudes if amp)
     if not abs(norm - 1.0) <= 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
-    floor = tolerance or fock._LEAST_MAGNITUDE
     kept = sum(abs(amp) ** 2 for amp in amplitudes if abs(amp) >= floor)
     if abs(kept - 1.0) > 1e-9:
         raise NonPhysicalInput(

@@ -48,6 +48,16 @@ DEFAULT_TOLERANCE = 1e-12
 #: instead, so that it still drops exact zeros.
 _LEAST_MAGNITUDE = math.ulp(0.0)
 
+
+def prune_floor(tolerance: float) -> float:
+    """The least magnitude that an amplitude keeps at ``tolerance``: the
+    tolerance, or :data:`_LEAST_MAGNITUDE` at 0 (and ``-0.0``).  Raises
+    :class:`ValueError` for a negative tolerance, which would prune nothing,
+    not even exact zeros."""
+    if tolerance < 0:
+        raise ValueError(f"amplitude tolerance {tolerance!r} is negative")
+    return tolerance or _LEAST_MAGNITUDE
+
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 Slot = tuple[str, str]
@@ -192,6 +202,7 @@ class PhotonState:
     __slots__ = ("_terms", "_index", "_photons", "_width", "tolerance")
 
     def __init__(self, terms, tolerance: float = DEFAULT_TOLERANCE):
+        floor = prune_floor(tolerance)
         index = SlotIndex(slot for basis in terms for slot, _ in basis.occ)
         photons = max((basis.total_photons for basis in terms), default=0)
         width = _width(photons)
@@ -200,7 +211,6 @@ class PhotonState:
         self._index = index
         self._photons = photons
         self._width = width
-        floor = tolerance or _LEAST_MAGNITUDE
         self._terms = {
             sum(n << position[slot] * width for slot, n in basis.occ): complex(amp)
             for basis, amp in terms.items()
@@ -213,7 +223,7 @@ class PhotonState:
     ) -> "PhotonState":
         """A state over configurations packed over ``index`` for up to ``photons``
         photons (see :meth:`SlotIndex.pack`), pruned like the constructor."""
-        floor = tolerance or _LEAST_MAGNITUDE
+        floor = prune_floor(tolerance)
         terms = {cfg: amp for cfg, amp in terms.items() if abs(amp) >= floor}
         return cls._unpruned(terms, index, photons, tolerance)
 

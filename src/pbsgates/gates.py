@@ -15,7 +15,6 @@ CLI.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -24,7 +23,7 @@ from importlib import resources
 
 from . import circuit, dsl, fock
 from .circuit import CircuitSpec, GateResult, InputDecl, OutcomePattern, execute
-from .errors import MissingOutput, ModeCollision, NonNormalized, PbsGatesError
+from .errors import NonNormalized
 from .fock import PhotonState
 
 
@@ -154,13 +153,12 @@ class _Responses:
     of those amplitudes.  The gate is linear in each bound declaration, so a
     call's unnormalised output on an accepted pattern is the sum over
     columns of the product of the caller's amplitudes at those positions
-    times the column's output.
+    times the column's output.  Every column's run returns, and all outputs
+    are packed alike (:func:`_responses` builds no other table).
     """
 
     #: The compiled shipped circuit: a call binds its amplitudes on it.
     plan: circuit.CompiledCircuit
-    #: Column -> the refusal that its run raised.
-    failures: dict[int, PbsGatesError]
     #: Column -> the position in ``plan.inputs`` of one of its input terms.
     #: They all have the same amplitude in a call's input (see
     #: :func:`_responses`), so the input's pruning keeps all of them or none.
@@ -169,26 +167,24 @@ class _Responses:
     #: unnormalised, corrected output of each column that reaches it:
     #: ``(column, {configuration: amplitude})``, packed as ``packing`` says.
     patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
-    packing: tuple[fock.SlotIndex, int] | None
+    packing: tuple[fock.SlotIndex, int]
     #: The configurations of the target (:data:`_TARGETS`), in
     #: :func:`circuit._declared_slots` order, with the index and photon bound
     #: they are packed for: ``packing``, widened by any slot the target
-    #: lacks there.  ``None`` when no column accepts anything.
-    target: tuple[tuple[int, ...], fock.SlotIndex, int] | None
+    #: lacks there.
+    target: tuple[tuple[int, ...], fock.SlotIndex, int]
 
 
 @functools.cache
 def _responses(name: str, passive: bool) -> _Responses:
     """Run the shipped ``name`` circuit once per column, exactly (tolerance 0).
 
-    A column whose run raises :class:`ModeCollision` or
-    :class:`MissingOutput` keeps that error, to be raised by any call that
-    gives the column a nonzero coefficient.
-
-    Within a column, input terms differ only in the amplitudes of the
-    declarations that the gate does not bind.  Those amplitudes must all be
-    equal within each declaration, so that every term of a column has the
-    same amplitude and the input's pruning treats the column as one.
+    The build raises, and so does every call (a failed build is not
+    cached), where a column's run raises, where the accepted outputs are not
+    packed over exactly one index, or where a declaration that the gate does
+    not bind has unequal amplitudes: within a column, input terms differ
+    only in those amplitudes, which must be equal so that the input's
+    pruning treats the column as one.
     """
     shipped = _shipped_spec(name)
     for decl in shipped.inputs:
@@ -199,7 +195,6 @@ def _responses(name: str, passive: bool) -> _Responses:
     positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
     declared = {decl.modes: decl for decl in shipped.inputs}
     sizes = [len(declared[modes].amplitudes) for modes in _BINDS[name]]
-    failures = {}
     inputs = []
     outputs: dict[OutcomePattern, list[tuple[int, dict[int, complex]]]] = {}
     packings = {}
@@ -207,28 +202,22 @@ def _responses(name: str, passive: bool) -> _Responses:
         units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
         spec = _bound_spec(name, units)
         inputs.append(positions[min(circuit.build_input_state(spec, plan=plan).packed_terms)])
-        try:
-            result = execute(spec, passive=passive, tolerance=0.0)
-        except (ModeCollision, MissingOutput) as exc:
-            failures[k] = exc
-            continue
+        result = execute(spec, passive=passive, tolerance=0.0)
         for pattern, (probability, state) in result.outcomes.items():
             index, photons = state.packing
             packings[index.slots, photons] = state.packing
             root = math.sqrt(probability)
             terms = {cfg: amp * root for cfg, amp in state.packed_terms.items()}
             outputs.setdefault(pattern, []).append((k, terms))
-    if len(packings) > 1:
-        raise ValueError(f"{name}: the columns' outputs are packed over different indexes")
-    packing = next(iter(packings.values()), None)
-    target = None if packing is None else circuit.declared_configurations(*_TARGETS[name], packing)
+    if len(packings) != 1:
+        raise ValueError(f"{name}: the columns' outputs are not packed over exactly one index")
+    (packing,) = packings.values()
     return _Responses(
         plan=plan,
-        failures=failures,
         inputs=tuple(inputs),
         patterns=tuple((pattern, tuple(outputs[pattern])) for pattern in sorted(outputs)),
         packing=packing,
-        target=target,
+        target=circuit.declared_configurations(*_TARGETS[name], packing),
     )
 
 
@@ -258,14 +247,11 @@ def _report(
     plan = table.plan
     products = circuit.input_amplitudes(_bound_amplitudes(name, amplitudes), plan)
     circuit.input_norm(products, tolerance)
-    floor = tolerance or fock._LEAST_MAGNITUDE
+    floor = fock.prune_floor(tolerance)
     coefficients = [
         math.prod(column) if abs(products[position]) >= floor else 0.0
         for column, position in zip(itertools.product(*amplitudes), table.inputs)
     ]
-    for k, error in table.failures.items():
-        if coefficients[k]:
-            raise copy.copy(error)
     accepted = []
     lost = 0.0
     for pattern, responses in table.patterns:
@@ -292,14 +278,10 @@ def _report(
     fidelities = {}
     target_state = None
     if target is not None:
-        kind, modes = _TARGETS[name]
-        if result.outcomes:
-            cfgs, index, photons = table.target
-            terms = dict(zip(cfgs, circuit._declared_amplitudes(kind, target)))
-            target_state = PhotonState.packed(terms, index, photons, tolerance)
-            _check_normalised("second", target_state)
-        else:
-            target_state = circuit.declared_state(InputDecl(kind, modes, target), tolerance)
+        cfgs, index, photons = table.target
+        terms = dict(zip(cfgs, circuit._declared_amplitudes(_TARGETS[name][0], target)))
+        target_state = PhotonState.packed(terms, index, photons, tolerance)
+        _check_normalised("second", target_state)
         for pattern, (_, state) in result.outcomes.items():
             fidelities[pattern] = abs(fock.inner_product(state, target_state)) ** 2
     return GateReport(

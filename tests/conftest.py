@@ -1,6 +1,5 @@
 """Shared fixtures, state builders and random-state helpers for the test suite."""
 
-import copy
 import itertools
 import math
 from importlib.resources import files
@@ -152,9 +151,6 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     coefficients = []
     for column, position in zip(itertools.product(*amplitudes), table.inputs):
         coefficients.append(math.prod(column) if abs(products[position]) >= floor else 0.0)
-    for k, error in table.failures.items():
-        if coefficients[k]:
-            raise copy.copy(error)
     outcomes = {}
     success = 0.0
     lost = 0.0

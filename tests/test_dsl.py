@@ -1,8 +1,11 @@
 """Parser tests: shipped circuits, diagnostics, round-trip, mutation fuzz."""
 
+import contextlib
+import io
+
 import pytest
 
-from pbsgates import dsl, gates
+from pbsgates import cli, dsl, gates
 from pbsgates.errors import (
     CircuitError,
     CircuitSyntaxError,
@@ -139,6 +142,37 @@ def test_trailing_token_rejected():
     err = diag("mode m\nmode n extra\noutput m\n")
     assert isinstance(err, CircuitSyntaxError)
     assert (err.line, err.column) == (2, 8)
+
+
+#: Diagnostics of a statement's own tokens: the text, the message and where
+#: it points (the first port of the PBS, the second ``rotate`` of the rule).
+TOKEN_DIAGNOSTICS = {
+    "pbs ports": (
+        "mode a\nmode b\nmode c\npbs hv a a b c\noutput b\n",
+        "PBS ports must be distinct",
+        (4, 8),
+    ),
+    "rule separator": (
+        "mode a\nmode b\ndetect hv a as x\non x V do rotate b 90 rotate b 90\noutput b\n",
+        "expected ';' between corrections, got 'rotate'",
+        (4, 23),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOKEN_DIAGNOSTICS))
+def test_a_statement_diagnostic_points_at_its_token_and_check_exits_3(case, tmp_path):
+    text, message, position = TOKEN_DIAGNOSTICS[case]
+    err = diag(text)
+    assert isinstance(err, CircuitSyntaxError)
+    assert message in str(err)
+    assert (err.line, err.column) == position
+    path = tmp_path / "bad.circ"
+    path.write_text(text, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE == 3
+    assert message in stderr.getvalue()
 
 
 def test_duplicate_detector_label():

@@ -1,11 +1,13 @@
 """Unit tests for sparse Fock states and slot transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pbsgates import fock, optics
+from pbsgates import circuit, fock, optics
+from pbsgates.circuit import InputDecl
 from pbsgates.errors import OverlappingModes
 from pbsgates.fock import (
     FS_TO_HV,
@@ -108,6 +110,29 @@ def test_exact_zeros_pruned_at_tolerance_zero():
     report = cnot(TwoQubitState(1, 0, 0, 0), tolerance=0.0)
     for _, state in report.result.outcomes.values():
         assert all(state.terms.values())
+
+
+@pytest.mark.parametrize("tolerance", [-1e-300, -1e-12, -1.0, -math.inf])
+def test_a_negative_tolerance_is_refused_by_every_state_builder(tolerance):
+    # It would keep exact zeros, which every other tolerance drops; -0.0
+    # prunes as 0.
+    h, v = (BasisState.from_dict({("m", pol): 1}) for pol in (POL_H, POL_V))
+    index = fock.SlotIndex([("m", POL_H), ("m", POL_V)])
+    packed = {index.pack([("m", POL_H)], 1): 1.0, index.pack([("m", POL_V)], 1): 0.0}
+    decl = InputDecl("qubit", ("a",), (1.0, 0.0))
+    builds = (
+        lambda t: PhotonState({h: 1.0, v: 0.0}, t),
+        lambda t: PhotonState.packed(packed, index, 1, t),
+        lambda t: circuit.declared_state(decl, t),
+    )
+    message = re.escape(f"amplitude tolerance {tolerance!r} is negative")
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build(tolerance)
+        zero, negative = build(0.0), build(-0.0)
+        assert negative.num_terms() == 1
+        assert negative.packed_terms == zero.packed_terms
+    assert fock.prune_floor(-0.0) == fock.prune_floor(0.0) == math.ulp(0.0)
 
 
 def test_rebase_single_photon_amplitudes():

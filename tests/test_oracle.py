@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -809,6 +810,18 @@ def test_oracle_shares_no_simulation_code_with_the_engine():
         assert module in ORACLE_IMPORTS, (node.lineno, module)
         names = {alias.name for alias in node.names}
         assert names <= ORACLE_IMPORTS[module], (node.lineno, names - ORACLE_IMPORTS[module])
+
+
+def test_only_fock_names_the_least_magnitude():
+    # The prune floor has one owner: every other module asks fock.prune_floor.
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        if path.name == "fock.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (getattr(node, "id", None), getattr(node, "attr", None))
+            if isinstance(node, ast.alias):
+                names = (node.name, node.asname)
+            assert "_LEAST_MAGNITUDE" not in names, (path.name, node.lineno)
 
 
 UNNORMALIZED = """\

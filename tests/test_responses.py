@@ -277,20 +277,91 @@ def fresh_tables():
 
 
 @pytest.mark.parametrize("error", sorted(REFUSING, key=lambda e: e.__name__))
-def test_a_refused_column_refuses_every_call_that_reaches_it(error, monkeypatch, fresh_tables):
+def test_a_refused_column_refuses_every_call_of_its_gate(error, monkeypatch, fresh_tables):
     spec = dsl.parse_circuit(REFUSING[error])
     monkeypatch.setattr(gates, "_shipped_spec", lambda name: spec)
-    table = gates._responses("destructive_cnot", False)
-    assert sorted(table.failures) == [2, 3]  # the columns with V on 3'
-    report = gates.destructive_cnot(H, QubitState(0.6, 0.8))
-    assert abs(report.success_probability - 1.0) < 1e-12
-    assert_agrees_with_the_engine(report, False, 1e-12)
+    # Column 2, V on 3' and H on b, is the first that the table build runs
+    # and that fails.  The first call gives it zero weight, and a failed
+    # build is not kept, so the second round fails again.
+    column = gates._bound_spec("destructive_cnot", ((0.0, 1.0), (1.0, 0.0)))
+    calls = [(H, QubitState(0.6, 0.8)), (QubitState(0.6, 0.8), H)]
+    for passive in (False, True, False):
+        with pytest.raises(error) as engine:
+            execute(column, passive=passive, tolerance=0.0)
+        for target, control in calls:
+            with pytest.raises(error) as ours:
+                gates.destructive_cnot(target, control, passive)
+            assert str(ours.value) == str(engine.value)
+
+
+UNEQUAL = """
+    mode 3'
+    mode b
+    mode c
+    input qubit 3' 1 0 0 0
+    input qubit b 1 0 0 0
+    input qubit c 0.6 0 0.8 0
+    detect hv c as x
+    output 3' b
+"""
+
+
+def test_an_unbound_input_of_unequal_amplitudes_refuses_every_call(monkeypatch, fresh_tables):
+    spec = dsl.parse_circuit(UNEQUAL)
+    monkeypatch.setattr(gates, "_shipped_spec", lambda name: spec)
+    message = re.escape("destructive_cnot: the input on ('c',) has unequal amplitudes")
     for _ in range(2):
-        with pytest.raises(error) as ours:
-            gates.destructive_cnot(QubitState(0.6, 0.8), H)
-    with pytest.raises(error) as engine:
-        execute(gates._bound_spec("destructive_cnot", ((0.6, 0.8), (1.0, 0.0))))
-    assert str(ours.value) == str(engine.value)
+        with pytest.raises(ValueError, match=message):
+            gates.destructive_cnot(H, H)
+
+
+#: destructive_cnot's inputs and outputs with a detector that never fires:
+#: no column accepts anything, so no output gives the table an index.
+ACCEPTS_NOTHING = """
+    mode 3'
+    mode b
+    mode x
+    input qubit 3' 1 0 0 0
+    input qubit b 1 0 0 0
+    detect hv x as d
+    output 3' b
+"""
+
+
+def test_outputs_not_packed_over_exactly_one_index_refuse_every_call(monkeypatch, fresh_tables):
+    message = "parity_check: the columns' outputs are not packed over exactly one index"
+    original = gates.execute
+    columns = []
+
+    def widened(spec, **kwargs):
+        # The second of each build's two columns packs its outputs wider.
+        result = original(spec, **kwargs)
+        columns.append(spec)
+        if len(columns) % 2 == 0:
+            for pattern, (p, state) in result.outcomes.items():
+                result.outcomes[pattern] = (p, state.reindexed(fock.SlotIndex([("z", "H")])))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gates, "execute", widened)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                gates.parity_check(H)
+    spec = dsl.parse_circuit(ACCEPTS_NOTHING)
+    monkeypatch.setattr(gates, "_shipped_spec", lambda name: spec)
+    for passive in (False, True):
+        with pytest.raises(ValueError, match=message.replace("parity_check", "destructive_cnot")):
+            gates.destructive_cnot(H, H, passive)
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_every_shipped_table_builds_with_its_target_over_its_own_index(name, passive):
+    table = gates._responses(name, passive)
+    assert table.patterns
+    index, photons = table.packing
+    _, target_index, target_photons = table.target
+    assert target_index is index and target_photons == photons
 
 
 #: Values that the bit guard puts on some components: exact and signed zeros.
