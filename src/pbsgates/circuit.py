@@ -3,16 +3,17 @@
 Execution builds the declared input state, applies the optical elements in
 order, rebases every detected mode into its detector's splitting basis, and
 exhaustively enumerates joint photon-count outcomes on the detected modes.
-Probabilities are exact branch norms; nothing is sampled.  The input
-configurations, elements, rebases and corrections of a spec are compiled
-once per structure (:func:`compile`), so runs that differ only in their
-input amplitudes share them and only bind the amplitudes.
+Probabilities are exact branch norms; nothing is sampled.  Each run
+validates and compiles its spec (:func:`compile`) into packed input
+configurations and slot maps of the elements, rebases and corrections.
+The plan depends on the spec's structure alone, so a caller that runs one
+structure on many input amplitudes (the gate calls of :mod:`gates`) keeps
+one plan and binds only the amplitudes.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import re
@@ -180,8 +181,9 @@ def input_amplitudes(declarations: Sequence[tuple], plan: CompiledCircuit) -> li
     the product that the tensor product of the declarations computes.  Starting
     from the vacuum's ``1+0j``, each declaration in order multiplies in one of its
     amplitudes (:func:`_declared_amplitudes`) as ``0j + product * amplitude``, so a
-    product with a zero factor is an exact zero.  A non-finite amplitude, which a
-    warm plan's :func:`validate` did not see, raises :class:`NonPhysicalInput`.
+    product with a zero factor is an exact zero.  A non-finite amplitude raises
+    :class:`NonPhysicalInput`: gate calls bind theirs on a kept plan, without
+    :func:`validate`.
     """
     values = [amp for decl in declarations for amp in _declared_amplitudes(*decl)]
     if not all(map(cmath.isfinite, values)):
@@ -506,34 +508,13 @@ def final_modes(spec: CircuitSpec) -> tuple[tuple[str, ...], ...] | None:
     return tuple(points)
 
 
-#: Compiled circuits kept by :func:`compile`: enough for the built-in gates
-#: and a few circuit files alternating with them.
-_PLAN_CACHE_SIZE = 16
-
-
-class _Structure(tuple):
-    """The plan cache's key for a spec: its fields, each input by its kind,
-    modes and amplitude count.  ``spec`` rides along outside the key, so
-    that a cache miss validates the spec itself."""
-
-
 def compile(spec: CircuitSpec) -> CompiledCircuit:
-    """Validate a spec and compile it, once per distinct structure.
+    """Validate a spec (:func:`validate`) and compile it.
 
     The slot index covers every polarization label of each declared mode.
-    Calls that differ only in amplitude values share one compiled circuit,
-    so :func:`validate` runs only when a structure is first seen.
+    The result serves any run of a spec of the same structure: one that
+    differs only in its input amplitudes.
     """
-    shapes = tuple((decl.kind, decl.modes, len(decl.amplitudes)) for decl in spec.inputs)
-    key = (spec.modes, shapes, spec.elements, spec.detectors, spec.rules, spec.outputs)
-    structure = _Structure(key)
-    structure.spec = spec
-    return _compile(structure)
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _compile(structure: _Structure) -> CompiledCircuit:
-    spec = structure.spec
     validate(spec)
     parts = [_declared_slots(decl.kind, decl.modes) for decl in spec.inputs]
     index = fock.SlotIndex((m, pol) for m in spec.modes for pol in (POL_F, POL_H, POL_S, POL_V))

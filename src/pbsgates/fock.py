@@ -53,9 +53,9 @@ def prune_floor(tolerance: float) -> float:
     """The least magnitude that an amplitude keeps at ``tolerance``: the
     tolerance, or :data:`_LEAST_MAGNITUDE` at 0 (and ``-0.0``).  Raises
     :class:`ValueError` for a negative tolerance, which would prune nothing,
-    not even exact zeros."""
-    if tolerance < 0:
-        raise ValueError(f"amplitude tolerance {tolerance!r} is negative")
+    not even exact zeros, and for ``nan``, which would prune everything."""
+    if not tolerance >= 0:
+        raise ValueError(f"amplitude tolerance {tolerance!r} is negative or nan")
     return tolerance or _LEAST_MAGNITUDE
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -65,6 +65,29 @@ def test_summary_of_canned_lines():
     assert (ratio["change_wins"], ratio["parent_wins"], ratio["median_worse_by"]) == (0, 0, 0.0)
 
 
+def test_unresolved_names_each_metric_spread_wider_than_its_bound():
+    # Parent ops/s quartiles 95-105 around 100: a 10% spread, inside the 25%
+    # bound.  Parent RSS 20-24 MB around 22: an 18% spread, outside the 10%
+    # bound, unless every change run reads below every parent run.
+    lines = [
+        (result_line(90.0, 0.10, rss=18.0), result_line(80.0, 0.10, rss=19.0)),
+        (result_line(100.0, 0.10, rss=22.0), result_line(99.0, 0.10, rss=25.0)),
+        (result_line(110.0, 0.10, rss=26.0), result_line(130.0, 0.10, rss=20.0)),
+    ]
+    pairs = [{"parent": json.loads(p), "change": json.loads(c)} for p, c in lines]
+    assert bench_pairs.unresolved(pairs, METRICS) == ["peak_rss_mb"]
+    for pair, rss in zip(pairs, (15.0, 16.0, 17.0)):
+        pair["change"]["metrics"]["peak_rss_mb"]["value"] = rss
+    assert bench_pairs.unresolved(pairs, METRICS) == []
+    # The same rule for a metric where higher is better: 60-160 around 110.
+    for pair, ops in zip(pairs, (10.0, 110.0, 210.0)):
+        pair["parent"]["metrics"]["ops_per_s"]["value"] = ops
+    assert bench_pairs.unresolved(pairs, METRICS) == ["ops_per_s"]
+    for pair, ops in zip(pairs, (211.0, 300.0, 400.0)):
+        pair["change"]["metrics"]["ops_per_s"]["value"] = ops
+    assert bench_pairs.unresolved(pairs, METRICS) == []
+
+
 def committed_summaries():
     for path in sorted(ROOT.glob("BENCH_*.json")):
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -77,6 +100,8 @@ def committed_summaries():
 @pytest.mark.parametrize("workload", committed_summaries())
 def test_summary_reproduces_each_committed_record(workload):
     assert bench_pairs.summarise(workload["pairs"], METRICS) == workload["summary"]
+    if "unresolved" in workload:
+        assert bench_pairs.unresolved(workload["pairs"], METRICS) == workload["unresolved"]
 
 
 def test_seed_ranges():

@@ -112,10 +112,10 @@ def test_exact_zeros_pruned_at_tolerance_zero():
         assert all(state.terms.values())
 
 
-@pytest.mark.parametrize("tolerance", [-1e-300, -1e-12, -1.0, -math.inf])
+@pytest.mark.parametrize("tolerance", [-1e-300, -1e-12, -1.0, -math.inf, math.nan])
 def test_a_negative_tolerance_is_refused_by_every_state_builder(tolerance):
-    # It would keep exact zeros, which every other tolerance drops; -0.0
-    # prunes as 0.
+    # It would keep exact zeros, which every other tolerance drops, and nan
+    # would drop every amplitude; -0.0 prunes as 0.
     h, v = (BasisState.from_dict({("m", pol): 1}) for pol in (POL_H, POL_V))
     index = fock.SlotIndex([("m", POL_H), ("m", POL_V)])
     packed = {index.pack([("m", POL_H)], 1): 1.0, index.pack([("m", POL_V)], 1): 0.0}

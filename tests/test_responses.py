@@ -103,30 +103,46 @@ def test_a_column_pruned_from_the_input_adds_nothing(name, passive):
     assert_agrees_with_the_engine(report, passive, 1e-10)
 
 
+#: Gate -> the input columns of its table: one run of the shipped circuit each.
+COLUMNS = {
+    "parity_check": 2,
+    "destructive_cnot": 4,
+    "encoder": 2,
+    "cnot": 4,
+    "gc_cnot": 4,
+    "chi_via_cnot": 1,
+}
+
+
 def test_warm_calls_run_no_engine(monkeypatch):
     runs = []
-    builds = []
-    original_run, original_execute = circuit._execute, gates.execute
+    compiles = []
+    original_run, original_compile = circuit._execute, circuit.compile
 
     def counted(calls, original):
         return lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
 
     monkeypatch.setattr(circuit, "_execute", counted(runs, original_run))
-    monkeypatch.setattr(gates, "execute", counted(builds, original_execute))
+    monkeypatch.setattr(circuit, "compile", counted(compiles, original_compile))
     gates._responses.cache_clear()
-    gates.cnot(TwoQubitState(0.5, 0.5, 0.5, 0.5))
-    # One engine run per column of the table that the first call built.
-    assert len(builds) == len(runs) == 4
+    rng = np.random.default_rng(1)
     for name in GATE_NAMES:
         for passive in (False, True):
-            getattr(gates, name)(*draw_args(name, np.random.default_rng(1), 0), passive)
+            runs.clear()
+            compiles.clear()
+            getattr(gates, name)(*draw_args(name, rng, 0), passive)
+            # The first call compiles the shipped circuit once and runs that
+            # plan once per column of the table it builds.
+            assert len(compiles) == 1, (name, passive)
+            assert len(runs) == COLUMNS[name], (name, passive)
+            assert all(run[1] is gates._responses(name, passive).plan for run in runs)
     runs.clear()
-    builds.clear()
+    compiles.clear()
     rng = np.random.default_rng(50)
     calls = itertools.cycle(itertools.product(GATE_NAMES, (False, True)))
     for i, (name, passive) in enumerate(itertools.islice(calls, 50)):
         getattr(gates, name)(*draw_args(name, rng, i), passive)
-    assert runs == [] and builds == []
+    assert runs == [] and compiles == []
 
 
 def test_a_warm_call_builds_its_spec_only_when_it_is_read(monkeypatch):
@@ -330,12 +346,12 @@ ACCEPTS_NOTHING = """
 
 def test_outputs_not_packed_over_exactly_one_index_refuse_every_call(monkeypatch, fresh_tables):
     message = "parity_check: the columns' outputs are not packed over exactly one index"
-    original = gates.execute
+    original = circuit._execute
     columns = []
 
-    def widened(spec, **kwargs):
+    def widened(spec, *args, **kwargs):
         # The second of each build's two columns packs its outputs wider.
-        result = original(spec, **kwargs)
+        result = original(spec, *args, **kwargs)
         columns.append(spec)
         if len(columns) % 2 == 0:
             for pattern, (p, state) in result.outcomes.items():
@@ -343,7 +359,7 @@ def test_outputs_not_packed_over_exactly_one_index_refuse_every_call(monkeypatch
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(gates, "execute", widened)
+        patch.setattr(circuit, "_execute", widened)
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
                 gates.parity_check(H)
@@ -536,9 +552,10 @@ def test_tolerance_negative_zero_prunes_as_zero_and_nan_or_one_is_refused():
             (pattern, probability, state.sorted_terms())
             for pattern, (probability, state) in zero.outcomes.items()
         ]
-        for tolerance in (math.nan, 1.0):
-            with pytest.raises(NonPhysicalInput, match="of the input"):
-                run(tolerance)
+        with pytest.raises(ValueError, match="amplitude tolerance nan is negative or nan"):
+            run(math.nan)
+        with pytest.raises(NonPhysicalInput, match="of the input"):
+            run(1.0)
 
 
 @pytest.mark.parametrize("passive", [False, True])

@@ -162,8 +162,6 @@ UNWRITABLE = {
 def test_library_and_dsl_raise_the_same_class(rule):
     changes, error, name = RULES[rule]
     spec = replace(PARITY, **changes)
-    # A warm plan skips validate, and the input amplitude rows share one.
-    circuit._compile.cache_clear()
     with pytest.raises(error) as library:
         circuit.compile(spec)
     if rule in UNWRITABLE:
@@ -185,7 +183,6 @@ def test_library_and_dsl_raise_the_same_class(rule):
 def test_oracle_raises_the_same_class(rule):
     changes, error, _ = RULES[rule]
     spec = replace(PARITY, **changes)
-    circuit._compile.cache_clear()
     with pytest.raises(error) as library:
         circuit.compile(spec)
     with pytest.raises(error) as dense:
@@ -207,13 +204,6 @@ def test_parser_refuses_a_token_holding_a_semicolon():
     with pytest.raises(CircuitSyntaxError, match="not one token") as info:
         dsl.parse_circuit(text)
     assert (info.value.line, info.value.column) == (3, 6)
-
-
-def test_warm_compile_validates_nothing(monkeypatch):
-    spec = shipped_spec("cnot")
-    circuit.compile(spec)
-    monkeypatch.setattr(circuit, "validate", None)
-    circuit.compile(spec)
 
 
 def test_detector_rejects_an_unknown_basis():
@@ -261,12 +251,22 @@ def test_input_amplitude_count_is_checked_against_its_kind():
 
 
 def test_a_warm_plan_refuses_a_non_finite_amplitude():
-    # The plan of parity_check serves any amplitude values, so validate does
-    # not run; the nan must not be pruned as if it were zero.
-    circuit.compile(PARITY)
+    # Every run validates its spec, whatever ran before it.
     spec = replace(PARITY, **first_input(math.nan, 1.0))
+    for _ in range(2):
+        with pytest.raises(CircuitSyntaxError, match="not finite") as info:
+            circuit.execute(spec)
+        assert info.value.entry == ("inputs", 0, "2'")
+        circuit.compile(PARITY)
+
+
+def test_binding_a_non_finite_amplitude_on_a_plan_is_refused():
+    # Gate calls bind amplitudes on a kept plan without validate; the nan
+    # must not be pruned as if it were zero.
+    plan = circuit.compile(PARITY)
+    declarations = [("qubit", (math.nan, 1.0)), ("qubit", ANCILLA.amplitudes)]
     with pytest.raises(NonPhysicalInput, match="nan.* is not finite"):
-        circuit.execute(spec)
+        circuit.input_amplitudes(declarations, plan)
 
 
 def mutate(spec: CircuitSpec, rng) -> CircuitSpec:

@@ -11,7 +11,8 @@ For each seed, ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` runs once in each checkout, one run at a time; the parent runs
 first on the first seed, the change on the second, and so on.  Each run's
 result line is kept verbatim (parsed), and each end-to-end metric of
-``BENCHMARK.json`` is summarised over the pairs (:func:`summarise`).  If
+``BENCHMARK.json`` is summarised over the pairs (:func:`summarise`), and those
+too spread to tell are listed apart (:func:`unresolved`).  If
 ``--out`` exists, the workloads run are added to it or replace its own, and
 the rest of the record is rewritten from the arguments.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -61,6 +63,27 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "within_bound": worse_by <= metric["bound"],
         }
     return summary
+
+
+def unresolved(pairs: list[dict], metrics: list[dict]) -> list[str]:
+    """The metrics whose parent runs spread wider than the metric's bound: the
+    distance between the parent's quartiles, as a share of the parent's median,
+    exceeds it.  A metric on which every change run beats every parent run is
+    resolved however wide the spread."""
+    names = []
+    for metric in metrics:
+        name = metric["name"]
+        parent = [pair["parent"]["metrics"][name]["value"] for pair in pairs]
+        change = [pair["change"]["metrics"][name]["value"] for pair in pairs]
+        q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        spread = (q3 - q1) / abs(median) if median else (0.0 if q3 == q1 else math.inf)
+        if metric["better"] == "higher":
+            beaten = min(change) > max(parent)
+        else:
+            beaten = max(change) < min(parent)
+        if spread > metric["bound"] and not beaten:
+            names.append(name)
+    return names
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -133,7 +156,11 @@ def main(argv=None) -> None:
                 pair[side] = run_once(checkout, workload, seed, args.seconds)
                 print(workload, seed, side, json.dumps(pair[side]["metrics"]), file=sys.stderr)
             pairs.append(pair)
-        workloads[workload] = {"pairs": pairs, "summary": summarise(pairs, metrics)}
+        workloads[workload] = {
+            "pairs": pairs,
+            "summary": summarise(pairs, metrics),
+            "unresolved": unresolved(pairs, metrics),
+        }
     record.update(
         change=args.change_text,
         parent_commit=args.parent_commit,
@@ -146,7 +173,9 @@ def main(argv=None) -> None:
             "entry under 'pairs' holds the two result lines verbatim. 'summary' gives each "
             "side's quartiles (q1, median, q3; statistics.quantiles, inclusive), how many pairs "
             "each side won, and how much worse the change's median is than the parent's "
-            "(negative: better)."
+            "(negative: better). 'unresolved' names each metric whose parent quartiles lie "
+            "further apart, as a share of the parent's median, than its bound, unless every "
+            "change run beats every parent run."
         ),
         claim=args.claim,
         workloads=workloads,
