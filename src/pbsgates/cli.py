@@ -226,7 +226,8 @@ def _config_error(message: str) -> SystemExit:
 
 def _load_circuit(path: str) -> CircuitSpec:
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that some editors write first.
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)

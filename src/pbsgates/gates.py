@@ -202,9 +202,10 @@ def _responses(name: str, passive: bool) -> _Responses:
     packings = {}
     for k, column in enumerate(itertools.product(*map(range, sizes))):
         units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
-        spec = _bound_spec(name, units)
-        inputs.append(positions[min(circuit.build_input_state(spec, plan=plan).packed_terms)])
-        result = circuit._execute(spec, plan, passive, 0.0, drop=True)
+        # The least configuration of the column's input, as built at tolerance 0.
+        products = circuit.input_amplitudes(_bound_amplitudes(name, units), plan)
+        inputs.append(positions[min(cfg for (cfg, _), amp in zip(plan.inputs, products) if amp)])
+        result = circuit._execute(_bound_spec(name, units), plan, passive, 0.0, drop=True)
         for pattern, (probability, state) in result.outcomes.items():
             index, photons = state.packing
             packings[index.slots, photons] = state.packing

@@ -20,6 +20,11 @@ each amplitude factors into one permanent per group.  Only the columns of
 the configurations that the declared inputs can hold are computed.  States
 are dense vectors over that basis, and an outcome's probability is the
 squared norm of the amplitudes whose detector counts match it.
+
+Compiling and running a circuit needs numpy alone.  ``scipy.sparse`` is
+loaded only when a function that builds a sparse operator first runs
+(:attr:`DenseCircuit.operator`, :func:`element_operator`,
+:func:`rebase_operator` and :func:`element_matrix`).
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive, validate
 from .errors import MissingOutput, ModeCollision, NonPhysicalInput, TruncationTooSmall
@@ -42,6 +47,9 @@ from .optics import (
     PolPhaseElement,
     RotatorElement,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -246,6 +254,8 @@ def _expand_operator(
     a†(ins[j]) -> sum_i u[i, j] a†(outs[i]), built one photon-number sector
     at a time.  An image with weight on a state that the basis lacks raises
     :class:`TruncationTooSmall`, naming that state's occupations."""
+    import scipy.sparse as sp
+
     matrix = _embedded(basis._slot_position, ins, outs, u)
     totals = basis.occupations.sum(axis=1)
     entries = []
@@ -344,7 +354,8 @@ class DenseCircuit:
     slots, and ``blocks`` the slice of slots of each coupled group.
     ``images`` is the network's many-body map as a dense array of shape
     (``basis.dim``, ``len(support)``), and ``operator`` the same map as a
-    CSR matrix, built on first read; ``support`` maps each configuration
+    CSR matrix, built on first read (the only step of a compiled circuit
+    that imports scipy); ``support`` maps each configuration
     that the declared inputs can hold to its column, and an input with
     weight elsewhere is refused.  Outputs are reported by name.  As in the
     engine, a run may leave photons only on detected and output modes, so a
@@ -492,6 +503,8 @@ class DenseCircuit:
 
     @functools.cached_property
     def operator(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(self.images)
 
     def input_vector(self, spec: CircuitSpec) -> np.ndarray:

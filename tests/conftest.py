@@ -194,6 +194,23 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     )
 
 
+def reference_table_inputs(name, passive):
+    """The ``inputs`` of ``gates._responses(name, passive)`` found the long
+    way: build each column's input state on the table's plan
+    (``circuit.build_input_state``) and take the position in ``plan.inputs``
+    of its least configuration."""
+    plan = gates._responses(name, passive).plan
+    positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
+    declared = {decl.modes: decl for decl in gates._shipped_spec(name).inputs}
+    sizes = [len(declared[modes].amplitudes) for modes in gates._BINDS[name]]
+    inputs = []
+    for column in itertools.product(*map(range, sizes)):
+        units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
+        state = circuit.build_input_state(gates._bound_spec(name, units), plan=plan)
+        inputs.append(positions[min(state.packed_terms)])
+    return tuple(inputs)
+
+
 def report_call_bits(report):
     """A gate report in the form of :func:`reference_gate_call`."""
     result = report.result

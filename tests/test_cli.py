@@ -369,6 +369,22 @@ def test_undecodable_circuit_is_config_error(tmp_path):
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_a_circuit_saved_with_a_byte_order_mark_reads_as_without_it(tmp_path):
+    plain, marked = tmp_path / "plain.circ", tmp_path / "marked.circ"
+    text = Path(circuit_path("parity_check")).read_bytes()
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    check = run_main("check", str(marked))
+    assert check.returncode == EXIT_OK, check.stderr
+    reports = {}
+    for path in (plain, marked):
+        report = tmp_path / f"{path.stem}.json"
+        assert run_main("run", "--circuit", str(path), "--output", str(report)).returncode == EXIT_OK
+        reports[path] = report.read_bytes()
+    assert str(marked).encode() in reports[marked]
+    assert reports[marked].replace(str(marked).encode(), str(plain).encode()) == reports[plain]
+
+
 def test_unwritable_output_is_config_error(tmp_path):
     path = tmp_path / "no such dir" / "report.json"
     proc = run_cli("run", "--gate", "chi_via_cnot", "--output", str(path))
@@ -538,8 +554,9 @@ def test_photons_off_the_outputs_are_config_error(tmp_path):
 
 
 def test_cli_and_gates_import_without_numpy_or_scipy():
-    # The oracle is the only module that needs numpy and scipy; the engine
-    # stays pure Python, so starting the CLI does not pay for loading them.
+    # The oracle is the only module that needs numpy (and scipy, for its
+    # sparse operators); the engine stays pure Python, so starting the CLI
+    # does not pay for loading them.
     code = (
         "import sys, pbsgates.cli, pbsgates.gates; "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"

@@ -4,6 +4,9 @@ import ast
 import inspect
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -947,3 +950,59 @@ def test_a_pattern_that_fires_no_rule_keeps_its_bucket():
     for reduced, amp in bucket.items():
         sign = -1.0 if reduced[h] else 1.0
         assert abs(flipped[reduced] - sign * amp) < 1e-12
+
+
+def test_the_oracle_runs_without_loading_scipy():
+    # Compiling and running a dense circuit needs numpy alone; scipy.sparse
+    # is loaded only by the functions that build a sparse operator.
+    code = textwrap.dedent('''
+        import sys
+        import numpy as np
+        from pbsgates import circuit, dsl, gates, oracle
+        from pbsgates.gates import QubitState, TwoQubitState
+
+        def scipy_loaded():
+            return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+        q = QubitState(0.6, 0.8j)
+        two = TwoQubitState(0.5, 0.5j, -0.5, 0.5)
+        specs = [
+            gates.parity_check(q).spec,
+            gates.destructive_cnot(q, QubitState(0.0, 1.0)).spec,
+            gates.encoder(q).spec,
+            gates.cnot(two).spec,
+            gates.gc_cnot(two).spec,
+            gates.chi_via_cnot().spec,
+        ]
+        # An FS detector whose S count fires a feed-forward correction.
+        fs = dsl.parse_circuit("""
+            mode a
+            mode b
+            input qubit a 0.6 0 0.8 0
+            input qubit b 0 0.6 0.8 0
+            rotate a 22.5
+            pbs fs a b a b
+            detect fs a as d
+            on d S do polphase b H 180
+            output b
+        """)
+        assert fs.rules and fs.detectors[0].basis == "fs"
+        for spec in specs + [fs]:
+            for passive in (False, True):
+                dense = oracle.run_dense(spec, passive=passive)
+                engine = circuit.execute(spec, passive=passive)
+                assert abs(dense.success_probability - engine.success_probability) < 1e-9
+        assert not scipy_loaded()
+
+        compiled = oracle.DenseCircuit(fs)
+        operator = compiled.operator
+        element = oracle.element_operator(fs.elements[0], compiled.basis)
+        assert scipy_loaded()
+        import scipy.sparse as sp
+        assert isinstance(operator, sp.csr_matrix) and isinstance(element, sp.csr_matrix)
+        assert np.array_equal(operator.toarray(), compiled.images)
+        print("ok")
+    ''')
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -26,6 +26,7 @@ from conftest import (
     random_qubit,
     random_two_qubit,
     reference_gate_call,
+    reference_table_inputs,
     report_call_bits,
 )
 
@@ -368,6 +369,26 @@ def test_outputs_not_packed_over_exactly_one_index_refuse_every_call(monkeypatch
     for passive in (False, True):
         with pytest.raises(ValueError, match=message.replace("parity_check", "destructive_cnot")):
             gates.destructive_cnot(H, H, passive)
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_each_column_keeps_the_least_configuration_of_its_built_input(name, passive):
+    assert gates._responses(name, passive).inputs == reference_table_inputs(name, passive)
+
+
+def test_a_table_build_builds_each_column_input_once(monkeypatch, fresh_tables):
+    builds = []
+    original = circuit.build_input_state
+    monkeypatch.setattr(
+        circuit, "build_input_state", lambda *a, **k: builds.append(a) or original(*a, **k)
+    )
+    for name in GATE_NAMES:
+        for passive in (False, True):
+            builds.clear()
+            gates._responses(name, passive)
+            # Only the column's run builds its input state.
+            assert len(builds) == COLUMNS[name], (name, passive)
 
 
 @pytest.mark.parametrize("passive", [False, True])
