@@ -4,7 +4,7 @@ Usage, from the repository root, with a copy of the parent commit in
 ``../parent`` (made with ``git archive``, say)::
 
     python3 tools/cold_start.py --parent ../parent --change . --reps 21 \\
-        --out COLD_START_25.json
+        --out COLD_START_<n>.json
 
 or, to time one checkout alone, ``python3 tools/cold_start.py --change .``.
 
