@@ -239,28 +239,18 @@ def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None)
 
 
 def declared_configurations(
-    kind: str, modes: tuple[str, ...], packing: tuple[fock.SlotIndex, int] | None = None
+    kind: str, modes: tuple[str, ...], packing: tuple[fock.SlotIndex, int]
 ) -> tuple[tuple[int, ...], fock.SlotIndex, int]:
     """The configurations of a ``kind`` declaration on ``modes``, in
     :func:`_declared_slots` order, packed over ``packing``'s index (widened
-    by any slot it lacks) for its photon bound, or by default over an index
-    of their own slots; and that index and photon bound.  Packed alike, a
-    state and the outputs of a run meet in :func:`fock.inner_product`
-    without repacking.
+    by any slot it lacks) for its photon bound; and that index and photon
+    bound.  Packed alike, a state and the outputs of a run meet in
+    :func:`fock.inner_product` without repacking.
     """
     slots = _declared_slots(kind, modes)
-    index, photons = (fock.SlotIndex(), len(slots[0])) if packing is None else packing
+    index, photons = packing
     index = index.including(slot for term in slots for slot in term)
     return tuple(index.pack(term, photons) for term in slots), index, photons
-
-
-def declared_state(decl: InputDecl, tolerance: float) -> PhotonState:
-    """One declaration's state on its own, pruned with ``tolerance``: its
-    configurations (:func:`declared_configurations`) with the amplitudes of
-    :func:`_declared_amplitudes`."""
-    cfgs, index, photons = declared_configurations(decl.kind, decl.modes)
-    terms = dict(zip(cfgs, _declared_amplitudes(decl.kind, decl.amplitudes)))
-    return PhotonState.packed(terms, index, photons, tolerance)
 
 
 def enumerate_outcomes(
@@ -371,8 +361,11 @@ def validate(spec: CircuitSpec) -> None:
     pols.  Corrections are rotators or phase plates, none on a detected
     mode, and no output is on a detected mode either; outputs are non-empty
     and distinct.
-    The error's ``entry`` is ``(field, index, name)``: the spec field (or
-    ``"corrections"``, indexed by rule), the entry and the name at fault.
+    The error's ``entry`` is ``(field, index, name)``: the spec field, the
+    entry and the name at fault.  A name that shares its entry with others
+    has a field of its own: ``"labels"`` for a detector's label, indexed by
+    detector, and ``"triggers"`` and ``"corrections"`` for a rule's pol and
+    correction modes, indexed by rule.
     """
     declared: set[str] = set()
     sourced: set[str] = set()
@@ -414,15 +407,15 @@ def validate(spec: CircuitSpec) -> None:
     for i, det in enumerate(spec.detectors):
         check_declared("detectors", i, det.mode)
         once(detected, DetectedModeReuse, "mode {!r} has two detectors", "detectors", i, det.mode)
-        check_name(det.label, "detectors", i)
-        once(labels, CircuitSyntaxError, "label {!r} declared twice", "detectors", i, det.label)
+        check_name(det.label, "labels", i)
+        once(labels, CircuitSyntaxError, "label {!r} declared twice", "labels", i, det.label)
     by_label = {det.label: det for det in spec.detectors}
     for i, rule in enumerate(spec.rules):
         det = by_label.get(rule.label)
         if det is None:
             refuse(UndeclaredMode, "no detector is labelled {!r}", "rules", i, rule.label)
         if rule.pol not in (det.transmitted_pol, det.reflected_pol):
-            refuse(CircuitSyntaxError, "trigger {!r} is not in the basis", "rules", i, rule.pol)
+            refuse(CircuitSyntaxError, "trigger {!r} is not in the basis", "triggers", i, rule.pol)
         for el in rule.corrections:
             check_correction(el, i)
             for mode in _element_modes(el):
@@ -627,7 +620,7 @@ def _execute(
             corrected = apply_feedforward(
                 branch, pattern, spec.detectors, spec.rules, plan.corrections
             )
-            accepted.append((pattern, probability, corrected.packed_terms, corrected.packing))
+            accepted.append((pattern, probability, corrected.packed_terms, *corrected.packing))
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
     return settle(
@@ -643,15 +636,16 @@ def _execute(
 
 
 def settle(
-    accepted: list[tuple[OutcomePattern, float, dict[int, complex], tuple[fock.SlotIndex, int]]],
+    accepted: list[tuple[OutcomePattern, float, dict[int, complex], fock.SlotIndex, int]],
     rejected: dict[OutcomePattern, float] | Callable[[], dict[OutcomePattern, float]],
     tolerance: float,
     lost: Callable[[float], float],
 ) -> GateResult:
     """The result of a run that accepts ``accepted``: each pattern, in
     order, with its probability (positive) and its corrected state, not yet
-    normalised, as its terms, pruned with ``tolerance``, and their packing
-    (:attr:`PhotonState.packing`).  Each outcome's state is built once, normalised.
+    normalised, as its terms, pruned with ``tolerance``, and the index and
+    photon bound they are packed for (:attr:`PhotonState.packing`).  Each
+    outcome's state is built once, normalised.
 
     ``lost(success)`` is the squared norm that pruning removed during the
     run, given the summed probability of ``accepted``; more than 1e-9 of it
@@ -659,7 +653,7 @@ def settle(
     """
     outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
     success = 0.0
-    for pattern, probability, terms, (index, photons) in accepted:
+    for pattern, probability, terms, index, photons in accepted:
         factor = 1.0 / math.sqrt(probability)
         state = PhotonState.scaled_packed(terms, index, photons, tolerance, factor)
         outcomes[pattern] = (probability, state)

@@ -113,8 +113,8 @@ class _Parser:
 
     def __init__(self):
         self.fields = {field.name: [] for field in dataclasses.fields(CircuitSpec)}
-        #: (field, index) -> the tokens that name the entry's modes, labels
-        #: and pols; ``("corrections", i)`` holds rule i's correction modes.
+        #: (field, index) -> the tokens of the names that :func:`validate`
+        #: files under that field and index (see its ``entry``).
         self.names: dict[tuple[str, int], list[_Token]] = {}
         self.detected: dict[str, str] = {}
         self.reuse: DetectedModeReuse | None = None
@@ -178,7 +178,8 @@ class _Parser:
         line.next_choice("'as'", ("as",))
         label = line.next("detector label")
         line.done()
-        self.add("detectors", DetectorSpec(mode.text, basis, label.text), [mode, label])
+        self.names["labels", len(self.fields["detectors"])] = [label]
+        self.add("detectors", DetectorSpec(mode.text, basis, label.text), [mode])
         self.detected[mode.text] = label.text
 
     def stmt_on(self, line: _Line):
@@ -195,9 +196,11 @@ class _Parser:
                     sep.column,
                 )
             corrections.append(self.parse_correction(line))
-        self.names["corrections", len(self.fields["rules"])] = [m for _, m in corrections]
+        i = len(self.fields["rules"])
+        self.names["triggers", i] = [pol]
+        self.names["corrections", i] = [m for _, m in corrections]
         rule = FeedForwardRule(label.text, pol.text, tuple(el for el, _ in corrections))
-        self.add("rules", rule, [label, pol])
+        self.add("rules", rule, [label])
 
     def stmt_output(self, line: _Line):
         if line.exhausted():
@@ -270,7 +273,7 @@ def format_circuit(spec: CircuitSpec) -> str:
     for i, decl in enumerate(spec.inputs):
         check_input(decl, i)
     for i, det in enumerate(spec.detectors):
-        check_name(det.label, "detectors", i)
+        check_name(det.label, "labels", i)
     for i, rule in enumerate(spec.rules):
         for el in rule.corrections:
             check_correction(el, i)

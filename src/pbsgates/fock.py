@@ -82,9 +82,6 @@ class BasisState:
                 raise ValueError("negative occupation")
         return BasisState(items)
 
-    def as_dict(self) -> dict[Slot, int]:
-        return dict(self.occ)
-
     @property
     def total_photons(self) -> int:
         return sum(n for _, n in self.occ)
@@ -311,9 +308,6 @@ class PhotonState:
         if isinstance(factor, (int, float)) and abs(factor) >= 1:
             return cls._unpruned(terms, index, photons, tolerance)
         return cls.packed(terms, index, photons, tolerance)
-
-    def scaled(self, factor: complex) -> "PhotonState":
-        return self.scaled_packed(self._terms, self._index, self._photons, self.tolerance, factor)
 
     def sorted_fields(self) -> list[tuple[list[tuple[int, int]], complex]]:
         """``(fields, amplitude)`` of every term in :class:`BasisState` order.

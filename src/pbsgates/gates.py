@@ -76,11 +76,6 @@ class GateReport:
         return _bound_spec(self.name, self.amplitudes)
 
 
-def ideal_cnot(state: TwoQubitState) -> TwoQubitState:
-    """Target truth table: swap the VH and VV coefficients."""
-    return TwoQubitState(state.a1, state.a2, state.a4, state.a3)
-
-
 def _check_normalised(which: str, state: PhotonState) -> None:
     n2 = state.norm_sq()
     if abs(n2 - 1.0) > 1e-9:
@@ -112,6 +107,9 @@ _BINDS = {
     "gc_cnot": (("A", "B"),),
     "chi_via_cnot": (),
 }
+
+#: The built-in gates, in the order of :data:`_BINDS`.
+GATE_NAMES = tuple(_BINDS)
 
 
 #: Gate -> the kind and modes of its ideal output state, the target that
@@ -154,8 +152,9 @@ class _Responses:
     of those amplitudes.  The gate is linear in each bound declaration, so a
     call's unnormalised output on an accepted pattern is the sum over
     columns of the product of the caller's amplitudes at those positions
-    times the column's output.  Every column's run returns, and all outputs
-    are packed alike (:func:`_responses` builds no other table).
+    times the column's output.  Every column's run returns (:func:`_responses`
+    builds no other table), and packs its outputs over the plan's index for
+    its photon number, as every run of the plan packs its states.
     """
 
     #: The compiled shipped circuit: a call binds its amplitudes on it.
@@ -166,13 +165,12 @@ class _Responses:
     inputs: tuple[int, ...]
     #: Each pattern that some column accepts, in sorted order, with the
     #: unnormalised, corrected output of each column that reaches it:
-    #: ``(column, {configuration: amplitude})``, packed as ``packing`` says.
+    #: ``(column, {configuration: amplitude})``, packed as ``plan`` packs.
     patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
-    packing: tuple[fock.SlotIndex, int]
     #: The configurations of the target (:data:`_TARGETS`), in
     #: :func:`circuit._declared_slots` order, with the index and photon bound
-    #: they are packed for: ``packing``, widened by any slot the target
-    #: lacks there.
+    #: they are packed for: the plan's, the index widened by any slot of the
+    #: target that it lacks.
     target: tuple[tuple[int, ...], fock.SlotIndex, int]
 
 
@@ -182,16 +180,16 @@ def _responses(name: str, passive: bool) -> _Responses:
     column, exactly (tolerance 0), as :func:`execute` runs it.
 
     The build raises, and so does every call (a failed build is not
-    cached), where a column's run raises, where the accepted outputs are not
-    packed over exactly one index, or where a declaration that the gate does
-    not bind has unequal amplitudes: within a column, input terms differ
-    only in those amplitudes, which must be equal so that the input's
+    cached), where a column's run raises, or where a declaration that the
+    gate does not bind has unequal amplitudes: within a column, input terms
+    differ only in those amplitudes, which must be equal so that the input's
     pruning treats the column as one.
     """
     shipped = _shipped_spec(name)
     for decl in shipped.inputs:
         if decl.modes not in _BINDS[name]:
-            if len(set(circuit.declared_state(decl, 0.0).packed_terms.values())) != 1:
+            amplitudes = circuit._declared_amplitudes(decl.kind, decl.amplitudes)
+            if len({amp for amp in amplitudes if amp}) != 1:
                 raise ValueError(f"{name}: the input on {decl.modes} has unequal amplitudes")
     plan = circuit.compile(shipped)
     positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
@@ -199,7 +197,6 @@ def _responses(name: str, passive: bool) -> _Responses:
     sizes = [len(declared[modes].amplitudes) for modes in _BINDS[name]]
     inputs = []
     outputs: dict[OutcomePattern, list[tuple[int, dict[int, complex]]]] = {}
-    packings = {}
     for k, column in enumerate(itertools.product(*map(range, sizes))):
         units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
         # The least configuration of the column's input, as built at tolerance 0.
@@ -207,20 +204,14 @@ def _responses(name: str, passive: bool) -> _Responses:
         inputs.append(positions[min(cfg for (cfg, _), amp in zip(plan.inputs, products) if amp)])
         result = circuit._execute(_bound_spec(name, units), plan, passive, 0.0, drop=True)
         for pattern, (probability, state) in result.outcomes.items():
-            index, photons = state.packing
-            packings[index.slots, photons] = state.packing
             root = math.sqrt(probability)
             terms = {cfg: amp * root for cfg, amp in state.packed_terms.items()}
             outputs.setdefault(pattern, []).append((k, terms))
-    if len(packings) != 1:
-        raise ValueError(f"{name}: the columns' outputs are not packed over exactly one index")
-    (packing,) = packings.values()
     return _Responses(
         plan=plan,
         inputs=tuple(inputs),
         patterns=tuple((pattern, tuple(outputs[pattern])) for pattern in sorted(outputs)),
-        packing=packing,
-        target=circuit.declared_configurations(*_TARGETS[name], packing),
+        target=circuit.declared_configurations(*_TARGETS[name], (plan.index, plan.photons)),
     )
 
 
@@ -244,7 +235,8 @@ def _report(
     target, the ideal state of :data:`_TARGETS` with the amplitudes
     ``target`` (``None`` for none), is packed like the outputs.  Each outcome
     is scored as :func:`fidelity` scores it, with the target's norm checked
-    once and not the outputs', which are normalised.
+    once and not the outputs', which are normalised.  A table that accepts
+    nothing answers every call as a run that accepts nothing.
     """
     table = _responses(name, passive)
     plan = table.plan
@@ -269,7 +261,7 @@ def _report(
             lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in pruned)
         probability = fock.squared_norm(pruned.values())
         if probability > 0.0:
-            accepted.append((pattern, probability, pruned, table.packing))
+            accepted.append((pattern, probability, pruned, plan.index, plan.photons))
     result = circuit.settle(
         accepted,
         lambda: circuit._execute(
@@ -337,7 +329,7 @@ def cnot(
     state: TwoQubitState, passive: bool = False, tolerance: float = fock.DEFAULT_TOLERANCE
 ) -> GateReport:
     """Encoder + destructive-CNOT composition; control 2'->2, target 3'->3."""
-    target = (state.a1, state.a2, state.a4, state.a3)  # ideal_cnot's, without its norm check
+    target = (state.a1, state.a2, state.a4, state.a3)  # VH and VV swapped
     return _report("cnot", (tuple(state),), target, passive, tolerance)
 
 
@@ -354,13 +346,3 @@ def chi_via_cnot(
 ) -> GateReport:
     """Produce chi constructively: composed CNOT across two Bell pairs."""
     return _report("chi_via_cnot", (), (), passive, tolerance)
-
-
-GATE_NAMES = (
-    "parity_check",
-    "destructive_cnot",
-    "encoder",
-    "cnot",
-    "gc_cnot",
-    "chi_via_cnot",
-)

@@ -22,9 +22,10 @@ are dense vectors over that basis, and an outcome's probability is the
 squared norm of the amplitudes whose detector counts match it.
 
 Compiling and running a circuit needs numpy alone.  ``scipy.sparse`` is
-loaded only when a function that builds a sparse operator first runs
-(:attr:`DenseCircuit.operator`, :func:`element_operator`,
-:func:`rebase_operator` and :func:`element_matrix`).
+loaded only when a sparse operator is first built
+(:attr:`DenseCircuit.operator` and :func:`element_operator`).  Neither is on
+the path of :meth:`DenseCircuit.run`; ``perfbench`` reads the first's
+``nnz`` at each compile and times the second.
 """
 
 from __future__ import annotations
@@ -130,27 +131,6 @@ class DenseBasis:
     @functools.cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         return {state: i for i, state in enumerate(self.states)}
-
-    def slot_index(self, slot: Slot) -> int:
-        return self._slot_position[slot]
-
-    def basis_state(self, i: int) -> BasisState:
-        return BasisState.from_dict(
-            {slot: n for slot, n in zip(self.slots, self.states[i]) if n}
-        )
-
-    def vector_from_terms(self, terms: dict[BasisState, complex]) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        for basis, amp in terms.items():
-            occ = basis.as_dict()
-            state = tuple(occ.pop(slot, 0) for slot in self.slots)
-            if occ:
-                raise TruncationTooSmall(f"slots not in basis: {sorted(occ)}")
-            idx = self.index.get(state)
-            if idx is None:
-                raise TruncationTooSmall(f"state {state} outside basis")
-            vec[idx] = amp
-        return vec
 
 
 def _single_particle_matrix(el) -> tuple[list[Slot], list[Slot], np.ndarray]:
@@ -274,18 +254,9 @@ def _expand_operator(
 
 
 def element_operator(el, basis: DenseBasis) -> sp.csr_matrix:
+    """Many-body operator of one optical element on ``basis``."""
     ins, outs, u = _single_particle_matrix(el)
     return _expand_operator(basis, ins, outs, u)
-
-
-def element_matrix(el, basis: DenseBasis) -> np.ndarray:
-    """Dense unitary of one optical element on the truncated basis."""
-    return element_operator(el, basis).toarray()
-
-
-def rebase_operator(mode: str, basis: DenseBasis) -> sp.csr_matrix:
-    slots = [(mode, POL_H), (mode, POL_V)]
-    return _expand_operator(basis, slots, slots, _REBASE)
 
 
 def _declaration_terms(decl) -> list[tuple[tuple[Slot, ...], complex]]:
@@ -353,16 +324,16 @@ class DenseCircuit:
     ``unitary`` is the network's single-particle matrix over the basis
     slots, and ``blocks`` the slice of slots of each coupled group.
     ``images`` is the network's many-body map as a dense array of shape
-    (``basis.dim``, ``len(support)``), and ``operator`` the same map as a
-    CSR matrix, built on first read (the only step of a compiled circuit
-    that imports scipy); ``support`` maps each configuration
+    (``basis.dim``, ``len(support)``); ``support`` maps each configuration
     that the declared inputs can hold to its column, and an input with
-    weight elsewhere is refused.  Outputs are reported by name.  As in the
-    engine, a run may leave photons only on detected and output modes, so a
-    correction on any other mode is left out.  Photons left there are
-    refused: with ``ModeCollision`` if a PBS output wrote over their mode
-    (no later element touches it, so they were on it then), else
-    ``MissingOutput``.
+    weight elsewhere is refused.  ``operator`` is the same map as a CSR
+    matrix, built on first read: a run never reads it, and it is the only
+    step of a compiled circuit that imports scipy.  Outputs are reported by
+    name.  As in the engine, a run may leave photons only on detected and
+    output modes, so a correction on any other mode is left out.  Photons
+    left there are refused: with ``ModeCollision`` if a PBS output wrote
+    over their mode (no later element touches it, so they were on it then),
+    else ``MissingOutput``.
     """
 
     def __init__(self, spec: CircuitSpec):

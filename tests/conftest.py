@@ -7,10 +7,18 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from pbsgates import circuit, gates
+from pbsgates import circuit, gates, oracle
 from pbsgates.circuit import InputDecl
 from pbsgates.errors import NonNormalized, NonPhysicalInput
-from pbsgates.fock import DEFAULT_TOLERANCE, POL_H, POL_V, BasisState, PhotonState, inner_product
+from pbsgates.fock import (
+    DEFAULT_TOLERANCE,
+    POL_H,
+    POL_V,
+    BasisState,
+    PhotonState,
+    SlotIndex,
+    inner_product,
+)
 from pbsgates.gates import QubitState, TwoQubitState
 
 
@@ -32,6 +40,28 @@ def random_two_qubit(rng: np.random.Generator) -> TwoQubitState:
 
 def single(mode: str, pol: str, amp: complex = 1.0) -> PhotonState:
     return PhotonState({BasisState.from_dict({(mode, pol): 1}): amp})
+
+
+def scaled(state: PhotonState, factor: complex) -> PhotonState:
+    """``state`` times ``factor``, by the rule that ``circuit.settle`` runs."""
+    return PhotonState.scaled_packed(
+        state.packed_terms, *state.packing, state.tolerance, factor
+    )
+
+
+def ideal_cnot(state: TwoQubitState) -> TwoQubitState:
+    """Target truth table: swap the VH and VV coefficients."""
+    return TwoQubitState(state.a1, state.a2, state.a4, state.a3)
+
+
+def declared_state(decl: InputDecl, tolerance: float) -> PhotonState:
+    """One declaration's state on its own, pruned with ``tolerance``: its
+    configurations (``circuit.declared_configurations``) over an index of
+    their own slots, with the amplitudes of ``circuit._declared_amplitudes``."""
+    packing = (SlotIndex(), len(decl.modes))
+    cfgs, index, photons = circuit.declared_configurations(decl.kind, decl.modes, packing)
+    terms = dict(zip(cfgs, circuit._declared_amplitudes(decl.kind, decl.amplitudes)))
+    return PhotonState.packed(terms, index, photons, tolerance)
 
 
 # The four declared input kinds built term by term, as an independent
@@ -139,10 +169,11 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     The input is checked by the functions it shares with ``execute``.  Each
     column is weighted by the product of its amplitudes unless its input term
     is pruned; each accepted pattern's sum is packed with ``tolerance``
-    (``PhotonState.packed``), its squared norm is its probability, and it is
-    scaled by ``1 / sqrt(probability)`` (``PhotonState.scaled``).  The target
-    is packed like the outputs and each outcome is scored as
-    ``abs(inner_product(state, target)) ** 2``.  Raises what the call raises.
+    over the plan's index (``PhotonState.packed``), its squared norm is its
+    probability, and it is scaled by ``1 / sqrt(probability)``
+    (:func:`scaled`).  The target is packed like the outputs and each
+    outcome is scored as ``abs(inner_product(state, target)) ** 2``.  Raises
+    what the call raises.
     """
     table = gates._responses(name, passive)
     products = circuit.input_amplitudes(gates._bound_amplitudes(name, amplitudes), table.plan)
@@ -160,11 +191,11 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
             if coefficients[k]:
                 for cfg, amp in terms.items():
                     total[cfg] = total.get(cfg, 0j) + coefficients[k] * amp
-        output = PhotonState.packed(total, *table.packing, tolerance)
+        output = PhotonState.packed(total, table.plan.index, table.plan.photons, tolerance)
         lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in output.packed_terms)
         probability = output.norm_sq()
         if probability > 0.0:
-            outcomes[pattern] = (probability, output.scaled(1.0 / math.sqrt(probability)))
+            outcomes[pattern] = (probability, scaled(output, 1.0 / math.sqrt(probability)))
             success += probability
     if lost > 1e-9:
         raise NonPhysicalInput(
@@ -173,16 +204,12 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     fidelities = {}
     target_state = None
     if target is not None:
-        kind, modes = gates._TARGETS[name]
-        if outcomes:
-            cfgs, index, photons = table.target
-            terms = dict(zip(cfgs, circuit._declared_amplitudes(kind, target)))
-            target_state = PhotonState.packed(terms, index, photons, tolerance)
-            n2 = target_state.norm_sq()
-            if abs(n2 - 1.0) > 1e-9:
-                raise NonNormalized(f"second state squared norm is {n2!r}")
-        else:
-            target_state = circuit.declared_state(InputDecl(kind, modes, target), tolerance)
+        cfgs, index, photons = table.target
+        terms = dict(zip(cfgs, circuit._declared_amplitudes(gates._TARGETS[name][0], target)))
+        target_state = PhotonState.packed(terms, index, photons, tolerance)
+        n2 = target_state.norm_sq()
+        if abs(n2 - 1.0) > 1e-9:
+            raise NonNormalized(f"second state squared norm is {n2!r}")
         for pattern, (_, state) in outcomes.items():
             fidelities[pattern] = abs(inner_product(state, target_state)) ** 2
     return (
@@ -222,6 +249,38 @@ def report_call_bits(report):
         [(pattern, float_bits(f)) for pattern, f in report.fidelities.items()],
         state_bits(report.target),
     )
+
+
+# Views of the dense oracle's basis and operators, built from what it keeps.
+
+
+def element_matrix(el, basis: oracle.DenseBasis) -> np.ndarray:
+    """Dense unitary of one optical element on ``basis``."""
+    return oracle.element_operator(el, basis).toarray()
+
+
+def rebase_operator(mode: str, basis: oracle.DenseBasis):
+    """The HV -> FS rotation of ``mode``, as a CSR matrix on ``basis``."""
+    slots = [(mode, POL_H), (mode, POL_V)]
+    return oracle._expand_operator(basis, slots, slots, oracle._REBASE)
+
+
+def basis_state(basis: oracle.DenseBasis, i: int) -> BasisState:
+    """State ``i`` of ``basis``."""
+    return BasisState.from_dict(dict(zip(basis.slots, basis.states[i])))
+
+
+def vector_from_terms(basis: oracle.DenseBasis, terms: dict[BasisState, complex]) -> np.ndarray:
+    """``{BasisState: amplitude}`` as a vector over ``basis``; a term that
+    it lacks raises ``KeyError``."""
+    vec = np.zeros(basis.dim, dtype=complex)
+    for state, amp in terms.items():
+        occupations = dict(state.occ)
+        row = tuple(occupations.pop(slot, 0) for slot in basis.slots)
+        if occupations:
+            raise KeyError(f"slots not in the basis: {sorted(occupations)}")
+        vec[basis.index[row]] = amp
+    return vec
 
 
 def random_state(rng, modes=("x", "y"), max_photons=3) -> PhotonState:

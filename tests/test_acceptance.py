@@ -7,12 +7,13 @@ their exact rational values; engine-vs-oracle amplitudes within 1e-10.
 
 from pbsgates import dsl, fock, gates, optics
 from pbsgates.errors import CircuitError
-from pbsgates.gates import QubitState, TwoQubitState, fidelity, ideal_cnot
+from pbsgates.gates import QubitState, TwoQubitState, fidelity
 from pbsgates.optics import PolPhaseElement
 from pbsgates.oracle import DenseCircuit
 
 from conftest import (
     chi_state,
+    ideal_cnot,
     qubit_state,
     random_qubit,
     random_state,

@@ -104,6 +104,20 @@ def test_summary_reproduces_each_committed_record(workload):
         assert bench_pairs.unresolved(workload["pairs"], METRICS) == workload["unresolved"]
 
 
+def test_the_machine_record_holds_null_for_an_absent_package(monkeypatch):
+    installed = bench_pairs.metadata.version
+
+    def version(package):
+        if package == "scipy":
+            raise bench_pairs.metadata.PackageNotFoundError(package)
+        return installed(package)
+
+    monkeypatch.setattr(bench_pairs.metadata, "version", version)
+    record = json.loads(json.dumps(bench_pairs.machine_record()))
+    assert record["scipy"] is None
+    assert record["numpy"] == installed("numpy")
+
+
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("2401-2404") == [2401, 2402, 2403, 2404]
     assert bench_pairs.parse_seeds("7,3") == [7, 3]

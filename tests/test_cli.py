@@ -16,7 +16,7 @@ from pbsgates.circuit import GateResult, execute, pattern_name
 from pbsgates.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, TOLERANCE_ENV
 from pbsgates.gates import GATE_NAMES, TwoQubitState
 
-from conftest import circuit_path
+from conftest import circuit_path, scaled
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -198,7 +198,7 @@ output q"1 \U0001F600\\\u00e9
 
 def _negated(result: GateResult) -> GateResult:
     outcomes = {
-        pattern: (probability, state.scaled(-1.0))
+        pattern: (probability, scaled(state, -1.0))
         for pattern, (probability, state) in result.outcomes.items()
     }
     return GateResult(

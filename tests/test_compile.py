@@ -23,6 +23,7 @@ from conftest import (
     bell_phi_plus,
     chi_state,
     circuit_path,
+    ideal_cnot,
     qubit_state,
     random_qubit,
     random_two_qubit,
@@ -244,7 +245,7 @@ def reference_target(name: str, args: tuple, tolerance: float) -> PhotonState | 
         return two_qubit_input("2", "b", (q.alpha, 0, 0, q.beta), tolerance)
     if name in ("cnot", "gc_cnot"):
         (s,) = args
-        return two_qubit_input("2", "3", gates.ideal_cnot(s), tolerance)
+        return two_qubit_input("2", "3", ideal_cnot(s), tolerance)
     return chi_state("1", "2", "3", "4", tolerance)
 
 

@@ -157,6 +157,20 @@ TOKEN_DIAGNOSTICS = {
         "expected ';' between corrections, got 'rotate'",
         (4, 23),
     ),
+    # A rule's trigger spelled like its label, and a label spelled like its
+    # detector's mode: the diagnostic points at the token at fault.
+    "trigger named like its label": (
+        "mode a\nmode c\ninput qubit a 1 0 0 0\ndetect hv c as F\noutput a\n"
+        "on F F do rotate a 90\n",
+        "trigger 'F' is not in the basis",
+        (6, 6),
+    ),
+    "label named like its mode": (
+        "mode a\nmode c\nmode d\ninput qubit a 1 0 0 0\ndetect hv d as c\n"
+        "detect hv c as c\noutput a\n",
+        "label 'c' declared twice",
+        (6, 16),
+    ),
 }
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pbsgates import circuit, fock, optics
+from pbsgates import fock, optics
 from pbsgates.circuit import InputDecl
 from pbsgates.errors import OverlappingModes
 from pbsgates.fock import (
@@ -27,7 +27,15 @@ from pbsgates.optics import (
     RotatorElement,
 )
 
-from conftest import qubit_state, random_state, reference_sorted_terms, single, states_close
+from conftest import (
+    declared_state,
+    qubit_state,
+    random_state,
+    reference_sorted_terms,
+    scaled,
+    single,
+    states_close,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -106,7 +114,7 @@ def test_exact_zeros_pruned_at_tolerance_zero():
     built = PhotonState({h: 1.0, v: 0.0}, tolerance=0.0)
     assert built.terms == {h: 1.0}
     assert qubit_state("m", 1, 0, 0.0).num_terms() == 1
-    assert built.scaled(0.0).num_terms() == 0
+    assert scaled(built, 0.0).num_terms() == 0
     report = cnot(TwoQubitState(1, 0, 0, 0), tolerance=0.0)
     for _, state in report.result.outcomes.values():
         assert all(state.terms.values())
@@ -123,7 +131,7 @@ def test_a_negative_tolerance_is_refused_by_every_state_builder(tolerance):
     builds = (
         lambda t: PhotonState({h: 1.0, v: 0.0}, t),
         lambda t: PhotonState.packed(packed, index, 1, t),
-        lambda t: circuit.declared_state(decl, t),
+        lambda t: declared_state(decl, t),
     )
     message = re.escape(f"amplitude tolerance {tolerance!r} is negative")
     for build in builds:
@@ -191,7 +199,7 @@ def test_compose_slot_maps_matches_sequential(rng):
 def test_normalized_and_scaled():
     # Scaling by the inverse of the norm normalizes.
     st = single("m", POL_H, 2.0)
-    assert math.isclose(st.scaled(1.0 / math.sqrt(st.norm_sq())).norm_sq(), 1.0)
+    assert math.isclose(scaled(st, 1.0 / math.sqrt(st.norm_sq())).norm_sq(), 1.0)
 
 
 # --- The slot transform's cached expansion programs keep every bit -----------
@@ -348,8 +356,8 @@ def test_unpruned_paths_equal_their_pruned_forms(tolerance, rng):
     for _ in range(100):
         state = random_fock_state(rng, int(rng.integers(1, 7)), tolerance)
         for factor in (1.0, 1.5, -2.0, 1 / math.sqrt(0.3), 0.5, 1j):
-            scaled = state.scaled(factor)
-            assert bits(scaled) == bits(scaled.with_tolerance(tolerance))
+            result = scaled(state, factor)
+            assert bits(result) == bits(result.with_tolerance(tolerance))
         groups = fock.split_counts(state, pairs)
         expected = reference_split_counts(state, pairs)
         assert list(groups) == list(expected)

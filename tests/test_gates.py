@@ -6,16 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from pbsgates import gates
+from pbsgates import cli, gates
 from pbsgates.errors import NonNormalized
-from pbsgates.gates import QubitState, TwoQubitState, fidelity, ideal_cnot
+from pbsgates.gates import QubitState, TwoQubitState, fidelity
 
 from conftest import (
     bell_phi_plus,
     chi_state,
+    ideal_cnot,
     qubit_state,
     random_qubit,
     random_two_qubit,
+    scaled,
     two_qubit_input,
 )
 
@@ -38,7 +40,7 @@ def test_state_validation():
     with pytest.raises(NonNormalized):
         TwoQubitState(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(NonNormalized):
-        fidelity(qubit_state("m", 0.6, 0.8).scaled(2.0), qubit_state("m", 1.0, 0.0))
+        fidelity(scaled(qubit_state("m", 0.6, 0.8), 2.0), qubit_state("m", 1.0, 0.0))
 
 
 def test_states_with_an_amplitude_too_large_to_square_are_not_normalized():
@@ -61,7 +63,7 @@ def test_fidelity_basic_values():
     v = qubit_state("m", 0.0, 1.0)
     assert abs(fidelity(h, h) - 1.0) < 1e-12
     assert abs(fidelity(h, v)) < 1e-12
-    assert abs(fidelity(h.scaled(1j), h) - 1.0) < 1e-12  # global phase invariant
+    assert abs(fidelity(scaled(h, 1j), h) - 1.0) < 1e-12  # global phase invariant
 
 
 def test_ideal_cnot_truth_table_and_involution():
@@ -216,6 +218,15 @@ def readme_gate_table():
         if line.startswith("| `") and len(cells) == 4:
             rows[cells[0].strip("`")] = (cells[2], cells[3])
     return rows
+
+
+def test_every_gate_table_names_the_built_in_gates():
+    # perfbench's gate_sweep draws its block mix in this order.
+    order = ("parity_check", "destructive_cnot", "encoder", "cnot", "gc_cnot", "chi_via_cnot")
+    assert gates.GATE_NAMES == tuple(gates._BINDS) == order
+    assert sorted(gates._TARGETS) == sorted(gates.GATE_NAMES)
+    assert sorted(cli._GATE_OPTIONS) == sorted(gates.GATE_NAMES)
+    assert all(callable(getattr(gates, name)) for name in gates.GATE_NAMES)
 
 
 def test_readme_gate_table_matches_the_gates():

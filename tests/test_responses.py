@@ -23,6 +23,7 @@ from pbsgates.gates import GATE_NAMES, QubitState, TwoQubitState, fidelity
 
 from conftest import (
     accepted_bits,
+    ideal_cnot,
     random_qubit,
     random_two_qubit,
     reference_gate_call,
@@ -194,7 +195,7 @@ def test_warm_calls_build_no_plan_input_or_target(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a warm gate call rebuilt what its table holds")
 
-    for attr in ("compile", "build_input_state", "declared_state"):
+    for attr in ("compile", "build_input_state", "declared_configurations"):
         monkeypatch.setattr(circuit, attr, refuse)
     after = [report_bits(getattr(gates, name)(*args, passive)) for name, passive, args in calls]
     assert after == before
@@ -333,7 +334,7 @@ def test_an_unbound_input_of_unequal_amplitudes_refuses_every_call(monkeypatch, 
 
 
 #: destructive_cnot's inputs and outputs with a detector that never fires:
-#: no column accepts anything, so no output gives the table an index.
+#: no column accepts anything.
 ACCEPTS_NOTHING = """
     mode 3'
     mode b
@@ -345,30 +346,23 @@ ACCEPTS_NOTHING = """
 """
 
 
-def test_outputs_not_packed_over_exactly_one_index_refuse_every_call(monkeypatch, fresh_tables):
-    message = "parity_check: the columns' outputs are not packed over exactly one index"
-    original = circuit._execute
-    columns = []
-
-    def widened(spec, *args, **kwargs):
-        # The second of each build's two columns packs its outputs wider.
-        result = original(spec, *args, **kwargs)
-        columns.append(spec)
-        if len(columns) % 2 == 0:
-            for pattern, (p, state) in result.outcomes.items():
-                result.outcomes[pattern] = (p, state.reindexed(fock.SlotIndex([("z", "H")])))
-        return result
-
-    with monkeypatch.context() as patch:
-        patch.setattr(circuit, "_execute", widened)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                gates.parity_check(H)
+def test_a_table_that_accepts_nothing_answers_every_call_as_the_engine(
+    monkeypatch, fresh_tables
+):
     spec = dsl.parse_circuit(ACCEPTS_NOTHING)
     monkeypatch.setattr(gates, "_shipped_spec", lambda name: spec)
     for passive in (False, True):
-        with pytest.raises(ValueError, match=message.replace("parity_check", "destructive_cnot")):
-            gates.destructive_cnot(H, H, passive)
+        assert gates._responses("destructive_cnot", passive).patterns == ()
+        for target, control in ((H, H), (QubitState(0.6, 0.8), V)):
+            report = gates.destructive_cnot(target, control, passive)
+            engine = execute(report.spec, passive)
+            assert report.success_probability == 0.0 and report.fidelities == {}
+            assert accepted_bits(report.result) == accepted_bits(engine)
+            assert report.result.rejected == engine.rejected
+            amplitudes = bound_amplitudes((target, control))
+            ideal = (target.alpha, target.beta) if control is H else (target.beta, target.alpha)
+            expected = reference_gate_call("destructive_cnot", amplitudes, ideal, passive, 1e-12)
+            assert report_call_bits(report) == expected
 
 
 @pytest.mark.parametrize("passive", [False, True])
@@ -393,12 +387,27 @@ def test_a_table_build_builds_each_column_input_once(monkeypatch, fresh_tables):
 
 @pytest.mark.parametrize("passive", [False, True])
 @pytest.mark.parametrize("name", GATE_NAMES)
-def test_every_shipped_table_builds_with_its_target_over_its_own_index(name, passive):
+def test_every_shipped_table_packs_its_outputs_and_its_target_over_its_plan(
+    name, passive, monkeypatch, fresh_tables
+):
+    # A call packs its summed outputs over the plan's index for the plan's
+    # photon number: each column's run must have packed them so.
+    packings = []
+    original = circuit._execute
+
+    def recorded(spec, plan, *args, **kwargs):
+        result = original(spec, plan, *args, **kwargs)
+        packings.extend((state.packing, plan) for _, state in result.outcomes.values())
+        return result
+
+    monkeypatch.setattr(circuit, "_execute", recorded)
     table = gates._responses(name, passive)
-    assert table.patterns
-    index, photons = table.packing
+    assert table.patterns and packings
+    for (index, photons), plan in packings:
+        assert plan is table.plan
+        assert index is plan.index and photons == plan.photons
     _, target_index, target_photons = table.target
-    assert target_index is index and target_photons == photons
+    assert target_index is table.plan.index and target_photons == table.plan.photons
 
 
 #: Values that the bit guard puts on some components: exact and signed zeros.
@@ -460,7 +469,7 @@ def ideal_target(name, args):
         (q,) = args
         return (q.alpha, q.beta) if name == "parity_check" else (q.alpha, 0, 0, q.beta)
     if name in ("cnot", "gc_cnot"):
-        return tuple(gates.ideal_cnot(args[0]))
+        return tuple(ideal_cnot(args[0]))
     return ()
 
 

@@ -121,9 +121,17 @@ def machine_record() -> dict:
         "cpu_model": cpu_model,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
+        "numpy": _version("numpy"),
+        "scipy": _version("scipy"),
     }
+
+
+def _version(package: str) -> str | None:
+    """The installed version of ``package``, or ``None`` if it is absent."""
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def main(argv=None) -> None:
