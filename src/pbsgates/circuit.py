@@ -238,21 +238,6 @@ def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None)
     return PhotonState.packed(terms, plan.index, plan.photons, 0.0)
 
 
-def declared_configurations(
-    kind: str, modes: tuple[str, ...], packing: tuple[fock.SlotIndex, int]
-) -> tuple[tuple[int, ...], fock.SlotIndex, int]:
-    """The configurations of a ``kind`` declaration on ``modes``, in
-    :func:`_declared_slots` order, packed over ``packing``'s index (widened
-    by any slot it lacks) for its photon bound; and that index and photon
-    bound.  Packed alike, a state and the outputs of a run meet in
-    :func:`fock.inner_product` without repacking.
-    """
-    slots = _declared_slots(kind, modes)
-    index, photons = packing
-    index = index.including(slot for term in slots for slot in term)
-    return tuple(index.pack(term, photons) for term in slots), index, photons
-
-
 def enumerate_outcomes(
     state: PhotonState, detectors: tuple[DetectorSpec, ...]
 ) -> dict[OutcomePattern, PhotonState]:
@@ -321,19 +306,19 @@ NAME = re.compile(r"[^\s#;]+")
 
 
 def check_name(name: str, field: str, i: int) -> None:
-    """Raise :class:`CircuitSyntaxError` if ``name``, of entry ``i`` of
-    ``field``, is not a :data:`NAME`."""
+    """Raise :class:`CircuitSyntaxError` if ``name``, the one name of entry
+    ``i`` of ``field``, is not a :data:`NAME`."""
     if not NAME.fullmatch(name):
-        raise CircuitSyntaxError(f"name {name!r} is not one token", entry=(field, i, name))
+        raise CircuitSyntaxError(f"name {name!r} is not one token", entry=(field, i, name, 0))
 
 
-def check_correction(el: OpticalElement, i: int) -> None:
-    """Raise :class:`CircuitSyntaxError` unless ``el``, a correction of rule
-    ``i``, is a rotator or a phase plate."""
+def check_correction(el: OpticalElement, i: int, k: int) -> None:
+    """Raise :class:`CircuitSyntaxError` unless ``el``, correction ``k`` of
+    rule ``i``, is a rotator or a phase plate."""
     if not isinstance(el, (RotatorElement, PolPhaseElement)):
         raise CircuitSyntaxError(
             f"correction {el!r} is not a rotator or phase plate",
-            entry=("corrections", i, _element_modes(el)[0]),
+            entry=("corrections", i, _element_modes(el)[0], k),
         )
 
 
@@ -341,7 +326,7 @@ def check_input(decl: InputDecl, i: int) -> None:
     """Raise :class:`CircuitSyntaxError` unless ``decl``, input ``i``, is of
     a kind in :data:`INPUT_FORMS` and has that kind's numbers of modes and
     amplitudes."""
-    entry = ("inputs", i, next(iter(decl.modes), None))
+    entry = ("inputs", i, next(iter(decl.modes), None), 0)
     terms, names = INPUT_FORMS.get(decl.kind, ((), ()))
     if not terms:
         raise CircuitSyntaxError(f"unknown input kind {decl.kind!r}", entry=entry)
@@ -361,11 +346,15 @@ def validate(spec: CircuitSpec) -> None:
     pols.  Corrections are rotators or phase plates, none on a detected
     mode, and no output is on a detected mode either; outputs are non-empty
     and distinct.
-    The error's ``entry`` is ``(field, index, name)``: the spec field, the
-    entry and the name at fault.  A name that shares its entry with others
-    has a field of its own: ``"labels"`` for a detector's label, indexed by
-    detector, and ``"triggers"`` and ``"corrections"`` for a rule's pol and
-    correction modes, indexed by rule.
+    The error's ``entry`` is ``(field, index, name, k)``: the spec field,
+    the entry, the name at fault and its place ``k`` among the entry's
+    names, so that a name repeated within an entry is told apart.  A name
+    that shares its entry with others of another role has a field of its
+    own: ``"labels"`` for a detector's label, indexed by detector, and
+    ``"triggers"`` and ``"corrections"`` for a rule's pol and correction
+    modes, indexed by rule.  An entry's names are an input's modes, a PBS's
+    ports (``in1 in2 out1 out2``), the mode of each of a rule's
+    corrections, or else its one name.
     """
     declared: set[str] = set()
     sourced: set[str] = set()
@@ -373,70 +362,74 @@ def validate(spec: CircuitSpec) -> None:
     labels: set[str] = set()
     listed: set[str] = set()
 
-    def refuse(error: type, message: str, field: str, i: int, name: str) -> NoReturn:
-        raise error(message.format(name), entry=(field, i, name))
+    def refuse(error: type, message: str, field: str, i: int, name: str, k: int) -> NoReturn:
+        raise error(message.format(name), entry=(field, i, name, k))
 
-    def check_declared(field: str, i: int, mode: str):
+    def check_declared(field: str, i: int, mode: str, k: int):
         if mode not in declared:
-            refuse(UndeclaredMode, "mode {!r} is not declared", field, i, mode)
+            refuse(UndeclaredMode, "mode {!r} is not declared", field, i, mode, k)
 
-    def once(seen: set[str], error: type, message: str, field: str, i: int, name: str):
+    def once(seen: set[str], error: type, message: str, field: str, i: int, name: str, k: int):
         if name in seen:
-            refuse(error, message, field, i, name)
+            refuse(error, message, field, i, name, k)
         seen.add(name)
 
-    def check_finite(field: str, i: int, el: OpticalElement):
+    def check_finite(field: str, i: int, el: OpticalElement, k: int):
         if not math.isfinite(getattr(el, "angle_deg", getattr(el, "phase_deg", 0))):
-            refuse(CircuitSyntaxError, "angle or phase on {!r} is not finite", field, i, el.mode)
+            message = "angle or phase on {!r} is not finite"
+            refuse(CircuitSyntaxError, message, field, i, el.mode, k)
 
     for i, mode in enumerate(spec.modes):
         check_name(mode, "modes", i)
-        once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode)
+        once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode, 0)
     for i, decl in enumerate(spec.inputs):
         check_input(decl, i)
         if not all(map(cmath.isfinite, decl.amplitudes)):
             message = f"input amplitudes {decl.amplitudes} not finite"
-            raise CircuitSyntaxError(message, entry=("inputs", i, decl.modes[0]))
-        for mode in decl.modes:
-            check_declared("inputs", i, mode)
-            once(sourced, OverlappingModes, "mode {!r} has two inputs", "inputs", i, mode)
+            raise CircuitSyntaxError(message, entry=("inputs", i, decl.modes[0], 0))
+        for k, mode in enumerate(decl.modes):
+            check_declared("inputs", i, mode, k)
+            once(sourced, OverlappingModes, "mode {!r} has two inputs", "inputs", i, mode, k)
     for i, el in enumerate(spec.elements):
-        for mode in _element_modes(el):
-            check_declared("elements", i, mode)
-        check_finite("elements", i, el)
+        for k, mode in enumerate(_element_modes(el)):
+            check_declared("elements", i, mode, k)
+        check_finite("elements", i, el, 0)
     for i, det in enumerate(spec.detectors):
-        check_declared("detectors", i, det.mode)
-        once(detected, DetectedModeReuse, "mode {!r} has two detectors", "detectors", i, det.mode)
+        check_declared("detectors", i, det.mode, 0)
+        message = "mode {!r} has two detectors"
+        once(detected, DetectedModeReuse, message, "detectors", i, det.mode, 0)
         check_name(det.label, "labels", i)
-        once(labels, CircuitSyntaxError, "label {!r} declared twice", "labels", i, det.label)
+        once(labels, CircuitSyntaxError, "label {!r} declared twice", "labels", i, det.label, 0)
     by_label = {det.label: det for det in spec.detectors}
     for i, rule in enumerate(spec.rules):
         det = by_label.get(rule.label)
         if det is None:
-            refuse(UndeclaredMode, "no detector is labelled {!r}", "rules", i, rule.label)
+            refuse(UndeclaredMode, "no detector is labelled {!r}", "rules", i, rule.label, 0)
         if rule.pol not in (det.transmitted_pol, det.reflected_pol):
-            refuse(CircuitSyntaxError, "trigger {!r} is not in the basis", "triggers", i, rule.pol)
-        for el in rule.corrections:
-            check_correction(el, i)
+            message = "trigger {!r} is not in the basis"
+            refuse(CircuitSyntaxError, message, "triggers", i, rule.pol, 0)
+        for k, el in enumerate(rule.corrections):
+            check_correction(el, i, k)
             for mode in _element_modes(el):
-                check_declared("corrections", i, mode)
+                check_declared("corrections", i, mode, k)
                 if mode in detected:
                     message = "corrects detected mode {!r}"
-                    refuse(DetectedModeReuse, message, "corrections", i, mode)
-            check_finite("corrections", i, el)
+                    refuse(DetectedModeReuse, message, "corrections", i, mode, k)
+            check_finite("corrections", i, el, k)
     if not spec.outputs:
         raise MissingOutput("circuit declares no output modes")
     for i, mode in enumerate(spec.outputs):
-        check_declared("outputs", i, mode)
-        once(listed, CircuitSyntaxError, "output mode {!r} listed twice", "outputs", i, mode)
+        check_declared("outputs", i, mode, 0)
+        once(listed, CircuitSyntaxError, "output mode {!r} listed twice", "outputs", i, mode, 0)
         if mode in detected:
-            refuse(DetectedModeReuse, "output on detected mode {!r}", "outputs", i, mode)
+            refuse(DetectedModeReuse, "output on detected mode {!r}", "outputs", i, mode, 0)
 
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A circuit's structure as packed configurations and integer-indexed slot
-    maps over one slot index.
+    """A circuit's structure as packed configurations and compiled slot maps,
+    all for one packing: over ``index`` for up to ``photons`` photons, as
+    every state of a run is packed.
 
     Built by :func:`compile`; it depends on the modes, elements, detectors,
     rules and outputs of a spec and on the kind, modes and amplitude count
@@ -512,13 +505,14 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
     parts = [_declared_slots(decl.kind, decl.modes) for decl in spec.inputs]
     index = fock.SlotIndex((m, pol) for m in spec.modes for pol in (POL_F, POL_H, POL_S, POL_V))
 
+    photons = sum(len(part[0]) for part in parts)
+
     def steps(chain: tuple[OpticalElement, ...]) -> tuple[Step, ...]:
         return tuple(
-            (optics.collision_modes(el), fock.IndexedMap(optics.slot_map(el), index))
+            (optics.collision_modes(el), fock.IndexedMap(optics.slot_map(el), index, photons))
             for el in chain
         )
 
-    photons = sum(len(part[0]) for part in parts)
     starts = list(itertools.accumulate(map(len, parts), initial=0))
     inputs = tuple(
         (
@@ -534,7 +528,7 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
         inputs=inputs,
         elements=steps(spec.elements),
         rebases=tuple(
-            fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index)
+            fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index, photons)
             for det in spec.detectors
             if det.basis == BASIS_FS
         ),
@@ -620,10 +614,11 @@ def _execute(
             corrected = apply_feedforward(
                 branch, pattern, spec.detectors, spec.rules, plan.corrections
             )
-            accepted.append((pattern, probability, corrected.packed_terms, *corrected.packing))
+            accepted.append((pattern, probability, corrected.packed_terms))
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
     return settle(
+        plan,
         accepted,
         (
             (lambda: _execute(spec, plan, passive, tolerance, drop=False).rejected)
@@ -636,16 +631,17 @@ def _execute(
 
 
 def settle(
-    accepted: list[tuple[OutcomePattern, float, dict[int, complex], fock.SlotIndex, int]],
+    plan: CompiledCircuit,
+    accepted: list[tuple[OutcomePattern, float, dict[int, complex]]],
     rejected: dict[OutcomePattern, float] | Callable[[], dict[OutcomePattern, float]],
     tolerance: float,
     lost: Callable[[float], float],
 ) -> GateResult:
-    """The result of a run that accepts ``accepted``: each pattern, in
-    order, with its probability (positive) and its corrected state, not yet
-    normalised, as its terms, pruned with ``tolerance``, and the index and
-    photon bound they are packed for (:attr:`PhotonState.packing`).  Each
-    outcome's state is built once, normalised.
+    """The result of a run of ``plan`` that accepts ``accepted``: each
+    pattern, in order, with its probability (positive) and its corrected
+    state, not yet normalised, as its terms, pruned with ``tolerance`` and
+    packed as every state of the run is, over ``plan.index`` for
+    ``plan.photons``.  Each outcome's state is built once, normalised.
 
     ``lost(success)`` is the squared norm that pruning removed during the
     run, given the summed probability of ``accepted``; more than 1e-9 of it
@@ -653,9 +649,9 @@ def settle(
     """
     outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
     success = 0.0
-    for pattern, probability, terms, index, photons in accepted:
+    for pattern, probability, terms in accepted:
         factor = 1.0 / math.sqrt(probability)
-        state = PhotonState.scaled_packed(terms, index, photons, tolerance, factor)
+        state = PhotonState.scaled_packed(terms, plan.index, plan.photons, tolerance, factor)
         outcomes[pattern] = (probability, state)
         success += probability
     pruned = lost(success)

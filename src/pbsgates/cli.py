@@ -331,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command of ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code; a usage error returns :data:`EXIT_CONFIG`, and ``--help`` 0."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG

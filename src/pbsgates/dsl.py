@@ -217,7 +217,8 @@ def parse_circuit(text: str) -> CircuitSpec:
     """Parse and validate a circuit document; diagnostics carry line/column.
 
     A rule that :func:`validate` finds broken is reported at the statement
-    that made the entry at fault, at the offending token.
+    that made the entry at fault, at the offending token, with the
+    validator's ``entry``.
     """
     parser = _Parser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,9 +241,9 @@ def parse_circuit(text: str) -> CircuitSpec:
     except CircuitError as exc:
         if exc.entry is None:
             raise
-        field, index, name = exc.entry
-        tok = next(tok for tok in parser.names[field, index] if tok.text == name)
-        raise type(exc)(str(exc), tok.line, tok.column) from None
+        field, index, _, k = exc.entry
+        tok = parser.names[field, index][k]
+        raise type(exc)(str(exc), tok.line, tok.column, exc.entry) from None
     if parser.reuse is not None:
         raise parser.reuse
     return spec
@@ -275,8 +276,8 @@ def format_circuit(spec: CircuitSpec) -> str:
     for i, det in enumerate(spec.detectors):
         check_name(det.label, "labels", i)
     for i, rule in enumerate(spec.rules):
-        for el in rule.corrections:
-            check_correction(el, i)
+        for k, el in enumerate(rule.corrections):
+            check_correction(el, i, k)
     lines = [f"mode {m}" for m in spec.modes]
     for decl in spec.inputs:
         reals = [_fmt(x) for a in decl.amplitudes for x in (a.real, a.imag)]

@@ -13,12 +13,13 @@ the field width ``w`` is sized from the state's photon number.  The sorted
 
 A slot transform (:func:`transform_slots`) expands each term by the
 multinomial sum over its mapped photons, which depends only on the term's
-local occupation: its counts on the slots the map reads and writes.  So each
-local occupation's expansion is worked out once as a program, kept on the
-compiled map (:class:`IndexedMap`) for later calls, and replayed on every
-term that has that occupation.  A replay does the same float operations in
-the same order as expanding the term afresh, so cached programs never change
-an amplitude's bits, signed zeros included.
+local occupation: its counts on the slots the map reads and writes.  A
+compiled map (:class:`IndexedMap`) is built for one packing, an index and a
+photon bound, with its shifts and masks worked out at construction.  It works
+each local occupation's expansion out once as a program, keeps it for later
+calls, and replays it on every term that has that occupation.  A replay does
+the same float operations in the same order as expanding the term afresh, so
+kept programs never change an amplitude's bits, signed zeros included.
 """
 
 from __future__ import annotations
@@ -177,11 +178,11 @@ def _repack(
 
 
 @functools.cache
-def _sqrt_tables(photons: int) -> tuple[list[float], list[float]]:
-    """sqrt(n!) and sqrt(n) for every count from 0 to ``photons``."""
+def _sqrt_tables(most: int) -> tuple[list[float], list[float]]:
+    """sqrt(n!) and sqrt(n) for every count from 0 to ``most``."""
     return (
-        [math.sqrt(math.factorial(n)) for n in range(photons + 1)],
-        [math.sqrt(n) for n in range(photons + 1)],
+        [math.sqrt(math.factorial(n)) for n in range(most + 1)],
+        [math.sqrt(n) for n in range(most + 1)],
     )
 
 
@@ -457,60 +458,48 @@ def squared_norm(amplitudes) -> float:
 
 
 class IndexedMap:
-    """A :data:`SlotMap` compiled to the positions of one :class:`SlotIndex`.
+    """A :data:`SlotMap` compiled for the states packed over one
+    :class:`SlotIndex` for up to ``photons`` photons, as
+    :meth:`PhotonState.packed` packs them: fields of one ``width``.
 
-    ``moves`` holds ``(source position, ((target position, coefficient),
-    ...))`` in increasing source position, zero coefficients left out.  The
-    bit shifts for a field width are worked out on first use and kept.
-    From the second call at a width on, so are the expansion programs of the
-    local occupations met (see :func:`transform_slots`): a map that runs
-    once, as in a circuit that never repeats, leaves none behind.
+    ``moves`` holds ``(source shift, ((target shift, target unit,
+    coefficient), ...))`` in increasing source position, zero coefficients
+    left out.  ``moved`` masks the source fields and ``mask`` the source and
+    target fields: a configuration's local occupation, ``cfg & mask``, is
+    all that its expansion reads.  ``programs`` keeps the expansion program
+    of every local occupation met (see :func:`transform_slots`) for as long
+    as the map lives, from its first call on.
     """
 
-    __slots__ = ("index", "slot_map", "moves", "_by_width")
+    __slots__ = ("index", "width", "slot_map", "moves", "moved", "mask", "programs")
 
-    def __init__(self, slot_map: SlotMap, index: SlotIndex):
+    def __init__(self, slot_map: SlotMap, index: SlotIndex, photons: int):
         position = index.position
-        self.index = index
-        self.slot_map = slot_map
-        self.moves = tuple(
-            sorted(
-                (
-                    position[source],
-                    tuple((position[target], coeff) for target, coeff in targets if coeff),
-                )
-                for source, targets in slot_map.items()
-            )
-        )
-        self._by_width = None
-
-    def for_width(self, width: int):
-        """(width, moves as (shift, ((shift, unit, coeff), ...)), moved-field
-        mask, local-occupation mask, {local occupation: expansion program}).
-
-        A configuration's local occupation is its counts on the moved and the
-        target fields, ``cfg & mask``: all that its expansion reads.  The
-        program dict is a new, empty one on the first call at a width and
-        the kept one after that.
-        """
-        packed = self._by_width
-        if packed is not None and packed[0] == width:
-            return packed
+        width = _width(photons)
         field = (1 << width) - 1
-        moves = tuple(
-            (source * width, tuple((t * width, 1 << t * width, c) for t, c in targets))
-            for source, targets in self.moves
-        )
+        moves = []
         moved = local = 0
-        for source, targets in self.moves:
-            moved |= field << source * width
-            for target, _ in targets:
-                local |= field << target * width
-        self._by_width = (width, moves, moved, moved | local, {})
-        return (width, moves, moved, moved | local, {})
+        for source, targets in slot_map.items():
+            shift = position[source] * width
+            moved |= field << shift
+            shifted = []
+            for target, coeff in targets:
+                if coeff:
+                    target_shift = position[target] * width
+                    local |= field << target_shift
+                    shifted.append((target_shift, 1 << target_shift, coeff))
+            moves.append((shift, tuple(shifted)))
+        moves.sort()
+        self.index = index
+        self.width = width
+        self.slot_map = slot_map
+        self.moves = tuple(moves)
+        self.moved = moved
+        self.mask = moved | local
+        self.programs: dict[int, tuple] = {}
 
 
-def _expansion_program(local: int, width: int, moves, moved: int, photons: int):
+def _expansion_program(local: int, width: int, moves, moved: int):
     """How one local occupation expands: (divisors, stages, offsets).
 
     This is the per-term expansion of the slot transform worked out on the
@@ -526,7 +515,7 @@ def _expansion_program(local: int, width: int, moves, moved: int, photons: int):
     mapped photons removed.
     """
     field = (1 << width) - 1
-    sqrt_factorial, sqrt = _sqrt_tables(photons)
+    sqrt_factorial, sqrt = _sqrt_tables(field)
     base = local & ~moved
     partial = {base: 0}  # configuration -> its entry in the list
     divisors = []
@@ -560,24 +549,28 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
     result is exact for arbitrary occupations: each term is expanded as a
     product of creation operators acting on the unmapped remainder.
 
-    An :class:`IndexedMap` over the state's own index runs as it is; any
-    other map is first compiled for the state, whose index grows by the
-    map's slots if needed.
+    An :class:`IndexedMap` built for the state's index and field width runs
+    as it is; any other map is first compiled for the state, whose index
+    grows by the map's slots if needed.
 
     A term's expansion depends only on its local occupation, so it is
-    worked out once per occupation as an expansion program and replayed on
-    lists for every term with that occupation; a map run more than once
-    keeps its programs for later calls (see :class:`IndexedMap`).  The
-    replay does the float operations of the per-term expansion in the same
-    order, ``0j +`` on a fresh entry included, so every amplitude keeps its
-    bits, signed zeros too.
+    worked out once per occupation as an expansion program, kept on the map
+    (see :class:`IndexedMap`) and replayed on lists for every term with that
+    occupation.  The replay does the float operations of the per-term
+    expansion in the same order, ``0j +`` on a fresh entry included, so
+    every amplitude keeps its bits, signed zeros too.
     """
-    if not (isinstance(mapping, IndexedMap) and mapping.index is state._index):
+    if not (
+        isinstance(mapping, IndexedMap)
+        and mapping.index is state._index
+        and mapping.width == state._width
+    ):
         slot_map = mapping.slot_map if isinstance(mapping, IndexedMap) else mapping
         targets = (target for pairs in slot_map.values() for target, _ in pairs)
         state = state.reindexed(state._index.including([*slot_map, *targets]))
-        mapping = IndexedMap(slot_map, state._index)
-    width, moves, moved, mask, programs = mapping.for_width(state._width)
+        mapping = IndexedMap(slot_map, state._index, state._photons)
+    width, moves, moved, mask = mapping.width, mapping.moves, mapping.moved, mapping.mask
+    programs = mapping.programs
     keep = ~moved
     out: dict[int, complex] = {}
     for cfg, amp in state._terms.items():
@@ -587,9 +580,7 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
         local = cfg & mask
         program = programs.get(local)
         if program is None:
-            program = programs[local] = _expansion_program(
-                local, width, moves, moved, state._photons
-            )
+            program = programs[local] = _expansion_program(local, width, moves, moved)
         divisors, stages, offsets = program
         # |..n..> carries 1/sqrt(n!) relative to the bare operator product;
         # the stages restore sqrt-factors one creation at a time.

@@ -168,10 +168,8 @@ class _Responses:
     #: ``(column, {configuration: amplitude})``, packed as ``plan`` packs.
     patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
     #: The configurations of the target (:data:`_TARGETS`), in
-    #: :func:`circuit._declared_slots` order, with the index and photon bound
-    #: they are packed for: the plan's, the index widened by any slot of the
-    #: target that it lacks.
-    target: tuple[tuple[int, ...], fock.SlotIndex, int]
+    #: :func:`circuit._declared_slots` order, packed as ``plan`` packs.
+    target: tuple[int, ...]
 
 
 @functools.cache
@@ -211,7 +209,10 @@ def _responses(name: str, passive: bool) -> _Responses:
         plan=plan,
         inputs=tuple(inputs),
         patterns=tuple((pattern, tuple(outputs[pattern])) for pattern in sorted(outputs)),
-        target=circuit.declared_configurations(*_TARGETS[name], (plan.index, plan.photons)),
+        target=tuple(
+            plan.index.pack(term, plan.photons)
+            for term in circuit._declared_slots(*_TARGETS[name])
+        ),
     )
 
 
@@ -261,8 +262,9 @@ def _report(
             lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in pruned)
         probability = fock.squared_norm(pruned.values())
         if probability > 0.0:
-            accepted.append((pattern, probability, pruned, plan.index, plan.photons))
+            accepted.append((pattern, probability, pruned))
     result = circuit.settle(
+        plan,
         accepted,
         lambda: circuit._execute(
             _bound_spec(name, amplitudes), plan, passive, tolerance, drop=False
@@ -273,9 +275,8 @@ def _report(
     fidelities = {}
     target_state = None
     if target is not None:
-        cfgs, index, photons = table.target
-        terms = dict(zip(cfgs, circuit._declared_amplitudes(_TARGETS[name][0], target)))
-        target_state = PhotonState.packed(terms, index, photons, tolerance)
+        terms = dict(zip(table.target, circuit._declared_amplitudes(_TARGETS[name][0], target)))
+        target_state = PhotonState.packed(terms, plan.index, plan.photons, tolerance)
         _check_normalised("second", target_state)
         for pattern, (_, state) in result.outcomes.items():
             fidelities[pattern] = abs(fock.inner_product(state, target_state)) ** 2

@@ -56,12 +56,13 @@ def ideal_cnot(state: TwoQubitState) -> TwoQubitState:
 
 def declared_state(decl: InputDecl, tolerance: float) -> PhotonState:
     """One declaration's state on its own, pruned with ``tolerance``: its
-    configurations (``circuit.declared_configurations``) over an index of
+    configurations (``circuit._declared_slots``) packed over an index of
     their own slots, with the amplitudes of ``circuit._declared_amplitudes``."""
-    packing = (SlotIndex(), len(decl.modes))
-    cfgs, index, photons = circuit.declared_configurations(decl.kind, decl.modes, packing)
+    slots = circuit._declared_slots(decl.kind, decl.modes)
+    index = SlotIndex(slot for term in slots for slot in term)
+    cfgs = [index.pack(term, len(decl.modes)) for term in slots]
     terms = dict(zip(cfgs, circuit._declared_amplitudes(decl.kind, decl.amplitudes)))
-    return PhotonState.packed(terms, index, photons, tolerance)
+    return PhotonState.packed(terms, index, len(decl.modes), tolerance)
 
 
 # The four declared input kinds built term by term, as an independent
@@ -204,9 +205,9 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     fidelities = {}
     target_state = None
     if target is not None:
-        cfgs, index, photons = table.target
-        terms = dict(zip(cfgs, circuit._declared_amplitudes(gates._TARGETS[name][0], target)))
-        target_state = PhotonState.packed(terms, index, photons, tolerance)
+        amplitudes = circuit._declared_amplitudes(gates._TARGETS[name][0], target)
+        terms = dict(zip(table.target, amplitudes))
+        target_state = PhotonState.packed(terms, table.plan.index, table.plan.photons, tolerance)
         n2 = target_state.norm_sq()
         if abs(n2 - 1.0) > 1e-9:
             raise NonNormalized(f"second state squared norm is {n2!r}")

@@ -121,3 +121,18 @@ def test_the_machine_record_holds_null_for_an_absent_package(monkeypatch):
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("2401-2404") == [2401, 2402, 2403, 2404]
     assert bench_pairs.parse_seeds("7,3") == [7, 3]
+
+
+def test_a_failing_run_stops_the_tool_with_its_stderr(tmp_path, capsys):
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text(
+        "import sys\nprint('workload broke', file=sys.stderr)\nsys.exit(3)\n", encoding="utf-8"
+    )
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run_once(str(tmp_path), "gate_sweep", 1, 0.1)
+    assert stop.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "exited 3" in stderr and "workload broke" in stderr
+    script.write_text(f"print('noise')\nprint({result_line(1.0, 1.0)!r})\n", encoding="utf-8")
+    assert bench_pairs.run_once(str(tmp_path), "gate_sweep", 1, 0.1)["correct"] is True

@@ -271,6 +271,30 @@ def test_gate_and_circuit_mutually_exclusive():
     assert proc.returncode == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("frobnicate",),
+        ("run", "--qubit", "x", "0", "1", "0"),
+        ("run", "--qubit", "1", "0"),
+        ("run", "--control-pol", "D"),
+        ("check",),
+    ],
+)
+def test_usage_errors_return_the_config_exit_code_in_process(args):
+    proc = run_main(*args)
+    assert proc.returncode == EXIT_CONFIG
+    assert "usage: pbsgates" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("--help",), ("run", "--help"), ("check", "-h")])
+def test_help_returns_0_in_process(args):
+    proc = run_main(*args)
+    assert proc.returncode == EXIT_OK
+    assert "usage: pbsgates" in proc.stdout
+
+
 def test_unknown_gate_is_config_error():
     proc = run_cli("run", "--gate", "toffoli", "--qubit", "1", "0", "0", "0")
     assert proc.returncode == EXIT_CONFIG

@@ -144,43 +144,84 @@ def test_trailing_token_rejected():
     assert (err.line, err.column) == (2, 8)
 
 
-#: Diagnostics of a statement's own tokens: the text, the message and where
-#: it points (the first port of the PBS, the second ``rotate`` of the rule).
+#: Diagnostics of a statement's own tokens: the text, the error's class, its
+#: message, where it points (the first port of the PBS, the second ``rotate``
+#: of the rule) and the entry that :func:`circuit.validate` names, if it is
+#: the one that refuses the text.
 TOKEN_DIAGNOSTICS = {
     "pbs ports": (
         "mode a\nmode b\nmode c\npbs hv a a b c\noutput b\n",
+        CircuitSyntaxError,
         "PBS ports must be distinct",
         (4, 8),
+        None,
     ),
     "rule separator": (
         "mode a\nmode b\ndetect hv a as x\non x V do rotate b 90 rotate b 90\noutput b\n",
+        CircuitSyntaxError,
         "expected ';' between corrections, got 'rotate'",
         (4, 23),
+        None,
     ),
     # A rule's trigger spelled like its label, and a label spelled like its
     # detector's mode: the diagnostic points at the token at fault.
     "trigger named like its label": (
         "mode a\nmode c\ninput qubit a 1 0 0 0\ndetect hv c as F\noutput a\n"
         "on F F do rotate a 90\n",
+        CircuitSyntaxError,
         "trigger 'F' is not in the basis",
         (6, 6),
+        ("triggers", 0, "F", 0),
     ),
     "label named like its mode": (
         "mode a\nmode c\nmode d\ninput qubit a 1 0 0 0\ndetect hv d as c\n"
         "detect hv c as c\noutput a\n",
+        CircuitSyntaxError,
         "label 'c' declared twice",
         (6, 16),
+        ("labels", 1, "c", 0),
+    ),
+    # A name repeated within one role of a statement: the diagnostic points
+    # at the occurrence at fault, not at the first.
+    "bell pair on one mode twice": (
+        "mode a\ninput bell a a\noutput a\n",
+        OverlappingModes,
+        "mode 'a' has two inputs",
+        (2, 14),
+        ("inputs", 0, "a", 1),
+    ),
+    "two-qubit state on one mode twice": (
+        "mode a\ninput state a a 1 0 0 0 0 0 0 0\noutput a\n",
+        OverlappingModes,
+        "mode 'a' has two inputs",
+        (2, 15),
+        ("inputs", 0, "a", 1),
+    ),
+    "chi with its first mode last": (
+        "mode a\nmode b\nmode c\ninput chi a b c a\noutput a\n",
+        OverlappingModes,
+        "mode 'a' has two inputs",
+        (4, 17),
+        ("inputs", 0, "a", 3),
+    ),
+    "second correction of a mode not finite": (
+        "mode a\nmode b\ndetect hv a as x\non x V do rotate b 90 ; rotate b inf\noutput b\n",
+        CircuitSyntaxError,
+        "angle or phase on 'b' is not finite",
+        (4, 32),
+        ("corrections", 0, "b", 1),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TOKEN_DIAGNOSTICS))
 def test_a_statement_diagnostic_points_at_its_token_and_check_exits_3(case, tmp_path):
-    text, message, position = TOKEN_DIAGNOSTICS[case]
+    text, error, message, position, entry = TOKEN_DIAGNOSTICS[case]
     err = diag(text)
-    assert isinstance(err, CircuitSyntaxError)
+    assert type(err) is error
     assert message in str(err)
     assert (err.line, err.column) == position
+    assert err.entry == entry
     path = tmp_path / "bad.circ"
     path.write_text(text, encoding="utf-8")
     stderr = io.StringIO()

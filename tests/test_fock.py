@@ -1,5 +1,6 @@
 """Unit tests for sparse Fock states and slot transforms."""
 
+import itertools
 import math
 import re
 
@@ -227,16 +228,22 @@ TEST_MAPS = {
 }
 
 
-def reference_transform(state: PhotonState, mapping: fock.IndexedMap) -> PhotonState:
-    """The per-term dict expansion that the programs replaced, verbatim."""
+def reference_transform(state: PhotonState, slot_map) -> PhotonState:
+    """The per-term dict expansion that the programs replaced, verbatim, on
+    ``slot_map`` compiled to the state's slot positions."""
     width = state._width
     field = (1 << width) - 1
+    position = state._index.position
+    positions = sorted(
+        (position[source], tuple((position[t], c) for t, c in targets if c))
+        for source, targets in slot_map.items()
+    )
     moves = tuple(
         (source * width, tuple((t * width, 1 << t * width, c) for t, c in targets))
-        for source, targets in mapping.moves
+        for source, targets in positions
     )
     moved = 0
-    for source, _ in mapping.moves:
+    for source, _ in positions:
         moved |= field << source * width
     keep = ~moved
     sqrt_factorial = [math.sqrt(math.factorial(n)) for n in range(state._photons + 1)]
@@ -332,22 +339,39 @@ def random_fock_state(rng, photons: int, tolerance: float) -> PhotonState:
 @pytest.mark.parametrize("name", sorted(TEST_MAPS))
 def test_transform_slots_keeps_the_bits_of_the_per_term_expansion(name, tolerance, rng):
     index = fock.SlotIndex(ALL_SLOTS)
-    # One map for every state: programs that one state's call kept serve
-    # states with other amplitudes; widths change between runs of calls.
-    shared = fock.IndexedMap(TEST_MAPS[name], index)
-    kept = 0
+    # One map per photon bound, shared by every state of that bound:
+    # programs that one state's call kept serve states with other
+    # amplitudes, and bounds come back after runs at other widths.
+    shared: dict[int, fock.IndexedMap] = {}
     for photons in (1, 2, 6, 3, 5, 4, 2, 6):
+        if photons not in shared:
+            shared[photons] = fock.IndexedMap(TEST_MAPS[name], index, photons)
         for _ in range(8):
             state = random_fock_state(rng, photons, tolerance).reindexed(index)
-            expected = bits(reference_transform(state, shared))
-            assert bits(fock.transform_slots(state, shared)) == expected
-            fresh = fock.IndexedMap(TEST_MAPS[name], index)
+            expected = bits(reference_transform(state, TEST_MAPS[name]))
+            assert bits(fock.transform_slots(state, shared[photons])) == expected
+            fresh = fock.IndexedMap(TEST_MAPS[name], index, photons)
             assert bits(fock.transform_slots(state, fresh)) == expected
             # The same map given as a plain slot map, compiled per call.
             assert bits(fock.transform_slots(state, TEST_MAPS[name])) == expected
-        # From its second call at a width on, the map keeps its programs.
-        kept += len(shared.for_width(state._width)[4])
-    assert kept
+    # Every map keeps its programs from its first call on.
+    assert all(shared[photons].programs for photons in shared)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_MAPS))
+def test_transform_slots_with_a_map_for_another_photon_bound(name, rng):
+    # A map runs as it is on a state of its field width, and is compiled
+    # afresh for a state of another; either way the bits are those of a map
+    # built for the state, and the map keeps serving its own bound.
+    index = fock.SlotIndex(ALL_SLOTS)
+    maps = {photons: fock.IndexedMap(TEST_MAPS[name], index, photons) for photons in range(1, 7)}
+    for _ in range(4):
+        for photons, other in itertools.product(maps, repeat=2):
+            state = random_fock_state(rng, photons, 0.0).reindexed(index)
+            expected = bits(reference_transform(state, TEST_MAPS[name]))
+            own = fock.IndexedMap(TEST_MAPS[name], index, photons)
+            assert bits(fock.transform_slots(state, own)) == expected
+            assert bits(fock.transform_slots(state, maps[other])) == expected
 
 
 @pytest.mark.parametrize("tolerance", [0.0, fock.DEFAULT_TOLERANCE])

@@ -1,11 +1,15 @@
 """Gate-level behavior: success probabilities, truth tables, fidelities."""
 
+import importlib
 import math
+import pkgutil
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import pbsgates
 from pbsgates import cli, gates
 from pbsgates.errors import NonNormalized
 from pbsgates.gates import QubitState, TwoQubitState, fidelity
@@ -227,6 +231,37 @@ def test_every_gate_table_names_the_built_in_gates():
     assert sorted(gates._TARGETS) == sorted(gates.GATE_NAMES)
     assert sorted(cli._GATE_OPTIONS) == sorted(gates.GATE_NAMES)
     assert all(callable(getattr(gates, name)) for name in gates.GATE_NAMES)
+
+
+#: A backticked dotted name in README, with the arguments of a call, if any,
+#: left out: ``circuit.settle`` or ``circuit.validate(spec)``.
+README_NAME = re.compile(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\([^`]*\))?`")
+
+
+def test_every_dotted_pbsgates_name_in_the_readme_resolves():
+    # A name resolves from its first part: the package, one of its modules
+    # or a class that one defines.  Other names, such as ``report.spec``,
+    # are instances' attributes, not the package's.
+    modules = {
+        info.name: importlib.import_module(f"pbsgates.{info.name}")
+        for info in pkgutil.iter_modules(pbsgates.__path__)
+    }
+    roots = {"pbsgates": pbsgates, **modules}
+    for module in modules.values():
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                roots[name] = value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = [name for name in README_NAME.findall(readme) if name.split(".")[0] in roots]
+    unresolved = []
+    for name in names:
+        first, *rest = name.split(".")
+        value = roots[first]
+        for attr in rest:
+            value = getattr(value, attr, None)
+        if value is None:
+            unresolved.append(name)
+    assert len(names) > 20 and unresolved == []
 
 
 def test_readme_gate_table_matches_the_gates():

@@ -872,7 +872,7 @@ def test_run_checks_a_spec_other_than_the_compiled_one(monkeypatch):
     nan_qubit = replace(spec, inputs=(replace(qubit, amplitudes=(math.nan, 1.0)), ancilla))
     with pytest.raises(CircuitSyntaxError) as info:
         dense.run(nan_qubit)
-    assert info.value.entry == ("inputs", 0, "2'")
+    assert info.value.entry == ("inputs", 0, "2'", 0)
     with pytest.raises(DetectedModeReuse):
         dense.run(replace(spec, outputs=("2", "c")))
     (rule,) = spec.rules

@@ -195,8 +195,10 @@ def test_warm_calls_build_no_plan_input_or_target(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a warm gate call rebuilt what its table holds")
 
-    for attr in ("compile", "build_input_state", "declared_configurations"):
+    for attr in ("compile", "build_input_state"):
         monkeypatch.setattr(circuit, attr, refuse)
+    # Input and target configurations are packed only by ``SlotIndex.pack``.
+    monkeypatch.setattr(fock.SlotIndex, "pack", refuse)
     after = [report_bits(getattr(gates, name)(*args, passive)) for name, passive, args in calls]
     assert after == before
 
@@ -333,12 +335,13 @@ def test_an_unbound_input_of_unequal_amplitudes_refuses_every_call(monkeypatch, 
             gates.destructive_cnot(H, H)
 
 
-#: destructive_cnot's inputs and outputs with a detector that never fires:
-#: no column accepts anything.
+#: destructive_cnot's inputs and outputs, and its target's mode 3, with a
+#: detector that never fires: no column accepts anything.
 ACCEPTS_NOTHING = """
     mode 3'
     mode b
     mode x
+    mode 3
     input qubit 3' 1 0 0 0
     input qubit b 1 0 0 0
     detect hv x as d
@@ -385,6 +388,34 @@ def test_a_table_build_builds_each_column_input_once(monkeypatch, fresh_tables):
             assert len(builds) == COLUMNS[name], (name, passive)
 
 
+def test_a_table_build_expands_each_local_occupation_of_each_map_once(
+    monkeypatch, fresh_tables
+):
+    # A compiled map keeps the program of every local occupation that it
+    # meets from its first call on, so the columns after the first, which
+    # run the same maps, work out only the occupations new to them.
+    calls = []
+    original = fock._expansion_program
+
+    def counted(local, width, moves, *rest):
+        calls.append((id(moves), local))
+        return original(local, width, moves, *rest)
+
+    monkeypatch.setattr(fock, "_expansion_program", counted)
+    tables = [gates._responses(name, passive) for name in GATE_NAMES for passive in (False, True)]
+    assert calls and len(set(calls)) == len(calls)
+    maps = {
+        id(m): m
+        for table in tables
+        for m in (
+            *(m for _, m in table.plan.elements),
+            *table.plan.rebases,
+            *(m for steps in table.plan.corrections for _, m in steps),
+        )
+    }
+    assert sum(len(m.programs) for m in maps.values()) == len(calls)
+
+
 @pytest.mark.parametrize("passive", [False, True])
 @pytest.mark.parametrize("name", GATE_NAMES)
 def test_every_shipped_table_packs_its_outputs_and_its_target_over_its_plan(
@@ -406,8 +437,17 @@ def test_every_shipped_table_packs_its_outputs_and_its_target_over_its_plan(
     for (index, photons), plan in packings:
         assert plan is table.plan
         assert index is plan.index and photons == plan.photons
-    _, target_index, target_photons = table.target
-    assert target_index is table.plan.index and target_photons == table.plan.photons
+    # The target's configurations, read back over the plan's packing, are
+    # its declared terms in declared order.
+    kind, modes = gates._TARGETS[name]
+    target = fock.PhotonState.packed(
+        dict.fromkeys(table.target, 1.0), table.plan.index, table.plan.photons, 0.0
+    )
+    declared = [
+        fock.BasisState.from_dict(dict.fromkeys(term, 1))
+        for term in circuit._declared_slots(kind, modes)
+    ]
+    assert list(target.terms) == declared
 
 
 #: Values that the bit guard puts on some components: exact and signed zeros.

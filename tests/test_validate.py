@@ -241,7 +241,7 @@ def test_library_and_oracle_refuse_an_input_shape_alike(rule):
     with pytest.raises(CircuitSyntaxError) as printer:
         dsl.format_circuit(spec)
     entries = (library.value.entry, dense.value.entry, printer.value.entry)
-    assert entries == (("inputs", 0, "2'"),) * 3
+    assert entries == (("inputs", 0, "2'", 0),) * 3
 
 
 def test_input_amplitude_count_is_checked_against_its_kind():
@@ -256,7 +256,7 @@ def test_a_warm_plan_refuses_a_non_finite_amplitude():
     for _ in range(2):
         with pytest.raises(CircuitSyntaxError, match="not finite") as info:
             circuit.execute(spec)
-        assert info.value.entry == ("inputs", 0, "2'")
+        assert info.value.entry == ("inputs", 0, "2'", 0)
         circuit.compile(PARITY)
 
 

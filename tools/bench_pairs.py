@@ -95,7 +95,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``: its result line, parsed."""
+    """One untraced benchmark run in ``checkout``: its result line, parsed.  A
+    run that exits non-zero stops the tool, with the run's stderr."""
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", workload,
@@ -103,7 +104,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         "--seconds", repr(seconds),
         "--trace", "0",
     ]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"{checkout}: {' '.join(cmd)} exited {done.returncode}", file=sys.stderr)
+        print(done.stderr, file=sys.stderr, end="")
+        raise SystemExit(1)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
