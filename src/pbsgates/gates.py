@@ -3,11 +3,11 @@
 Each gate is the circuit file shipped with the package,
 ``circuits/<name>.circ``, with the caller's amplitudes bound to the inputs
 on the gate's named modes, and every accepted outcome is scored against the
-ideal target state.  A gate is linear in each bound input, so the first
-call in each mode runs the circuit once per basis input and keeps each
-accepted pattern's outputs, with what a call needs besides its amplitudes:
-the compiled circuit and the fidelity target's configurations.  Every call
-is answered by weighting those outputs with the caller's amplitudes.
+ideal target state on the circuit's outputs.  A gate is linear in each
+bound input, so its first call runs the circuit once per basis input, with
+feed-forward, and keeps each accepted pattern's outputs; every call weights
+them with the caller's amplitudes.  A passive call takes only the passive
+pattern's, the one pattern that a run without feed-forward accepts.
 Catalog names (``parity_check``, ``destructive_cnot``, ``encoder``,
 ``cnot``, ``gc_cnot``, ``chi_via_cnot``) are stable identifiers used by the
 CLI.
@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
-from importlib import resources
 
 from . import circuit, dsl, fock
 # Unused here, but perfbench/tracing.py patches ``gates.execute`` by name.
@@ -92,42 +92,32 @@ def fidelity(a: PhotonState, b: PhotonState) -> float:
 
 @functools.cache
 def _shipped_spec(name: str) -> CircuitSpec:
-    """The parsed ``circuits/<name>.circ`` shipped with the package."""
-    path = resources.files(__package__) / "circuits" / f"{name}.circ"
-    return dsl.parse_circuit(path.read_text(encoding="utf-8"))
+    """The parsed ``circuits/<name>.circ`` shipped next to this module."""
+    path = os.path.join(os.path.dirname(__file__), "circuits", f"{name}.circ")
+    with open(path, encoding="utf-8") as handle:
+        return dsl.parse_circuit(handle.read())
 
 
-#: Gate -> the modes of each input declaration whose amplitudes a call
-#: binds, in the order in which the gate passes them to :func:`_report`.
-_BINDS = {
-    "parity_check": (("2'",),),
-    "destructive_cnot": (("3'",), ("b",)),
-    "encoder": (("2'",),),
-    "cnot": (("2'", "3'"),),
-    "gc_cnot": (("A", "B"),),
-    "chi_via_cnot": (),
+#: Gate -> the kind of its target, the ideal state on the shipped circuit's
+#: outputs that :func:`_report` scores against; then the modes of each input
+#: that a call binds, in the order in which the gate passes them to :func:`_report`.
+_GATES = {
+    "parity_check": ("qubit", ("2'",)),
+    "destructive_cnot": ("qubit", ("3'",), ("b",)),
+    "encoder": ("state", ("2'",)),
+    "cnot": ("state", ("2'", "3'")),
+    "gc_cnot": ("state", ("A", "B")),
+    "chi_via_cnot": ("chi",),
 }
 
-#: The built-in gates, in the order of :data:`_BINDS`.
-GATE_NAMES = tuple(_BINDS)
-
-
-#: Gate -> the kind and modes of its ideal output state, the target that
-#: :func:`_report` scores each accepted outcome against.
-_TARGETS = {
-    "parity_check": ("qubit", ("2",)),
-    "destructive_cnot": ("qubit", ("3",)),
-    "encoder": ("state", ("2", "b")),
-    "cnot": ("state", ("2", "3")),
-    "gc_cnot": ("state", ("2", "3")),
-    "chi_via_cnot": ("chi", ("1", "2", "3", "4")),
-}
+#: The built-in gates, in the order of :data:`_GATES`.
+GATE_NAMES = tuple(_GATES)
 
 
 def _bound_amplitudes(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> list:
     """The kind and amplitudes of each input of the shipped ``name`` circuit:
-    ``amplitudes`` on the declarations of :data:`_BINDS`, the file's on the others."""
-    bound = dict(zip(_BINDS[name], amplitudes))
+    ``amplitudes`` on the declarations of :data:`_GATES`, the file's on the others."""
+    bound = dict(zip(_GATES[name][1:], amplitudes))
     inputs = _shipped_spec(name).inputs
     return [(decl.kind, bound.get(decl.modes, decl.amplitudes)) for decl in inputs]
 
@@ -144,10 +134,10 @@ def _bound_spec(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> Circu
 
 @dataclass(frozen=True)
 class _Responses:
-    """What one gate does, in one mode, to each of its input columns, and
-    what a call needs besides the caller's amplitudes.
+    """What one gate does, with feed-forward, to each of its input columns,
+    and what a call in either mode needs besides the caller's amplitudes.
 
-    A column binds one unit amplitude on each declaration of :data:`_BINDS`;
+    A column binds one unit amplitude on each declaration of :data:`_GATES`;
     columns come in the order of ``itertools.product`` over the positions
     of those amplitudes.  The gate is linear in each bound declaration, so a
     call's unnormalised output on an accepted pattern is the sum over
@@ -167,32 +157,39 @@ class _Responses:
     #: unnormalised, corrected output of each column that reaches it:
     #: ``(column, {configuration: amplitude})``, packed as ``plan`` packs.
     patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
-    #: The configurations of the target (:data:`_TARGETS`), in
+    #: The entries of ``patterns`` whose pattern :func:`circuit.is_passive`
+    #: accepts, the same tuples in the same order: what a passive call reads.
+    passive: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
+    #: The configurations of the target on the shipped circuit's outputs, in
     #: :func:`circuit._declared_slots` order, packed as ``plan`` packs.
     target: tuple[int, ...]
 
 
 @functools.cache
-def _responses(name: str, passive: bool) -> _Responses:
+def _responses(name: str) -> _Responses:
     """Compile the shipped ``name`` circuit once and run that plan once per
-    column, exactly (tolerance 0), as :func:`execute` runs it.
+    column, exactly (tolerance 0), as :func:`execute` runs it with feed-forward.
 
     The build raises, and so does every call (a failed build is not
-    cached), where a column's run raises, or where a declaration that the
-    gate does not bind has unequal amplitudes: within a column, input terms
-    differ only in those amplitudes, which must be equal so that the input's
-    pruning treats the column as one.
+    cached), where a column's run raises, where the target's kind does not
+    take one mode per output, or where a declaration that the gate does not
+    bind has unequal amplitudes: within a column, input terms differ only in
+    those amplitudes, which must be equal so that the input's pruning treats
+    the column as one.
     """
+    kind, *binds = _GATES[name]
     shipped = _shipped_spec(name)
+    if len(shipped.outputs) != len(circuit.INPUT_FORMS[kind][0][0]):
+        raise ValueError(f"{name}: a {kind} target does not fit the outputs {shipped.outputs}")
     for decl in shipped.inputs:
-        if decl.modes not in _BINDS[name]:
+        if decl.modes not in binds:
             amplitudes = circuit._declared_amplitudes(decl.kind, decl.amplitudes)
             if len({amp for amp in amplitudes if amp}) != 1:
                 raise ValueError(f"{name}: the input on {decl.modes} has unequal amplitudes")
     plan = circuit.compile(shipped)
     positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
     declared = {decl.modes: decl for decl in shipped.inputs}
-    sizes = [len(declared[modes].amplitudes) for modes in _BINDS[name]]
+    sizes = [len(declared[modes].amplitudes) for modes in binds]
     inputs = []
     outputs: dict[OutcomePattern, list[tuple[int, dict[int, complex]]]] = {}
     for k, column in enumerate(itertools.product(*map(range, sizes))):
@@ -200,18 +197,20 @@ def _responses(name: str, passive: bool) -> _Responses:
         # The least configuration of the column's input, as built at tolerance 0.
         products = circuit.input_amplitudes(_bound_amplitudes(name, units), plan)
         inputs.append(positions[min(cfg for (cfg, _), amp in zip(plan.inputs, products) if amp)])
-        result = circuit._execute(_bound_spec(name, units), plan, passive, 0.0, drop=True)
+        result = circuit._execute(_bound_spec(name, units), plan, False, 0.0, drop=True)
         for pattern, (probability, state) in result.outcomes.items():
             root = math.sqrt(probability)
             terms = {cfg: amp * root for cfg, amp in state.packed_terms.items()}
             outputs.setdefault(pattern, []).append((k, terms))
+    patterns = tuple((pattern, tuple(outputs[pattern])) for pattern in sorted(outputs))
     return _Responses(
         plan=plan,
         inputs=tuple(inputs),
-        patterns=tuple((pattern, tuple(outputs[pattern])) for pattern in sorted(outputs)),
+        patterns=patterns,
+        passive=tuple(entry for entry in patterns if circuit.is_passive(entry[0])),
         target=tuple(
             plan.index.pack(term, plan.photons)
-            for term in circuit._declared_slots(*_TARGETS[name])
+            for term in circuit._declared_slots(kind, shipped.outputs)
         ),
     )
 
@@ -224,22 +223,22 @@ def _report(
     tolerance: float,
 ) -> GateReport:
     """Answer a call of gate ``name`` from its response table and score it
-    against ``target``.
+    against ``target``.  A passive call reads the table's passive entries.
 
-    ``amplitudes`` replace the file's on the declarations of :data:`_BINDS`.
+    ``amplitudes`` replace the file's on the declarations of :data:`_GATES`.
     The input is checked and pruned as :func:`execute` checks and prunes it
     (:func:`circuit.input_norm`): a column whose input terms it prunes adds
     nothing.  Each accepted pattern's summed output is pruned with
     ``tolerance`` once, where :func:`execute` prunes along the run, and
     normalised by :func:`circuit.settle`; a call whose pruning loses more
     than 1e-9 of squared norm is refused as a run that loses it.  The
-    target, the ideal state of :data:`_TARGETS` with the amplitudes
-    ``target`` (``None`` for none), is packed like the outputs.  Each outcome
-    is scored as :func:`fidelity` scores it, with the target's norm checked
-    once and not the outputs', which are normalised.  A table that accepts
-    nothing answers every call as a run that accepts nothing.
+    target, the ideal state of :data:`_GATES` with the amplitudes ``target``
+    (``None`` for none), is packed like the outputs.  Each outcome is scored
+    as :func:`fidelity` scores it, with the target's norm checked once and
+    not the outputs', which are normalised.  A table that accepts nothing
+    answers every call as a run that accepts nothing.
     """
-    table = _responses(name, passive)
+    table = _responses(name)
     plan = table.plan
     products = circuit.input_amplitudes(_bound_amplitudes(name, amplitudes), plan)
     circuit.input_norm(products, tolerance)
@@ -250,7 +249,7 @@ def _report(
     ]
     accepted = []
     lost = 0.0
-    for pattern, responses in table.patterns:
+    for pattern, responses in table.passive if passive else table.patterns:
         total: dict[int, complex] = {}
         for k, terms in responses:
             coefficient = coefficients[k]
@@ -275,7 +274,7 @@ def _report(
     fidelities = {}
     target_state = None
     if target is not None:
-        terms = dict(zip(table.target, circuit._declared_amplitudes(_TARGETS[name][0], target)))
+        terms = dict(zip(table.target, circuit._declared_amplitudes(_GATES[name][0], target)))
         target_state = PhotonState.packed(terms, plan.index, plan.photons, tolerance)
         _check_normalised("second", target_state)
         for pattern, (_, state) in result.outcomes.items():

@@ -165,7 +165,8 @@ def state_bits(state: PhotonState | None):
 def reference_gate_call(name, amplitudes, target, passive, tolerance):
     """The bits of a warm ``gates._report(name, amplitudes, target, passive,
     tolerance)`` worked out plainly from the gate's response table: an
-    independent reference for the table path.
+    independent reference for the table path.  A passive call takes the
+    table's entries whose pattern ``circuit.is_passive`` accepts.
 
     The input is checked by the functions it shares with ``execute``.  Each
     column is weighted by the product of its amplitudes unless its input term
@@ -176,7 +177,7 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     outcome is scored as ``abs(inner_product(state, target)) ** 2``.  Raises
     what the call raises.
     """
-    table = gates._responses(name, passive)
+    table = gates._responses(name)
     products = circuit.input_amplitudes(gates._bound_amplitudes(name, amplitudes), table.plan)
     circuit.input_norm(products, tolerance)
     floor = tolerance or math.ulp(0.0)
@@ -187,6 +188,8 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     success = 0.0
     lost = 0.0
     for pattern, responses in table.patterns:
+        if passive and not circuit.is_passive(pattern):
+            continue
         total = {}
         for k, terms in responses:
             if coefficients[k]:
@@ -205,7 +208,7 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     fidelities = {}
     target_state = None
     if target is not None:
-        amplitudes = circuit._declared_amplitudes(gates._TARGETS[name][0], target)
+        amplitudes = circuit._declared_amplitudes(gates._GATES[name][0], target)
         terms = dict(zip(table.target, amplitudes))
         target_state = PhotonState.packed(terms, table.plan.index, table.plan.photons, tolerance)
         n2 = target_state.norm_sq()
@@ -222,21 +225,31 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     )
 
 
-def reference_table_inputs(name, passive):
-    """The ``inputs`` of ``gates._responses(name, passive)`` found the long
+def reference_table_inputs(name):
+    """The ``inputs`` of ``gates._responses(name)`` found the long
     way: build each column's input state on the table's plan
     (``circuit.build_input_state``) and take the position in ``plan.inputs``
     of its least configuration."""
-    plan = gates._responses(name, passive).plan
+    plan = gates._responses(name).plan
     positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
     declared = {decl.modes: decl for decl in gates._shipped_spec(name).inputs}
-    sizes = [len(declared[modes].amplitudes) for modes in gates._BINDS[name]]
+    sizes = [len(declared[modes].amplitudes) for modes in gates._GATES[name][1:]]
     inputs = []
     for column in itertools.product(*map(range, sizes)):
         units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
         state = circuit.build_input_state(gates._bound_spec(name, units), plan=plan)
         inputs.append(positions[min(state.packed_terms)])
     return tuple(inputs)
+
+
+def passive_bits(result):
+    """The outcomes of a run whose pattern ``circuit.is_passive`` accepts, in
+    order: pattern, probability and state, bit for bit."""
+    return [
+        (pattern, float_bits(p), state_bits(state))
+        for pattern, (p, state) in result.outcomes.items()
+        if circuit.is_passive(pattern)
+    ]
 
 
 def report_call_bits(report):

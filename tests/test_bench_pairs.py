@@ -136,3 +136,23 @@ def test_a_failing_run_stops_the_tool_with_its_stderr(tmp_path, capsys):
     assert "exited 3" in stderr and "workload broke" in stderr
     script.write_text(f"print('noise')\nprint({result_line(1.0, 1.0)!r})\n", encoding="utf-8")
     assert bench_pairs.run_once(str(tmp_path), "gate_sweep", 1, 0.1)["correct"] is True
+
+
+@pytest.mark.parametrize("seeds", ["5", "10-1"])
+def test_fewer_than_two_seeds_are_refused_before_any_run(seeds, tmp_path, monkeypatch, capsys):
+    # One seed, or an empty range, has no quartiles to summarise.
+    def run_once(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [
+        "--parent", str(tmp_path), "--change", str(ROOT), "--parent-commit", "0",
+        "--workload", "gate_sweep", "--seeds", seeds, "--out", str(out),
+        "--change-text", "-", "--claim", "-",
+    ]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(argv)
+    assert stop.value.code == 2
+    assert "--seeds must give at least two seeds" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -575,6 +576,27 @@ def test_photons_off_the_outputs_are_config_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0] == "error: photons left on undetected non-output modes ['b']"
+
+
+def test_the_shipped_circuits_are_read_without_importlib_resources():
+    # ``gates`` opens ``circuits/<name>.circ`` beside its module, so without
+    # ``site`` (whose packages may load them) neither the CLI's import nor a
+    # gate call loads ``importlib.resources``, ``pathlib`` or ``tempfile``.
+    code = (
+        "import sys, pbsgates.cli; from pbsgates import gates; "
+        "r = gates.cnot(gates.TwoQubitState(0.6, 0, 0, 0.8)); "
+        "print(repr((r.success_probability, sorted(r.fidelities.values())))); "
+        "print(sorted(set(sys.modules) & {'importlib.resources', 'pathlib', 'tempfile'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gates.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    result, loaded = proc.stdout.splitlines()
+    report = gates.cnot(TwoQubitState(0.6, 0, 0, 0.8))
+    assert result == repr((report.success_probability, sorted(report.fidelities.values())))
+    assert loaded == "[]"
 
 
 def test_cli_and_gates_import_without_numpy_or_scipy():

@@ -124,12 +124,12 @@ def fingerprint(result) -> tuple:
 def test_cached_plan_gives_the_uncached_result(name, rng):
     draw = random_qubit if name == "parity_check" else random_two_qubit
     inputs = [draw(rng) for _ in range(4)]
-    # The gate's table keeps its plan, whose slot maps have run every column;
-    # execute compiles a fresh one.
+    # The gate's table keeps its plan, whose slot maps have run every column
+    # with feed-forward; execute compiles a fresh one.
     for i, x in enumerate(inputs):
         passive = i % 2 == 1
         spec = getattr(gates, name)(x, passive).spec
-        plan = gates._responses(name, passive).plan
+        plan = gates._responses(name).plan
         warm = circuit._execute(spec, plan, passive, fock.DEFAULT_TOLERANCE, drop=True)
         assert fingerprint(execute(spec, passive)) == fingerprint(warm)
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,7 @@ from pbsgates.optics import (
     RotatorElement,
 )
 
-from conftest import accepted_bits, circuit_path
+from conftest import accepted_bits, circuit_path, passive_bits
 
 GATE_CALLS = {
     "parity_check": lambda passive: gates.parity_check(QubitState(0.6, 0.8j), passive),
@@ -164,6 +165,37 @@ def test_drop_keeps_accepted_bits_and_refusals_on_random_specs(passive):
         assert abs(total - 1.0) < 1e-12
     # The sample exercises both paths, and the drop on most runs.
     assert ran > 100 and refused > 10 and dropping > 100
+
+
+def transmitted_rules(spec):
+    """``spec`` with each rule triggered by its detector's transmitted pol,
+    so that it fires on the passive pattern."""
+    pols = {det.label: det.transmitted_pol for det in spec.detectors}
+    return replace(spec, rules=tuple(replace(rule, pol=pols[rule.label]) for rule in spec.rules))
+
+
+PREMISE_SPECS = [random_spec(random.Random(f"passive:{seed}")) for seed in range(300)]
+PREMISE_SPECS += [transmitted_rules(spec) for spec in PREMISE_SPECS if spec.rules]
+
+
+def test_a_passive_run_is_the_feed_forward_run_on_the_passive_pattern():
+    # A gate answers both modes from one table of feed-forward runs: a run
+    # applies feed-forward to every pattern it accepts, and a passive run
+    # accepts only the passive pattern, so it gives that pattern's outcome
+    # bit for bit, or raises the same class.
+    ran = refused = reached = 0
+    for spec in PREMISE_SPECS:
+        ours = outcome(lambda: execute(spec, passive=True))
+        full = outcome(lambda: execute(spec))
+        if isinstance(full, tuple):
+            assert isinstance(ours, tuple) and ours[0] is full[0], (spec, ours, full)
+            refused += 1
+            continue
+        ran += 1
+        reached += bool(passive_bits(full))
+        assert passive_bits(ours) == passive_bits(full), spec
+        assert len(ours.outcomes) == len(passive_bits(ours))
+    assert ran > 250 and refused > 100 and reached > 80
 
 
 def test_a_pbs_onto_a_live_mode_turns_the_drop_off():

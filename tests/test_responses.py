@@ -23,7 +23,10 @@ from pbsgates.gates import GATE_NAMES, QubitState, TwoQubitState, fidelity
 
 from conftest import (
     accepted_bits,
+    circuit_path,
+    float_bits,
     ideal_cnot,
+    passive_bits,
     random_qubit,
     random_two_qubit,
     reference_gate_call,
@@ -128,16 +131,19 @@ def test_warm_calls_run_no_engine(monkeypatch):
     monkeypatch.setattr(circuit, "compile", counted(compiles, original_compile))
     gates._responses.cache_clear()
     rng = np.random.default_rng(1)
-    for name in GATE_NAMES:
-        for passive in (False, True):
+    for i, name in enumerate(GATE_NAMES):
+        # The first call, in either mode, compiles the shipped circuit once
+        # and runs that plan with feed-forward once per column of the table
+        # it builds; the first call in the other mode reads the same table.
+        first = i % 2 == 1
+        for passive, columns in ((first, COLUMNS[name]), (not first, 0)):
             runs.clear()
             compiles.clear()
             getattr(gates, name)(*draw_args(name, rng, 0), passive)
-            # The first call compiles the shipped circuit once and runs that
-            # plan once per column of the table it builds.
-            assert len(compiles) == 1, (name, passive)
-            assert len(runs) == COLUMNS[name], (name, passive)
-            assert all(run[1] is gates._responses(name, passive).plan for run in runs)
+            assert len(compiles) == bool(columns), (name, passive)
+            assert len(runs) == columns, (name, passive)
+            assert all(run[1] is gates._responses(name).plan for run in runs)
+            assert all(run[2] is False for run in runs)  # not passive
     runs.clear()
     compiles.clear()
     rng = np.random.default_rng(50)
@@ -145,6 +151,42 @@ def test_warm_calls_run_no_engine(monkeypatch):
     for i, (name, passive) in enumerate(itertools.islice(calls, 50)):
         getattr(gates, name)(*draw_args(name, rng, i), passive)
     assert runs == [] and compiles == []
+
+
+def test_one_table_per_gate_answers_both_modes(monkeypatch, fresh_tables):
+    runs = []
+    original = circuit._execute
+    monkeypatch.setattr(circuit, "_execute", lambda *a, **k: runs.append(a) or original(*a, **k))
+    rng = np.random.default_rng(28)
+    for name in GATE_NAMES:
+        for passive in (False, True):
+            getattr(gates, name)(*draw_args(name, rng, 0), passive)
+    assert gates._responses.cache_info().currsize == len(GATE_NAMES) == 6
+    assert len(runs) == sum(COLUMNS.values()) == 17
+    for name in GATE_NAMES:
+        # A passive call reads the table's one passive entry, the very tuple
+        # that a feed-forward call reads.
+        table = gates._responses(name)
+        (entry,) = [entry for entry in table.patterns if circuit.is_passive(entry[0])]
+        assert len(table.passive) == 1 and table.passive[0] is entry
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_a_passive_call_is_the_feed_forward_call_on_the_passive_pattern(name):
+    # What lets one table serve both modes: on the passive pattern, a run
+    # without feed-forward gives what a run with it gives, bit for bit.
+    rng = np.random.default_rng(list(map(ord, name)) + [28])
+    for i in range(1 if name == "chi_via_cnot" else 12):
+        args = draw_args(name, rng, i)
+        ours, full = getattr(gates, name)(*args, True), getattr(gates, name)(*args)
+        assert passive_bits(ours.result) == passive_bits(full.result)
+        assert len(ours.result.outcomes) == len(passive_bits(full.result)) == 1
+        assert [(p, float_bits(f)) for p, f in ours.fidelities.items()] == [
+            (p, float_bits(f)) for p, f in full.fidelities.items() if circuit.is_passive(p)
+        ]
+        engine = execute(ours.spec, passive=True)
+        assert passive_bits(engine) == passive_bits(execute(ours.spec))
+        assert len(engine.outcomes) == 1
 
 
 def test_a_warm_call_builds_its_spec_only_when_it_is_read(monkeypatch):
@@ -262,7 +304,8 @@ def test_input_checks_are_the_engines():
 
 
 #: Circuits whose V column is refused: bound on the modes of destructive_cnot
-#: (``3'`` and ``b``), with the refusal that a V photon on ``3'`` meets.
+#: (``3'`` and ``b``), with one output for its qubit target, and with the
+#: refusal that a V photon on ``3'`` meets.
 REFUSING = {
     ModeCollision: """
         mode 3'
@@ -274,7 +317,8 @@ REFUSING = {
         pbs hv 3' m 3' m
         pbs hv b y m y
         detect hv 3' as x
-        output m y
+        detect hv y as z
+        output m
     """,
     MissingOutput: """
         mode 3'
@@ -321,8 +365,9 @@ UNEQUAL = """
     input qubit 3' 1 0 0 0
     input qubit b 1 0 0 0
     input qubit c 0.6 0 0.8 0
+    detect hv b as y
     detect hv c as x
-    output 3' b
+    output 3'
 """
 
 
@@ -335,17 +380,31 @@ def test_an_unbound_input_of_unequal_amplitudes_refuses_every_call(monkeypatch, 
             gates.destructive_cnot(H, H)
 
 
-#: destructive_cnot's inputs and outputs, and its target's mode 3, with a
+def test_a_target_that_does_not_fit_the_outputs_is_refused(monkeypatch, fresh_tables):
+    # parity_check's qubit target takes one mode; two outputs would be cut
+    # to the first, and every call scored against mode 2 alone.
+    with open(circuit_path("parity_check"), encoding="utf-8") as handle:
+        text = handle.read().replace("mode c\n", "mode c\nmode e\n")
+    spec = dsl.parse_circuit(text.replace("\noutput 2\n", "\noutput 2 e\n"))
+    assert spec.outputs == ("2", "e") and "e" in spec.modes
+    monkeypatch.setattr(gates, "_shipped_spec", lambda name: spec)
+    message = re.escape("parity_check: a qubit target does not fit the outputs ('2', 'e')")
+    for passive in (False, True, False):
+        with pytest.raises(ValueError, match=message):
+            gates.parity_check(H, passive)
+
+
+#: destructive_cnot's inputs, one output for its qubit target, and a
 #: detector that never fires: no column accepts anything.
 ACCEPTS_NOTHING = """
     mode 3'
     mode b
     mode x
-    mode 3
     input qubit 3' 1 0 0 0
     input qubit b 1 0 0 0
+    detect hv b as c
     detect hv x as d
-    output 3' b
+    output 3'
 """
 
 
@@ -354,8 +413,8 @@ def test_a_table_that_accepts_nothing_answers_every_call_as_the_engine(
 ):
     spec = dsl.parse_circuit(ACCEPTS_NOTHING)
     monkeypatch.setattr(gates, "_shipped_spec", lambda name: spec)
+    assert gates._responses("destructive_cnot").patterns == ()
     for passive in (False, True):
-        assert gates._responses("destructive_cnot", passive).patterns == ()
         for target, control in ((H, H), (QubitState(0.6, 0.8), V)):
             report = gates.destructive_cnot(target, control, passive)
             engine = execute(report.spec, passive)
@@ -368,10 +427,9 @@ def test_a_table_that_accepts_nothing_answers_every_call_as_the_engine(
             assert report_call_bits(report) == expected
 
 
-@pytest.mark.parametrize("passive", [False, True])
 @pytest.mark.parametrize("name", GATE_NAMES)
-def test_each_column_keeps_the_least_configuration_of_its_built_input(name, passive):
-    assert gates._responses(name, passive).inputs == reference_table_inputs(name, passive)
+def test_each_column_keeps_the_least_configuration_of_its_built_input(name):
+    assert gates._responses(name).inputs == reference_table_inputs(name)
 
 
 def test_a_table_build_builds_each_column_input_once(monkeypatch, fresh_tables):
@@ -381,11 +439,10 @@ def test_a_table_build_builds_each_column_input_once(monkeypatch, fresh_tables):
         circuit, "build_input_state", lambda *a, **k: builds.append(a) or original(*a, **k)
     )
     for name in GATE_NAMES:
-        for passive in (False, True):
-            builds.clear()
-            gates._responses(name, passive)
-            # Only the column's run builds its input state.
-            assert len(builds) == COLUMNS[name], (name, passive)
+        builds.clear()
+        gates._responses(name)
+        # Only the column's run builds its input state.
+        assert len(builds) == COLUMNS[name], name
 
 
 def test_a_table_build_expands_each_local_occupation_of_each_map_once(
@@ -402,7 +459,7 @@ def test_a_table_build_expands_each_local_occupation_of_each_map_once(
         return original(local, width, moves, *rest)
 
     monkeypatch.setattr(fock, "_expansion_program", counted)
-    tables = [gates._responses(name, passive) for name in GATE_NAMES for passive in (False, True)]
+    tables = [gates._responses(name) for name in GATE_NAMES]
     assert calls and len(set(calls)) == len(calls)
     maps = {
         id(m): m
@@ -416,10 +473,9 @@ def test_a_table_build_expands_each_local_occupation_of_each_map_once(
     assert sum(len(m.programs) for m in maps.values()) == len(calls)
 
 
-@pytest.mark.parametrize("passive", [False, True])
 @pytest.mark.parametrize("name", GATE_NAMES)
 def test_every_shipped_table_packs_its_outputs_and_its_target_over_its_plan(
-    name, passive, monkeypatch, fresh_tables
+    name, monkeypatch, fresh_tables
 ):
     # A call packs its summed outputs over the plan's index for the plan's
     # photon number: each column's run must have packed them so.
@@ -432,14 +488,14 @@ def test_every_shipped_table_packs_its_outputs_and_its_target_over_its_plan(
         return result
 
     monkeypatch.setattr(circuit, "_execute", recorded)
-    table = gates._responses(name, passive)
+    table = gates._responses(name)
     assert table.patterns and packings
     for (index, photons), plan in packings:
         assert plan is table.plan
         assert index is plan.index and photons == plan.photons
     # The target's configurations, read back over the plan's packing, are
-    # its declared terms in declared order.
-    kind, modes = gates._TARGETS[name]
+    # its declared terms on the circuit's outputs, in declared order.
+    kind, modes = gates._GATES[name][0], gates._shipped_spec(name).outputs
     target = fock.PhotonState.packed(
         dict.fromkeys(table.target, 1.0), table.plan.index, table.plan.photons, 0.0
     )

@@ -151,6 +151,8 @@ def main(argv=None) -> None:
     parser.add_argument("--change-text", required=True, help="what the change does")
     parser.add_argument("--claim", required=True, help="the measured claim")
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("--seeds must give at least two seeds")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         metrics = end_to_end_metrics(json.load(handle))
