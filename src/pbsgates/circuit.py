@@ -17,8 +17,6 @@ import cmath
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Collection, NoReturn, Sequence
 
 from . import fock, optics
 from .errors import (
@@ -38,23 +36,26 @@ from .optics import (
     PolPhaseElement,
     RotatorElement,
 )
+from .record import Frozen
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Collection, NoReturn, Sequence
 
 #: Per detector, photon counts in the (transmitted, reflected) polarization
 #: of the detector basis; patterns are ordered like the declared detectors.
 OutcomePattern = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(Frozen):
     """Polarization-sensitive detector: a splitting basis plus two counters."""
 
-    mode: str
-    basis: str
-    label: str
+    __slots__ = _fields = ("mode", "basis", "label")
 
-    def __post_init__(self):
-        if self.basis not in (BASIS_HV, BASIS_FS):
-            raise ValueError(f"unknown detector basis: {self.basis!r}")
+    def __init__(self, mode: str, basis: str, label: str):
+        if basis not in (BASIS_HV, BASIS_FS):
+            raise ValueError(f"unknown detector basis: {basis!r}")
+        self._set(mode, basis, label)
 
     @property
     def transmitted_pol(self) -> str:
@@ -65,30 +66,40 @@ class DetectorSpec:
         return POL_V if self.basis == BASIS_HV else POL_S
 
 
-@dataclass(frozen=True)
-class FeedForwardRule:
+class FeedForwardRule(Frozen):
     """Corrections triggered when ``label`` fires a photon of ``pol``."""
 
-    label: str
-    pol: str
-    corrections: tuple[OpticalElement, ...]
+    __slots__ = _fields = ("label", "pol", "corrections")
+
+    def __init__(self, label: str, pol: str, corrections: tuple[OpticalElement, ...]):
+        self._set(label, pol, corrections)
 
 
-@dataclass(frozen=True)
-class InputDecl:
-    kind: str  # "qubit" | "bell" | "chi" | "state" (two-qubit: HH, HV, VH, VV)
-    modes: tuple[str, ...]
-    amplitudes: tuple[complex, ...] = ()
+class InputDecl(Frozen):
+    __slots__ = _fields = ("kind", "modes", "amplitudes")
+
+    def __init__(
+        self,
+        kind: str,  # "qubit" | "bell" | "chi" | "state" (two-qubit: HH, HV, VH, VV)
+        modes: tuple[str, ...],
+        amplitudes: tuple[complex, ...] = (),
+    ):
+        self._set(kind, modes, amplitudes)
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
-    modes: tuple[str, ...]
-    inputs: tuple[InputDecl, ...]
-    elements: tuple[OpticalElement, ...]
-    detectors: tuple[DetectorSpec, ...]
-    rules: tuple[FeedForwardRule, ...] = ()
-    outputs: tuple[str, ...] = ()
+class CircuitSpec(Frozen):
+    __slots__ = _fields = ("modes", "inputs", "elements", "detectors", "rules", "outputs")
+
+    def __init__(
+        self,
+        modes: tuple[str, ...],
+        inputs: tuple[InputDecl, ...],
+        elements: tuple[OpticalElement, ...],
+        detectors: tuple[DetectorSpec, ...],
+        rules: tuple[FeedForwardRule, ...] = (),
+        outputs: tuple[str, ...] = (),
+    ):
+        self._set(modes, inputs, elements, detectors, rules, outputs)
 
 
 class GateResult:
@@ -425,8 +436,7 @@ def validate(spec: CircuitSpec) -> None:
             refuse(DetectedModeReuse, "output on detected mode {!r}", "outputs", i, mode, 0)
 
 
-@dataclass(frozen=True)
-class CompiledCircuit:
+class CompiledCircuit(Frozen):
     """A circuit's structure as packed configurations and compiled slot maps,
     all for one packing: over ``index`` for up to ``photons`` photons, as
     every state of a run is packed.
@@ -436,26 +446,34 @@ class CompiledCircuit:
     of each input declaration, never on the amplitudes' values.
     """
 
-    index: fock.SlotIndex
-    #: Photon number of the input: states of a run are packed for it.
-    photons: int
-    #: Each configuration of the input, packed, with the positions of the
-    #: amplitudes that multiply into it among the declarations' term
-    #: amplitudes laid end to end.  In the order of the declarations' tensor
-    #: product: the earlier a declaration, the slower its term varies.
-    inputs: tuple[tuple[int, tuple[int, ...]], ...]
-    elements: tuple[Step, ...]
-    #: HV -> FS rebase of each FS detector's mode, in detector order.
-    rebases: tuple[fock.IndexedMap, ...]
-    #: The corrections of each rule, in rule order.
-    corrections: tuple[tuple[Step, ...], ...]
-    #: ``(point, mask, allowed)`` for each point of the element list where
-    #: detected modes become final, in order: point ``k`` comes after the
-    #: first ``k`` elements, and a term there that fails
-    #: :func:`fock.one_photon_test` on those modes can no longer be
-    #: accepted (see :func:`final_modes`).  Empty when dropping such terms
-    #: could change a refusal.
-    drops: tuple[tuple[int, int, frozenset[int]], ...]
+    __slots__ = _fields = (
+        "index", "photons", "inputs", "elements", "rebases", "corrections", "drops"
+    )
+
+    def __init__(
+        self,
+        index: fock.SlotIndex,
+        # Photon number of the input: states of a run are packed for it.
+        photons: int,
+        # Each configuration of the input, packed, with the positions of the
+        # amplitudes that multiply into it among the declarations' term
+        # amplitudes laid end to end.  In the order of the declarations' tensor
+        # product: the earlier a declaration, the slower its term varies.
+        inputs: tuple[tuple[int, tuple[int, ...]], ...],
+        elements: tuple[Step, ...],
+        # HV -> FS rebase of each FS detector's mode, in detector order.
+        rebases: tuple[fock.IndexedMap, ...],
+        # The corrections of each rule, in rule order.
+        corrections: tuple[tuple[Step, ...], ...],
+        # ``(point, mask, allowed)`` for each point of the element list where
+        # detected modes become final, in order: point ``k`` comes after the
+        # first ``k`` elements, and a term there that fails
+        # :func:`fock.one_photon_test` on those modes can no longer be
+        # accepted (see :func:`final_modes`).  Empty when dropping such terms
+        # could change a refusal.
+        drops: tuple[tuple[int, int, frozenset[int]], ...],
+    ):
+        self._set(index, photons, inputs, elements, rebases, corrections, drops)
 
 
 def final_modes(spec: CircuitSpec) -> tuple[tuple[str, ...], ...] | None:

@@ -23,7 +23,6 @@ Diagnostics carry 1-based line and column numbers.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from .circuit import (
@@ -112,7 +111,7 @@ class _Parser:
     """
 
     def __init__(self):
-        self.fields = {field.name: [] for field in dataclasses.fields(CircuitSpec)}
+        self.fields = {field: [] for field in CircuitSpec._fields}
         #: (field, index) -> the tokens of the names that :func:`validate`
         #: files under that field and index (see its ``entry``).
         self.names: dict[tuple[str, int], list[_Token]] = {}

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import OverlappingModes
+from .record import Frozen
 
 POL_H = "H"
 POL_V = "V"
@@ -65,15 +65,33 @@ Slot = tuple[str, str]
 SlotMap = dict[Slot, tuple[tuple[Slot, complex], ...]]
 
 
-@dataclass(frozen=True, order=True)
-class BasisState:
+@functools.total_ordering
+class BasisState(Frozen):
     """One classical photon configuration: sorted ((mode, pol), count) pairs.
 
     The empty tuple is the vacuum.  Zero counts are never stored, so equal
-    configurations compare equal.
+    configurations compare equal.  Configurations order by ``occ``.
     """
 
-    occ: tuple[tuple[Slot, int], ...] = ()
+    __slots__ = _fields = ("occ",)
+
+    def __init__(self, occ: tuple[tuple[Slot, int], ...] = ()):
+        object.__setattr__(self, "occ", occ)
+
+    # Equality and hash on the one field directly: a state's dict of terms
+    # hashes every configuration.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.occ == other.occ
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.occ,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.occ < other.occ
+        return NotImplemented
 
     @staticmethod
     def from_dict(occupations: dict[Slot, int]) -> "BasisState":

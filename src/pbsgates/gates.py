@@ -19,57 +19,64 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
 
 from . import circuit, dsl, fock
 # Unused here, but perfbench/tracing.py patches ``gates.execute`` by name.
 from .circuit import CircuitSpec, GateResult, InputDecl, OutcomePattern, execute
 from .errors import NonNormalized
 from .fock import PhotonState
+from .record import Frozen, Record
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(Frozen):
     """Single polarization qubit: alpha·H + beta·V."""
 
-    alpha: complex
-    beta: complex
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        n2 = fock.squared_norm((self.alpha, self.beta))
+    def __init__(self, alpha: complex, beta: complex):
+        n2 = fock.squared_norm((alpha, beta))
         if not abs(n2 - 1.0) <= 1e-9:  # so that nan fails too
             raise NonNormalized(f"qubit squared norm is {n2!r}")
+        self._set(alpha, beta)
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+class TwoQubitState(Frozen):
     """Coefficients of HH, HV, VH, VV."""
 
-    a1: complex
-    a2: complex
-    a3: complex
-    a4: complex
+    __slots__ = _fields = ("a1", "a2", "a3", "a4")
 
-    def __post_init__(self):
-        n2 = fock.squared_norm(self)
+    def __init__(self, a1: complex, a2: complex, a3: complex, a4: complex):
+        n2 = fock.squared_norm((a1, a2, a3, a4))
         if not abs(n2 - 1.0) <= 1e-9:
             raise NonNormalized(f"two-qubit squared norm is {n2!r}")
+        self._set(a1, a2, a3, a4)
 
     def __iter__(self):
         return iter((self.a1, self.a2, self.a3, self.a4))
 
 
-@dataclass
-class GateReport:
+class GateReport(Record):
     """One gate call's result and fidelities.  ``spec``, the shipped circuit
     with the call's ``amplitudes`` bound (:func:`_bound_spec`), is built on first read."""
 
-    name: str
-    amplitudes: tuple[tuple[complex, ...], ...]
-    result: GateResult
-    target: PhotonState | None
-    fidelities: dict[OutcomePattern, float]
-    success_probability: float
+    # No ``__slots__``: the cached ``spec`` is kept in the instance's dict.
+    _fields = ("name", "amplitudes", "result", "target", "fidelities", "success_probability")
+
+    def __init__(
+        self,
+        name: str,
+        amplitudes: tuple[tuple[complex, ...], ...],
+        result: GateResult,
+        target: PhotonState | None,
+        fidelities: dict[OutcomePattern, float],
+        success_probability: float,
+    ):
+        self.name = name
+        self.amplitudes = amplitudes
+        self.result = result
+        self.target = target
+        self.fidelities = fidelities
+        self.success_probability = success_probability
 
     @functools.cached_property
     def spec(self) -> CircuitSpec:
@@ -129,11 +136,10 @@ def _bound_spec(name: str, amplitudes: tuple[tuple[complex, ...], ...]) -> Circu
         InputDecl(kind, decl.modes, amps)
         for decl, (kind, amps) in zip(shipped.inputs, _bound_amplitudes(name, amplitudes))
     )
-    return replace(shipped, inputs=inputs)
+    return shipped._replace(inputs=inputs)
 
 
-@dataclass(frozen=True)
-class _Responses:
+class _Responses(Frozen):
     """What one gate does, with feed-forward, to each of its input columns,
     and what a call in either mode needs besides the caller's amplitudes.
 
@@ -147,22 +153,28 @@ class _Responses:
     its photon number, as every run of the plan packs its states.
     """
 
-    #: The compiled shipped circuit: a call binds its amplitudes on it.
-    plan: circuit.CompiledCircuit
-    #: Column -> the position in ``plan.inputs`` of one of its input terms.
-    #: They all have the same amplitude in a call's input (see
-    #: :func:`_responses`), so the input's pruning keeps all of them or none.
-    inputs: tuple[int, ...]
-    #: Each pattern that some column accepts, in sorted order, with the
-    #: unnormalised, corrected output of each column that reaches it:
-    #: ``(column, {configuration: amplitude})``, packed as ``plan`` packs.
-    patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
-    #: The entries of ``patterns`` whose pattern :func:`circuit.is_passive`
-    #: accepts, the same tuples in the same order: what a passive call reads.
-    passive: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...]
-    #: The configurations of the target on the shipped circuit's outputs, in
-    #: :func:`circuit._declared_slots` order, packed as ``plan`` packs.
-    target: tuple[int, ...]
+    __slots__ = _fields = ("plan", "inputs", "patterns", "passive", "target")
+
+    def __init__(
+        self,
+        # The compiled shipped circuit: a call binds its amplitudes on it.
+        plan: circuit.CompiledCircuit,
+        # Column -> the position in ``plan.inputs`` of one of its input terms.
+        # They all have the same amplitude in a call's input (see
+        # :func:`_responses`), so the input's pruning keeps all of them or none.
+        inputs: tuple[int, ...],
+        # Each pattern that some column accepts, in sorted order, with the
+        # unnormalised, corrected output of each column that reaches it:
+        # ``(column, {configuration: amplitude})``, packed as ``plan`` packs.
+        patterns: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...],
+        # The entries of ``patterns`` whose pattern :func:`circuit.is_passive`
+        # accepts, the same tuples in the same order: what a passive call reads.
+        passive: tuple[tuple[OutcomePattern, tuple[tuple[int, dict[int, complex]], ...]], ...],
+        # The configurations of the target on the shipped circuit's outputs, in
+        # :func:`circuit._declared_slots` order, packed as ``plan`` packs.
+        target: tuple[int, ...],
+    ):
+        self._set(plan, inputs, patterns, passive, target)
 
 
 @functools.cache

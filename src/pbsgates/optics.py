@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import fock
 from .errors import ModeCollision
 from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState, SlotMap
+from .record import Frozen
 
 BASIS_HV = "hv"
 BASIS_FS = "fs"
 
 
-@dataclass(frozen=True)
-class PbsElement:
+class PbsElement(Frozen):
     """Ideal polarizing beam splitter.
 
     Routing contract: the transmitted polarization (H for an HV splitter,
@@ -31,38 +30,34 @@ class PbsElement:
     are +1; no reflection phase is modeled.
     """
 
-    in1: str
-    in2: str
-    out1: str
-    out2: str
-    basis: str = BASIS_HV
+    __slots__ = _fields = ("in1", "in2", "out1", "out2", "basis")
 
-    def __post_init__(self):
-        if self.in1 == self.in2 or self.out1 == self.out2:
+    def __init__(self, in1: str, in2: str, out1: str, out2: str, basis: str = BASIS_HV):
+        if in1 == in2 or out1 == out2:
             raise ValueError("PBS ports must be distinct")
-        if self.basis not in (BASIS_HV, BASIS_FS):
-            raise ValueError(f"unknown PBS basis: {self.basis!r}")
+        if basis not in (BASIS_HV, BASIS_FS):
+            raise ValueError(f"unknown PBS basis: {basis!r}")
+        self._set(in1, in2, out1, out2, basis)
 
 
-@dataclass(frozen=True)
-class RotatorElement:
+class RotatorElement(Frozen):
     """Polarization rotation: H -> cos·H + sin·V, V -> -sin·H + cos·V."""
 
-    mode: str
-    angle_deg: float
+    __slots__ = _fields = ("mode", "angle_deg")
+
+    def __init__(self, mode: str, angle_deg: float):
+        self._set(mode, angle_deg)
 
 
-@dataclass(frozen=True)
-class PolPhaseElement:
+class PolPhaseElement(Frozen):
     """Phase e^{i·phase·k} on one (mode, pol) slot with occupation k."""
 
-    mode: str
-    pol: str
-    phase_deg: float
+    __slots__ = _fields = ("mode", "pol", "phase_deg")
 
-    def __post_init__(self):
-        if self.pol not in (POL_H, POL_V):
-            raise ValueError(f"phase shifter pol must be H or V, got {self.pol!r}")
+    def __init__(self, mode: str, pol: str, phase_deg: float):
+        if pol not in (POL_H, POL_V):
+            raise ValueError(f"phase shifter pol must be H or V, got {pol!r}")
+        self._set(mode, pol, phase_deg)
 
 
 OpticalElement = PbsElement | RotatorElement | PolPhaseElement

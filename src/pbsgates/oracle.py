@@ -33,8 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,7 +46,9 @@ from .optics import (
     PolPhaseElement,
     RotatorElement,
 )
+from .record import Record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -302,12 +302,20 @@ def _input_terms(spec: CircuitSpec, slots: list[Slot]) -> dict[tuple[int, ...], 
     return {tuple(int(slot in held) for slot in slots): amp for held, amp in terms.items()}
 
 
-@dataclass
-class DenseRunResult:
-    outcomes: dict[OutcomePattern, tuple[float, dict[BasisState, complex]]]
-    rejected: dict[OutcomePattern, float]
-    success_probability: float
-    failure_probability: float
+class DenseRunResult(Record):
+    __slots__ = _fields = ("outcomes", "rejected", "success_probability", "failure_probability")
+
+    def __init__(
+        self,
+        outcomes: dict[OutcomePattern, tuple[float, dict[BasisState, complex]]],
+        rejected: dict[OutcomePattern, float],
+        success_probability: float,
+        failure_probability: float,
+    ):
+        self.outcomes = outcomes
+        self.rejected = rejected
+        self.success_probability = success_probability
+        self.failure_probability = failure_probability
 
 
 class DenseCircuit:

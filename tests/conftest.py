@@ -133,7 +133,7 @@ def accepted_bits(result):
 
 
 def reference_sorted_terms(state: PhotonState) -> list[tuple[BasisState, complex]]:
-    """The terms of ``state`` as :class:`BasisState` values in their dataclass
+    """The terms of ``state`` as :class:`BasisState` values in their own
     order: an independent reference for ``sorted_terms``, which sorts
     packed ``(position, count)`` fields instead.  Each configuration is
     unpacked field by field over the whole index."""

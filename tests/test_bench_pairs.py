@@ -156,3 +156,58 @@ def test_fewer_than_two_seeds_are_refused_before_any_run(seeds, tmp_path, monkey
     assert stop.value.code == 2
     assert "--seeds must give at least two seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+KEPT = {"parent_commit": "abc", "seconds": 20.0}
+
+
+@pytest.mark.parametrize(
+    "kept, argv, message",
+    [
+        (KEPT, ["--parent-commit", "def"], "parent_commit 'abc', not 'def'"),
+        (KEPT, ["--seconds", "2"], "seconds 20.0, not 2.0"),
+        ({"parent_commit": "abc"}, [], "seconds None, not 20.0"),
+    ],
+)
+def test_a_record_of_another_parent_or_run_length_is_refused_before_any_run(
+    kept, argv, message, tmp_path, monkeypatch, capsys
+):
+    # Its pairs would be kept under this run's parent commit and method.
+    def run_once(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    text = json.dumps({**kept, "workloads": {"circuit_zoo": {}}})
+    out.write_text(text, encoding="utf-8")
+    base = {
+        "--parent": str(tmp_path), "--change": str(ROOT), "--parent-commit": "abc",
+        "--workload": "gate_sweep", "--seeds": "1-2", "--out": str(out),
+        "--change-text": "-", "--claim": "-",
+    }
+    base.update(zip(argv[::2], argv[1::2]))
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([item for pair in base.items() for item in pair])
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_a_record_of_the_same_parent_and_run_length_gains_the_workloads_run(
+    tmp_path, monkeypatch
+):
+    lines = iter([result_line(100.0 + i, 0.1) for i in range(4)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: json.loads(next(lines)))
+    out = tmp_path / "BENCH.json"
+    kept = {"pairs": [], "summary": {}, "unresolved": []}
+    record = {"parent_commit": "abc", "seconds": 2.0, "workloads": {"circuit_zoo": kept}}
+    out.write_text(json.dumps(record), encoding="utf-8")
+    bench_pairs.main([
+        "--parent", str(tmp_path), "--change", str(ROOT), "--parent-commit", "abc",
+        "--workload", "gate_sweep", "--seeds", "1-2", "--seconds", "2", "--out", str(out),
+        "--change-text", "-", "--claim", "-",
+    ])
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["seconds"] == 2.0 and record["parent_commit"] == "abc"
+    assert record["workloads"]["circuit_zoo"] == kept
+    assert [pair["seed"] for pair in record["workloads"]["gate_sweep"]["pairs"]] == [1, 2]

@@ -578,24 +578,33 @@ def test_photons_off_the_outputs_are_config_error(tmp_path):
     assert lines[0] == "error: photons left on undetected non-output modes ['b']"
 
 
-def test_the_shipped_circuits_are_read_without_importlib_resources():
+def test_the_shipped_circuits_are_read_without_importlib_resources(tmp_path):
     # ``gates`` opens ``circuits/<name>.circ`` beside its module, so without
     # ``site`` (whose packages may load them) neither the CLI's import nor a
-    # gate call loads ``importlib.resources``, ``pathlib`` or ``tempfile``.
+    # gate call nor a circuit run loads ``importlib.resources``, ``pathlib``
+    # or ``tempfile``.  The records are plain classes, so neither loads
+    # ``dataclasses`` (with ``inspect``) nor ``typing`` either.
+    output = tmp_path / "report.json"
     code = (
-        "import sys, pbsgates.cli; from pbsgates import gates; "
+        "import sys, pbsgates.cli; from pbsgates import cli, gates; "
         "r = gates.cnot(gates.TwoQubitState(0.6, 0, 0, 0.8)); "
         "print(repr((r.success_probability, sorted(r.fidelities.values())))); "
-        "print(sorted(set(sys.modules) & {'importlib.resources', 'pathlib', 'tempfile'}))"
+        f"print(cli.main(['run', '--circuit', {circuit_path('parity_check')!r}, "
+        f"'--output', {str(output)!r}])); "
+        "print(sorted(set(sys.modules) & {'importlib.resources', 'pathlib', 'tempfile', "
+        "'dataclasses', 'inspect', 'typing'}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(gates.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    result, loaded = proc.stdout.splitlines()
+    result, status, loaded = proc.stdout.splitlines()
     report = gates.cnot(TwoQubitState(0.6, 0, 0, 0.8))
     assert result == repr((report.success_probability, sorted(report.fidelities.values())))
+    assert status == str(EXIT_OK)
+    expected = run_json("run", "--circuit", circuit_path("parity_check"), run=run_main)
+    assert json.loads(output.read_text(encoding="utf-8")) == expected
     assert loaded == "[]"
 
 

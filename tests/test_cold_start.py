@@ -1,5 +1,5 @@
-"""The summary of ``tools/cold_start.py`` on canned timings, its command list
-and its refusal of a command that fails."""
+"""The summary of ``tools/cold_start.py`` on canned timings, its command list,
+its record of what ``site`` loads, and its refusal of a command that fails."""
 
 import importlib.util
 import pathlib
@@ -38,6 +38,7 @@ def test_commands_cover_both_imports_a_gate_run_and_every_shipped_circuit():
     names = cold_start.commands(str(ROOT), "report.json")
     circuits = sorted(path.name for path in (ROOT / "src" / "pbsgates" / "circuits").glob("*.circ"))
     assert list(names) == [
+        "python -c pass",
         "import pbsgates.oracle",
         "import pbsgates.cli",
         "run --gate cnot",
@@ -62,3 +63,12 @@ def test_a_command_that_exits_non_zero_stops_the_tool(tmp_path):
         cold_start.time_once(argv, str(tmp_path), {})
     assert stop.value.code == 1
     assert cold_start.time_once([sys.executable, "-c", "pass"], str(tmp_path), {}) > 0.0
+
+
+def test_site_preloads_name_what_site_has_loaded(tmp_path):
+    env = cold_start.child_env(str(ROOT))
+    loaded = cold_start.site_preloads(env)
+    assert loaded == sorted(loaded) and set(loaded) <= set(cold_start.PRELOADS)
+    (tmp_path / "sitecustomize.py").write_text("import dataclasses\n", encoding="utf-8")
+    env["PYTHONPATH"] = str(tmp_path)
+    assert "dataclasses" in cold_start.site_preloads(env)

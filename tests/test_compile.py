@@ -1,7 +1,6 @@
 """Compiled circuits and packed configurations: edge cases of the engine."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -142,8 +141,8 @@ def parity_check_spec() -> CircuitSpec:
 def test_input_on_an_undeclared_mode_is_rejected_by_compile():
     spec = parity_check_spec()
     qubit, ancilla = spec.inputs
-    spec = replace(
-        spec, inputs=(qubit, replace(ancilla, modes=("z",))), outputs=("2", "z")
+    spec = spec._replace(
+        inputs=(qubit, ancilla._replace(modes=("z",))), outputs=("2", "z")
     )
     with pytest.raises(UndeclaredMode, match="'z'"):
         execute(spec)
@@ -152,7 +151,7 @@ def test_input_on_an_undeclared_mode_is_rejected_by_compile():
 def test_two_detectors_on_one_mode_are_rejected_by_compile():
     spec = parity_check_spec()
     (det,) = spec.detectors
-    spec = replace(spec, detectors=(det, DetectorSpec(det.mode, BASIS_HV, "c2")))
+    spec = spec._replace(detectors=(det, DetectorSpec(det.mode, BASIS_HV, "c2")))
     with pytest.raises(DetectedModeReuse, match="'c'"):
         execute(spec)
 
@@ -160,7 +159,7 @@ def test_two_detectors_on_one_mode_are_rejected_by_compile():
 def test_rule_on_an_undeclared_label_is_rejected_by_compile():
     spec = parity_check_spec()
     (rule,) = spec.rules
-    spec = replace(spec, rules=(rule, replace(rule, label="nobody")))
+    spec = spec._replace(rules=(rule, rule._replace(label="nobody")))
     with pytest.raises(UndeclaredMode, match="'nobody'"):
         execute(spec)
 
@@ -168,7 +167,7 @@ def test_rule_on_an_undeclared_label_is_rejected_by_compile():
 def test_inputs_sharing_a_mode_are_rejected_by_compile():
     spec = parity_check_spec()
     qubit, ancilla = spec.inputs
-    spec = replace(spec, inputs=(qubit, replace(ancilla, modes=qubit.modes)))
+    spec = spec._replace(inputs=(qubit, ancilla._replace(modes=qubit.modes)))
     with pytest.raises(OverlappingModes):
         execute(spec)
 
@@ -188,10 +187,10 @@ def test_elements_and_corrections_on_undeclared_modes_are_rejected_by_compile(wh
         outputs=("a", "c"),
     )
     spec = {
-        "rotator": replace(base, elements=(RotatorElement("zz", 30.0),)),
-        "pbs": replace(base, elements=(PbsElement("a", "b", "a", "zz"),)),
-        "correction": replace(
-            base, rules=(FeedForwardRule("d", POL_V, (RotatorElement("zz", 90.0),)),)
+        "rotator": base._replace(elements=(RotatorElement("zz", 30.0),)),
+        "pbs": base._replace(elements=(PbsElement("a", "b", "a", "zz"),)),
+        "correction": base._replace(
+            rules=(FeedForwardRule("d", POL_V, (RotatorElement("zz", 90.0),)),)
         ),
     }[where]
     execute(dsl.parse_circuit(dsl.format_circuit(spec).replace("zz", "c")))
@@ -205,7 +204,7 @@ def test_correction_on_a_detected_mode_is_rejected_by_compile():
     spec = parity_check_spec()
     (det,) = spec.detectors
     (rule,) = spec.rules
-    spec = replace(spec, rules=(replace(rule, corrections=(RotatorElement(det.mode, 90.0),)),))
+    spec = spec._replace(rules=(rule._replace(corrections=(RotatorElement(det.mode, 90.0),)),))
     with pytest.raises(DetectedModeReuse, match="'c'"):
         execute(spec)
     with pytest.raises(DetectedModeReuse, match="'c'"):

@@ -5,7 +5,6 @@ import contextlib
 import io
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -171,7 +170,7 @@ def transmitted_rules(spec):
     """``spec`` with each rule triggered by its detector's transmitted pol,
     so that it fires on the passive pattern."""
     pols = {det.label: det.transmitted_pol for det in spec.detectors}
-    return replace(spec, rules=tuple(replace(rule, pol=pols[rule.label]) for rule in spec.rules))
+    return spec._replace(rules=tuple(rule._replace(pol=pols[rule.label]) for rule in spec.rules))
 
 
 PREMISE_SPECS = [random_spec(random.Random(f"passive:{seed}")) for seed in range(300)]

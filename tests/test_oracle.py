@@ -7,7 +7,6 @@ import math
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -645,7 +644,7 @@ def test_a_run_of_the_compiled_spec_reuses_its_input_terms(monkeypatch):
         assert calls == []
         # A spec equal to the compiled one, but not the same object, is
         # built afresh, with the same bits.
-        other = dense.input_vector(replace(spec))
+        other = dense.input_vector(spec._replace())
         assert len(calls) == 1
         assert compiled.tobytes() == other.tobytes()
         monkeypatch.undo()
@@ -779,6 +778,7 @@ ORACLE_IMPORTS = {
     "circuit": {"CircuitSpec", "OutcomePattern", "is_1ao1", "is_passive", "validate"},
     "fock": {"POL_H", "POL_V", "BasisState", "Slot"},
     "optics": {"BASIS_FS", "BASIS_HV", "PbsElement", "PolPhaseElement", "RotatorElement"},
+    "record": {"Record"},
     "errors": {
         name
         for name, value in vars(errors).items()
@@ -854,8 +854,8 @@ def test_run_refuses_an_input_outside_the_compiled_support():
     (bell,) = [decl for decl in spec.inputs if decl.kind == "bell"]
 
     def with_pair(amplitudes):
-        pair = replace(bell, kind="state", amplitudes=amplitudes)
-        return replace(spec, inputs=tuple(pair if d is bell else d for d in spec.inputs))
+        pair = bell._replace(kind="state", amplitudes=amplitudes)
+        return spec._replace(inputs=tuple(pair if d is bell else d for d in spec.inputs))
 
     # HH + VV as a general two-qubit state is the compiled Bell pair.
     same = with_pair((math.sqrt(0.5), 0, 0, math.sqrt(0.5)))
@@ -869,25 +869,25 @@ def test_run_checks_a_spec_other_than_the_compiled_one(monkeypatch):
     spec = shipped_spec("parity_check")
     dense = DenseCircuit(spec)
     qubit, ancilla = spec.inputs
-    nan_qubit = replace(spec, inputs=(replace(qubit, amplitudes=(math.nan, 1.0)), ancilla))
+    nan_qubit = spec._replace(inputs=(qubit._replace(amplitudes=(math.nan, 1.0)), ancilla))
     with pytest.raises(CircuitSyntaxError) as info:
         dense.run(nan_qubit)
     assert info.value.entry == ("inputs", 0, "2'", 0)
     with pytest.raises(DetectedModeReuse):
-        dense.run(replace(spec, outputs=("2", "c")))
+        dense.run(spec._replace(outputs=("2", "c")))
     (rule,) = spec.rules
     (flip,) = rule.corrections
     for field, value in (
         ("outputs", ("2", "a")),
-        ("rules", (replace(rule, corrections=(replace(flip, phase_deg=90.0),)),)),
+        ("rules", (rule._replace(corrections=(flip._replace(phase_deg=90.0),)),)),
         ("modes", tuple(reversed(spec.modes))),
-        ("inputs", (replace(qubit, modes=("a",)), replace(ancilla, modes=("2'",)))),
+        ("inputs", (qubit._replace(modes=("a",)), ancilla._replace(modes=("2'",)))),
     ):
         with pytest.raises(ValueError, match=field):
-            dense.run(replace(spec, **{field: value}))
+            dense.run(spec._replace(**{field: value}))
     # Equal specs with other amplitudes run; the compiled spec itself is
     # not checked again.
-    other = replace(spec, inputs=(replace(qubit, amplitudes=(0.6, 0.8j)), ancilla))
+    other = spec._replace(inputs=(qubit._replace(amplitudes=(0.6, 0.8j)), ancilla))
     assert_engines_agree(execute(other), dense.run(other))
     monkeypatch.setattr(oracle, "validate", None)
     assert_engines_agree(execute(spec), dense.run(spec))
@@ -947,6 +947,20 @@ def test_a_pattern_that_fires_no_rule_keeps_its_bucket():
     for reduced, amp in bucket.items():
         sign = -1.0 if reduced[h] else 1.0
         assert abs(flipped[reduced] - sign * amp) < 1e-12
+
+
+def test_the_oracle_starts_and_runs_without_dataclasses():
+    # The records that the oracle reads and returns are plain classes, so
+    # neither its import nor a run loads ``dataclasses``.
+    code = textwrap.dedent("""
+        import sys
+        from pbsgates import gates, oracle
+        result = oracle.run_dense(gates._shipped_spec("parity_check"))
+        print(result.success_probability > 0, "dataclasses" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_the_oracle_runs_without_loading_scipy():

@@ -1,7 +1,6 @@
 """One validator for every spec: the library and the DSL reject alike."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -37,12 +36,12 @@ QUBIT, ANCILLA = PARITY.inputs
 
 
 def corrected_on(mode: str, phase: float = 180.0) -> tuple:
-    return (replace(RULE, corrections=(PolPhaseElement(mode, POL_H, phase),)),)
+    return (RULE._replace(corrections=(PolPhaseElement(mode, POL_H, phase),)),)
 
 
 def first_input(*amplitudes) -> dict:
     """The change that gives parity_check's qubit on mode 2' ``amplitudes``."""
-    return dict(inputs=(replace(QUBIT, amplitudes=amplitudes), ANCILLA))
+    return dict(inputs=(QUBIT._replace(amplitudes=amplitudes), ANCILLA))
 
 
 def before_the_pbs(element) -> dict:
@@ -54,7 +53,7 @@ def renamed(mode: str) -> dict:
     (pbs,) = PARITY.elements
     return dict(
         modes=("2'", "a", mode, "c"),
-        elements=(replace(pbs, out1=mode),),
+        elements=(pbs._replace(out1=mode),),
         rules=corrected_on(mode),
         outputs=(mode,),
     )
@@ -64,7 +63,7 @@ def renamed(mode: str) -> dict:
 #: parity_check, the class that both paths raise and the name at fault.
 RULES = {
     "input on an undeclared mode": (
-        dict(inputs=(QUBIT, replace(ANCILLA, modes=("z",)))),
+        dict(inputs=(QUBIT, ANCILLA._replace(modes=("z",)))),
         UndeclaredMode,
         "z",
     ),
@@ -82,7 +81,7 @@ RULES = {
     "output on an undeclared mode": (dict(outputs=("2", "z")), UndeclaredMode, "z"),
     "mode declared twice": (dict(modes=("2'", "a", "2", "c", "a")), CircuitSyntaxError, "a"),
     "two inputs on one mode": (
-        dict(inputs=(QUBIT, replace(ANCILLA, modes=QUBIT.modes))),
+        dict(inputs=(QUBIT, ANCILLA._replace(modes=QUBIT.modes))),
         OverlappingModes,
         "2'",
     ),
@@ -102,12 +101,12 @@ RULES = {
         "c",
     ),
     "rule on an unknown label": (
-        dict(rules=(replace(RULE, label="nobody"),)),
+        dict(rules=(RULE._replace(label="nobody"),)),
         UndeclaredMode,
         "nobody",
     ),
     "rule pol outside its detector's basis": (
-        dict(rules=(replace(RULE, pol=POL_V),)),
+        dict(rules=(RULE._replace(pol=POL_V),)),
         CircuitSyntaxError,
         POL_V,
     ),
@@ -117,14 +116,14 @@ RULES = {
     "output listed twice": (dict(outputs=("2", "2")), CircuitSyntaxError, "2"),
     "mode name that is not one token": (renamed("two #2"), CircuitSyntaxError, "two #2"),
     "empty detector label": (
-        dict(detectors=(replace(DETECTOR, label=""),)),
+        dict(detectors=(DETECTOR._replace(label=""),)),
         CircuitSyntaxError,
         "",
     ),
     "correction that is a PBS": (
         dict(
             modes=(*PARITY.modes, "e"),
-            rules=(replace(RULE, corrections=(PbsElement("2", "e", "e", "2"),)),),
+            rules=(RULE._replace(corrections=(PbsElement("2", "e", "e", "2"),)),),
         ),
         CircuitSyntaxError,
         "2",
@@ -161,7 +160,7 @@ UNWRITABLE = {
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_library_and_dsl_raise_the_same_class(rule):
     changes, error, name = RULES[rule]
-    spec = replace(PARITY, **changes)
+    spec = PARITY._replace(**changes)
     with pytest.raises(error) as library:
         circuit.compile(spec)
     if rule in UNWRITABLE:
@@ -182,7 +181,7 @@ def test_library_and_dsl_raise_the_same_class(rule):
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_oracle_raises_the_same_class(rule):
     changes, error, _ = RULES[rule]
-    spec = replace(PARITY, **changes)
+    spec = PARITY._replace(**changes)
     with pytest.raises(error) as library:
         circuit.compile(spec)
     with pytest.raises(error) as dense:
@@ -191,7 +190,7 @@ def test_oracle_raises_the_same_class(rule):
 
 
 def test_correction_error_points_at_the_correction_mode():
-    spec = replace(PARITY, rules=corrected_on("c"))
+    spec = PARITY._replace(rules=corrected_on("c"))
     with pytest.raises(DetectedModeReuse) as info:
         dsl.parse_circuit(dsl.format_circuit(spec))
     # "on c S do polphase c H 180": the label is column 4, the mode 20.
@@ -228,7 +227,7 @@ INPUT_SHAPES = {
 
 
 def misshapen(rule: str) -> CircuitSpec:
-    return replace(PARITY, modes=(*PARITY.modes, "z"), inputs=(INPUT_SHAPES[rule], ANCILLA))
+    return PARITY._replace(modes=(*PARITY.modes, "z"), inputs=(INPUT_SHAPES[rule], ANCILLA))
 
 
 @pytest.mark.parametrize("rule", sorted(INPUT_SHAPES))
@@ -252,7 +251,7 @@ def test_input_amplitude_count_is_checked_against_its_kind():
 
 def test_a_warm_plan_refuses_a_non_finite_amplitude():
     # Every run validates its spec, whatever ran before it.
-    spec = replace(PARITY, **first_input(math.nan, 1.0))
+    spec = PARITY._replace(**first_input(math.nan, 1.0))
     for _ in range(2):
         with pytest.raises(CircuitSyntaxError, match="not finite") as info:
             circuit.execute(spec)
@@ -282,22 +281,22 @@ def mutate(spec: CircuitSpec, rng) -> CircuitSpec:
 
     def remode(el):
         ports = ("in1", "in2", "out1", "out2") if isinstance(el, PbsElement) else ("mode",)
-        return replace(el, **{pick(ports): pick(modes)})
+        return el._replace(**{pick(ports): pick(modes)})
 
     def reinput(decl):
-        return replace(decl, modes=at(decl.modes, lambda _: pick(modes)))
+        return decl._replace(modes=at(decl.modes, lambda _: pick(modes)))
 
     def redetect(det):
-        return replace(det, mode=pick(modes))
+        return det._replace(mode=pick(modes))
 
     def relabel(det):
-        return replace(det, label=pick(labels))
+        return det._replace(label=pick(labels))
 
     def retrigger(rule):
-        return replace(rule, label=pick(labels), pol=pick("HVFS"))
+        return rule._replace(label=pick(labels), pol=pick("HVFS"))
 
     def recorrect(rule):
-        return replace(rule, corrections=at(rule.corrections, remode))
+        return rule._replace(corrections=at(rule.corrections, remode))
 
     modes = (*spec.modes, "zz")
     labels = (*(det.label for det in spec.detectors), "nobody")
@@ -312,8 +311,8 @@ def mutate(spec: CircuitSpec, rng) -> CircuitSpec:
     ))
     if change is None:
         outputs = pick(((), spec.outputs + spec.outputs[:1], spec.outputs + (pick(modes),)))
-        return replace(spec, outputs=outputs)
-    return replace(spec, **{field: at(getattr(spec, field), change)})
+        return spec._replace(outputs=outputs)
+    return spec._replace(**{field: at(getattr(spec, field), change)})
 
 
 def raised(call) -> type | None:

@@ -13,8 +13,10 @@ first on the first seed, the change on the second, and so on.  Each run's
 result line is kept verbatim (parsed), and each end-to-end metric of
 ``BENCHMARK.json`` is summarised over the pairs (:func:`summarise`), and those
 too spread to tell are listed apart (:func:`unresolved`).  If
-``--out`` exists, the workloads run are added to it or replace its own, and
-the rest of the record is rewritten from the arguments.
+``--out`` exists, it must have been recorded against the same
+``--parent-commit`` and ``--seconds``, or the tool refuses it before any run;
+the workloads run are added to it or replace its own, and the rest of the
+record is rewritten from the arguments.
 """
 
 from __future__ import annotations
@@ -160,6 +162,10 @@ def main(argv=None) -> None:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as handle:
             record = json.load(handle)
+        # The pairs kept from the record would be relabelled with these.
+        for key, value in (("parent_commit", args.parent_commit), ("seconds", args.seconds)):
+            if record.get(key) != value:
+                parser.error(f"{args.out} holds pairs of {key} {record.get(key)!r}, not {value!r}")
     workloads = record.get("workloads", {})
     for workload in args.workload:
         pairs = []
@@ -179,6 +185,7 @@ def main(argv=None) -> None:
     record.update(
         change=args.change_text,
         parent_commit=args.parent_commit,
+        seconds=args.seconds,
         machine=machine_record(),
         method=(
             f"python3 tools/bench_pairs.py: python3 perfbench/run.py --workload W --seed S "

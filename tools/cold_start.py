@@ -14,10 +14,13 @@ in the pinned environment of that checkout's ``perfbench/run.py``
 thread, ``PYTHONPATH`` its ``src``), and is timed from start to exit.  For
 each command the two checkouts alternate one run at a time, the parent first
 on even repetitions.  Each side's quartiles and the pairs each side won are
-summarised (:func:`summarise`).  The record notes the Python version and the
-``PYTHONDONTWRITEBYTECODE`` setting, which decides whether each run compiles
-the package from source.  Any command that exits non-zero stops the tool
-with exit status 1.
+summarised (:func:`summarise`).  The first command, ``python -c pass``, is
+the interpreter's own start: each row's excess over it is what the package
+adds.  The record notes the Python version, the ``PYTHONDONTWRITEBYTECODE``
+setting, which decides whether each run compiles the package from source,
+and which of :data:`PRELOADS` the interpreter's ``site`` has already loaded
+(:func:`site_preloads`), which the package's own import then does not pay
+for.  Any command that exits non-zero stops the tool with exit status 1.
 """
 
 from __future__ import annotations
@@ -35,11 +38,16 @@ import tempfile
 import time
 
 
+#: Modules that the package imports (or did) and that a ``site`` may load first.
+PRELOADS = ("dataclasses", "importlib.resources", "re", "typing")
+
+
 def commands(checkout: str, output: str) -> dict[str, list[str]]:
     """Name -> argv of each timed command, run with ``checkout`` as the
     working directory; reports are written to ``output``."""
     run = [sys.executable, "-m", "pbsgates.cli", "run"]
     named = {
+        "python -c pass": [sys.executable, "-c", "pass"],
         "import pbsgates.oracle": [sys.executable, "-c", "import pbsgates.oracle"],
         "import pbsgates.cli": [sys.executable, "-c", "import pbsgates.cli"],
         "run --gate cnot": run + ["--gate", "cnot", "--two-qubit", "1", *["0"] * 7,
@@ -61,6 +69,16 @@ def child_env(checkout: str) -> dict[str, str]:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.child_env()
+
+
+def site_preloads(env: dict[str, str]) -> list[str]:
+    """Which of :data:`PRELOADS` an interpreter started in ``env`` has loaded
+    before it runs any code, sorted."""
+    code = f"import sys; print(*sorted(set(sys.modules) & {set(PRELOADS)!r}))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
 
 
 def time_once(argv: list[str], checkout: str, env: dict[str, str]) -> float:
@@ -131,6 +149,7 @@ def main(argv=None) -> None:
         "python": platform.python_version(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "nproc": os.cpu_count(),
+        "site_preloads": site_preloads(child_env(args.change)),
         "reps": args.reps,
         "method": (
             "python3 tools/cold_start.py: each command in a fresh interpreter with the "
