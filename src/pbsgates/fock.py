@@ -78,16 +78,6 @@ class BasisState(Frozen):
     def __init__(self, occ: tuple[tuple[Slot, int], ...] = ()):
         object.__setattr__(self, "occ", occ)
 
-    # Equality and hash on the one field directly: a state's dict of terms
-    # hashes every configuration.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.occ == other.occ
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.occ,))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.occ < other.occ

@@ -6,15 +6,34 @@ A record class lists its fields in ``_fields``, in the order of its own
 ``Name(field=value, ...)``, and two records are equal when they are of the
 same class with equal fields.  A :class:`Record` is mutable and unhashable;
 a :class:`Frozen` one refuses assignment (its ``__init__`` sets the fields
-with :meth:`Frozen._set`) and hashes as the tuple of its fields.
+with :meth:`Frozen._set`) and hashes as the tuple of its fields.  Records
+copy and pickle through ``__init__``, and :func:`dataclasses.replace`,
+:func:`dataclasses.fields` and :func:`dataclasses.asdict` accept them.
+
+This module holds the value semantics of records and nothing else: no
+simulation logic, so that the dense oracle may derive its result from
+:class:`Record` and stay independent of the sparse engine.
 """
 
 from __future__ import annotations
 
 
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, made on first read and kept
+    on the class: :mod:`dataclasses` is imported only by a caller that asks."""
+
+    def __get__(self, record, cls):
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        setattr(cls, "__dataclass_fields__", fields)
+        return fields
+
+
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -25,6 +44,9 @@ class Record:
         values = {name: getattr(self, name) for name in self._fields}
         values.update(changes)
         return type(self)(**values)
+
+    def __reduce__(self):
+        return type(self), self._astuple()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

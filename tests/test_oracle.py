@@ -952,15 +952,19 @@ def test_a_pattern_that_fires_no_rule_keeps_its_bucket():
 def test_the_oracle_starts_and_runs_without_dataclasses():
     # The records that the oracle reads and returns are plain classes, so
     # neither its import nor a run loads ``dataclasses``.
+    # ``site`` stays on for numpy, and a host's ``site`` may load
+    # ``dataclasses`` itself, so the check is that the package adds nothing.
     code = textwrap.dedent("""
         import sys
+        before = "dataclasses" in sys.modules
         from pbsgates import gates, oracle
         result = oracle.run_dense(gates._shipped_spec("parity_check"))
-        print(result.success_probability > 0, "dataclasses" in sys.modules)
+        print(result.success_probability > 0, before, "dataclasses" in sys.modules)
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    ran, before, after = proc.stdout.split()
+    assert ran == "True" and after == before
 
 
 def test_the_oracle_runs_without_loading_scipy():

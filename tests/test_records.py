@@ -1,7 +1,13 @@
 """The record classes keep the contracts of the frozen dataclasses they
 replace: field order and defaults, repr text, equality within one class,
 the hash of the field tuple, refused assignment, ``BasisState`` order, and
-each construction check, also when a copy is made with ``_replace``."""
+each construction check, also when a copy is made with ``_replace`` or
+:func:`dataclasses.replace`, and copies and pickles."""
+
+import copy
+import dataclasses
+import pickle
+import re
 
 import pytest
 
@@ -174,6 +180,33 @@ def test_construction_checks_run_in_init_and_in_replace(record, changes, error, 
         record._replace(**changes)
     assert type(direct.value) is type(replaced.value) is error
     assert str(direct.value) == str(replaced.value) == message
+
+
+@pytest.mark.parametrize("record, changes, error, message", CHECKS)
+def test_dataclasses_replace_runs_the_construction_checks(record, changes, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(record, **changes)
+
+
+@pytest.mark.parametrize("record, text", FROZEN + MUTABLE, ids=lambda x: type(x).__name__)
+def test_records_copy_and_pickle(record, text):
+    for clone in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(clone) is type(record) and clone == record and clone is not record
+        assert repr(clone) == text
+
+
+@pytest.mark.parametrize("record, text", FROZEN + MUTABLE, ids=lambda x: type(x).__name__)
+def test_dataclasses_functions_read_the_fields(record, text):
+    assert dataclasses.is_dataclass(record)
+    assert tuple(f.name for f in dataclasses.fields(record)) == record._fields
+    assert dataclasses.replace(record) == record
+    first = record._fields[0]
+    value = getattr(record, first)
+    assert getattr(dataclasses.replace(record, **{first: value}), first) is value
 
 
 def test_replace_refuses_a_name_that_is_not_a_field():
