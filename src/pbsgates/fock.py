@@ -153,33 +153,24 @@ def _repack(
     dst: SlotIndex,
     dst_width: int,
 ) -> dict[int, complex]:
-    """``terms`` moved from one packing to another, in the same order.
-
-    A configuration with a slot that ``dst`` lacks, or a count too large for
-    ``dst_width``, has no place in the new packing and is dropped.
-    """
-    if src_width == dst_width and (
-        src is dst or dst.slots[: len(src.slots)] == src.slots
-    ):
-        return terms  # every slot keeps its bits
+    """``terms`` moved from one packing to another, in the same order: ``terms``
+    itself for the same index object at the same width, else each configuration
+    decoded with :func:`_fields` and re-encoded over ``dst``.  One with a slot
+    that ``dst`` lacks, or a count too large for ``dst_width``, is dropped."""
+    if src is dst and src_width == dst_width:
+        return terms
     shifts = [
         None if (pos := dst.position.get(slot)) is None else pos * dst_width
         for slot in src.slots
     ]
-    field = (1 << src_width) - 1
     out = {}
     for cfg, amp in terms.items():
         new = 0
-        pos = 0
-        while cfg:
-            n = cfg & field
-            if n:
-                shift = shifts[pos]
-                if shift is None or n >> dst_width:
-                    break
-                new |= n << shift
-            cfg >>= src_width
-            pos += 1
+        for pos, n in _fields(cfg, src_width):
+            shift = shifts[pos]
+            if shift is None or n >> dst_width:
+                break
+            new |= n << shift
         else:
             out[new] = amp
     return out
@@ -344,24 +335,17 @@ class PhotonState:
         return " + ".join(parts) if parts else "0"
 
 
-def _joint(a: PhotonState, b: PhotonState, photons: int):
-    """(index, a's terms, b's terms) packed alike for up to ``photons`` photons."""
-    index = a._index.including(b._index.slots)
-    width = _width(photons)
-    return (
-        index,
-        _repack(a._terms, a._index, a._width, index, width),
-        _repack(b._terms, b._index, b._width, index, width),
-    )
-
-
 def tensor(a: PhotonState, b: PhotonState) -> PhotonState:
-    """Product state of two states on disjoint spatial modes."""
+    """Product state of two states on disjoint spatial modes, packed over the
+    union of their indexes for the sum of their photon bounds."""
     shared = a.modes() & b.modes()
     if shared:
         raise OverlappingModes(f"modes appear on both sides: {sorted(shared)}")
     photons = a._photons + b._photons
-    index, a_terms, b_terms = _joint(a, b, photons)
+    index = a._index.including(b._index.slots)
+    width = _width(photons)
+    a_terms = _repack(a._terms, a._index, a._width, index, width)
+    b_terms = _repack(b._terms, b._index, b._width, index, width)
     out: dict[int, complex] = {}
     for ka, aa in a_terms.items():
         for kb, ab in b_terms.items():

@@ -147,6 +147,44 @@ def reference_sorted_terms(state: PhotonState) -> list[tuple[BasisState, complex
     return sorted(terms.items(), key=lambda item: item[0])
 
 
+def reference_repack(
+    terms: dict[int, complex],
+    src: SlotIndex,
+    src_width: int,
+    dst: SlotIndex,
+    dst_width: int,
+) -> dict[int, complex]:
+    """``terms`` moved from one packing to another, in the same order, by a
+    field loop of its own: an independent reference for ``fock._repack``,
+    which decodes with ``fock._fields``.  A configuration with a slot that
+    ``dst`` lacks, or a count too large for ``dst_width``, is dropped."""
+    if src_width == dst_width and (
+        src is dst or dst.slots[: len(src.slots)] == src.slots
+    ):
+        return terms  # every slot keeps its bits
+    shifts = [
+        None if (pos := dst.position.get(slot)) is None else pos * dst_width
+        for slot in src.slots
+    ]
+    field = (1 << src_width) - 1
+    out = {}
+    for cfg, amp in terms.items():
+        new = 0
+        pos = 0
+        while cfg:
+            n = cfg & field
+            if n:
+                shift = shifts[pos]
+                if shift is None or n >> dst_width:
+                    break
+                new |= n << shift
+            cfg >>= src_width
+            pos += 1
+        else:
+            out[new] = amp
+    return out
+
+
 def float_bits(x) -> tuple[str, ...]:
     """A float's or a complex number's bits, signed zeros included."""
     z = complex(x)

@@ -1,5 +1,6 @@
 """The summary of ``tools/cold_start.py`` on canned timings, its command list,
-its record of what ``site`` loads, and its refusal of a command that fails."""
+its record of what ``site`` loads, its refusal of a command that fails, and
+the commands that only one checkout has."""
 
 import importlib.util
 import pathlib
@@ -72,3 +73,41 @@ def test_site_preloads_name_what_site_has_loaded(tmp_path):
     (tmp_path / "sitecustomize.py").write_text("import dataclasses\n", encoding="utf-8")
     env["PYTHONPATH"] = str(tmp_path)
     assert "dataclasses" in cold_start.site_preloads(env)
+
+
+def test_a_command_that_one_checkout_lacks_is_named_not_timed(monkeypatch, capsys):
+    # The change renames one circuit and adds another: only the commands
+    # that both checkouts have are timed, in the change's order.
+    names = {
+        "parent": ["python -c pass", "run --circuit old.circ", "run --gate cnot"],
+        "change": [
+            "python -c pass", "run --circuit new.circ", "run --gate cnot", "run --circuit z.circ",
+        ],
+    }
+    monkeypatch.setattr(
+        cold_start, "commands", lambda checkout, output: {n: [checkout, n] for n in names[checkout]}
+    )
+    monkeypatch.setattr(cold_start, "child_env", lambda checkout: {"side": checkout})
+    timed = []
+
+    def time_once(argv, checkout, env):
+        assert argv[0] == checkout == env["side"]
+        timed.append(argv)
+        return 10.0 + len(timed)
+
+    monkeypatch.setattr(cold_start, "time_once", time_once)
+    record = cold_start.measure("parent", "change", 2)
+    assert list(record["commands"]) == ["python -c pass", "run --gate cnot"]
+    assert record["not_timed"] == {
+        "run --circuit old.circ": "parent",
+        "run --circuit new.circ": "change",
+        "run --circuit z.circ": "change",
+    }
+    assert len(timed) == 2 * 2 * 2
+    for row in record["commands"].values():
+        assert len(row["parent_ms"]) == len(row["change_ms"]) == 2
+    err = capsys.readouterr().err
+    for name, side in record["not_timed"].items():
+        assert f"not timed: {name} (only the {side} has it)" in err
+    # A change timed alone times every command it has.
+    assert cold_start.measure(None, "change", 2)["not_timed"] == {}

@@ -1,5 +1,6 @@
 """Unit tests for sparse Fock states and slot transforms."""
 
+import collections
 import itertools
 import math
 import re
@@ -30,11 +31,14 @@ from pbsgates.optics import (
 
 from conftest import (
     declared_state,
+    float_bits,
     qubit_state,
     random_state,
+    reference_repack,
     reference_sorted_terms,
     scaled,
     single,
+    state_bits,
     states_close,
 )
 
@@ -99,6 +103,146 @@ def test_inner_product_conjugate_linear_in_first():
     assert abs(fock.inner_product(a, b) - (-1j)) < 1e-12
     assert abs(fock.inner_product(b, a) - 1j) < 1e-12
     assert fock.inner_product(single("m", POL_H), single("m", POL_V)) == 0
+
+
+# Modes that sort first ("a", "b") and last ("z"): an index grown by the
+# slots of "z" keeps every other slot's position.
+CROSS_MODES = ("a", "b", "z")
+
+
+def cross_state(rng, modes, photons: int, shared: list) -> PhotonState:
+    """A random state over the HV slots of ``modes`` with photon bound
+    ``photons``: the configurations of ``shared`` that fit, one with all
+    ``photons`` on one slot, so the bound is reached, and a few of its own."""
+    slots = [(m, p) for m in modes for p in (POL_H, POL_V)]
+    occs = [occ for occ in shared if set(occ) <= set(slots) and sum(occ.values()) <= photons]
+    occs.append({slots[int(rng.integers(len(slots)))]: photons} if slots else {})
+    for _ in range(int(rng.integers(0, 4))):
+        occ: dict = {}
+        for _ in range(int(rng.integers(0, photons + 1))):
+            slot = slots[int(rng.integers(len(slots)))]
+            occ[slot] = occ.get(slot, 0) + 1
+        occs.append(occ)
+    terms = {BasisState.from_dict(occ): complex(rng.normal(), rng.normal()) for occ in occs}
+    tolerance = (0.0, fock.DEFAULT_TOLERANCE)[int(rng.integers(2))]
+    return PhotonState(terms, tolerance)
+
+
+def noted_repack(cases, terms, src, src_width, dst, dst_width):
+    """:func:`reference_repack`, counting in ``cases`` the cross-packing cases
+    that each call meets."""
+    if src is not dst and src.slots == dst.slots:
+        cases["equal slots in distinct indexes"] += 1
+    elif (
+        src_width == dst_width
+        and src.slots != dst.slots
+        and dst.slots[: len(src.slots)] == src.slots
+    ):
+        cases["an index grown by slots that sort last"] += 1
+    field = (1 << src_width) - 1
+    for cfg in terms:
+        counts = [(slot, cfg >> pos * src_width & field) for pos, slot in enumerate(src.slots)]
+        cases["a slot absent on the other side"] += any(
+            n and slot not in dst.position for slot, n in counts
+        )
+        cases["a count too wide for the other side"] += any(n >> dst_width for _, n in counts)
+    return reference_repack(terms, src, src_width, dst, dst_width)
+
+
+def packing_width(state: PhotonState) -> int:
+    return max(1, state.packing[1].bit_length())
+
+
+def reference_reindexed(cases, state: PhotonState, index: fock.SlotIndex) -> PhotonState:
+    own, photons = state.packing
+    index = index.including(own.slots)
+    if index is own:
+        return state
+    width = packing_width(state)
+    terms = noted_repack(cases, state.packed_terms, own, width, index, width)
+    return PhotonState.packed(terms, index, photons, state.tolerance)
+
+
+def reference_tensor(cases, a: PhotonState, b: PhotonState) -> PhotonState:
+    photons = a.packing[1] + b.packing[1]
+    index = a.packing[0].including(b.packing[0].slots)
+    width = max(1, photons.bit_length())
+    a_terms, b_terms = (
+        noted_repack(cases, s.packed_terms, s.packing[0], packing_width(s), index, width)
+        for s in (a, b)
+    )
+    out: dict[int, complex] = {}
+    for ka, aa in a_terms.items():
+        for kb, ab in b_terms.items():
+            out[ka | kb] = out.get(ka | kb, 0j) + aa * ab
+    return PhotonState.packed(out, index, photons, min(a.tolerance, b.tolerance))
+
+
+def reference_inner_product(cases, a: PhotonState, b: PhotonState) -> complex:
+    small, large = (a, b) if a.num_terms() <= b.num_terms() else (b, a)
+    small_terms = noted_repack(
+        cases, small.packed_terms, small.packing[0], packing_width(small),
+        large.packing[0], packing_width(large),
+    )
+    total = 0j
+    for cfg, amp in small_terms.items():
+        other = large.packed_terms.get(cfg)
+        if other is not None:
+            total += amp.conjugate() * other if small is a else other.conjugate() * amp
+    return total
+
+
+def test_states_meet_across_packings_as_the_reference_repack_moves_them(rng):
+    # Pairs of states on different packings: slots that one side lacks,
+    # counts too wide for the other side's fields, indexes grown by slots
+    # that sort last, and equal slots in distinct indexes.  Every public path
+    # between packings gives the bits of the reference field loop.
+    cases = collections.Counter()
+    overlaps = 0
+    for _ in range(300):
+        shared = [
+            {(m, p): int(rng.integers(1, 4))}
+            | {(CROSS_MODES[int(rng.integers(3))], POL_V): 1}
+            for m in CROSS_MODES
+            for p in (POL_H, POL_V)
+        ]
+        modes = [m for m in CROSS_MODES if rng.random() < 0.6] or ["a"]
+        other = modes if rng.random() < 0.3 else [m for m in CROSS_MODES if rng.random() < 0.6]
+        a = cross_state(rng, modes, int(rng.integers(1, 5)), shared)
+        b = cross_state(rng, other or ["b"], int(rng.integers(1, 5)), shared)
+        for first, second in ((a, b), (b, a)):
+            inner = fock.inner_product(first, second)
+            assert float_bits(inner) == float_bits(reference_inner_product(cases, first, second))
+            first_terms, second_terms = first.terms, second.terms
+            products = [
+                first_terms[key].conjugate() * second_terms[key]
+                for key in first_terms.keys() & second_terms.keys()
+            ]
+            overlaps += bool(products)
+            assert abs(inner - sum(products, 0j)) <= 1e-12 * sum(map(abs, products))
+        own = a.packing[0]
+        for index in (
+            fock.SlotIndex(own.slots),
+            fock.SlotIndex([("z", POL_H), ("z", POL_V)]),
+            fock.SlotIndex((m, p) for m in CROSS_MODES for p in (POL_H, POL_V)),
+            b.packing[0],
+        ):
+            expected = reference_reindexed(cases, a, index)
+            assert state_bits(a.reindexed(index)) == state_bits(expected)
+        left = cross_state(rng, modes, int(rng.integers(0, 4)), shared)
+        right_modes = [m for m in CROSS_MODES if m not in modes]
+        right = cross_state(rng, right_modes, int(rng.integers(0, 4)) if right_modes else 0, [])
+        for first, second in ((left, right), (right, left)):
+            expected = reference_tensor(cases, first, second)
+            assert state_bits(fock.tensor(first, second)) == state_bits(expected)
+    assert overlaps > 0
+    assert set(cases) == {
+        "equal slots in distinct indexes",
+        "an index grown by slots that sort last",
+        "a slot absent on the other side",
+        "a count too wide for the other side",
+    }
+    assert min(cases.values()) > 0
 
 
 def test_pruning_respects_tolerance():

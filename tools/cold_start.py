@@ -14,7 +14,9 @@ in the pinned environment of that checkout's ``perfbench/run.py``
 thread, ``PYTHONPATH`` its ``src``), and is timed from start to exit.  For
 each command the two checkouts alternate one run at a time, the parent first
 on even repetitions.  Each side's quartiles and the pairs each side won are
-summarised (:func:`summarise`).  The first command, ``python -c pass``, is
+summarised (:func:`summarise`).  A command that only one checkout has, such
+as a circuit that the change adds, is not timed: the record names it and
+that side under ``not_timed``.  The first command, ``python -c pass``, is
 the interpreter's own start: each row's excess over it is what the package
 adds.  The record notes the Python version, the ``PYTHONDONTWRITEBYTECODE``
 setting, which decides whether each run compiles the package from source,
@@ -39,7 +41,7 @@ import time
 
 
 #: Modules that the package imports (or did) and that a ``site`` may load first.
-PRELOADS = ("dataclasses", "importlib.resources", "re", "typing")
+PRELOADS = ("argparse", "dataclasses", "importlib.resources", "json", "re", "typing")
 
 
 def commands(checkout: str, output: str) -> dict[str, list[str]]:
@@ -114,14 +116,22 @@ def summarise(parent: list[float] | None, change: list[float]) -> dict:
 
 
 def measure(parent: str | None, change: str, reps: int) -> dict:
-    """Name -> the times of each side and their summary, for every command."""
+    """``commands``: name -> the times of each side and their summary, for
+    every command that each checkout has, in the change's order.
+    ``not_timed``: name -> the side that has it, for every other command."""
     sides = {"change": change} if parent is None else {"parent": parent, "change": change}
     envs = {side: child_env(checkout) for side, checkout in sides.items()}
     results = {}
     with tempfile.TemporaryDirectory() as scratch:
         output = os.path.join(scratch, "report.json")
         argvs = {side: commands(checkout, output) for side, checkout in sides.items()}
-        for name in argvs["change"]:
+        names = [name for name in argvs["change"] if all(name in argvs[side] for side in sides)]
+        not_timed = {
+            name: side for side in sides for name in argvs[side] if name not in names
+        }
+        for name, side in not_timed.items():
+            print(f"not timed: {name} (only the {side} has it)", file=sys.stderr)
+        for name in names:
             times = {side: [] for side in sides}
             for rep in range(reps):
                 order = list(sides) if rep % 2 == 0 else list(reversed(sides))
@@ -132,7 +142,7 @@ def measure(parent: str | None, change: str, reps: int) -> dict:
                 "summary": summarise(times.get("parent"), times["change"]),
             }
             print(name, json.dumps(results[name]["summary"]), file=sys.stderr)
-    return results
+    return {"commands": results, "not_timed": not_timed}
 
 
 def main(argv=None) -> None:
@@ -159,7 +169,7 @@ def main(argv=None) -> None:
             "repetitions. Quartiles are statistics.quantiles, inclusive; a side wins a "
             "pair when its run is faster."
         ),
-        "commands": measure(args.parent, args.change, args.reps),
+        **measure(args.parent, args.change, args.reps),
     }
     text = json.dumps(record, indent=1) + "\n"
     if args.out:
