@@ -17,9 +17,14 @@ local occupation: its counts on the slots the map reads and writes.  A
 compiled map (:class:`IndexedMap`) is built for one packing, an index and a
 photon bound, with its shifts and masks worked out at construction.  It works
 each local occupation's expansion out once as a program, keeps it for later
-calls, and replays it on every term that has that occupation.  A replay does
-the same float operations in the same order as expanding the term afresh, so
-kept programs never change an amplitude's bits, signed zeros included.
+calls, and replays it on every term that has that occupation.  A program
+comes in one of two forms.  Where every source slot of the map has exactly
+one target (a HV beam splitter, a phase plate), each term goes to one
+configuration, and its program is a chain of scalar factors.  Otherwise the
+program is a sequence of stages over lists of partial terms.  Either replay
+does the same float operations in the same order as expanding the term
+afresh, so kept programs never change an amplitude's bits, signed zeros
+included.
 """
 
 from __future__ import annotations
@@ -458,12 +463,14 @@ class IndexedMap:
     coefficient), ...))`` in increasing source position, zero coefficients
     left out.  ``moved`` masks the source fields and ``mask`` the source and
     target fields: a configuration's local occupation, ``cfg & mask``, is
-    all that its expansion reads.  ``programs`` keeps the expansion program
+    all that its expansion reads.  ``chain`` says whether every source has
+    exactly one target, so that every program of the map is a chain (see
+    :func:`_expansion_program`).  ``programs`` keeps the expansion program
     of every local occupation met (see :func:`transform_slots`) for as long
     as the map lives, from its first call on.
     """
 
-    __slots__ = ("index", "width", "slot_map", "moves", "moved", "mask", "programs")
+    __slots__ = ("index", "width", "slot_map", "moves", "moved", "mask", "chain", "programs")
 
     def __init__(self, slot_map: SlotMap, index: SlotIndex, photons: int):
         position = index.position
@@ -488,29 +495,54 @@ class IndexedMap:
         self.moves = tuple(moves)
         self.moved = moved
         self.mask = moved | local
+        self.chain = _single_targets(self.moves)
         self.programs: dict[int, tuple] = {}
 
 
+def _single_targets(moves) -> bool:
+    """Whether every source of ``moves`` has exactly one target."""
+    return all(len(targets) == 1 for _, targets in moves)
+
+
 def _expansion_program(local: int, width: int, moves, moved: int):
-    """How one local occupation expands: (divisors, stages, offsets).
+    """How one local occupation expands: (divisors, stages, offsets), or the
+    chain (divisors, creations, offset) where every source of ``moves`` has
+    exactly one target.
 
     This is the per-term expansion of the slot transform worked out on the
-    occupation alone, with each configuration replaced by its entry in a
-    list.  Each mapped slot with ``n`` photons contributes a divisor
-    sqrt(n!) and ``n`` creation stages.  A stage ``(first, more)`` makes the
-    next list: entry ``j`` starts as ``0j + partial[src] * coeff * root``
-    with ``(src, coeff, root) = first[j]``, then each ``(dst, src, coeff,
-    root)`` of ``more`` adds ``partial[src] * coeff * root`` to entry
-    ``dst``.  That is the order in which the dict-based expansion visited the
-    steps, and entries are numbered in the order it first made their keys.
-    ``offsets`` is what each final entry adds to the configuration with its
-    mapped photons removed.
+    occupation alone.  Each mapped slot with ``n`` photons contributes a
+    divisor sqrt(n!) and ``n`` creations.
+
+    In the general form each configuration is replaced by its entry in a
+    list, and a creation is a stage ``(first, more)`` that makes the next
+    list: entry ``j`` starts as ``0j + partial[src] * coeff * root`` with
+    ``(src, coeff, root) = first[j]``, then each ``(dst, src, coeff, root)``
+    of ``more`` adds ``partial[src] * coeff * root`` to entry ``dst``.  That
+    is the order in which the dict-based expansion visited the steps, and
+    entries are numbered in the order it first made their keys.  ``offsets``
+    is what each final entry adds to the configuration with its mapped
+    photons removed.
+
+    In a chain every stage has one entry, so a creation is the pair
+    ``(coeff, root)`` that makes the term ``0j + amp * coeff * root``, and
+    ``offset`` is what the one final term adds.
     """
     field = (1 << width) - 1
     sqrt_factorial, sqrt = _sqrt_tables(field)
     base = local & ~moved
-    partial = {base: 0}  # configuration -> its entry in the list
     divisors = []
+    if _single_targets(moves):
+        creations = []
+        cfg = base
+        for shift, ((target, unit, coeff),) in moves:
+            n = local >> shift & field
+            if n:
+                divisors.append(sqrt_factorial[n])
+            for _ in range(n):
+                creations.append((coeff, sqrt[(cfg >> target & field) + 1]))
+                cfg += unit
+        return tuple(divisors), tuple(creations), cfg - base
+    partial = {base: 0}  # configuration -> its entry in the list
     stages = []
     for shift, targets in moves:
         n = local >> shift & field
@@ -547,10 +579,12 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
 
     A term's expansion depends only on its local occupation, so it is
     worked out once per occupation as an expansion program, kept on the map
-    (see :class:`IndexedMap`) and replayed on lists for every term with that
-    occupation.  The replay does the float operations of the per-term
-    expansion in the same order, ``0j +`` on a fresh entry included, so
-    every amplitude keeps its bits, signed zeros too.
+    (see :class:`IndexedMap`) and replayed for every term with that
+    occupation.  A chain program is replayed on the term's one amplitude,
+    and any other on lists of partial terms.  The replay does the float
+    operations of the per-term expansion in the same order, ``0j +`` on a
+    fresh entry included, so every amplitude keeps its bits, signed zeros
+    too.
     """
     if not (
         isinstance(mapping, IndexedMap)
@@ -562,7 +596,7 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
         state = state.reindexed(state._index.including([*slot_map, *targets]))
         mapping = IndexedMap(slot_map, state._index, state._photons)
     width, moves, moved, mask = mapping.width, mapping.moves, mapping.moved, mapping.mask
-    programs = mapping.programs
+    chain, programs = mapping.chain, mapping.programs
     keep = ~moved
     out: dict[int, complex] = {}
     for cfg, amp in state._terms.items():
@@ -575,9 +609,15 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
             program = programs[local] = _expansion_program(local, width, moves, moved)
         divisors, stages, offsets = program
         # |..n..> carries 1/sqrt(n!) relative to the bare operator product;
-        # the stages restore sqrt-factors one creation at a time.
+        # the creations restore sqrt-factors one at a time.
         for divisor in divisors:
             amp /= divisor
+        if chain:
+            for coeff, root in stages:
+                amp = 0j + amp * coeff * root
+            key = (cfg & keep) + offsets
+            out[key] = out.get(key, 0j) + amp
+            continue
         partial = [amp]
         for first, more in stages:
             nxt = [0j + partial[src] * coeff * root for src, coeff, root in first]

@@ -97,11 +97,31 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+#: ``[sector, side]`` of each sector that :func:`_targets` built, by the
+#: sector's ``id``; holding the sector keeps its ``id`` from being reused.
+#: ``side`` is the sector's output side in :func:`_amplitudes`, worked out
+#: on first use.
+_SECTORS: dict[int, list] = {}
+
+
 @functools.cache
 def _targets(total: int, parts: int) -> np.ndarray:
-    """The rows of :func:`compositions` in its order, as a read-only array."""
-    rows = np.array(list(compositions(total, parts)), dtype=np.int64).reshape(-1, parts)
-    return _read_only(rows)
+    """The rows of :func:`compositions` in its order, as a read-only array:
+    the sector of ``total`` photons on ``parts`` slots."""
+    rows = _read_only(
+        np.array(list(compositions(total, parts)), dtype=np.int64).reshape(-1, parts)
+    )
+    _SECTORS[id(rows)] = [rows, None]
+    return rows
+
+
+def _photon_side(occupations: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot of each photon of each row of ``occupations`` (rows of ``n``
+    photons), and each row's sqrt(prod k!) over its counts k."""
+    slots = np.arange(occupations.shape[1])
+    photons = np.repeat(np.tile(slots, len(occupations)), occupations.ravel()).reshape(-1, n)
+    factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
+    return photons, np.sqrt(factorial[occupations].prod(axis=1))
 
 
 class DenseBasis:
@@ -200,6 +220,11 @@ def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
     prod over rows t of (A[t] . d), over 2**(n - 1).  The row sums of every
     output slot come from one stacked matrix product per chunk of input
     configurations, each chunk as large as ``_CHUNK_ENTRIES`` allows.
+
+    Each side's photon slots and sqrt-factorial products depend only on its
+    rows.  Where ``outs`` is a sector that :func:`_targets` built, its side
+    is worked out once and kept; other rows are worked out per call.  With
+    one photon, the amplitudes are the entries of ``u`` themselves.
     """
     amps = np.zeros((len(outs), len(ins)), dtype=complex)
     if not amps.size:
@@ -207,16 +232,21 @@ def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
     n = int(ins[0].sum())
     if n == 0:
         return amps + 1.0
+    if n == 1:
+        amps[:] = u[outs.argmax(axis=1)[:, None], ins.argmax(axis=1)]
+        return amps
+    sector = _SECTORS.get(id(outs))
+    if sector is not None and sector[0] is outs:
+        if sector[1] is None:
+            sector[1] = _photon_side(outs, n)
+        out_photons, out_roots = sector[1]
+    else:
+        out_photons, out_roots = _photon_side(outs, n)
+    in_photons, in_roots = _photon_side(ins, n)
     deltas, weights = _glynn(n)
-    slots = np.arange(u.shape[0])
-    # Row k of ``photons`` lists the slot of each photon of configuration k.
-    out_photons = np.repeat(np.tile(slots, len(outs)), outs.ravel()).reshape(-1, n)
-    in_photons = np.repeat(np.tile(slots, len(ins)), ins.ravel()).reshape(-1, n)
-    factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
-    norms = np.sqrt(np.outer(factorial[outs].prod(axis=1), factorial[ins].prod(axis=1)))
     # Per column, ``sums`` holds (slots, signs) entries and ``products``
     # (outputs, signs); there are at least as many signs as photons.
-    step = max(1, _CHUNK_ENTRIES // (max(len(slots), len(outs)) * len(weights)))
+    step = max(1, _CHUNK_ENTRIES // (max(u.shape[0], len(outs)) * len(weights)))
     for start in range(0, len(ins), step):
         chunk = slice(start, start + step)
         sums = u[:, in_photons[chunk]] @ deltas
@@ -224,7 +254,7 @@ def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
         for k in range(1, n):
             products *= sums[out_photons[:, k]]
         amps[:, chunk] = products @ weights
-    return amps / norms
+    return amps / np.outer(out_roots, in_roots)
 
 
 def _expand_operator(

@@ -118,6 +118,36 @@ def test_the_machine_record_holds_null_for_an_absent_package(monkeypatch):
     assert record["numpy"] == installed("numpy")
 
 
+@pytest.mark.parametrize("env", [None, "1"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_the_machine_record_holds_the_bytecode_state(env, flag, monkeypatch):
+    # A run without bytecode compiles the package's source in its setup.
+    if env is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env)
+    monkeypatch.setattr(bench_pairs.sys, "dont_write_bytecode", flag)
+    record = json.loads(json.dumps(bench_pairs.machine_record()))
+    assert record["bytecode"] == {"PYTHONDONTWRITEBYTECODE": env, "dont_write_bytecode": flag}
+
+
+def test_the_machine_record_holds_numpys_blas_or_null(monkeypatch):
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        expected = {"name": blas.get("name"), "version": blas.get("version")}
+    except TypeError:  # numpy before 1.25 cannot report it
+        expected = {"name": None, "version": None}
+    assert json.loads(json.dumps(bench_pairs.machine_record()))["numpy_blas"] == expected
+
+    # numpy 1.24's ``show_config`` takes no ``mode``.
+    monkeypatch.setattr(numpy, "show_config", lambda: None)
+    assert bench_pairs.machine_record()["numpy_blas"] == {"name": None, "version": None}
+    monkeypatch.setattr(numpy, "show_config", lambda mode: {"Build Dependencies": {}})
+    assert bench_pairs.machine_record()["numpy_blas"] == {"name": None, "version": None}
+
+
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("2401-2404") == [2401, 2402, 2403, 2404]
     assert bench_pairs.parse_seeds("7,3") == [7, 3]

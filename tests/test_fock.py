@@ -369,6 +369,35 @@ TEST_MAPS = {
         ("a", POL_V): ((("c", POL_H), 0.0),),
         ("b", POL_H): ((("b", POL_H), 1.0), (("a", POL_V), 0.0), (("d", POL_S), 1j)),
     },
+    # Single-target maps that no element makes: two sources onto one slot,
+    # whose terms meet in the output; sources onto slots that hold photons,
+    # where roots above 1 appear; and single targets beside a source whose
+    # coefficients are all zero, which keeps the general program form.
+    "two sources onto one slot": {
+        ("a", POL_H): ((("b", POL_V), 0.6 - 0.8j),),
+        ("a", POL_V): ((("b", POL_V), -1.0),),
+    },
+    "onto occupied slots": {
+        ("a", POL_H): ((("c", POL_H), 1j),),
+        ("b", POL_H): ((("c", POL_H), -0.0), (("a", POL_H), 0.8 + 0.6j)),
+        ("c", POL_V): ((("c", POL_H), -0.6),),
+    },
+    "single targets beside zero coefficients": {
+        ("a", POL_H): ((("c", POL_H), 1.0),),
+        ("b", POL_V): ((("b", POL_V), 1j),),
+        ("d", POL_H): ((("a", POL_V), 0.0), (("d", POL_V), -0j)),
+    },
+}
+
+#: The maps of ``TEST_MAPS`` whose every source has exactly one target with a
+#: nonzero coefficient (a rotator by zero has zero sines).
+CHAIN_MAPS = {
+    "hv pbs in place",
+    "hv pbs onto other modes",
+    "phase",
+    "rotator by zero",
+    "two sources onto one slot",
+    "onto occupied slots",
 }
 
 
@@ -516,6 +545,33 @@ def test_transform_slots_with_a_map_for_another_photon_bound(name, rng):
             own = fock.IndexedMap(TEST_MAPS[name], index, photons)
             assert bits(fock.transform_slots(state, own)) == expected
             assert bits(fock.transform_slots(state, maps[other])) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TEST_MAPS))
+def test_single_target_maps_keep_chain_programs(name):
+    # A chain program is (divisors, (coeff, root) per creation, offset); any
+    # other is (divisors, stages, offsets).  Each term below has two photons
+    # on a source and one on a slot of ``ALL_SLOTS[::3]``, which holds c:H,
+    # a target of "onto occupied slots" that no source empties.
+    index = fock.SlotIndex(ALL_SLOTS)
+    compiled = fock.IndexedMap(TEST_MAPS[name], index, 3)
+    assert compiled.chain == (name in CHAIN_MAPS)
+    terms = {}
+    for k, source in enumerate(TEST_MAPS[name]):
+        for other in ALL_SLOTS[::3]:
+            occ = {source: 2}
+            occ[other] = occ.get(other, 0) + 1
+            terms[BasisState.from_dict(occ)] = complex(k + 1, -0.0)
+    state = PhotonState(terms, 0.0).reindexed(index)
+    assert state.packing == (index, 3)
+    assert bits(fock.transform_slots(state, compiled)) == bits(
+        reference_transform(state, TEST_MAPS[name])
+    )
+    forms = {isinstance(offsets, int) for _, _, offsets in compiled.programs.values()}
+    assert forms == {compiled.chain}
+    if compiled.chain:
+        roots = {root for _, creations, _ in compiled.programs.values() for _, root in creations}
+        assert max(roots) > 1.0
 
 
 @pytest.mark.parametrize("tolerance", [0.0, fock.DEFAULT_TOLERANCE])

@@ -377,6 +377,41 @@ def test_batched_amplitudes_split_into_chunks(monkeypatch, rng, budget):
     assert_amplitudes_match_per_column(u, targets, targets)
 
 
+def test_amplitudes_of_a_kept_sector_and_of_other_rows(rng):
+    # A sector that ``_targets`` built keeps its output side from its first
+    # use on; rows that are no sector (a slice, an equal copy) are worked out
+    # per call.  One photon reads ``u`` itself.  Neither kind of call builds
+    # a sector.
+    for slots in (1, 2, 4, 6):
+        u = random_unitary(rng, slots)
+        for n in (1, 2, 3):
+            targets = _targets(n, slots)
+            ins = targets[rng.permutation(len(targets))[: max(1, len(targets) // 2)]]
+            built = _targets.cache_info().currsize
+            for matrix in (u, with_planted_zeros(rng, u), with_planted_zeros(rng, u.real)):
+                for _ in range(2):
+                    assert_amplitudes_match_per_column(matrix, targets, ins)
+                assert_amplitudes_match_per_column(matrix, targets[::3], ins)
+                assert_amplitudes_match_per_column(matrix, np.array(targets), targets)
+            assert _targets.cache_info().currsize == built
+            kept = oracle._SECTORS[id(targets)]
+            assert kept[0] is targets and (kept[1] is None) == (n == 1)
+
+
+@pytest.mark.parametrize("name", ["parity_check", "gc_cnot"])
+def test_amplitudes_on_a_whole_basis_build_no_sector(name, rng):
+    # A basis is a product of sectors, not one: its rows are worked out per
+    # call, and no sector of all its slots is built.
+    dense = DenseCircuit(shipped_spec(name))
+    columns = np.array(sorted(dense.support, key=dense.support.get), dtype=np.int64)
+    outs = dense.basis.occupations
+    built = _targets.cache_info().currsize
+    for u in (dense.unitary, with_planted_zeros(rng, dense.unitary)):
+        assert_amplitudes_match_per_column(u, outs, columns)
+    assert _targets.cache_info().currsize == built
+    assert id(outs) not in oracle._SECTORS
+
+
 def pattern_of(basis, state, detectors):
     return tuple(
         (

@@ -129,8 +129,28 @@ def machine_record() -> dict:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": _version("numpy"),
+        "numpy_blas": _numpy_blas(),
         "scipy": _version("scipy"),
+        # Without bytecode, each run's ``setup_s`` includes compiling the
+        # package's source.
+        "bytecode": {
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": sys.dont_write_bytecode,
+        },
     }
+
+
+def _numpy_blas() -> dict:
+    """The name and version of the BLAS that numpy was built with, each
+    ``None`` where numpy cannot report it: numpy before 1.25 has no
+    ``show_config(mode="dicts")``."""
+    try:
+        import numpy
+
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (ImportError, TypeError, KeyError):
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def _version(package: str) -> str | None:
