@@ -186,26 +186,23 @@ def _declared_amplitudes(kind: str, amplitudes: tuple[complex, ...]) -> tuple[co
     return tuple(map(complex, amplitudes))
 
 
-def input_amplitudes(declarations: Sequence[tuple], plan: CompiledCircuit) -> list[complex]:
-    """The amplitude of each configuration of ``plan.inputs``, in that order,
-    with each input declaration's ``(kind, amplitudes)`` bound, in spec order:
-    the product that the tensor product of the declarations computes.  Starting
-    from the vacuum's ``1+0j``, each declaration in order multiplies in one of its
-    amplitudes (:func:`_declared_amplitudes`) as ``0j + product * amplitude``, so a
-    product with a zero factor is an exact zero.  A non-finite amplitude raises
-    :class:`NonPhysicalInput`: gate calls bind theirs on a kept plan, without
-    :func:`validate`.
+def input_amplitudes(declarations: Sequence[tuple]) -> list[complex]:
+    """The amplitude of each configuration of :attr:`CompiledCircuit.inputs`,
+    in that order, with each input declaration's ``(kind, amplitudes)`` bound,
+    in spec order: the product that the tensor product of the declarations
+    computes.  Starting from the vacuum's ``1+0j``, each declaration in order
+    multiplies in one of its amplitudes (:func:`_declared_amplitudes`) as
+    ``0j + product * amplitude``, so a product with a zero factor is an exact
+    zero.  A non-finite amplitude raises :class:`NonPhysicalInput`: gate calls
+    bind theirs on a kept plan, without :func:`validate`.
     """
-    values = [amp for decl in declarations for amp in _declared_amplitudes(*decl)]
-    if not all(map(cmath.isfinite, values)):
+    values = [_declared_amplitudes(*decl) for decl in declarations]
+    if not all(cmath.isfinite(amp) for amps in values for amp in amps):
         bad = next(a for _, amps in declarations for a in amps if not cmath.isfinite(a))
         raise NonPhysicalInput(f"input amplitude {bad!r} is not finite")
-    products = []
-    for _, recipe in plan.inputs:
-        amp = _ONE
-        for position in recipe:
-            amp = 0j + amp * values[position]
-        products.append(amp)
+    products = [_ONE]
+    for amps in values:
+        products = [0j + p * a for p in products for a in amps]
     return products
 
 
@@ -245,7 +242,7 @@ def build_input_state(spec: CircuitSpec, *, plan: CompiledCircuit | None = None)
     if plan is None:
         plan = compile(spec)
     declarations = [(decl.kind, decl.amplitudes) for decl in spec.inputs]
-    terms = {cfg: amp for (cfg, _), amp in zip(plan.inputs, input_amplitudes(declarations, plan))}
+    terms = dict(zip(plan.inputs, input_amplitudes(declarations)))
     return PhotonState.packed(terms, plan.index, plan.photons, 0.0)
 
 
@@ -455,11 +452,10 @@ class CompiledCircuit(Frozen):
         index: fock.SlotIndex,
         # Photon number of the input: states of a run are packed for it.
         photons: int,
-        # Each configuration of the input, packed, with the positions of the
-        # amplitudes that multiply into it among the declarations' term
-        # amplitudes laid end to end.  In the order of the declarations' tensor
-        # product: the earlier a declaration, the slower its term varies.
-        inputs: tuple[tuple[int, tuple[int, ...]], ...],
+        # Each configuration of the input, packed, in the order of the
+        # declarations' tensor product (``itertools.product`` of their terms):
+        # the earlier a declaration, the slower its term varies.
+        inputs: tuple[int, ...],
         elements: tuple[Step, ...],
         # HV -> FS rebase of each FS detector's mode, in detector order.
         rebases: tuple[fock.IndexedMap, ...],
@@ -531,19 +527,13 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
             for el in chain
         )
 
-    starts = list(itertools.accumulate(map(len, parts), initial=0))
-    inputs = tuple(
-        (
-            index.pack([slot for part, j in zip(parts, term) for slot in part[j]], photons),
-            tuple(start + j for start, j in zip(starts, term)),
-        )
-        for term in itertools.product(*(range(len(part)) for part in parts))
-    )
-
     return CompiledCircuit(
         index=index,
         photons=photons,
-        inputs=inputs,
+        inputs=tuple(
+            index.pack([slot for term in terms for slot in term], photons)
+            for terms in itertools.product(*parts)
+        ),
         elements=steps(spec.elements),
         rebases=tuple(
             fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index, photons)
@@ -624,6 +614,7 @@ def _execute(
 
     branches = enumerate_outcomes(state, spec.detectors)
     accepted = []
+    success = 0.0
     rejected: dict[OutcomePattern, float] = {}
     for pattern in sorted(branches):
         branch = branches[pattern]
@@ -633,6 +624,7 @@ def _execute(
                 branch, pattern, spec.detectors, spec.rules, plan.corrections
             )
             accepted.append((pattern, probability, corrected.packed_terms))
+            success += probability
         else:
             rejected[pattern] = rejected.get(pattern, 0.0) + probability
     return settle(
@@ -644,7 +636,7 @@ def _execute(
             else rejected
         ),
         tolerance,
-        lambda success: kept - success - sum(rejected.values()) - dropped,
+        kept - success - sum(rejected.values()) - dropped,
     )
 
 
@@ -653,7 +645,7 @@ def settle(
     accepted: list[tuple[OutcomePattern, float, dict[int, complex]]],
     rejected: dict[OutcomePattern, float] | Callable[[], dict[OutcomePattern, float]],
     tolerance: float,
-    lost: Callable[[float], float],
+    pruned: float,
 ) -> GateResult:
     """The result of a run of ``plan`` that accepts ``accepted``: each
     pattern, in order, with its probability (positive) and its corrected
@@ -661,9 +653,8 @@ def settle(
     packed as every state of the run is, over ``plan.index`` for
     ``plan.photons``.  Each outcome's state is built once, normalised.
 
-    ``lost(success)`` is the squared norm that pruning removed during the
-    run, given the summed probability of ``accepted``; more than 1e-9 of it
-    raises :class:`NonPhysicalInput`.
+    ``pruned`` is the squared norm that pruning removed during the run; more
+    than 1e-9 of it raises :class:`NonPhysicalInput`.
     """
     outcomes: dict[OutcomePattern, tuple[float, PhotonState]] = {}
     success = 0.0
@@ -672,7 +663,6 @@ def settle(
         state = PhotonState.scaled_packed(terms, plan.index, plan.photons, tolerance, factor)
         outcomes[pattern] = (probability, state)
         success += probability
-    pruned = lost(success)
     if pruned > 1e-9:
         raise NonPhysicalInput(
             f"amplitude tolerance {tolerance!r} prunes squared norm {pruned!r} during the run"

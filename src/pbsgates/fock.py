@@ -21,9 +21,12 @@ calls, and replays it on every term that has that occupation.  A program
 comes in one of two forms.  Where every source slot of the map has exactly
 one target (a HV beam splitter, a phase plate), each term goes to one
 configuration, and its program is a chain of scalar factors.  Otherwise the
-program is a sequence of stages over lists of partial terms.  Either replay
-does the same float operations in the same order as expanding the term
-afresh, so kept programs never change an amplitude's bits, signed zeros
+program is a sequence of stages over lists of partial terms.  A stage replay
+does the float operations of expanding the term afresh, in the same order.
+A chain replay does them too, but for the ``0j +`` on each partial product.
+That sum changes only the sign of a zero part; such a sign reaches only zero
+parts of later products, and storing the term (``out.get(key, 0j) + amp``)
+clears it.  So kept programs never change an amplitude's bits, signed zeros
 included.
 """
 
@@ -495,43 +498,42 @@ class IndexedMap:
         self.moves = tuple(moves)
         self.moved = moved
         self.mask = moved | local
-        self.chain = _single_targets(self.moves)
+        self.chain = all(len(targets) == 1 for _, targets in moves)
         self.programs: dict[int, tuple] = {}
 
 
-def _single_targets(moves) -> bool:
-    """Whether every source of ``moves`` has exactly one target."""
-    return all(len(targets) == 1 for _, targets in moves)
-
-
-def _expansion_program(local: int, width: int, moves, moved: int):
-    """How one local occupation expands: (divisors, stages, offsets), or the
-    chain (divisors, creations, offset) where every source of ``moves`` has
-    exactly one target.
+def _expansion_program(local: int, width: int, moves, moved: int, chain: bool):
+    """How one local occupation expands under an :class:`IndexedMap`'s
+    ``moves``: (divisors, stages, offsets), or the chain (divisors,
+    creations, offset) where the map's ``chain`` says that every source of
+    ``moves`` has exactly one target.
 
     This is the per-term expansion of the slot transform worked out on the
     occupation alone.  Each mapped slot with ``n`` photons contributes a
     divisor sqrt(n!) and ``n`` creations.
 
     In the general form each configuration is replaced by its entry in a
-    list, and a creation is a stage ``(first, more)`` that makes the next
-    list: entry ``j`` starts as ``0j + partial[src] * coeff * root`` with
-    ``(src, coeff, root) = first[j]``, then each ``(dst, src, coeff, root)``
-    of ``more`` adds ``partial[src] * coeff * root`` to entry ``dst``.  That
-    is the order in which the dict-based expansion visited the steps, and
-    entries are numbered in the order it first made their keys.  ``offsets``
-    is what each final entry adds to the configuration with its mapped
-    photons removed.
+    list, and a creation is a stage ``(size, steps)`` that makes the next
+    list: ``size`` entries of ``0j``, to which each ``(dst, src, coeff,
+    root)`` of ``steps`` in turn adds ``partial[src] * coeff * root``.  The
+    steps come in the order in which the dict-based expansion visited them,
+    and entries are numbered in the order it first made their keys, so each
+    entry gets the same first ``0j +`` and the same adds in the same order.
+    ``offsets`` is what each final entry adds to the configuration with its
+    mapped photons removed.
 
     In a chain every stage has one entry, so a creation is the pair
-    ``(coeff, root)`` that makes the term ``0j + amp * coeff * root``, and
-    ``offset`` is what the one final term adds.
+    ``(coeff, root)`` that makes the term ``amp * coeff * root``, and
+    ``offset`` is what the one final term adds.  The ``0j +`` of the
+    expansion is left out: it changes only the sign of a zero part, which
+    reaches only zero parts of later products, and storing the term clears
+    it (see the module docstring).
     """
     field = (1 << width) - 1
     sqrt_factorial, sqrt = _sqrt_tables(field)
     base = local & ~moved
     divisors = []
-    if _single_targets(moves):
+    if chain:
         creations = []
         cfg = base
         for shift, ((target, unit, coeff),) in moves:
@@ -551,16 +553,12 @@ def _expansion_program(local: int, width: int, moves, moved: int):
         divisors.append(sqrt_factorial[n])
         for _ in range(n):
             nxt: dict[int, int] = {}
-            first, more = [], []
+            steps = []
             for pcfg, src in partial.items():
                 for target, unit, coeff in targets:
                     root = sqrt[(pcfg >> target & field) + 1]
-                    dst = nxt.setdefault(pcfg + unit, len(nxt))
-                    if dst == len(first):
-                        first.append((src, coeff, root))
-                    else:
-                        more.append((dst, src, coeff, root))
-            stages.append((tuple(first), tuple(more)))
+                    steps.append((nxt.setdefault(pcfg + unit, len(nxt)), src, coeff, root))
+            stages.append((len(nxt), tuple(steps)))
             partial = nxt
     return tuple(divisors), tuple(stages), tuple(key - base for key in partial)
 
@@ -583,8 +581,10 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
     occupation.  A chain program is replayed on the term's one amplitude,
     and any other on lists of partial terms.  The replay does the float
     operations of the per-term expansion in the same order, ``0j +`` on a
-    fresh entry included, so every amplitude keeps its bits, signed zeros
-    too.
+    fresh entry included, but for the chain's ``0j +`` on each partial
+    product: that changes only the sign of a zero part, which reaches only
+    zero parts of later products, and ``out.get(key, 0j) +`` clears it when
+    the term is stored.  So every amplitude keeps its bits, signed zeros too.
     """
     if not (
         isinstance(mapping, IndexedMap)
@@ -606,7 +606,7 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
         local = cfg & mask
         program = programs.get(local)
         if program is None:
-            program = programs[local] = _expansion_program(local, width, moves, moved)
+            program = programs[local] = _expansion_program(local, width, moves, moved, chain)
         divisors, stages, offsets = program
         # |..n..> carries 1/sqrt(n!) relative to the bare operator product;
         # the creations restore sqrt-factors one at a time.
@@ -614,36 +614,21 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
             amp /= divisor
         if chain:
             for coeff, root in stages:
-                amp = 0j + amp * coeff * root
+                amp = amp * coeff * root
             key = (cfg & keep) + offsets
             out[key] = out.get(key, 0j) + amp
             continue
         partial = [amp]
-        for first, more in stages:
-            nxt = [0j + partial[src] * coeff * root for src, coeff, root in first]
-            for dst, src, coeff, root in more:
-                nxt[dst] = nxt[dst] + partial[src] * coeff * root
+        for size, steps in stages:
+            nxt = [0j] * size
+            for dst, src, coeff, root in steps:
+                nxt[dst] += partial[src] * coeff * root
             partial = nxt
         base = cfg & keep
         for offset, value in zip(offsets, partial):
             key = base + offset
             out[key] = out.get(key, 0j) + value
     return PhotonState.packed(out, state._index, state._photons, state.tolerance)
-
-
-def compose_slot_maps(first: SlotMap, second: SlotMap) -> SlotMap:
-    """Slot map equivalent to applying ``first`` then ``second``."""
-    out: SlotMap = {}
-    for slot, targets in first.items():
-        acc: dict[Slot, complex] = {}
-        for mid, c1 in targets:
-            for target, c2 in second.get(mid, ((mid, 1.0 + 0j),)):
-                acc[target] = acc.get(target, 0j) + c1 * c2
-        out[slot] = tuple(acc.items())
-    for slot, targets in second.items():
-        if slot not in out:
-            out[slot] = targets
-    return out
 
 
 def rebase_map(mode: str, direction: str) -> SlotMap:

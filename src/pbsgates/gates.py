@@ -199,7 +199,7 @@ def _responses(name: str) -> _Responses:
             if len({amp for amp in amplitudes if amp}) != 1:
                 raise ValueError(f"{name}: the input on {decl.modes} has unequal amplitudes")
     plan = circuit.compile(shipped)
-    positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
+    positions = {cfg: i for i, cfg in enumerate(plan.inputs)}
     declared = {decl.modes: decl for decl in shipped.inputs}
     sizes = [len(declared[modes].amplitudes) for modes in binds]
     inputs = []
@@ -207,8 +207,8 @@ def _responses(name: str) -> _Responses:
     for k, column in enumerate(itertools.product(*map(range, sizes))):
         units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
         # The least configuration of the column's input, as built at tolerance 0.
-        products = circuit.input_amplitudes(_bound_amplitudes(name, units), plan)
-        inputs.append(positions[min(cfg for (cfg, _), amp in zip(plan.inputs, products) if amp)])
+        products = circuit.input_amplitudes(_bound_amplitudes(name, units))
+        inputs.append(positions[min(cfg for cfg, amp in zip(plan.inputs, products) if amp)])
         result = circuit._execute(_bound_spec(name, units), plan, False, 0.0, drop=True)
         for pattern, (probability, state) in result.outcomes.items():
             root = math.sqrt(probability)
@@ -252,7 +252,7 @@ def _report(
     """
     table = _responses(name)
     plan = table.plan
-    products = circuit.input_amplitudes(_bound_amplitudes(name, amplitudes), plan)
+    products = circuit.input_amplitudes(_bound_amplitudes(name, amplitudes))
     circuit.input_norm(products, tolerance)
     floor = fock.prune_floor(tolerance)
     coefficients = [
@@ -281,7 +281,7 @@ def _report(
             _bound_spec(name, amplitudes), plan, passive, tolerance, drop=False
         ).rejected,
         tolerance,
-        lambda success: lost,
+        lost,
     )
     fidelities = {}
     target_state = None

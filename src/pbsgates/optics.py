@@ -14,7 +14,7 @@ import math
 
 from . import fock
 from .errors import ModeCollision
-from .fock import POL_F, POL_H, POL_S, POL_V, PhotonState, SlotMap
+from .fock import POL_H, POL_V, PhotonState, SlotMap
 from .record import Frozen
 
 BASIS_HV = "hv"
@@ -63,27 +63,39 @@ class PolPhaseElement(Frozen):
 OpticalElement = PbsElement | RotatorElement | PolPhaseElement
 
 
-def _pbs_routing_map(el: PbsElement, trans: str, refl: str) -> SlotMap:
-    return {
-        (el.in1, trans): (((el.out1, trans), 1.0 + 0j),),
-        (el.in2, trans): (((el.out2, trans), 1.0 + 0j),),
-        (el.in1, refl): (((el.out2, refl), 1.0 + 0j),),
-        (el.in2, refl): (((el.out1, refl), 1.0 + 0j),),
-    }
+#: The coefficients of each path through an FS splitter: 1/sqrt(2) to reach
+#: F or S, times 1/sqrt(2) to return to H or V, either sign.  Both imaginary
+#: parts are +0.0 (``-_HALF`` would carry -0.0).
+_HALF = complex(fock._SQRT_HALF * fock._SQRT_HALF)
+_MINUS_HALF = complex(-(fock._SQRT_HALF * fock._SQRT_HALF))
 
 
 def pbs_slot_map(el: PbsElement) -> SlotMap:
+    """The splitter's map over the H/V slots of its input ports.
+
+    An FS splitter's is that of rebasing its inputs to F/S, routing F and S
+    and rebasing its outputs back, written out: the transmitted F part of a
+    photon keeps its port's path and the reflected S part crosses over,
+    with ``F = (H+V)/sqrt(2)`` and ``S = (V-H)/sqrt(2)``.
+    """
     if el.basis == BASIS_HV:
-        return _pbs_routing_map(el, POL_H, POL_V)
-    # FS splitter: rebase inputs to FS, route F/S, rebase outputs back to HV.
-    to_fs: SlotMap = {}
-    to_fs.update(fock.rebase_map(el.in1, fock.HV_TO_FS))
-    to_fs.update(fock.rebase_map(el.in2, fock.HV_TO_FS))
-    route = _pbs_routing_map(el, POL_F, POL_S)
-    back: SlotMap = {}
-    back.update(fock.rebase_map(el.out1, fock.FS_TO_HV))
-    back.update(fock.rebase_map(el.out2, fock.FS_TO_HV))
-    return fock.compose_slot_maps(fock.compose_slot_maps(to_fs, route), back)
+        return {
+            (el.in1, POL_H): (((el.out1, POL_H), 1.0 + 0j),),
+            (el.in2, POL_H): (((el.out2, POL_H), 1.0 + 0j),),
+            (el.in1, POL_V): (((el.out2, POL_V), 1.0 + 0j),),
+            (el.in2, POL_V): (((el.out1, POL_V), 1.0 + 0j),),
+        }
+    out = {}
+    for port, keep, cross in ((el.in1, el.out1, el.out2), (el.in2, el.out2, el.out1)):
+        out[(port, POL_H)] = (
+            ((keep, POL_H), _HALF), ((keep, POL_V), _HALF),
+            ((cross, POL_H), _HALF), ((cross, POL_V), _MINUS_HALF),
+        )
+        out[(port, POL_V)] = (
+            ((keep, POL_H), _HALF), ((keep, POL_V), _HALF),
+            ((cross, POL_H), _MINUS_HALF), ((cross, POL_V), _HALF),
+        )
+    return out
 
 
 def rotator_slot_map(el: RotatorElement) -> SlotMap:

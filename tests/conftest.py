@@ -7,12 +7,16 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from pbsgates import circuit, gates, oracle
+from pbsgates import circuit, fock, gates, oracle
 from pbsgates.circuit import InputDecl
 from pbsgates.errors import NonNormalized, NonPhysicalInput
 from pbsgates.fock import (
     DEFAULT_TOLERANCE,
+    FS_TO_HV,
+    HV_TO_FS,
+    POL_F,
     POL_H,
+    POL_S,
     POL_V,
     BasisState,
     PhotonState,
@@ -110,6 +114,38 @@ def two_qubit_input(
         },
         tolerance,
     )
+
+
+def reference_compose_slot_maps(first, second):
+    """The slot map of applying ``first`` then ``second``, composed entry by
+    entry: each target's coefficient starts as ``0j`` and adds the product of
+    every path to it, in path order.  A slot that only ``second`` maps keeps
+    its entry."""
+    out = {}
+    for slot, targets in first.items():
+        acc = {}
+        for mid, c1 in targets:
+            for target, c2 in second.get(mid, ((mid, 1.0 + 0j),)):
+                acc[target] = acc.get(target, 0j) + c1 * c2
+        out[slot] = tuple(acc.items())
+    for slot, targets in second.items():
+        if slot not in out:
+            out[slot] = targets
+    return out
+
+
+def reference_fs_pbs_map(el):
+    """An FS splitter's slot map as the composition of rebasing its inputs to
+    F/S, routing F like H and S like V, and rebasing its outputs back."""
+    to_fs = {**fock.rebase_map(el.in1, HV_TO_FS), **fock.rebase_map(el.in2, HV_TO_FS)}
+    route = {
+        (el.in1, POL_F): (((el.out1, POL_F), 1.0 + 0j),),
+        (el.in2, POL_F): (((el.out2, POL_F), 1.0 + 0j),),
+        (el.in1, POL_S): (((el.out2, POL_S), 1.0 + 0j),),
+        (el.in2, POL_S): (((el.out1, POL_S), 1.0 + 0j),),
+    }
+    back = {**fock.rebase_map(el.out1, FS_TO_HV), **fock.rebase_map(el.out2, FS_TO_HV)}
+    return reference_compose_slot_maps(reference_compose_slot_maps(to_fs, route), back)
 
 
 def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-10) -> bool:
@@ -216,7 +252,7 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
     what the call raises.
     """
     table = gates._responses(name)
-    products = circuit.input_amplitudes(gates._bound_amplitudes(name, amplitudes), table.plan)
+    products = circuit.input_amplitudes(gates._bound_amplitudes(name, amplitudes))
     circuit.input_norm(products, tolerance)
     floor = tolerance or math.ulp(0.0)
     coefficients = []
@@ -269,7 +305,7 @@ def reference_table_inputs(name):
     (``circuit.build_input_state``) and take the position in ``plan.inputs``
     of its least configuration."""
     plan = gates._responses(name).plan
-    positions = {cfg: i for i, (cfg, _) in enumerate(plan.inputs)}
+    positions = {cfg: i for i, cfg in enumerate(plan.inputs)}
     declared = {decl.modes: decl for decl in gates._shipped_spec(name).inputs}
     sizes = [len(declared[modes].amplitudes) for modes in gates._GATES[name][1:]]
     inputs = []

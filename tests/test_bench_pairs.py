@@ -188,6 +188,29 @@ def test_fewer_than_two_seeds_are_refused_before_any_run(seeds, tmp_path, monkey
     assert not out.exists()
 
 
+def test_a_workload_that_the_benchmark_does_not_list_is_refused_before_any_run(
+    tmp_path, monkeypatch, capsys
+):
+    # The listed workload comes first: none of its pairs may run.
+    def run_once(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [
+        "--parent", str(tmp_path), "--change", str(ROOT), "--parent-commit", "0",
+        "--workload", "gate_sweep", "--workload", "typo", "--seeds", "1-2",
+        "--out", str(out), "--change-text", "-", "--claim", "-",
+    ]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workload 'typo' is not one of" in err
+    assert "gate_sweep, circuit_zoo, oracle_verify" in err
+    assert not out.exists()
+
+
 KEPT = {"parent_commit": "abc", "seconds": 20.0}
 
 

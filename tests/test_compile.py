@@ -1,5 +1,6 @@
 """Compiled circuits and packed configurations: edge cases of the engine."""
 
+import itertools
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     bell_phi_plus,
     chi_state,
     circuit_path,
+    float_bits,
     ideal_cnot,
     qubit_state,
     random_qubit,
@@ -303,6 +305,41 @@ def test_bound_inputs_and_targets_match_the_tensor_chain_bit_for_bit(tolerance, 
             for pattern, (_, state) in report.result.outcomes.items()
         }
     assert kinds == {"qubit", "bell", "chi", "state"}
+
+
+@pytest.mark.parametrize("name", gates.GATE_NAMES)
+@pytest.mark.parametrize("bound", [False, True])
+def test_inputs_and_their_amplitudes_follow_the_product_of_the_declarations(name, bound):
+    # The earlier a declaration, the slower its term varies, as
+    # ``itertools.product`` gives them; each amplitude multiplies in one of
+    # each declaration's, from the vacuum's 1+0j, as ``0j + product * amp``.
+    # ``bound`` swaps in amplitudes with signed zeros in every position.
+    spec = gates._shipped_spec(name)
+    if bound:
+        swaps = {0: (), 2: (QUBITS[5].alpha, QUBITS[5].beta), 4: tuple(TWO_QUBITS[2])}
+        inputs = [decl._replace(amplitudes=swaps[len(decl.amplitudes)]) for decl in spec.inputs]
+        spec = spec._replace(inputs=tuple(inputs))
+    plan = circuit.compile(spec)
+    declarations = [(decl.kind, decl.amplitudes) for decl in spec.inputs]
+    slots = [circuit._declared_slots(decl.kind, decl.modes) for decl in spec.inputs]
+    amplitudes = [circuit._declared_amplitudes(*decl) for decl in declarations]
+    width = max(1, plan.photons.bit_length())
+    field = (1 << width) - 1
+    configurations, products = [], []
+    for terms, amps in zip(itertools.product(*slots), itertools.product(*amplitudes)):
+        configurations.append(BasisState.from_dict({slot: 1 for term in terms for slot in term}))
+        product = 1 + 0j
+        for amp in amps:
+            product = 0j + product * amp
+        products.append(float_bits(product))
+    assert all(type(cfg) is int for cfg in plan.inputs)
+    assert [
+        BasisState.from_dict(
+            {slot: cfg >> pos * width & field for pos, slot in enumerate(plan.index.slots)}
+        )
+        for cfg in plan.inputs
+    ] == configurations
+    assert list(map(float_bits, circuit.input_amplitudes(declarations))) == products
 
 
 def test_targets_are_packed_like_the_outputs():

@@ -6,7 +6,7 @@ import pytest
 
 from pbsgates import fock, optics
 from pbsgates.errors import ModeCollision
-from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
+from pbsgates.fock import POL_F, POL_H, POL_V, BasisState, PhotonState
 from pbsgates.optics import (
     BASIS_FS,
     BASIS_HV,
@@ -15,7 +15,14 @@ from pbsgates.optics import (
     RotatorElement,
     apply_element,
 )
-from conftest import qubit_state, random_state, single, states_close
+from conftest import (
+    float_bits,
+    qubit_state,
+    random_state,
+    reference_fs_pbs_map,
+    single,
+    states_close,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -104,6 +111,35 @@ def test_fs_pbs_single_h_photon_splits_four_ways():
     assert abs(one(out, "u", POL_V) - 0.5) < 1e-12
     assert abs(one(out, "w", POL_H) - 0.5) < 1e-12
     assert abs(one(out, "w", POL_V) + 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("ports", [("x", "y", "u", "w"), ("x", "y", "x", "y"), ("y", "x", "x", "y")])
+def test_fs_pbs_map_reads_its_hv_input_slots_with_the_composed_coefficients(ports):
+    # Written directly, an FS splitter's map has a source for each H/V slot
+    # of its inputs and no other; each source's targets are those of the
+    # composition of rebase, F/S routing and rebase back, in order, bit for bit.
+    el = PbsElement(*ports, BASIS_FS)
+    direct = optics.slot_map(el)
+    composed = reference_fs_pbs_map(el)
+    assert set(direct) == {(port, pol) for port in ports[:2] for pol in (POL_H, POL_V)}
+    for source, targets in direct.items():
+        assert [(t, float_bits(c)) for t, c in targets] == [
+            (t, float_bits(c)) for t, c in composed[source]
+        ]
+    index = fock.SlotIndex((mode, pol) for mode in ports for pol in "FHSV")
+    assert len(fock.IndexedMap(direct, index, 2).moves) == 4
+
+
+@pytest.mark.parametrize("basis", [BASIS_HV, BASIS_FS])
+@pytest.mark.parametrize("outputs", [("u", "w"), ("x", "y")])
+def test_an_f_labelled_photon_on_an_input_port_stays_where_it_is(basis, outputs):
+    # A splitter's map reads only the H/V slots of its inputs; F and S
+    # labels appear only inside detector rebases.
+    st = single("x", POL_F, complex(0.6, -0.8))
+    out = apply_element(st, PbsElement("x", "y", *outputs, basis))
+    assert [(b, float_bits(a)) for b, a in out.sorted_terms()] == [
+        (b, float_bits(a)) for b, a in st.sorted_terms()
+    ]
 
 
 def test_rotator_basis_action():

@@ -262,10 +262,9 @@ def test_a_warm_plan_refuses_a_non_finite_amplitude():
 def test_binding_a_non_finite_amplitude_on_a_plan_is_refused():
     # Gate calls bind amplitudes on a kept plan without validate; the nan
     # must not be pruned as if it were zero.
-    plan = circuit.compile(PARITY)
     declarations = [("qubit", (math.nan, 1.0)), ("qubit", ANCILLA.amplitudes)]
     with pytest.raises(NonPhysicalInput, match="nan.* is not finite"):
-        circuit.input_amplitudes(declarations, plan)
+        circuit.input_amplitudes(declarations)
 
 
 def mutate(spec: CircuitSpec, rng) -> CircuitSpec:

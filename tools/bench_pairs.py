@@ -12,8 +12,9 @@ For each seed, ``python3 perfbench/run.py --workload W --seed S --seconds T
 first on the first seed, the change on the second, and so on.  Each run's
 result line is kept verbatim (parsed), and each end-to-end metric of
 ``BENCHMARK.json`` is summarised over the pairs (:func:`summarise`), and those
-too spread to tell are listed apart (:func:`unresolved`).  If
-``--out`` exists, it must have been recorded against the same
+too spread to tell are listed apart (:func:`unresolved`).  A ``--workload``
+that the change's ``BENCHMARK.json`` does not list is refused before any
+run.  If ``--out`` exists, it must have been recorded against the same
 ``--parent-commit`` and ``--seconds``, or the tool refuses it before any run;
 the workloads run are added to it or replace its own, and the rest of the
 record is rewritten from the arguments.
@@ -176,8 +177,14 @@ def main(argv=None) -> None:
     if len(args.seeds) < 2:
         parser.error("--seeds must give at least two seeds")
 
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
-        metrics = end_to_end_metrics(json.load(handle))
+    path = os.path.join(args.change, "BENCHMARK.json")
+    with open(path, encoding="utf-8") as handle:
+        benchmark = json.load(handle)
+    metrics = end_to_end_metrics(benchmark)
+    listed = [workload["name"] for workload in benchmark["workloads"]]
+    for workload in args.workload:
+        if workload not in listed:
+            parser.error(f"--workload {workload!r} is not one of {path}'s: {', '.join(listed)}")
     record = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as handle:
