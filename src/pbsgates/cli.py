@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import re
+import stat
 import sys
 
 from json.encoder import encode_basestring_ascii
@@ -261,23 +262,52 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     text = _json(document) + "\n"
-    if args.output:
+    if args.output is None:
+        _write_stdout(text)
+    else:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_over(args.output, text)
         except OSError as exc:
             raise _config_error(f"cannot write {args.output}: {exc}") from None
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
+
+
+def _write_over(path: str, text: str) -> None:
+    """Write ``text`` over the file at ``path``, created if absent, and cut a
+    regular file to its length.  Opening without ``O_TRUNC`` spares the
+    file system freeing the old report's blocks first, which on some file
+    systems costs more than the write itself; devices, FIFOs and terminals
+    are written but never cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output and flush it, or exit with
+    :data:`EXIT_CONFIG`.  After a failure, standard output goes to the null
+    device, so that the interpreter's own flush at exit does not fail again
+    on the bytes still buffered."""
+    if sys.stdout is None:  # started with descriptor 1 closed
+        raise _config_error("cannot write standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _config_error(f"cannot write standard output: {exc}") from None
 
 
 def cmd_check(args) -> int:
     spec = _load_circuit(args.circuit_file)
-    print(
+    _write_stdout(
         f"{args.circuit_file}: ok "
         f"({len(spec.modes)} modes, {len(spec.elements)} elements, "
-        f"{len(spec.detectors)} detectors)"
+        f"{len(spec.detectors)} detectors)\n"
     )
     return EXIT_OK
 

@@ -148,6 +148,51 @@ def test_the_machine_record_holds_numpys_blas_or_null(monkeypatch):
     assert bench_pairs.machine_record()["numpy_blas"] == {"name": None, "version": None}
 
 
+FAKE_MOUNTS = """\
+/dev/vda / ext4 rw,relatime,discard 0 0
+proc /proc proc rw,nosuid 0 0
+tmpfs /fake-mnt tmpfs rw,size=1024k 0 0
+/dev/vdb /fake-mnt/bench\\040runs xfs rw,noatime 0 0
+/dev/vdc /fake-mnt/bench\\040runs ext4 ro 0 0
+short line
+"""
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        ("/fake-home/parent", ("ext4", "/", "rw,relatime,discard")),
+        ("/fake-mnt", ("tmpfs", "/fake-mnt", "rw,size=1024k")),
+        ("/fake-mnt/bench", ("tmpfs", "/fake-mnt", "rw,size=1024k")),
+        # An escaped space in the mount point; the later of two stacked mounts.
+        ("/fake-mnt/bench runs/change", ("ext4", "/fake-mnt/bench runs", "ro")),
+        ("/fake-mnt/bench runs/../parent", ("tmpfs", "/fake-mnt", "rw,size=1024k")),
+    ],
+)
+def test_the_mount_record_names_the_file_system_under_a_checkout(path, expected, tmp_path):
+    mounts = tmp_path / "mounts"
+    mounts.write_text(FAKE_MOUNTS, encoding="utf-8")
+    record = bench_pairs.mount_record(path, str(mounts))
+    assert (record["fs_type"], record["mount_point"], record["mount_options"]) == expected
+
+
+def test_the_machine_record_holds_each_checkouts_mount_or_null(tmp_path, monkeypatch):
+    mounts = tmp_path / "mounts"
+    mounts.write_text(FAKE_MOUNTS, encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "MOUNTS", str(mounts))
+    record = bench_pairs.machine_record(parent="/fake-mnt/p", change="/fake-srv/c")
+    record = json.loads(json.dumps(record))
+    assert record["mounts"] == {
+        "parent": {
+            "fs_type": "tmpfs", "mount_point": "/fake-mnt", "mount_options": "rw,size=1024k"
+        },
+        "change": {"fs_type": "ext4", "mount_point": "/", "mount_options": "rw,relatime,discard"},
+    }
+    monkeypatch.setattr(bench_pairs, "MOUNTS", str(tmp_path / "absent"))
+    null = {"fs_type": None, "mount_point": None, "mount_options": None}
+    assert bench_pairs.machine_record(parent="/fake-mnt/p")["mounts"] == {"parent": null}
+
+
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("2401-2404") == [2401, 2402, 2403, 2404]
     assert bench_pairs.parse_seeds("7,3") == [7, 3]

@@ -1,11 +1,13 @@
 """CLI tests: JSON reports, determinism, exit codes, gate/circuit parity."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +419,148 @@ def test_unwritable_output_is_config_error(tmp_path):
     assert proc.stderr.startswith(f"error: cannot write {path}: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+_LONG_REPORT = ("run", "--gate", "gc_cnot", "--two-qubit", *("0.5", "0") * 4)
+_SHORT_REPORT = ("run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8", "0")
+
+
+def test_a_shorter_report_is_written_over_a_longer_one_and_cut_to_length(tmp_path):
+    path = tmp_path / "report.json"
+    assert run_main(*_LONG_REPORT, "--output", str(path)).returncode == EXIT_OK
+    long_size = path.stat().st_size
+    inode = path.stat().st_ino
+    assert run_main(*_SHORT_REPORT, "--output", str(path)).returncode == EXIT_OK
+    expected = run_main(*_SHORT_REPORT).stdout.encode("utf-8")
+    assert len(expected) < long_size
+    assert path.read_bytes() == expected
+    # Written over where it is, not replaced by a new file.
+    assert path.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_report_gets_the_mode_bits_that_open_w_gives(umask, tmp_path):
+    reference = tmp_path / "reference.json"
+    report = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        proc = run_main(*_SHORT_REPORT, "--output", str(report))
+    finally:
+        os.umask(previous)
+    assert proc.returncode == EXIT_OK
+    assert stat.S_IMODE(report.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_a_report_to_the_null_device_is_written_and_not_cut():
+    proc = run_main(*_SHORT_REPORT, "--output", os.devnull)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+
+
+def test_a_read_only_report_is_config_error_and_keeps_its_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    assert run_main(*_LONG_REPORT, "--output", str(path)).returncode == EXIT_OK
+    old = path.read_bytes()
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        # The mode bits do not stop a process that may write any file (a
+        # superuser); refuse it the open, as the kernel refuses anyone else.
+        real_open = os.open
+
+        def refusing_open(name, flags, *args):
+            if name == str(path) and flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+            return real_open(name, flags, *args)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+    proc = run_main(*_SHORT_REPORT, "--output", str(path))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("name", ["", "directory"])
+def test_an_empty_or_directory_output_is_config_error(name, tmp_path):
+    path = str(tmp_path) if name else name
+    proc = run_main(*_SHORT_REPORT, "--output", path)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def test_reports_written_in_process_and_without_site_are_the_same_bytes(tmp_path):
+    # Each shipped circuit's report goes over a longer one, in this process
+    # through ``cli.main`` and in a ``python -S`` interpreter.
+    env = dict(os.environ, PYTHONPATH=str(Path(gates.__file__).parents[1]))
+    for name in sorted(_CIRCUIT_INPUT_ARGS):
+        reports = []
+        for side in ("main", "subprocess"):
+            path = tmp_path / f"{side}.json"
+            assert run_main(*_LONG_REPORT, "--output", str(path)).returncode == EXIT_OK
+            args = ["run", "--circuit", circuit_path(name), "--output", str(path)]
+            if side == "main":
+                assert run_main(*args).returncode == EXIT_OK
+            else:
+                cmd = [sys.executable, "-S", "-m", "pbsgates.cli", *args]
+                proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+                assert proc.returncode == EXIT_OK, proc.stderr
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1], name
+        assert reports[0] == run_main(*args[:3]).stdout.encode("utf-8"), name
+
+
+_STDOUT_COMMANDS = {
+    "run": ("run", "--circuit", circuit_path("gc_cnot")),
+    "check": ("check", circuit_path("gc_cnot")),
+}
+
+
+def _run_with_stdout(command, stdout, unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    cmd = [sys.executable, "-m", "pbsgates.cli", *_STDOUT_COMMANDS[command]]
+    return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _assert_one_stdout_error(proc):
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
+def test_a_full_standard_output_is_config_error(command, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        proc = _run_with_stdout(command, full, unbuffered)
+    _assert_one_stdout_error(proc)
+    assert "No space left" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
+def test_a_standard_output_pipe_closed_by_its_reader_is_config_error(command, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_with_stdout(command, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    _assert_one_stdout_error(proc)
+    assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
+def test_a_closed_standard_output_is_config_error(command):
+    # The interpreter starts with ``sys.stdout`` None when descriptor 1 is closed.
+    cmd = ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "pbsgates.cli",
+           *_STDOUT_COMMANDS[command]]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    _assert_one_stdout_error(proc)
+    assert proc.stderr == "error: cannot write standard output: it is closed\n"
 
 
 def test_bad_tolerance_env(monkeypatch):

@@ -12,7 +12,9 @@ For each seed, ``python3 perfbench/run.py --workload W --seed S --seconds T
 first on the first seed, the change on the second, and so on.  Each run's
 result line is kept verbatim (parsed), and each end-to-end metric of
 ``BENCHMARK.json`` is summarised over the pairs (:func:`summarise`), and those
-too spread to tell are listed apart (:func:`unresolved`).  A ``--workload``
+too spread to tell are listed apart (:func:`unresolved`).  The machine
+record names the file system under each checkout (:func:`mount_record`),
+since circuit_zoo writes a report file every op.  A ``--workload``
 that the change's ``BENCHMARK.json`` does not list is refused before any
 run.  If ``--out`` exists, it must have been recorded against the same
 ``--parent-commit`` and ``--seconds``, or the tool refuses it before any run;
@@ -27,12 +29,16 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from importlib import metadata
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The kernel's table of mounted file systems.
+MOUNTS = "/proc/mounts"
 
 
 def end_to_end_metrics(benchmark: dict) -> list[dict]:
@@ -115,7 +121,33 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def machine_record() -> dict:
+def mount_record(path: str, mounts: str) -> dict:
+    """The file system that holds ``path``, from the mount table ``mounts``:
+    its type, mount point and mount options, each ``None`` where the table
+    cannot be read.  Of the mount points that contain ``path`` the longest
+    wins, and of two at the same point the later, which hides the other."""
+    record = {"fs_type": None, "mount_point": None, "mount_options": None}
+    try:
+        with open(mounts, encoding="utf-8") as handle:
+            table = [line.split() for line in handle]
+    except OSError:
+        return record
+    path = os.path.realpath(path)
+    for fields in table:
+        if len(fields) < 4:
+            continue
+        # The table writes a space, tab, newline or backslash as octal.
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m.group(1), 8)), fields[1])
+        if not os.path.isabs(point) or os.path.commonpath([point, path]) != point:
+            continue
+        if record["mount_point"] is None or len(point) >= len(record["mount_point"]):
+            record = {"fs_type": fields[2], "mount_point": point, "mount_options": fields[3]}
+    return record
+
+
+def machine_record(**checkouts: str) -> dict:
+    """The machine the pairs ran on, and the file system under each of the
+    ``checkouts`` (name: path): circuit_zoo writes a report file every op."""
     cpu_model = platform.processor() or "unknown"
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
@@ -138,6 +170,7 @@ def machine_record() -> dict:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "dont_write_bytecode": sys.dont_write_bytecode,
         },
+        "mounts": {name: mount_record(path, MOUNTS) for name, path in checkouts.items()},
     }
 
 
@@ -213,7 +246,7 @@ def main(argv=None) -> None:
         change=args.change_text,
         parent_commit=args.parent_commit,
         seconds=args.seconds,
-        machine=machine_record(),
+        machine=machine_record(parent=args.parent, change=args.change),
         method=(
             f"python3 tools/bench_pairs.py: python3 perfbench/run.py --workload W --seed S "
             f"--seconds {args.seconds:g} --trace 0, run on a copy of the parent commit and one "
