@@ -277,29 +277,19 @@ def _run_steps(state: PhotonState, steps: tuple[Step, ...]) -> PhotonState:
 
 
 def apply_feedforward(
-    branch: PhotonState,
-    pattern: OutcomePattern,
-    detectors: tuple[DetectorSpec, ...],
-    rules: tuple[FeedForwardRule, ...],
-    compiled: tuple[tuple[Step, ...], ...],
+    branch: PhotonState, pattern: OutcomePattern, compiled: CompiledCircuit
 ) -> PhotonState:
     """Apply every triggered rule's corrections, in declared order.
 
-    Rules for distinct detectors compose independently: each fired detector
-    triggers its own rule once, so e.g. a pi phase triggered twice is the
-    identity.  ``compiled`` holds each rule's corrections as compiled steps
-    (:attr:`CompiledCircuit.corrections`).
+    Each rule of :attr:`CompiledCircuit.corrections` runs its steps once per
+    photon that ``pattern`` counts on its side of its detector, so rules for
+    distinct detectors compose independently and e.g. a pi phase triggered
+    twice is the identity.
     """
-    fired: dict[str, list[str]] = {}
-    for (ct, cr), det in zip(pattern, detectors):
-        pols = fired.setdefault(det.label, [])
-        pols.extend([det.transmitted_pol] * ct)
-        pols.extend([det.reflected_pol] * cr)
     state = branch
-    for i, rule in enumerate(rules):
-        times = fired.get(rule.label, []).count(rule.pol)
-        for _ in range(times):
-            state = _run_steps(state, compiled[i])
+    for detector, side, steps in compiled.corrections:
+        for _ in range(pattern[detector][side]):
+            state = _run_steps(state, steps)
     return state
 
 
@@ -459,8 +449,10 @@ class CompiledCircuit(Frozen):
         elements: tuple[Step, ...],
         # HV -> FS rebase of each FS detector's mode, in detector order.
         rebases: tuple[fock.IndexedMap, ...],
-        # The corrections of each rule, in rule order.
-        corrections: tuple[tuple[Step, ...], ...],
+        # ``(detector, side, steps)`` of each rule, in rule order: the index
+        # of the rule's detector, the side of its counts that fires the rule
+        # (0 transmitted, 1 reflected) and the rule's corrections.
+        corrections: tuple[tuple[int, int, tuple[Step, ...]], ...],
         # ``(point, mask, allowed)`` for each point of the element list where
         # detected modes become final, in order: point ``k`` comes after the
         # first ``k`` elements, and a term there that fails
@@ -527,6 +519,12 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
             for el in chain
         )
 
+    detectors = {det.label: (d, det.transmitted_pol) for d, det in enumerate(spec.detectors)}
+
+    def correction(rule: FeedForwardRule) -> tuple[int, int, tuple[Step, ...]]:
+        d, transmitted = detectors[rule.label]
+        return d, int(rule.pol != transmitted), steps(rule.corrections)
+
     return CompiledCircuit(
         index=index,
         photons=photons,
@@ -540,7 +538,7 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
             for det in spec.detectors
             if det.basis == BASIS_FS
         ),
-        corrections=tuple(steps(rule.corrections) for rule in spec.rules),
+        corrections=tuple(map(correction, spec.rules)),
         drops=tuple(
             (k, *fock.one_photon_test(index, photons, modes))
             for k, modes in enumerate(final_modes(spec) or ())
@@ -620,13 +618,11 @@ def _execute(
         branch = branches[pattern]
         probability = branch.norm_sq()
         if (is_passive(pattern) if passive else is_1ao1(pattern)) and probability > 0.0:
-            corrected = apply_feedforward(
-                branch, pattern, spec.detectors, spec.rules, plan.corrections
-            )
+            corrected = apply_feedforward(branch, pattern, plan)
             accepted.append((pattern, probability, corrected.packed_terms))
             success += probability
         else:
-            rejected[pattern] = rejected.get(pattern, 0.0) + probability
+            rejected[pattern] = probability
     return settle(
         plan,
         accepted,

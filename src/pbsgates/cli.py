@@ -60,8 +60,7 @@ def _amplitude_argument(state_type, what: str, values: list[float]):
             f"{what} amplitudes are not normalized (squared norm {norm2!r})"
         )
     if dev > 1e-9:
-        print(f"warning: renormalizing {what} amplitudes "
-              f"(squared norm {norm2!r})", file=sys.stderr)
+        _write_stderr(f"warning: renormalizing {what} amplitudes (squared norm {norm2!r})")
         scale = 1.0 / math.sqrt(norm2)
         amps = [a * scale for a in amps]
     return state_type(*amps), [x for a in amps for x in (a.real, a.imag)]
@@ -188,9 +187,8 @@ def _run_gate(args, tolerance: float) -> dict:
         argument, input_doc[option] = _OPTION_ARGUMENTS[option](value)
         gate_args.append(argument)
     report = getattr(gates, name)(*gate_args, passive=args.passive, tolerance=tolerance)
-    return _report_document(
-        name, report.result, report.spec.detectors, report.fidelities, input_doc
-    )
+    detectors = gates._shipped_spec(name).detectors
+    return _report_document(name, report.result, detectors, report.fidelities, input_doc)
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -221,7 +219,7 @@ def _json(value, indent: str = "\n") -> str:
 
 
 def _config_error(message: str) -> SystemExit:
-    print(f"error: {message}", file=sys.stderr)
+    _write_stderr(f"error: {message}")
     return SystemExit(EXIT_CONFIG)
 
 
@@ -231,12 +229,11 @@ def _load_circuit(path: str) -> CircuitSpec:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG) from None
+        raise _config_error(f"cannot read {path}: {exc}") from None
     try:
         return dsl.parse_circuit(text)
     except CircuitError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
+        _write_stderr(f"{path}: {exc}")
         raise SystemExit(EXIT_PARSE) from None
 
 
@@ -259,8 +256,7 @@ def cmd_run(args) -> int:
                 args.circuit, result, spec.detectors, None, {"circuit": args.circuit}
             )
     except PbsGatesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _config_error(str(exc)) from None
     text = _json(document) + "\n"
     if args.output is None:
         _write_stdout(text)
@@ -285,21 +281,36 @@ def _write_over(path: str, text: str) -> None:
             handle.truncate()
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to standard output and flush it, or exit with
-    :data:`EXIT_CONFIG`.  After a failure, standard output goes to the null
-    device, so that the interpreter's own flush at exit does not fail again
-    on the bytes still buffered."""
-    if sys.stdout is None:  # started with descriptor 1 closed
-        raise _config_error("cannot write standard output: it is closed")
+def _write(stream, text: str) -> OSError | None:
+    """Write ``text`` to ``stream`` and flush it; the error if that fails.
+    After a failure the stream's descriptor goes to the null device, so that
+    the interpreter's own flush at exit does not fail again on the bytes
+    still buffered."""
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        raise _config_error(f"cannot write standard output: {exc}") from None
+        return exc
+    return None
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output, or exit with :data:`EXIT_CONFIG`."""
+    if sys.stdout is None:  # started with descriptor 1 closed
+        raise _config_error("cannot write standard output: it is closed")
+    failure = _write(sys.stdout, text)
+    if failure is not None:
+        raise _config_error(f"cannot write standard output: {failure}")
+
+
+def _write_stderr(line: str) -> None:
+    """Write ``line`` to standard error, or drop it if that fails: a message
+    that cannot be written changes no exit code, and a warning stops no run."""
+    if sys.stderr is not None:  # None when started with descriptor 2 closed
+        _write(sys.stderr, line + "\n")
 
 
 def cmd_check(args) -> int:

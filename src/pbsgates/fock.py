@@ -525,9 +525,7 @@ def _expansion_program(local: int, width: int, moves, moved: int, chain: bool):
     In a chain every stage has one entry, so a creation is the pair
     ``(coeff, root)`` that makes the term ``amp * coeff * root``, and
     ``offset`` is what the one final term adds.  The ``0j +`` of the
-    expansion is left out: it changes only the sign of a zero part, which
-    reaches only zero parts of later products, and storing the term clears
-    it (see the module docstring).
+    expansion is left out, which changes no bit (see the module docstring).
     """
     field = (1 << width) - 1
     sqrt_factorial, sqrt = _sqrt_tables(field)
@@ -579,12 +577,8 @@ def transform_slots(state: PhotonState, mapping: SlotMap | IndexedMap) -> Photon
     worked out once per occupation as an expansion program, kept on the map
     (see :class:`IndexedMap`) and replayed for every term with that
     occupation.  A chain program is replayed on the term's one amplitude,
-    and any other on lists of partial terms.  The replay does the float
-    operations of the per-term expansion in the same order, ``0j +`` on a
-    fresh entry included, but for the chain's ``0j +`` on each partial
-    product: that changes only the sign of a zero part, which reaches only
-    zero parts of later products, and ``out.get(key, 0j) +`` clears it when
-    the term is stored.  So every amplitude keeps its bits, signed zeros too.
+    and any other on lists of partial terms; either keeps every amplitude's
+    bits, signed zeros too (see the module docstring).
     """
     if not (
         isinstance(mapping, IndexedMap)

@@ -97,22 +97,13 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-#: ``[sector, side]`` of each sector that :func:`_targets` built, by the
-#: sector's ``id``; holding the sector keeps its ``id`` from being reused.
-#: ``side`` is the sector's output side in :func:`_amplitudes`, worked out
-#: on first use.
-_SECTORS: dict[int, list] = {}
-
-
 @functools.cache
 def _targets(total: int, parts: int) -> np.ndarray:
     """The rows of :func:`compositions` in its order, as a read-only array:
     the sector of ``total`` photons on ``parts`` slots."""
-    rows = _read_only(
+    return _read_only(
         np.array(list(compositions(total, parts)), dtype=np.int64).reshape(-1, parts)
     )
-    _SECTORS[id(rows)] = [rows, None]
-    return rows
 
 
 def _photon_side(occupations: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +113,15 @@ def _photon_side(occupations: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     photons = np.repeat(np.tile(slots, len(occupations)), occupations.ravel()).reshape(-1, n)
     factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
     return photons, np.sqrt(factorial[occupations].prod(axis=1))
+
+
+@functools.cache
+def _sector_side(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_photon_side` of the sector ``_targets(total, parts)``, read-only:
+    the output side of :func:`_amplitudes` for ``total`` photons on ``parts``
+    slots."""
+    photons, roots = _photon_side(_targets(total, parts), total)
+    return _read_only(photons), _read_only(roots)
 
 
 class DenseBasis:
@@ -211,9 +211,10 @@ def _glynn(n: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, deltas.prod(axis=0) / 2 ** (n - 1)
 
 
-def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
-    """<T|W|S> for each output occupation T (a row of ``outs``) and input
-    occupation S (a row of ``ins``), all holding the same number of photons,
+def _amplitudes(u: np.ndarray, ins: np.ndarray) -> np.ndarray:
+    """<T|W|S> for each output occupation T of the sector of ``n`` photons on
+    the slots of ``u`` (a row of ``_targets(n, len(u))``) and input occupation
+    S (a row of ``ins``, which holds at least one, each of ``n`` photons),
     where W is the many-body map of the single-particle matrix ``u``.
 
     By Glynn's formula, Perm(A) = sum over sign vectors d of prod(d) *
@@ -222,31 +223,23 @@ def _amplitudes(u: np.ndarray, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
     configurations, each chunk as large as ``_CHUNK_ENTRIES`` allows.
 
     Each side's photon slots and sqrt-factorial products depend only on its
-    rows.  Where ``outs`` is a sector that :func:`_targets` built, its side
-    is worked out once and kept; other rows are worked out per call.  With
-    one photon, the amplitudes are the entries of ``u`` themselves.
+    rows; the output side is worked out once per sector
+    (:func:`_sector_side`).  With one photon, the amplitudes are the entries
+    of ``u`` themselves.
     """
-    amps = np.zeros((len(outs), len(ins)), dtype=complex)
-    if not amps.size:
-        return amps
     n = int(ins[0].sum())
     if n == 0:
-        return amps + 1.0
+        return np.ones((1, len(ins)), dtype=complex)
+    out_photons, out_roots = _sector_side(n, len(u))
+    amps = np.zeros((len(out_roots), len(ins)), dtype=complex)
     if n == 1:
-        amps[:] = u[outs.argmax(axis=1)[:, None], ins.argmax(axis=1)]
+        amps[:] = u[out_photons, ins.argmax(axis=1)]
         return amps
-    sector = _SECTORS.get(id(outs))
-    if sector is not None and sector[0] is outs:
-        if sector[1] is None:
-            sector[1] = _photon_side(outs, n)
-        out_photons, out_roots = sector[1]
-    else:
-        out_photons, out_roots = _photon_side(outs, n)
     in_photons, in_roots = _photon_side(ins, n)
     deltas, weights = _glynn(n)
     # Per column, ``sums`` holds (slots, signs) entries and ``products``
     # (outputs, signs); there are at least as many signs as photons.
-    step = max(1, _CHUNK_ENTRIES // (max(u.shape[0], len(outs)) * len(weights)))
+    step = max(1, _CHUNK_ENTRIES // (max(u.shape[0], len(amps)) * len(weights)))
     for start in range(0, len(ins), step):
         chunk = slice(start, start + step)
         sums = u[:, in_photons[chunk]] @ deltas
@@ -272,7 +265,7 @@ def _expand_operator(
     for n in np.unique(totals).tolist():
         columns = np.flatnonzero(totals == n)
         targets = _targets(n, len(basis.slots))
-        amps = _amplitudes(matrix, targets, basis.occupations[columns])
+        amps = _amplitudes(matrix, basis.occupations[columns])
         hit, which = np.nonzero(amps)
         found = np.array([basis.index.get(t, -1) for t in map(tuple, targets.tolist())])[hit]
         if (found < 0).any():
@@ -427,7 +420,6 @@ class DenseCircuit:
         for mode in per_mode:
             groups.setdefault(find(mode), []).append(mode)
         slot_list: list[Slot] = []
-        sectors = []
         self.blocks: list[slice] = []
         # The product of the groups' sectors, in itertools.product order.
         occupations = np.zeros((1, 0), dtype=np.int64)
@@ -437,7 +429,6 @@ class DenseCircuit:
             sector = _targets(sum(per_mode[m] for m in members), len(gslots))
             self.blocks.append(slice(len(slot_list), len(slot_list) + len(gslots)))
             slot_list.extend(gslots)
-            sectors.append(sector)
             rows = np.repeat(occupations, len(sector), axis=0)
             occupations = np.hstack([rows, np.tile(sector, (len(occupations), 1))])
         self.basis = DenseBasis(slot_list, n_max=sum(per_mode.values()), states=occupations)
@@ -468,7 +459,7 @@ class DenseCircuit:
         self.support = {state: c for c, state in enumerate(support)}
         columns = np.array(support, dtype=np.int64).reshape(-1, len(slot_list))
         images = np.ones((1, len(columns)), dtype=complex)
-        for block, sector in zip(self.blocks, sectors):
+        for block in self.blocks:
             # A support column holds at most one photon per slot, so its bits
             # on the slots that hold a photon in some column key its local
             # configuration: at most two per photon of the group.
@@ -476,7 +467,7 @@ class DenseCircuit:
             held = np.flatnonzero(local.any(axis=0))
             keys = local[:, held] @ (1 << np.arange(len(held), dtype=np.int64))
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            amps = _amplitudes(unitary[block, block], sector, local[first])
+            amps = _amplitudes(unitary[block, block], local[first])
             images = (images[:, None, :] * amps[:, inverse.ravel()][None]).reshape(
                 -1, len(columns)
             )
@@ -609,7 +600,7 @@ class DenseCircuit:
                 outcomes[pattern] = (prob, terms)
                 success += prob
             else:
-                rejected[pattern] = rejected.get(pattern, 0.0) + prob
+                rejected[pattern] = prob
         return DenseRunResult(
             outcomes=outcomes,
             rejected=rejected,
@@ -629,7 +620,7 @@ class DenseCircuit:
         # Every state of one pattern's bucket holds the same number of photons.
         n = sum(next(iter(bucket)))
         targets = _targets(n, len(self.reduced_slots))
-        amps = _amplitudes(matrix, targets, np.array(list(bucket))) @ np.array(
+        amps = _amplitudes(matrix, np.array(list(bucket))) @ np.array(
             list(bucket.values())
         )
         return {tuple(t): amp for t, amp in zip(targets.tolist(), amps.tolist()) if amp}

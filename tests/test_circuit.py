@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pbsgates import circuit, fock
+from pbsgates import circuit, fock, optics
 from pbsgates.circuit import (
     CircuitSpec,
     DetectorSpec,
@@ -19,9 +19,9 @@ from pbsgates.circuit import (
     pattern_name,
 )
 from pbsgates.errors import CircuitSyntaxError, NonPhysicalInput
-from pbsgates.fock import POL_H, POL_V, BasisState, PhotonState
+from pbsgates.fock import POL_F, POL_H, POL_S, POL_V, BasisState, PhotonState
 from pbsgates.gates import QubitState, parity_check
-from pbsgates.optics import BASIS_FS, BASIS_HV, PolPhaseElement
+from pbsgates.optics import BASIS_FS, BASIS_HV, PolPhaseElement, RotatorElement
 
 from conftest import random_qubit, random_state, states_close
 
@@ -116,16 +116,54 @@ def test_feedforward_applies_once_per_firing():
         rules=(FeedForwardRule("c", POL_V, (PolPhaseElement("m", POL_H, 180.0),)),),
         outputs=("m",),
     )
-    compiled = circuit.compile(spec).corrections
+    compiled = circuit.compile(spec)
 
     def fire(branch, pattern):
-        return apply_feedforward(branch, pattern, spec.detectors, spec.rules, compiled)
+        return apply_feedforward(branch, pattern, compiled)
 
     branch = PhotonState({BasisState.from_dict({("m", POL_H): 1}): 1.0})
     out = fire(branch, ((0, 1),))
     assert abs(out.amplitude(BasisState.from_dict({("m", POL_H): 1})) + 1.0) < 1e-12
     assert states_close(branch, fire(branch, ((1, 0),)))
     assert states_close(branch, fire(branch, ((0, 2),)))
+
+
+def test_compile_resolves_each_rule_to_its_detector_and_side():
+    # An HV and an FS detector with rules on both sides of each, S included;
+    # two rules on label "fs" fire, in declared order, on an S count there.
+    rotate = RotatorElement("m", 30.0)
+    phase = PolPhaseElement("m", POL_H, 90.0)
+    spec = CircuitSpec(
+        modes=("m", "c", "d"),
+        inputs=(),
+        elements=(),
+        detectors=(DetectorSpec("c", BASIS_HV, "hv"), DetectorSpec("d", BASIS_FS, "fs")),
+        rules=(
+            FeedForwardRule("fs", POL_S, (rotate,)),
+            FeedForwardRule("hv", POL_V, (phase,)),
+            FeedForwardRule("fs", POL_F, (phase, phase)),
+            FeedForwardRule("hv", POL_H, (rotate,)),
+            FeedForwardRule("fs", POL_S, (phase,)),
+        ),
+        outputs=("m",),
+    )
+    compiled = circuit.compile(spec)
+    found = [
+        (d, side, [m.slot_map for _, m in steps]) for d, side, steps in compiled.corrections
+    ]
+    rotated, shifted = optics.slot_map(rotate), optics.slot_map(phase)
+    assert found == [
+        (1, 1, [rotated]),
+        (0, 1, [shifted]),
+        (1, 0, [shifted, shifted]),
+        (0, 0, [rotated]),
+        (1, 1, [shifted]),
+    ]
+    branch = PhotonState({BasisState.from_dict({("m", POL_H): 1}): 1.0})
+    expected = optics.apply_element(optics.apply_element(branch, rotate), phase)
+    assert states_close(apply_feedforward(branch, ((0, 0), (0, 1)), compiled), expected)
+    swapped = optics.apply_element(optics.apply_element(branch, phase), rotate)
+    assert not states_close(expected, swapped)
 
 
 def test_execute_rejects_unnormalized_input():

@@ -563,6 +563,51 @@ def test_a_closed_standard_output_is_config_error(command):
     assert proc.stderr == "error: cannot write standard output: it is closed\n"
 
 
+def _run_with_stderr(args, stderr, unbuffered):
+    """``pbsgates`` with ``args``, standard error on a pipe (``"pipe"``), on
+    ``/dev/full`` (``"full"``, skipped where there is none) or closed; the
+    output as bytes."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    cmd = [sys.executable, "-m", "pbsgates.cli", *args]
+    if stderr == "closed":
+        cmd = ["sh", "-c", 'exec "$0" "$@" 2>&-', *cmd]
+    if stderr != "full":
+        return subprocess.run(cmd, capture_output=True, env=env)
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        return subprocess.run(cmd, stdout=subprocess.PIPE, stderr=full, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("command, code", [("run", EXIT_CONFIG), ("check", EXIT_PARSE)])
+def test_an_error_that_cannot_be_written_keeps_its_exit_code(
+    command, code, stderr, unbuffered, tmp_path
+):
+    # ``run`` of a missing file is a config error, ``check`` of an
+    # unparsable one a parse error.
+    path = tmp_path / "bad.circ"
+    if command == "check":
+        path.write_text("bogus\n", encoding="utf-8")
+    args = ("run", "--circuit", str(path)) if command == "run" else ("check", str(path))
+    assert _run_with_stderr(args, "pipe", unbuffered).returncode == code
+    proc = _run_with_stderr(args, stderr, unbuffered)
+    assert (proc.returncode, proc.stdout, proc.stderr or b"") == (code, b"", b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+def test_a_warning_that_cannot_be_written_is_dropped(stderr, unbuffered):
+    args = ("run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8000001", "0")
+    shown = _run_with_stderr(args, "pipe", unbuffered)
+    assert shown.returncode == EXIT_OK
+    assert shown.stderr.startswith(b"warning: renormalizing qubit amplitudes")
+    proc = _run_with_stderr(args, stderr, unbuffered)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == shown.stdout
+
+
 def test_bad_tolerance_env(monkeypatch):
     import os
 

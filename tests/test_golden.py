@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from pbsgates import cli
+from pbsgates import cli, gates
 
 from conftest import circuit_path
 
@@ -67,6 +67,19 @@ def test_circuit_report_bytes(name, passive, tmp_path, monkeypatch):
 def test_readme_gate_report_bytes(example, tmp_path):
     argv = ["run", "--gate", *example.split()]
     assert report_sha256(argv, tmp_path) == GATE_REPORTS[example]
+
+
+@pytest.mark.parametrize("example", sorted(GATE_REPORTS))
+def test_a_warm_gate_run_builds_no_bound_spec(example, tmp_path, monkeypatch):
+    # The report names its patterns by the shipped circuit's detectors; only
+    # the first run of a gate builds its response table, with bound specs.
+    argv = ["run", "--gate", *example.split()]
+    assert report_sha256(argv, tmp_path) == GATE_REPORTS[example]
+    calls = []
+    bound = gates._bound_spec
+    monkeypatch.setattr(gates, "_bound_spec", lambda *args: calls.append(args) or bound(*args))
+    assert report_sha256(argv, tmp_path) == GATE_REPORTS[example]
+    assert calls == []
 
 
 def test_every_readme_gate_example_is_pinned():

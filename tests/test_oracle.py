@@ -333,10 +333,21 @@ def per_column_glynn(u, outs, ins):
     return amps / norms
 
 
-def assert_amplitudes_match_per_column(u, outs, ins):
-    got = oracle._amplitudes(u, outs, ins)
-    assert got.shape == (len(outs), len(ins))
-    assert np.allclose(got, per_column_glynn(u, outs, ins), rtol=0.0, atol=1e-12)
+def assert_amplitudes_match_per_column(u, ins, rows=slice(None)):
+    """``oracle._amplitudes(u, ins)`` maps onto the whole sector of the
+    photons of ``ins`` on the slots of ``u``; its ``rows`` match the reference."""
+    sector = _targets(int(ins[0].sum()), len(u))
+    got = oracle._amplitudes(u, ins)
+    assert got.shape == (len(sector), len(ins))
+    assert np.allclose(got[rows], per_column_glynn(u, sector[rows], ins), rtol=0.0, atol=1e-12)
+
+
+def sector_rows(occupations):
+    """The row of their sector that each of ``occupations`` is: rows that
+    hold one photon number, on the same slots."""
+    sector = _targets(int(occupations[0].sum()), occupations.shape[1])
+    row = {tuple(r): i for i, r in enumerate(sector.tolist())}
+    return [row[tuple(r)] for r in occupations.tolist()]
 
 
 def test_batched_amplitudes_match_the_per_column_reference(rng):
@@ -344,26 +355,20 @@ def test_batched_amplitudes_match_the_per_column_reference(rng):
         u = random_unitary(rng, slots)
         for n in range(6):
             targets = _targets(n, slots)
-            # Every configuration as output; as inputs a random subset, which
-            # for n >= 2 has rows with two photons on one slot.
+            # As inputs a random subset of the sector, which for n >= 2 has
+            # rows with two photons on one slot; then the whole sector, with
+            # every third output row checked.
             ins = targets[rng.permutation(len(targets))[: max(1, len(targets) // 2)]]
-            assert_amplitudes_match_per_column(u, targets, ins)
-            assert_amplitudes_match_per_column(u, targets[::3], targets)
+            assert_amplitudes_match_per_column(u, ins)
+            assert_amplitudes_match_per_column(u, targets, slice(None, None, 3))
 
 
 def test_batched_amplitudes_of_doubly_occupied_inputs(rng):
     # The buckets that ``_apply_corrections`` maps hold rows like these.
     u = random_unitary(rng, 4)
     ins = np.array([[2, 0, 0, 0], [0, 2, 1, 0], [1, 0, 0, 2], [0, 0, 3, 0]])
-    assert_amplitudes_match_per_column(u, _targets(3, 4), ins[1:])
-    assert_amplitudes_match_per_column(u, _targets(2, 4), ins[:1])
-
-
-def test_batched_amplitudes_with_no_outputs_or_no_inputs(rng):
-    u = random_unitary(rng, 4)
-    targets = _targets(2, 4)
-    for outs, ins in ((targets[:0], targets), (targets, targets[:0]), (targets[:0], targets[:0])):
-        assert_amplitudes_match_per_column(u, outs, ins)
+    assert_amplitudes_match_per_column(u, ins[1:])
+    assert_amplitudes_match_per_column(u, ins[:1])
 
 
 @pytest.mark.parametrize("budget", [1, 40, 1000])
@@ -374,42 +379,41 @@ def test_batched_amplitudes_split_into_chunks(monkeypatch, rng, budget):
     u = random_unitary(rng, 4)
     targets = _targets(3, 4)
     monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", budget)
-    assert_amplitudes_match_per_column(u, targets, targets)
+    assert_amplitudes_match_per_column(u, targets)
 
 
-def test_amplitudes_of_a_kept_sector_and_of_other_rows(rng):
-    # A sector that ``_targets`` built keeps its output side from its first
-    # use on; rows that are no sector (a slice, an equal copy) are worked out
-    # per call.  One photon reads ``u`` itself.  Neither kind of call builds
-    # a sector.
+def test_amplitudes_map_onto_one_kept_sector(monkeypatch, rng):
+    # ``_amplitudes(u, ins)`` builds no sector but that of the photons of
+    # ``ins`` on the slots of ``u``, and works out each sector's output side
+    # once, whatever the matrix and the input rows.
+    built = []
+    targets_of = oracle._targets
+    monkeypatch.setattr(oracle, "_targets", lambda *key: built.append(key) or targets_of(*key))
+    oracle._sector_side.cache_clear()
+    keys = set()
     for slots in (1, 2, 4, 6):
         u = random_unitary(rng, slots)
         for n in (1, 2, 3):
             targets = _targets(n, slots)
             ins = targets[rng.permutation(len(targets))[: max(1, len(targets) // 2)]]
-            built = _targets.cache_info().currsize
+            built.clear()
             for matrix in (u, with_planted_zeros(rng, u), with_planted_zeros(rng, u.real)):
-                for _ in range(2):
-                    assert_amplitudes_match_per_column(matrix, targets, ins)
-                assert_amplitudes_match_per_column(matrix, targets[::3], ins)
-                assert_amplitudes_match_per_column(matrix, np.array(targets), targets)
-            assert _targets.cache_info().currsize == built
-            kept = oracle._SECTORS[id(targets)]
-            assert kept[0] is targets and (kept[1] is None) == (n == 1)
+                for rows in (ins, np.array(ins), targets):
+                    assert_amplitudes_match_per_column(matrix, rows)
+            assert set(built) <= {(n, slots)}
+            keys.add((n, slots))
+    assert oracle._sector_side.cache_info().misses == len(keys)
 
 
 @pytest.mark.parametrize("name", ["parity_check", "gc_cnot"])
-def test_amplitudes_on_a_whole_basis_build_no_sector(name, rng):
-    # A basis is a product of sectors, not one: its rows are worked out per
-    # call, and no sector of all its slots is built.
+def test_amplitudes_on_the_rows_of_a_whole_basis(name, rng):
+    # A basis is a product of sectors, so its rows are some of the sector of
+    # all its photons on all its slots.
     dense = DenseCircuit(shipped_spec(name))
     columns = np.array(sorted(dense.support, key=dense.support.get), dtype=np.int64)
-    outs = dense.basis.occupations
-    built = _targets.cache_info().currsize
+    rows = sector_rows(dense.basis.occupations)
     for u in (dense.unitary, with_planted_zeros(rng, dense.unitary)):
-        assert_amplitudes_match_per_column(u, outs, columns)
-    assert _targets.cache_info().currsize == built
-    assert id(outs) not in oracle._SECTORS
+        assert_amplitudes_match_per_column(u, columns, rows)
 
 
 def pattern_of(basis, state, detectors):
@@ -796,7 +800,7 @@ def test_operator_holds_only_the_support_columns(name):
     # Column c is the image of the configuration that ``support`` maps to c,
     # here as permanents of the whole network matrix instead of its blocks.
     columns = np.array(sorted(dense.support, key=dense.support.get), dtype=np.int64)
-    images = oracle._amplitudes(dense.unitary, dense.basis.occupations, columns)
+    images = oracle._amplitudes(dense.unitary, columns)[sector_rows(dense.basis.occupations)]
     assert np.allclose(dense.images, images, rtol=0.0, atol=1e-12)
     operator = dense.operator
     assert sp.issparse(operator) and operator.format == "csr"

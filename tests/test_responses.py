@@ -467,7 +467,7 @@ def test_a_table_build_expands_each_local_occupation_of_each_map_once(
         for m in (
             *(m for _, m in table.plan.elements),
             *table.plan.rebases,
-            *(m for steps in table.plan.corrections for _, m in steps),
+            *(m for _, _, steps in table.plan.corrections for _, m in steps),
         )
     }
     assert sum(len(m.programs) for m in maps.values()) == len(calls)
