@@ -106,22 +106,44 @@ def _targets(total: int, parts: int) -> np.ndarray:
     )
 
 
-def _photon_side(occupations: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slot of each photon of each row of ``occupations`` (rows of ``n``
-    photons), and each row's sqrt(prod k!) over its counts k."""
-    slots = np.arange(occupations.shape[1])
-    photons = np.repeat(np.tile(slots, len(occupations)), occupations.ravel()).reshape(-1, n)
-    factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
-    return photons, np.sqrt(factorial[occupations].prod(axis=1))
-
-
 @functools.cache
-def _sector_side(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_photon_side` of the sector ``_targets(total, parts)``, read-only:
-    the output side of :func:`_amplitudes` for ``total`` photons on ``parts``
-    slots."""
-    photons, roots = _photon_side(_targets(total, parts), total)
-    return _read_only(photons), _read_only(roots)
+def _sector_side(total: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of :func:`_amplitudes` for the sector ``_targets(total,
+    parts)`` of ``total`` >= 1 photons on ``parts`` slots, read-only: the
+    slot of each photon of each row, each row's sqrt(prod k!) over its counts
+    k, and the rank table of :func:`_sector_rows`.
+
+    The sector is in lexicographic order, so a row's rank counts, for each
+    slot i, the rows that agree with it before slot i and hold fewer photons
+    on it.  With c photons on slot i and a on the p = parts - 1 - i slots
+    after it, those number C(a + c + p, p) - C(a + p, p), which the table
+    holds at ``[a, c, i]``.  No entry exceeds the sector's length, so no sum
+    overflows; entries with a + c > ``total``, which no row has, are never
+    read.
+    """
+    occupations = _targets(total, parts)
+    slots = np.arange(parts)
+    photons = np.repeat(np.tile(slots, len(occupations)), occupations.ravel())
+    factorial = np.cumprod(np.arange(total + 1, dtype=float).clip(1.0))
+    roots = np.sqrt(factorial[occupations].prod(axis=1))
+    binomials = np.array(
+        [[math.comb(r + p, p) for p in range(parts - 1, -1, -1)] for r in range(total + 1)],
+        dtype=np.int64,
+    )
+    counts = np.arange(total + 1)
+    table = binomials[np.minimum(counts[:, None] + counts, total)] - binomials[:, None]
+    return (
+        _read_only(photons.reshape(-1, total)),
+        _read_only(roots),
+        _read_only(table),
+    )
+
+
+def _sector_rows(occupations: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The row of its sector that each row of ``occupations`` is, by the
+    sector's rank ``table`` (see :func:`_sector_side`)."""
+    after = len(table) - 1 - np.cumsum(occupations, axis=1)
+    return table[after, occupations, np.arange(occupations.shape[1])].sum(axis=1)
 
 
 class DenseBasis:
@@ -222,32 +244,33 @@ def _amplitudes(u: np.ndarray, ins: np.ndarray) -> np.ndarray:
     output slot come from one stacked matrix product per chunk of input
     configurations, each chunk as large as ``_CHUNK_ENTRIES`` allows.
 
-    Each side's photon slots and sqrt-factorial products depend only on its
-    rows; the output side is worked out once per sector
-    (:func:`_sector_side`).  With one photon, the amplitudes are the entries
-    of ``u`` themselves.
+    Both sides' photon slots and sqrt-factorial products depend only on the
+    sector, which holds every row of ``ins`` too: they are worked out once
+    per sector (:func:`_sector_side`), and the input side is read at the
+    rows of ``ins`` (:func:`_sector_rows`).  With one photon, the amplitudes
+    are the entries of ``u`` themselves.
     """
     n = int(ins[0].sum())
     if n == 0:
         return np.ones((1, len(ins)), dtype=complex)
-    out_photons, out_roots = _sector_side(n, len(u))
-    amps = np.zeros((len(out_roots), len(ins)), dtype=complex)
+    photons, roots, table = _sector_side(n, len(u))
+    amps = np.zeros((len(roots), len(ins)), dtype=complex)
     if n == 1:
-        amps[:] = u[out_photons, ins.argmax(axis=1)]
+        amps[:] = u[photons, ins.argmax(axis=1)]
         return amps
-    in_photons, in_roots = _photon_side(ins, n)
+    rows = _sector_rows(ins, table)
     deltas, weights = _glynn(n)
     # Per column, ``sums`` holds (slots, signs) entries and ``products``
     # (outputs, signs); there are at least as many signs as photons.
     step = max(1, _CHUNK_ENTRIES // (max(u.shape[0], len(amps)) * len(weights)))
     for start in range(0, len(ins), step):
         chunk = slice(start, start + step)
-        sums = u[:, in_photons[chunk]] @ deltas
-        products = sums[out_photons[:, 0]]
+        sums = u[:, photons[rows[chunk]]] @ deltas
+        products = sums[photons[:, 0]]
         for k in range(1, n):
-            products *= sums[out_photons[:, k]]
+            products *= sums[photons[:, k]]
         amps[:, chunk] = products @ weights
-    return amps / np.outer(out_roots, in_roots)
+    return amps / np.outer(roots, roots[rows])
 
 
 def _expand_operator(
@@ -323,6 +346,21 @@ def _input_terms(spec: CircuitSpec, slots: list[Slot]) -> dict[tuple[int, ...], 
             held + photons: amp * a for held, amp in terms.items() for photons, a in options
         }
     return {tuple(int(slot in held) for slot in slots): amp for held, amp in terms.items()}
+
+
+class _ReducedStates(dict):
+    """The :class:`BasisState` of each configuration of the reduced slots,
+    built on first use."""
+
+    def __init__(self, slots: list[Slot]):
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, reduced: tuple[int, ...]) -> BasisState:
+        state = self[reduced] = BasisState(
+            tuple((s, n) for s, n in zip(self.slots, reduced) if n)
+        )
+        return state
 
 
 class DenseRunResult(Record):
@@ -482,6 +520,7 @@ class DenseCircuit:
         self.kept = [position[(alias[m], pol)] for m, pol in self.reduced_slots]
         self._empty_slots = np.ones(len(slot_list), dtype=bool)
         self._empty_slots[self._det_columns + self.kept] = False
+        self._reduced_states = _ReducedStates(self.reduced_slots)
 
         # Per rule with corrections: its detector, the side of that detector's
         # counts that fires it (0 transmitted, 1 reflected) and its
@@ -536,6 +575,13 @@ class DenseCircuit:
         the field.  Its inputs may differ in amplitudes, and in kind as far
         as :meth:`input_vector` allows.  An input whose squared norm is not 1
         to within 1e-9 raises :class:`NonPhysicalInput`, as in the engine.
+
+        The output rows are grouped by detector pattern in numpy, by a stable
+        sort over their count columns (a sort needs no key that could
+        overflow), and each pattern's probability is summed in row order.
+        Only an accepted pattern gets a bucket of its output terms, and each
+        reduced configuration's :class:`BasisState` is built once per
+        compile.
         """
         if spec is not self.spec:
             validate(spec)
@@ -571,32 +617,35 @@ class DenseCircuit:
             names = sorted(m for m, phys in self.alias.items() if phys in modes)
             raise MissingOutput(f"photons left on undetected non-output modes {names}")
         nonzero, occupations = nonzero[~stray], occupations[~stray]
-        branches: dict[OutcomePattern, dict[tuple, complex]] = {}
-        for counts, reduced, amp in zip(
-            occupations[:, self._det_columns].tolist(),
-            occupations[:, self.kept].tolist(),
-            vec[nonzero].tolist(),
-        ):
-            pattern = tuple(zip(counts[::2], counts[1::2]))
-            branches.setdefault(pattern, {})[tuple(reduced)] = amp
+        # Rows grouped by detector pattern, the patterns in sorted order; the
+        # sort is stable, so each pattern keeps its rows in row order.
+        counts = occupations[:, self._det_columns]
+        order = np.lexsort(counts.T[::-1]) if counts.shape[1] else np.arange(len(counts))
+        counts = counts[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
+        starts = np.flatnonzero(first).tolist()
+        amps = vec[nonzero[order]].tolist()
+        # Each pattern's probability, summed in row order.  Each row's share
+        # is squared as a Python complex, which numpy's abs and square can
+        # round otherwise.
+        probs = np.bincount(np.cumsum(first) - 1, weights=[abs(a) ** 2 for a in amps]).tolist()
+        reduced = occupations[order][:, self.kept].tolist()
 
+        states = self._reduced_states
         outcomes = {}
         rejected = {}
         success = 0.0
-        for pattern in sorted(branches):
-            bucket = branches[pattern]
-            prob = sum(abs(a) ** 2 for a in bucket.values())
+        for c, start, end, prob in zip(
+            counts[starts].tolist(), starts, starts[1:] + [len(order)], probs
+        ):
+            pattern = tuple(zip(c[::2], c[1::2]))
             accepted = is_passive(pattern) if passive else is_1ao1(pattern)
             if accepted and prob > 0.0:
+                bucket = dict(zip(map(tuple, reduced[start:end]), amps[start:end]))
                 corrected = self._apply_corrections(bucket, pattern)
                 scale = 1.0 / math.sqrt(prob)
-                terms = {
-                    BasisState(
-                        tuple((s, n) for s, n in zip(self.reduced_slots, red) if n)
-                    ): amp * scale
-                    for red, amp in corrected.items()
-                    if amp
-                }
+                terms = {states[red]: amp * scale for red, amp in corrected.items() if amp}
                 outcomes[pattern] = (prob, terms)
                 success += prob
             else:

@@ -9,7 +9,7 @@ import pytest
 
 from pbsgates import circuit, fock, gates, oracle
 from pbsgates.circuit import InputDecl
-from pbsgates.errors import NonNormalized, NonPhysicalInput
+from pbsgates.errors import MissingOutput, ModeCollision, NonNormalized, NonPhysicalInput
 from pbsgates.fock import (
     DEFAULT_TOLERANCE,
     FS_TO_HV,
@@ -351,6 +351,79 @@ def rebase_operator(mode: str, basis: oracle.DenseBasis):
     """The HV -> FS rotation of ``mode``, as a CSR matrix on ``basis``."""
     slots = [(mode, POL_H), (mode, POL_V)]
     return oracle._expand_operator(basis, slots, slots, oracle._REBASE)
+
+
+def reference_dense_run(dense: oracle.DenseCircuit, passive: bool) -> oracle.DenseRunResult:
+    """``dense.run(dense.spec, passive)`` as it was written before it grouped
+    in numpy: a Python loop puts each output row into its pattern's bucket,
+    every pattern gets a bucket, and every output term builds its own
+    :class:`BasisState`.  Each pattern's probability is summed left to
+    right, as the builtin ``sum`` does before Python 3.12."""
+    amplitudes = dense.input_vector(dense.spec)
+    norm = float(np.sum(np.abs(amplitudes) ** 2))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
+    vec = dense.images @ amplitudes
+    nonzero = np.flatnonzero(abs(vec) >= 1e-12)
+    occupations = dense.basis.occupations[nonzero]
+    stray = occupations[:, dense._empty_slots].any(axis=1)
+    held = occupations[stray].any(axis=0) & dense._empty_slots
+    modes = {dense.basis.slots[i][0] for i in np.flatnonzero(held)}
+    for mode, out in dense._overwritten.items():
+        if mode in modes:
+            raise ModeCollision(
+                f"PBS output {out!r} collides with a live mode that is not an input"
+            )
+    if modes:
+        names = sorted(m for m, phys in dense.alias.items() if phys in modes)
+        raise MissingOutput(f"photons left on undetected non-output modes {names}")
+    nonzero, occupations = nonzero[~stray], occupations[~stray]
+    branches = {}
+    for counts, reduced, amp in zip(
+        occupations[:, dense._det_columns].tolist(),
+        occupations[:, dense.kept].tolist(),
+        vec[nonzero].tolist(),
+    ):
+        pattern = tuple(zip(counts[::2], counts[1::2]))
+        branches.setdefault(pattern, {})[tuple(reduced)] = amp
+
+    outcomes = {}
+    rejected = {}
+    success = 0.0
+    for pattern in sorted(branches):
+        bucket = branches[pattern]
+        prob = 0.0
+        for a in bucket.values():
+            prob += abs(a) ** 2
+        accepted = circuit.is_passive(pattern) if passive else circuit.is_1ao1(pattern)
+        if accepted and prob > 0.0:
+            corrected = dense._apply_corrections(bucket, pattern)
+            scale = 1.0 / math.sqrt(prob)
+            terms = {
+                BasisState(tuple((s, n) for s, n in zip(dense.reduced_slots, red) if n)): amp
+                * scale
+                for red, amp in corrected.items()
+                if amp
+            }
+            outcomes[pattern] = (prob, terms)
+            success += prob
+        else:
+            rejected[pattern] = prob
+    return oracle.DenseRunResult(outcomes, rejected, success, 1.0 - success)
+
+
+def dense_bits(result: oracle.DenseRunResult):
+    """A dense run's outcomes, rejected table, success and failure, in their
+    stored order and bit for bit."""
+    return (
+        [
+            (pattern, float_bits(prob), [(state.occ, float_bits(a)) for state, a in terms.items()])
+            for pattern, (prob, terms) in result.outcomes.items()
+        ],
+        [(pattern, float_bits(prob)) for pattern, prob in result.rejected.items()],
+        float_bits(result.success_probability),
+        float_bits(result.failure_probability),
+    )
 
 
 def basis_state(basis: oracle.DenseBasis, i: int) -> BasisState:

@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -39,11 +40,13 @@ from pbsgates.oracle import (
 from conftest import (
     basis_state,
     circuit_path,
+    dense_bits,
     element_matrix,
     random_qubit,
     random_state,
     random_two_qubit,
     rebase_operator,
+    reference_dense_run,
     vector_from_terms,
 )
 
@@ -414,6 +417,49 @@ def test_amplitudes_on_the_rows_of_a_whole_basis(name, rng):
     rows = sector_rows(dense.basis.occupations)
     for u in (dense.unitary, with_planted_zeros(rng, dense.unitary)):
         assert_amplitudes_match_per_column(u, columns, rows)
+
+
+def photon_side(occupations, n):
+    """The input side of ``oracle._amplitudes`` as it was worked out per call
+    before it was read from the sector: the slot of each photon of each row
+    of ``occupations`` (rows of ``n`` photons), and each row's sqrt(prod k!)."""
+    slots = np.arange(occupations.shape[1])
+    photons = np.repeat(np.tile(slots, len(occupations)), occupations.ravel()).reshape(-1, n)
+    factorial = np.cumprod(np.arange(n + 1, dtype=float).clip(1.0))
+    return photons, np.sqrt(factorial[occupations].prod(axis=1))
+
+
+def test_sector_rows_rank_every_sector_up_to_five_photons_on_eight_slots(rng):
+    for n in range(1, 6):
+        for slots in range(1, 9):
+            sector = _targets(n, slots)
+            photons, roots, table = oracle._sector_side(n, slots)
+            # Every row in a random order, then some rows again.
+            rows = np.concatenate(
+                [sector[rng.permutation(len(sector))], sector[rng.integers(len(sector), size=5)]]
+            )
+            ranks = oracle._sector_rows(rows, table)
+            assert ranks.tolist() == sector_rows(rows)
+            # The input side read at the ranks is the per-call one, bit for bit.
+            in_photons, in_roots = photon_side(rows, n)
+            assert np.array_equal(photons[ranks], in_photons)
+            assert roots[ranks].tobytes() == in_roots.tobytes()
+
+
+def test_sector_rows_rank_a_sector_too_wide_for_a_radix_key(rng):
+    # 4 photons on 40 slots: a key with weights (n + 1)**k needs 5**39 for
+    # the last slot, past what an int64 holds.
+    assert 5**39 > np.iinfo(np.int64).max
+    try:
+        sector = _targets(4, 40)
+        table = oracle._sector_side(4, 40)[2]
+        assert np.array_equal(oracle._sector_rows(sector, table), np.arange(len(sector)))
+        rows = sector[rng.integers(len(sector), size=1000)]
+        assert oracle._sector_rows(rows, table).tolist() == sector_rows(rows)
+    finally:
+        # The sector takes some 40 MB; no later test needs it.
+        oracle._targets.cache_clear()
+        oracle._sector_side.cache_clear()
 
 
 def pattern_of(basis, state, detectors):
@@ -986,6 +1032,64 @@ def test_a_pattern_that_fires_no_rule_keeps_its_bucket():
     for reduced, amp in bucket.items():
         sign = -1.0 if reduced[h] else 1.0
         assert abs(flipped[reduced] - sign * amp) < 1e-12
+
+
+def assert_run_matches_the_per_row_reference(dense, passive):
+    """``dense.run`` of its own spec equals :func:`reference_dense_run` bit
+    for bit, or raises what the reference raises."""
+    try:
+        expected = dense_bits(reference_dense_run(dense, passive))
+    except (ModeCollision, MissingOutput) as exc:
+        with pytest.raises(type(exc)) as raised:
+            dense.run(dense.spec, passive=passive)
+        assert str(raised.value) == str(exc)
+        return False
+    assert dense_bits(dense.run(dense.spec, passive=passive)) == expected
+    return True
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_run_matches_the_per_row_reference_on_the_gates(name, passive, rng):
+    for spec in (shipped_spec(name), GATE_CALLS[name](rng, passive).spec):
+        assert assert_run_matches_the_per_row_reference(DenseCircuit(spec), passive)
+
+
+def test_run_matches_the_per_row_reference_on_random_specs():
+    from test_drop import random_spec
+
+    ran = 0
+    for seed in range(240):
+        dense = DenseCircuit(random_spec(random.Random(f"dense-run:{seed}")))
+        for passive in (False, True):
+            ran += assert_run_matches_the_per_row_reference(dense, passive)
+    # Most specs run; the rest are refused alike.
+    assert ran > 240
+
+
+def test_run_groups_more_detectors_than_a_radix_key_holds():
+    # 2 photons and 24 detectors: a key with weights 3**k over the 48 count
+    # columns needs 3**47, past what an int64 holds.
+    assert 3**47 > np.iinfo(np.int64).max
+    modes = [f"m{i:02d}" for i in range(26)]
+    text = "\n".join(
+        [f"mode {m}" for m in modes]
+        + ["input qubit m00 0.6 0 0.8 0", "input qubit m01 0 0.8 0.6 0"]
+        + [f"pbs hv {a} {b} {a} {b}\nrotate {b} 30" for a, b in zip(modes, modes[1:])]
+        + [f"detect {('hv', 'fs')[i % 2]} {m} as d{m}" for i, m in enumerate(modes[2:])]
+        + ["output m00 m01"]
+    )
+    dense = DenseCircuit(dsl.parse_circuit(text))
+    assert len(dense._det_columns) == 48
+    for passive in (False, True):
+        assert assert_run_matches_the_per_row_reference(dense, passive)
+    result = dense.run(dense.spec)
+    # Every pattern of the output rows is kept apart, in sorted order.
+    vec = dense.images @ dense.input_vector(dense.spec)
+    counts = dense.basis.occupations[abs(vec) >= 1e-12][:, dense._det_columns]
+    patterns = list(result.outcomes) + list(result.rejected)
+    assert len(patterns) == len(np.unique(counts, axis=0)) > 100
+    assert list(result.rejected) == sorted(result.rejected)
 
 
 def test_the_oracle_starts_and_runs_without_dataclasses():
