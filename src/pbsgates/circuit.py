@@ -220,7 +220,7 @@ def input_norm(amplitudes: Collection[complex], tolerance: float) -> float:
     norm = fock.squared_norm(amp for amp in amplitudes if amp)
     if not abs(norm - 1.0) <= 1e-9:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
-    kept = sum(abs(amp) ** 2 for amp in amplitudes if abs(amp) >= floor)
+    kept = fock.squared_norm(amp for amp in amplitudes if abs(amp) >= floor)
     if abs(kept - 1.0) > 1e-9:
         raise NonPhysicalInput(
             f"amplitude tolerance {tolerance!r} prunes squared norm "
@@ -612,7 +612,7 @@ def _execute(
 
     branches = enumerate_outcomes(state, spec.detectors)
     accepted = []
-    success = 0.0
+    success = rejected_total = 0.0
     rejected: dict[OutcomePattern, float] = {}
     for pattern in sorted(branches):
         branch = branches[pattern]
@@ -623,6 +623,7 @@ def _execute(
             success += probability
         else:
             rejected[pattern] = probability
+            rejected_total += probability
     return settle(
         plan,
         accepted,
@@ -632,7 +633,7 @@ def _execute(
             else rejected
         ),
         tolerance,
-        kept - success - sum(rejected.values()) - dropped,
+        kept - success - rejected_total - dropped,
     )
 
 

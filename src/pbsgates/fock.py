@@ -28,6 +28,10 @@ That sum changes only the sign of a zero part; such a sign reaches only zero
 parts of later products, and storing the term (``out.get(key, 0j) + amp``)
 clears it.  So kept programs never change an amplitude's bits, signed zeros
 included.
+
+Every squared norm that the engine sums (a state's, a dropped or pruned
+part's, an input's) goes through :func:`squared_norm`, one left-to-right
+float loop, so that reports have the same bits on every supported Python.
 """
 
 from __future__ import annotations
@@ -277,7 +281,7 @@ class PhotonState:
         return self._terms.get(cfg, 0j)
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        return squared_norm(self._terms.values())
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -442,19 +446,22 @@ def keep_matching(
     kept = {cfg: amp for cfg, amp in terms.items() if cfg & mask in allowed}
     if len(kept) == len(terms):
         return state, 0.0
-    dropped = sum(abs(amp) ** 2 for cfg, amp in terms.items() if cfg not in kept)
+    dropped = squared_norm(amp for cfg, amp in terms.items() if cfg not in kept)
     return PhotonState._unpruned(kept, state._index, state._photons, state.tolerance), dropped
 
 
 def squared_norm(amplitudes) -> float:
-    """``sum(abs(a) ** 2)`` over ``amplitudes``, summed as
-    :meth:`PhotonState.norm_sq` sums it, or ``inf`` where a square
-    overflows: a normalization check then refuses the amplitudes instead of
-    raising ``OverflowError``."""
+    """``abs(a) ** 2`` over ``amplitudes`` added left to right into ``0.0``
+    (the builtin ``sum`` compensates floats from Python 3.12 on), or ``inf``
+    where a square overflows: a normalization check then refuses the
+    amplitudes instead of raising ``OverflowError``."""
+    total = 0.0
     try:
-        return sum(abs(a) ** 2 for a in amplitudes)
+        for a in amplitudes:
+            total += abs(a) ** 2
     except OverflowError:
         return math.inf
+    return total
 
 
 class IndexedMap:

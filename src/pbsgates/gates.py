@@ -270,7 +270,7 @@ def _report(
                     total[cfg] = total.get(cfg, 0j) + coefficient * amp
         pruned = {cfg: amp for cfg, amp in total.items() if abs(amp) >= floor}
         if len(pruned) < len(total):
-            lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in pruned)
+            lost += fock.squared_norm(amp for cfg, amp in total.items() if cfg not in pruned)
         probability = fock.squared_norm(pruned.values())
         if probability > 0.0:
             accepted.append((pattern, probability, pruned))

@@ -87,23 +87,20 @@ _CHI_TERMS = (
     (POL_V, POL_V, POL_V, POL_H),
 )
 
-def compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @functools.cache
 def _targets(total: int, parts: int) -> np.ndarray:
-    """The rows of :func:`compositions` in its order, as a read-only array:
-    the sector of ``total`` photons on ``parts`` slots."""
-    return _read_only(
-        np.array(list(compositions(total, parts)), dtype=np.int64).reshape(-1, parts)
-    )
+    """The sector of ``total`` photons on ``parts`` >= 1 slots as a read-only
+    array: every row of counts, in lexicographic order, as the gaps between
+    ``parts - 1`` bars among ``total + parts - 1`` places."""
+    places = total + parts - 1
+    count = math.comb(places, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(places), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), places)])
+    return _read_only(np.diff(edges, axis=1) - 1)
 
 
 @functools.cache
@@ -339,28 +336,18 @@ def _input_terms(spec: CircuitSpec, slots: list[Slot]) -> dict[tuple[int, ...], 
     photon on each of theirs, so no slot holds two photons and no term needs
     a bosonic factor.
     """
-    terms: dict[tuple[Slot, ...], complex] = {(): 1.0 + 0j}
+    position = {slot: i for i, slot in enumerate(slots)}
+    terms: dict[tuple[int, ...], complex] = {(): 1.0 + 0j}
     for decl in spec.inputs:
-        options = _declaration_terms(decl)
+        options = [(tuple(position[s] for s in held), a) for held, a in _declaration_terms(decl)]
         terms = {
             held + photons: amp * a for held, amp in terms.items() for photons, a in options
         }
-    return {tuple(int(slot in held) for slot in slots): amp for held, amp in terms.items()}
-
-
-class _ReducedStates(dict):
-    """The :class:`BasisState` of each configuration of the reduced slots,
-    built on first use."""
-
-    def __init__(self, slots: list[Slot]):
-        super().__init__()
-        self.slots = slots
-
-    def __missing__(self, reduced: tuple[int, ...]) -> BasisState:
-        state = self[reduced] = BasisState(
-            tuple((s, n) for s, n in zip(self.slots, reduced) if n)
-        )
-        return state
+    keys = [[0] * len(slots) for _ in terms]
+    for key, held in zip(keys, terms):
+        for i in held:
+            key[i] = 1
+    return dict(zip(map(tuple, keys), terms.values()))
 
 
 class DenseRunResult(Record):
@@ -516,11 +503,14 @@ class DenseCircuit:
         ]
         # Reduced slots are the outputs' slots under their names, in sorted
         # order, which is the order of a BasisState's entries.
-        self.reduced_slots = sorted((m, pol) for m in spec.outputs for pol in (POL_H, POL_V))
-        self.kept = [position[(alias[m], pol)] for m, pol in self.reduced_slots]
+        reduced = self.reduced_slots = sorted((m, p) for m in spec.outputs for p in (POL_H, POL_V))
+        self.kept = [position[(alias[m], pol)] for m, pol in reduced]
         self._empty_slots = np.ones(len(slot_list), dtype=bool)
         self._empty_slots[self._det_columns + self.kept] = False
-        self._reduced_states = _ReducedStates(self.reduced_slots)
+        # Each reduced configuration's BasisState, built on first use.
+        self._reduced_state = functools.cache(
+            lambda counts: BasisState(tuple((s, n) for s, n in zip(reduced, counts) if n))
+        )
 
         # Per rule with corrections: its detector, the side of that detector's
         # counts that fires it (0 transmitted, 1 reflected) and its
@@ -592,9 +582,10 @@ class DenseCircuit:
                 raise ValueError("spec inputs are on other modes than the compiled spec's")
         amplitudes = self.input_vector(spec)
         # The engine's rule: the input's squared norm is 1 to within 1e-9.
-        # Amplitudes too large to square make it inf, which is refused too.
-        with np.errstate(over="ignore"):
-            norm = float(np.sum(np.abs(amplitudes) ** 2))
+        # A real or imaginary part too large to square makes it inf, which
+        # is refused too.
+        parts = amplitudes.view(float)
+        norm = float(np.vdot(parts, parts))
         if not abs(norm - 1.0) <= 1e-9:
             raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
         vec = self.images @ amplitudes
@@ -632,7 +623,7 @@ class DenseCircuit:
         probs = np.bincount(np.cumsum(first) - 1, weights=[abs(a) ** 2 for a in amps]).tolist()
         reduced = occupations[order][:, self.kept].tolist()
 
-        states = self._reduced_states
+        state = self._reduced_state
         outcomes = {}
         rejected = {}
         success = 0.0
@@ -645,7 +636,7 @@ class DenseCircuit:
                 bucket = dict(zip(map(tuple, reduced[start:end]), amps[start:end]))
                 corrected = self._apply_corrections(bucket, pattern)
                 scale = 1.0 / math.sqrt(prob)
-                terms = {states[red]: amp * scale for red, amp in corrected.items() if amp}
+                terms = {state(red): amp * scale for red, amp in corrected.items() if amp}
                 outcomes[pattern] = (prob, terms)
                 success += prob
             else:

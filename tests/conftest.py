@@ -270,7 +270,13 @@ def reference_gate_call(name, amplitudes, target, passive, tolerance):
                 for cfg, amp in terms.items():
                     total[cfg] = total.get(cfg, 0j) + coefficients[k] * amp
         output = PhotonState.packed(total, table.plan.index, table.plan.photons, tolerance)
-        lost += sum(abs(amp) ** 2 for cfg, amp in total.items() if cfg not in output.packed_terms)
+        # Each pattern's pruned norm, summed left to right as the engine
+        # sums every squared norm, then added to the total.
+        pruned = 0.0
+        for cfg, amp in total.items():
+            if cfg not in output.packed_terms:
+                pruned += abs(amp) ** 2
+        lost += pruned
         probability = output.norm_sq()
         if probability > 0.0:
             outcomes[pattern] = (probability, scaled(output, 1.0 / math.sqrt(probability)))
@@ -342,6 +348,17 @@ def report_call_bits(report):
 # Views of the dense oracle's basis and operators, built from what it keeps.
 
 
+def compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative integers summing to ``total``, in
+    lexicographic order: the order of the oracle's sector rows."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def element_matrix(el, basis: oracle.DenseBasis) -> np.ndarray:
     """Dense unitary of one optical element on ``basis``."""
     return oracle.element_operator(el, basis).toarray()
@@ -358,7 +375,8 @@ def reference_dense_run(dense: oracle.DenseCircuit, passive: bool) -> oracle.Den
     in numpy: a Python loop puts each output row into its pattern's bucket,
     every pattern gets a bucket, and every output term builds its own
     :class:`BasisState`.  Each pattern's probability is summed left to
-    right, as the builtin ``sum`` does before Python 3.12."""
+    right, as ``fock.squared_norm`` sums (and the builtin ``sum`` did
+    before Python 3.12)."""
     amplitudes = dense.input_vector(dense.spec)
     norm = float(np.sum(np.abs(amplitudes) ** 2))
     if not abs(norm - 1.0) <= 1e-9:

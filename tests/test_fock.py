@@ -1,9 +1,11 @@
 """Unit tests for sparse Fock states and slot transforms."""
 
+import ast
 import collections
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +336,87 @@ def test_normalized_and_scaled():
     # Scaling by the inverse of the norm normalizes.
     st = single("m", POL_H, 2.0)
     assert math.isclose(scaled(st, 1.0 / math.sqrt(st.norm_sq())).norm_sq(), 1.0)
+
+
+# --- One squared-norm accumulator, left to right ------------------------------
+
+#: Ten amplitudes whose squares are each exactly 0.1.
+TENTHS = [math.sqrt(0.1)] * 5 + [1j * math.sqrt(0.1)] * 5
+
+
+def test_squared_norm_adds_left_to_right_without_compensation():
+    assert [abs(a) ** 2 for a in TENTHS] == [0.1] * 10
+    # Compensated summation (math.fsum, or the builtin sum from Python
+    # 3.12) gives 1.0 here.
+    assert fock.squared_norm(TENTHS) == 0.9999999999999999
+    assert math.fsum(abs(a) ** 2 for a in TENTHS) == 1.0
+    assert fock.squared_norm([]) == 0.0
+
+
+def test_squared_norm_of_a_generator_is_that_of_a_list(rng):
+    for size in (1, 2, 7, 144):
+        amps = [complex(x, y) for x, y in rng.normal(size=(size, 2)) * 10.0 ** rng.integers(-8, 3)]
+        total = 0.0
+        for a in amps:
+            total = total + abs(a) ** 2
+        assert float_bits(fock.squared_norm(amps)) == float_bits(total)
+        assert float_bits(fock.squared_norm(a for a in amps)) == float_bits(total)
+        assert float_bits(fock.squared_norm(iter(amps))) == float_bits(total)
+
+
+@pytest.mark.parametrize(
+    "amps", [[1e200], [0.6, complex(0.0, -1e200)], [complex(1e308, 1e308)], [1e155, 1e155]]
+)
+def test_squared_norm_is_inf_where_a_square_overflows(amps):
+    assert fock.squared_norm(amps) == math.inf
+    assert fock.squared_norm(iter(amps)) == math.inf
+
+
+def test_squared_norm_keeps_nan():
+    assert math.isnan(fock.squared_norm([0.6, math.nan, 0.8]))
+
+
+def test_engine_norms_are_the_accumulators():
+    modes = "abcdefghij"
+    state = PhotonState({BasisState((((m, POL_H), 1),)): amp for m, amp in zip(modes, TENTHS)})
+    assert state.norm_sq() == 0.9999999999999999
+    # keep_matching drops every term that its test refuses: here, all ten.
+    kept, dropped = fock.keep_matching(state, 0, frozenset())
+    assert kept.num_terms() == 0 and dropped == 0.9999999999999999
+
+
+#: (module, function) of every call of the builtin ``sum`` in the modules
+#: below: each sums ints.  Floats are summed by :func:`fock.squared_norm`
+#: alone, so their summation order does not depend on the Python version.
+INT_SUMS = {
+    ("fock", "BasisState.total_photons"),
+    ("fock", "SlotIndex.pack"),
+    ("fock", "PhotonState.__init__"),
+    ("circuit", "compile"),
+}
+
+
+def sum_calls(tree, scope=""):
+    """``(function, lineno)`` of each name ``sum`` or ``fsum`` under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from sum_calls(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Name) and node.id in ("sum", "fsum"):
+            yield scope, node.lineno
+        if isinstance(node, ast.Attribute) and node.attr == "fsum":
+            yield scope, node.lineno
+        yield from sum_calls(node, scope)
+
+
+@pytest.mark.parametrize("module", ["fock", "circuit", "gates", "cli"])
+def test_only_squared_norm_sums_floats(module):
+    path = Path(fock.__file__).with_name(f"{module}.py")
+    found = set()
+    for scope, lineno in sum_calls(ast.parse(path.read_text(encoding="utf-8"))):
+        assert (module, scope) in INT_SUMS, f"{module}.py:{lineno}: sum in {scope or 'module'}"
+        found.add((module, scope))
+    assert found == {site for site in INT_SUMS if site[0] == module}
 
 
 # --- The slot transform's cached expansion programs keep every bit -----------

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,13 @@ from pbsgates.oracle import (
     _expand_operator,
     _single_particle_matrix,
     _targets,
-    compositions,
     run_dense,
 )
 
 from conftest import (
     basis_state,
     circuit_path,
+    compositions,
     dense_bits,
     element_matrix,
     random_qubit,
@@ -931,6 +932,29 @@ def test_run_refuses_an_amplitude_too_large_to_square():
     for run in (execute, oracle.run_dense):
         with pytest.raises(errors.NonPhysicalInput, match="input squared norm is inf"):
             run(spec)
+
+
+@pytest.mark.parametrize("amplitudes", ["1e155 1e155 0.6 0", "0.6 0 0 -1e300"])
+def test_run_refuses_a_part_too_large_to_square_as_the_engine_does(amplitudes):
+    # Both parts finite but their squares not: the norm is inf, not nan.
+    spec = dsl.parse_circuit(UNNORMALIZED.replace("1 0 1 0", amplitudes))
+    for run in (execute, oracle.run_dense):
+        with pytest.raises(errors.NonPhysicalInput, match="input squared norm is inf"):
+            run(spec)
+
+
+@pytest.mark.parametrize("value, norm", [(math.inf, "inf"), (-math.inf, "inf"), (math.nan, "nan")])
+def test_run_refuses_a_non_finite_input_vector(value, norm, monkeypatch):
+    # validate keeps non-finite amplitudes out of every spec; the norm check
+    # refuses them on its own too.
+    dense = DenseCircuit(dsl.parse_circuit(UNNORMALIZED.replace("1 0 1 0", "0.6 0 0.8 0")))
+    vector = dense.input_vector(dense.spec)
+    vector[0] = complex(0.6, value)
+    monkeypatch.setattr(dense, "input_vector", lambda spec: vector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NonPhysicalInput, match=f"input squared norm is {norm}"):
+            dense.run(dense.spec)
 
 
 def test_run_refuses_an_input_outside_the_compiled_support():
