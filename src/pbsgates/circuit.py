@@ -281,15 +281,18 @@ def apply_feedforward(
 ) -> PhotonState:
     """Apply every triggered rule's corrections, in declared order.
 
-    Each rule of :attr:`CompiledCircuit.corrections` runs its steps once per
-    photon that ``pattern`` counts on its side of its detector, so rules for
-    distinct detectors compose independently and e.g. a pi phase triggered
-    twice is the identity.
+    Each rule of :attr:`CompiledCircuit.corrections` runs its slot maps once
+    per photon that ``pattern`` counts on its side of its detector, so rules
+    for distinct detectors compose independently and e.g. a pi phase
+    triggered twice is the identity.  Corrections are rotators and phase
+    plates (:func:`validate`), which write only the mode they read, so no
+    collision is checked.
     """
     state = branch
-    for detector, side, steps in compiled.corrections:
+    for detector, side, maps in compiled.corrections:
         for _ in range(pattern[detector][side]):
-            state = _run_steps(state, steps)
+            for slot_map in maps:
+                state = fock.transform_slots(state, slot_map)
     return state
 
 
@@ -446,13 +449,14 @@ class CompiledCircuit(Frozen):
         # declarations' tensor product (``itertools.product`` of their terms):
         # the earlier a declaration, the slower its term varies.
         inputs: tuple[int, ...],
+        # The :data:`Step` of each element, in spec order.
         elements: tuple[Step, ...],
         # HV -> FS rebase of each FS detector's mode, in detector order.
         rebases: tuple[fock.IndexedMap, ...],
-        # ``(detector, side, steps)`` of each rule, in rule order: the index
+        # ``(detector, side, maps)`` of each rule, in rule order: the index
         # of the rule's detector, the side of its counts that fires the rule
-        # (0 transmitted, 1 reflected) and the rule's corrections.
-        corrections: tuple[tuple[int, int, tuple[Step, ...]], ...],
+        # (0 transmitted, 1 reflected) and the slot map of each correction.
+        corrections: tuple[tuple[int, int, tuple[fock.IndexedMap, ...]], ...],
         # ``(point, mask, allowed)`` for each point of the element list where
         # detected modes become final, in order: point ``k`` comes after the
         # first ``k`` elements, and a term there that fails
@@ -513,17 +517,14 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
 
     photons = sum(len(part[0]) for part in parts)
 
-    def steps(chain: tuple[OpticalElement, ...]) -> tuple[Step, ...]:
-        return tuple(
-            (optics.collision_modes(el), fock.IndexedMap(optics.slot_map(el), index, photons))
-            for el in chain
-        )
+    def maps(chain: tuple[OpticalElement, ...]) -> tuple[fock.IndexedMap, ...]:
+        return tuple(fock.IndexedMap(optics.slot_map(el), index, photons) for el in chain)
 
     detectors = {det.label: (d, det.transmitted_pol) for d, det in enumerate(spec.detectors)}
 
-    def correction(rule: FeedForwardRule) -> tuple[int, int, tuple[Step, ...]]:
+    def correction(rule: FeedForwardRule) -> tuple[int, int, tuple[fock.IndexedMap, ...]]:
         d, transmitted = detectors[rule.label]
-        return d, int(rule.pol != transmitted), steps(rule.corrections)
+        return d, int(rule.pol != transmitted), maps(rule.corrections)
 
     return CompiledCircuit(
         index=index,
@@ -532,7 +533,7 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
             index.pack([slot for term in terms for slot in term], photons)
             for terms in itertools.product(*parts)
         ),
-        elements=steps(spec.elements),
+        elements=tuple(zip(map(optics.collision_modes, spec.elements), maps(spec.elements))),
         rebases=tuple(
             fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index, photons)
             for det in spec.detectors

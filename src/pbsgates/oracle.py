@@ -369,8 +369,9 @@ class DenseRunResult(Record):
 class DenseCircuit:
     """Compiled dense pipeline for one circuit topology.
 
-    Polarizing beam splitters are applied in place: the physical slots of
-    the input modes are kept and relabeled, which keeps the basis small.
+    Each element's own single-particle matrix acts on the physical slots of
+    its input modes, and a polarizing beam splitter writes in place: its
+    output modes are relabeled to those slots, which keeps the basis small.
     The basis is restricted to the exact photon-number sector of each group
     of modes coupled by a beam splitter.  A mode that an element, detector
     or output names but no photon occupies becomes a physical mode with no
@@ -420,23 +421,19 @@ class DenseCircuit:
                 group_of[phys] = alias[mode] = phys
             return alias[mode]
 
-        physical_elements = []
+        maps = []
         for el in spec.elements:
+            ins, _, u = _single_particle_matrix(el)
+            ins = [(physical(mode), pol) for mode, pol in ins]
+            maps.append((ins, ins, u))
             if isinstance(el, PbsElement):
-                p1, p2 = physical(el.in1), physical(el.in2)
+                p1, p2 = alias[el.in1], alias[el.in2]
                 group_of[find(p1)] = find(p2)
-                physical_elements.append(PbsElement(p1, p2, p1, p2, el.basis))
                 alias.pop(el.in1, None)
                 alias.pop(el.in2, None)
                 self._overwritten.update((alias[o], o) for o in (el.out1, el.out2) if o in alias)
                 alias[el.out1] = p1
                 alias[el.out2] = p2
-            elif isinstance(el, RotatorElement):
-                physical_elements.append(RotatorElement(physical(el.mode), el.angle_deg))
-            else:
-                physical_elements.append(
-                    PolPhaseElement(physical(el.mode), el.pol, el.phase_deg)
-                )
         for mode in [det.mode for det in spec.detectors] + list(spec.outputs):
             physical(mode)
         self.alias = alias
@@ -459,7 +456,6 @@ class DenseCircuit:
         self.basis = DenseBasis(slot_list, n_max=sum(per_mode.values()), states=occupations)
 
         position = self.basis._slot_position
-        maps = [_single_particle_matrix(el) for el in physical_elements]
         for det in spec.detectors:
             if det.basis == BASIS_FS:
                 slots = [(alias[det.mode], POL_H), (alias[det.mode], POL_V)]
@@ -517,17 +513,18 @@ class DenseCircuit:
         # corrections on outputs as one matrix, applied once per photon
         # counted there.
         reduced_position = {slot: i for i, slot in enumerate(self.reduced_slots)}
-        detector_of = {det.label: d for d, det in enumerate(spec.detectors)}
+        detectors = {det.label: (d, det.transmitted_pol) for d, det in enumerate(spec.detectors)}
         self._triggers = [
             (
-                detector_of[rule.label],
-                int(rule.pol != spec.detectors[detector_of[rule.label]].transmitted_pol),
+                d,
+                int(rule.pol != transmitted),
                 _compose(reduced_position, [
                     _single_particle_matrix(c) for c in rule.corrections if c.mode in spec.outputs
                 ]),
             )
             for rule in spec.rules
             if rule.corrections
+            for d, transmitted in [detectors[rule.label]]
         ]
 
     @functools.cached_property

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pbsgates import circuit, fock, optics
+from pbsgates import circuit, dsl, fock, optics
 from pbsgates.circuit import (
     CircuitSpec,
     DetectorSpec,
@@ -20,10 +20,10 @@ from pbsgates.circuit import (
 )
 from pbsgates.errors import CircuitSyntaxError, NonPhysicalInput
 from pbsgates.fock import POL_F, POL_H, POL_S, POL_V, BasisState, PhotonState
-from pbsgates.gates import QubitState, parity_check
-from pbsgates.optics import BASIS_FS, BASIS_HV, PolPhaseElement, RotatorElement
+from pbsgates.gates import GATE_NAMES, QubitState, parity_check
+from pbsgates.optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
 
-from conftest import random_qubit, random_state, states_close
+from conftest import circuit_path, random_qubit, random_state, states_close
 
 
 def test_pattern_predicates():
@@ -149,7 +149,7 @@ def test_compile_resolves_each_rule_to_its_detector_and_side():
     )
     compiled = circuit.compile(spec)
     found = [
-        (d, side, [m.slot_map for _, m in steps]) for d, side, steps in compiled.corrections
+        (d, side, [m.slot_map for m in maps]) for d, side, maps in compiled.corrections
     ]
     rotated, shifted = optics.slot_map(rotate), optics.slot_map(phase)
     assert found == [
@@ -164,6 +164,48 @@ def test_compile_resolves_each_rule_to_its_detector_and_side():
     assert states_close(apply_feedforward(branch, ((0, 0), (0, 1)), compiled), expected)
     swapped = optics.apply_element(optics.apply_element(branch, phase), rotate)
     assert not states_close(expected, swapped)
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_every_compiled_correction_is_a_plain_slot_map(name):
+    # A rule's corrections compile to slot maps alone, with no collision guard.
+    with open(circuit_path(name), encoding="utf-8") as handle:
+        compiled = circuit.compile(dsl.parse_circuit(handle.read()))
+    for _, _, maps in compiled.corrections:
+        assert maps and all(type(m) is fock.IndexedMap for m in maps)
+
+
+def test_feed_forward_makes_no_collision_check(monkeypatch):
+    # Corrections are rotators and phase plates (``validate``), which write
+    # only the mode they read; element steps still check their guards.
+    rotate, phase = RotatorElement("m", 30.0), PolPhaseElement("m", POL_V, 90.0)
+    spec = CircuitSpec(
+        modes=("m", "c"),
+        inputs=(),
+        elements=(PbsElement("m", "c", "m", "c"),),
+        detectors=(DetectorSpec("c", BASIS_HV, "c"),),
+        rules=(FeedForwardRule("c", POL_V, (rotate, phase)), FeedForwardRule("c", POL_H, (phase,))),
+        outputs=("m",),
+    )
+    compiled = circuit.compile(spec)
+    checked = []
+    original = optics.check_collisions
+
+    def counted(state, modes):
+        checked.append(modes)
+        return original(state, modes)
+
+    monkeypatch.setattr(optics, "check_collisions", counted)
+    branch = PhotonState({BasisState.from_dict({("m", POL_H): 1}): 1.0})
+    out = apply_feedforward(branch, ((1, 2),), compiled)
+    assert checked == []
+    # Rule order: the V rule twice (two reflected counts), then the H rule.
+    expected = branch
+    for el in (rotate, phase, rotate, phase, phase):
+        expected = fock.transform_slots(expected, optics.slot_map(el))
+    assert states_close(out, expected)
+    circuit._run_steps(branch, compiled.elements)
+    assert checked == [()]
 
 
 def test_execute_rejects_unnormalized_input():

@@ -521,6 +521,19 @@ def test_dense_matches_sparse_on_shipped_circuits():
         )
 
 
+#: Seeded random circuits of 5 and 6 photons: the first six of the stream of
+#: ``perfbench/zoo.py`` with seed 5, named by their place in it.
+WIDE_ZOO = [Path(__file__).parent / "circuits" / f"zoo5_{i}.circ" for i in (0, 3, 5, 6, 12, 14)]
+
+
+@pytest.mark.parametrize("path", WIDE_ZOO, ids=lambda path: path.stem)
+def test_dense_matches_sparse_beyond_four_photons(path):
+    spec = dsl.parse_circuit(path.read_text(encoding="utf-8"))
+    assert sum(len(decl.modes) for decl in spec.inputs) in (5, 6)
+    for passive in (False, True):
+        assert_engines_agree(execute(spec, passive=passive), run_dense(spec, passive=passive))
+
+
 EMPTY_MODE_CIRCUITS = {
     "vacuum PBS input port": """
         mode a
@@ -896,6 +909,16 @@ def test_oracle_shares_no_simulation_code_with_the_engine():
         assert module in ORACLE_IMPORTS, (node.lineno, module)
         names = {alias.name for alias in node.names}
         assert names <= ORACLE_IMPORTS[module], (node.lineno, names - ORACLE_IMPORTS[module])
+
+
+def test_oracle_constructs_no_optics_element_record():
+    # Each element's matrix is read off the spec's own element and mapped
+    # onto physical slots; no element record is rebuilt for it.
+    records = {"PbsElement", "RotatorElement", "PolPhaseElement"}
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert called not in records, (node.lineno, called)
 
 
 def test_only_fock_names_the_least_magnitude():

@@ -467,7 +467,7 @@ def test_a_table_build_expands_each_local_occupation_of_each_map_once(
         for m in (
             *(m for _, m in table.plan.elements),
             *table.plan.rebases,
-            *(m for _, _, steps in table.plan.corrections for _, m in steps),
+            *(m for _, _, maps in table.plan.corrections for m in maps),
         )
     }
     assert sum(len(m.programs) for m in maps.values()) == len(calls)
@@ -528,7 +528,7 @@ def draw_components(rnd, n, small=None):
         elif kind == "s":
             values[i] *= (small if small and i == 0 else rnd.choice(SMALLS)) / abs(values[i])
             pruned += abs(values[i]) ** 2
-    big = math.sqrt(sum(abs(v) ** 2 for v, kind in zip(values, kinds) if kind == "b"))
+    big = math.sqrt(fock.squared_norm(v for v, kind in zip(values, kinds) if kind == "b"))
     scale = math.sqrt(1.0 - pruned) / big
     return [v * scale if kind == "b" else v for v, kind in zip(values, kinds)]
 
