@@ -1,11 +1,11 @@
 """Circuit model: specs, detectors, post-selection, and feed-forward.
 
-Execution builds the declared input state, applies the optical elements in
-order, rebases every detected mode into its detector's splitting basis, and
-exhaustively enumerates joint photon-count outcomes on the detected modes.
-Probabilities are exact branch norms; nothing is sampled.  Each run
-validates and compiles its spec (:func:`compile`) into packed input
-configurations and slot maps of the elements, rebases and corrections.
+Execution builds the declared input state, applies the optical elements and
+then each FS detector's rebase in order, and exhaustively enumerates joint
+photon-count outcomes on the detected modes.  Probabilities are exact branch
+norms; nothing is sampled.  Each run validates and compiles its spec
+(:func:`compile`) into packed input configurations, one list of element
+steps (the rebases last) and the slot maps of the corrections.
 The plan depends on the spec's structure alone, so a caller that runs one
 structure on many input amplitudes (the gate calls of :mod:`gates`) keeps
 one plan and binds only the amplitudes.
@@ -218,10 +218,10 @@ def input_norm(amplitudes: Collection[complex], tolerance: float) -> float:
     """
     floor = fock.prune_floor(tolerance)
     norm = fock.squared_norm(amp for amp in amplitudes if amp)
-    if not abs(norm - 1.0) <= 1e-9:
+    if not abs(norm - 1.0) <= fock.NORM_TOLERANCE:
         raise NonPhysicalInput(f"input squared norm is {norm!r}, expected 1")
     kept = fock.squared_norm(amp for amp in amplitudes if abs(amp) >= floor)
-    if abs(kept - 1.0) > 1e-9:
+    if abs(kept - 1.0) > fock.NORM_TOLERANCE:
         raise NonPhysicalInput(
             f"amplitude tolerance {tolerance!r} prunes squared norm "
             f"{norm - kept!r} of the input"
@@ -436,9 +436,7 @@ class CompiledCircuit(Frozen):
     of each input declaration, never on the amplitudes' values.
     """
 
-    __slots__ = _fields = (
-        "index", "photons", "inputs", "elements", "rebases", "corrections", "drops"
-    )
+    __slots__ = _fields = ("index", "photons", "inputs", "elements", "corrections", "drops")
 
     def __init__(
         self,
@@ -449,10 +447,10 @@ class CompiledCircuit(Frozen):
         # declarations' tensor product (``itertools.product`` of their terms):
         # the earlier a declaration, the slower its term varies.
         inputs: tuple[int, ...],
-        # The :data:`Step` of each element, in spec order.
+        # The :data:`Step` of each element, in spec order, and then the
+        # unguarded HV -> FS rebase of each FS detector's mode, in detector
+        # order: every map that runs before the count.
         elements: tuple[Step, ...],
-        # HV -> FS rebase of each FS detector's mode, in detector order.
-        rebases: tuple[fock.IndexedMap, ...],
         # ``(detector, side, maps)`` of each rule, in rule order: the index
         # of the rule's detector, the side of its counts that fires the rule
         # (0 transmitted, 1 reflected) and the slot map of each correction.
@@ -465,7 +463,7 @@ class CompiledCircuit(Frozen):
         # could change a refusal.
         drops: tuple[tuple[int, int, frozenset[int]], ...],
     ):
-        self._set(index, photons, inputs, elements, rebases, corrections, drops)
+        self._set(index, photons, inputs, elements, corrections, drops)
 
 
 def final_modes(spec: CircuitSpec) -> tuple[tuple[str, ...], ...] | None:
@@ -533,9 +531,9 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
             index.pack([slot for term in terms for slot in term], photons)
             for terms in itertools.product(*parts)
         ),
-        elements=tuple(zip(map(optics.collision_modes, spec.elements), maps(spec.elements))),
-        rebases=tuple(
-            fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index, photons)
+        elements=tuple(zip(map(optics.collision_modes, spec.elements), maps(spec.elements)))
+        + tuple(
+            ((), fock.IndexedMap(fock.rebase_map(det.mode, fock.HV_TO_FS), index, photons))
             for det in spec.detectors
             if det.basis == BASIS_FS
         ),
@@ -608,8 +606,6 @@ def _execute(
     stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
     if stray:
         raise MissingOutput(f"photons left on undetected non-output modes {sorted(stray)}")
-    for rebase in plan.rebases:
-        state = fock.transform_slots(state, rebase)
 
     branches = enumerate_outcomes(state, spec.detectors)
     accepted = []
@@ -661,7 +657,7 @@ def settle(
         state = PhotonState.scaled_packed(terms, plan.index, plan.photons, tolerance, factor)
         outcomes[pattern] = (probability, state)
         success += probability
-    if pruned > 1e-9:
+    if pruned > fock.NORM_TOLERANCE:
         raise NonPhysicalInput(
             f"amplitude tolerance {tolerance!r} prunes squared norm {pruned!r} during the run"
         )

@@ -59,7 +59,7 @@ def _amplitude_argument(state_type, what: str, values: list[float]):
         raise _config_error(
             f"{what} amplitudes are not normalized (squared norm {norm2!r})"
         )
-    if dev > 1e-9:
+    if dev > fock.NORM_TOLERANCE:
         _write_stderr(f"warning: renormalizing {what} amplitudes (squared norm {norm2!r})")
         scale = 1.0 / math.sqrt(norm2)
         amps = [a * scale for a in amps]

@@ -57,6 +57,10 @@ FS_TO_HV = "FStoHV"
 #: takes one as an argument of :func:`pbsgates.circuit.execute`.
 DEFAULT_TOLERANCE = 1e-12
 
+#: How far from 1 a squared norm may be and still count as normalised, and
+#: the most squared norm that pruning may remove from a run.
+NORM_TOLERANCE = 1e-9
+
 #: The smallest positive float: a state with tolerance 0 prunes below this
 #: instead, so that it still drops exact zeros.
 _LEAST_MAGNITUDE = math.ulp(0.0)

@@ -35,7 +35,7 @@ class QubitState(Frozen):
 
     def __init__(self, alpha: complex, beta: complex):
         n2 = fock.squared_norm((alpha, beta))
-        if not abs(n2 - 1.0) <= 1e-9:  # so that nan fails too
+        if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:  # so that nan fails too
             raise NonNormalized(f"qubit squared norm is {n2!r}")
         self._set(alpha, beta)
 
@@ -47,7 +47,7 @@ class TwoQubitState(Frozen):
 
     def __init__(self, a1: complex, a2: complex, a3: complex, a4: complex):
         n2 = fock.squared_norm((a1, a2, a3, a4))
-        if not abs(n2 - 1.0) <= 1e-9:
+        if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:
             raise NonNormalized(f"two-qubit squared norm is {n2!r}")
         self._set(a1, a2, a3, a4)
 
@@ -85,7 +85,7 @@ class GateReport(Record):
 
 def _check_normalised(which: str, state: PhotonState) -> None:
     n2 = state.norm_sq()
-    if abs(n2 - 1.0) > 1e-9:
+    if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:
         raise NonNormalized(f"{which} state squared norm is {n2!r}")
 
 

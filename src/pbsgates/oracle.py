@@ -78,6 +78,11 @@ _FS_PBS = _read_only(
 #: intermediate of :func:`_amplitudes`; a single column may need more.
 _CHUNK_ENTRIES = 2**18
 
+#: Most complex entries that a compile's ``images`` may hold (64 MiB): a
+#: basis whose dimension times its support columns exceeds this is refused
+#: before any sector is enumerated.
+_MAX_IMAGE_ENTRIES = 2**22
+
 #: Polarizations on modes (1, 4, 2, 3) of each term of the chi resource,
 #: every term with amplitude 1/2.
 _CHI_TERMS = (
@@ -383,14 +388,16 @@ class DenseCircuit:
     ``images`` is the network's many-body map as a dense array of shape
     (``basis.dim``, ``len(support)``); ``support`` maps each configuration
     that the declared inputs can hold to its column, and an input with
-    weight elsewhere is refused.  ``operator`` is the same map as a CSR
-    matrix, built on first read: a run never reads it, and it is the only
-    step of a compiled circuit that imports scipy.  Outputs are reported by
-    name.  As in the engine, a run may leave photons only on detected and
-    output modes, so a correction on any other mode is left out.  Photons
-    left there are refused: with ``ModeCollision`` if a PBS output wrote
-    over their mode (no later element touches it, so they were on it then),
-    else ``MissingOutput``.
+    weight elsewhere is refused.  A basis whose dimension times its support
+    columns exceeds :data:`_MAX_IMAGE_ENTRIES` (2**22) is refused with
+    ``ValueError`` before it is enumerated.  ``operator`` is the same map
+    as a CSR matrix, built on first read: a run never reads it, and it is
+    the only step of a compiled circuit that imports scipy.  Outputs are
+    reported by name.  As in the engine, a run may leave photons only on
+    detected and output modes, so a correction on any other mode is left
+    out.  Photons left there are refused: with ``ModeCollision`` if a PBS
+    output wrote over their mode (no later element touches it, so they were
+    on it then), else ``MissingOutput``.
     """
 
     def __init__(self, spec: CircuitSpec):
@@ -443,14 +450,24 @@ class DenseCircuit:
             groups.setdefault(find(mode), []).append(mode)
         slot_list: list[Slot] = []
         self.blocks: list[slice] = []
-        # The product of the groups' sectors, in itertools.product order.
-        occupations = np.zeros((1, 0), dtype=np.int64)
+        sectors = []
         for root in sorted(groups):
             members = sorted(groups[root])
             gslots = [(m, pol) for m in members for pol in (POL_H, POL_V)]
-            sector = _targets(sum(per_mode[m] for m in members), len(gslots))
+            sectors.append((sum(per_mode[m] for m in members), len(gslots)))
             self.blocks.append(slice(len(slot_list), len(slot_list) + len(gslots)))
             slot_list.extend(gslots)
+        dim = math.prod(math.comb(n + parts - 1, parts - 1) for n, parts in sectors)
+        columns = math.prod(len(_declaration_terms(decl)) for decl in spec.inputs)
+        if dim * columns > _MAX_IMAGE_ENTRIES:
+            raise ValueError(
+                f"dense basis of dimension {dim} with {columns} support columns "
+                f"exceeds the oracle's bound of {_MAX_IMAGE_ENTRIES} entries"
+            )
+        # The product of the groups' sectors, in itertools.product order.
+        occupations = np.zeros((1, 0), dtype=np.int64)
+        for n, parts in sectors:
+            sector = _targets(n, parts)
             rows = np.repeat(occupations, len(sector), axis=0)
             occupations = np.hstack([rows, np.tile(sector, (len(occupations), 1))])
         self.basis = DenseBasis(slot_list, n_max=sum(per_mode.values()), states=occupations)
@@ -592,9 +609,8 @@ class DenseCircuit:
         nonzero = np.flatnonzero(abs(vec) >= 1e-12)
         occupations = self.basis.occupations[nonzero]
         # Photons on a slot neither detected nor an output are refused; with
-        # those rows gone, each (pattern, reduced) pair occurs once.
-        stray = occupations[:, self._empty_slots].any(axis=1)
-        held = occupations[stray].any(axis=0) & self._empty_slots
+        # no such row, each (pattern, reduced) pair occurs once.
+        held = occupations.any(axis=0) & self._empty_slots
         modes = {self.basis.slots[i][0] for i in np.flatnonzero(held)}
         for mode, out in self._overwritten.items():
             if mode in modes:
@@ -604,7 +620,6 @@ class DenseCircuit:
         if modes:
             names = sorted(m for m, phys in self.alias.items() if phys in modes)
             raise MissingOutput(f"photons left on undetected non-output modes {names}")
-        nonzero, occupations = nonzero[~stray], occupations[~stray]
         # Rows grouped by detector pattern, the patterns in sorted order; the
         # sort is stable, so each pattern keeps its rows in row order.
         counts = occupations[:, self._det_columns]

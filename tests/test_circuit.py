@@ -175,6 +175,24 @@ def test_every_compiled_correction_is_a_plain_slot_map(name):
         assert maps and all(type(m) is fock.IndexedMap for m in maps)
 
 
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_each_fs_rebase_is_an_unguarded_element_step_after_the_spec_elements(name):
+    # The plan keeps one list of maps before the count: the spec's elements,
+    # then each FS detector's rebase in detector order, with no guard.
+    with open(circuit_path(name), encoding="utf-8") as handle:
+        spec = dsl.parse_circuit(handle.read())
+    compiled = circuit.compile(spec)
+    assert "rebases" not in circuit.CompiledCircuit._fields
+    fs_modes = [det.mode for det in spec.detectors if det.basis == BASIS_FS]
+    steps = len(spec.elements)
+    assert [m.slot_map for _, m in compiled.elements[:steps]] == [
+        optics.slot_map(el) for el in spec.elements
+    ]
+    assert [(guard, m.slot_map) for guard, m in compiled.elements[steps:]] == [
+        ((), fock.rebase_map(mode, fock.HV_TO_FS)) for mode in fs_modes
+    ]
+
+
 def test_feed_forward_makes_no_collision_check(monkeypatch):
     # Corrections are rotators and phase plates (``validate``), which write
     # only the mode they read; element steps still check their guards.

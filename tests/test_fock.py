@@ -419,6 +419,25 @@ def test_only_squared_norm_sums_floats(module):
     assert found == {site for site in INT_SUMS if site[0] == module}
 
 
+@pytest.mark.parametrize("module", ["fock", "circuit", "gates", "cli"])
+def test_only_norm_tolerance_spells_the_normalisation_rule(module):
+    # Every check of a squared norm against 1, and of pruned norm, reads
+    # fock.NORM_TOLERANCE; the oracle keeps a literal of its own, since it
+    # imports no engine constant.
+    tree = ast.parse(Path(fock.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    literals = [
+        node for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == 1e-9
+    ]
+    defined = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["NORM_TOLERANCE"]
+    ]
+    assert literals == defined
+    assert fock.NORM_TOLERANCE == 1e-9
+
+
 # --- The slot transform's cached expansion programs keep every bit -----------
 
 MODES = ("a", "b", "c", "d")

@@ -534,6 +534,36 @@ def test_dense_matches_sparse_beyond_four_photons(path):
         assert_engines_agree(execute(spec, passive=passive), run_dense(spec, passive=passive))
 
 
+def test_dense_refuses_a_basis_over_its_size_bound_before_enumerating_it(monkeypatch):
+    with open(circuit_path("parity_check"), encoding="utf-8") as handle:
+        spec = dsl.parse_circuit(handle.read())
+    dim, columns = DenseCircuit(spec).images.shape
+    monkeypatch.setattr(oracle, "_MAX_IMAGE_ENTRIES", dim * columns - 1)
+    before = _targets.cache_info()
+    message = (
+        f"dense basis of dimension {dim} with {columns} support columns "
+        f"exceeds the oracle's bound of {dim * columns - 1} entries"
+    )
+    with pytest.raises(ValueError) as refused:
+        DenseCircuit(spec)
+    assert str(refused.value) == message
+    after = _targets.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    monkeypatch.setattr(oracle, "_MAX_IMAGE_ENTRIES", dim * columns)
+    assert DenseCircuit(spec).images.shape == (dim, columns)
+
+
+BOUNDED_CIRCUITS = [Path(circuit_path(name)) for name in GATE_NAMES] + sorted(
+    (Path(__file__).parent / "circuits").glob("*.circ")
+)
+
+
+@pytest.mark.parametrize("path", BOUNDED_CIRCUITS, ids=lambda path: path.stem)
+def test_every_shipped_and_test_circuit_compiles_under_the_size_bound(path):
+    dense = DenseCircuit(dsl.parse_circuit(path.read_text(encoding="utf-8")))
+    assert dense.images.size <= oracle._MAX_IMAGE_ENTRIES == 2**22
+
+
 EMPTY_MODE_CIRCUITS = {
     "vacuum PBS input port": """
         mode a

@@ -53,9 +53,9 @@ FROZEN = [
         "label='D'),), rules=(), outputs=('a',))",
     ),
     (
-        circuit.CompiledCircuit(None, 2, ((5, (0, 1)),), (), (), (), ()),
+        circuit.CompiledCircuit(None, 2, ((5, (0, 1)),), (), (), ()),
         "CompiledCircuit(index=None, photons=2, inputs=((5, (0, 1)),), elements=(), "
-        "rebases=(), corrections=(), drops=())",
+        "corrections=(), drops=())",
     ),
     (gates.QubitState(0.6, 0.8), "QubitState(alpha=0.6, beta=0.8)"),
     (gates.TwoQubitState(0.5, 0.5, 0.5, -0.5), "TwoQubitState(a1=0.5, a2=0.5, a3=0.5, a4=-0.5)"),

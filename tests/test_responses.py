@@ -466,7 +466,6 @@ def test_a_table_build_expands_each_local_occupation_of_each_map_once(
         for table in tables
         for m in (
             *(m for _, m in table.plan.elements),
-            *table.plan.rebases,
             *(m for _, _, maps in table.plan.corrections for m in maps),
         )
     }
