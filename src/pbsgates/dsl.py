@@ -18,7 +18,9 @@ Corrections reuse the ``rotate`` / ``polphase`` statement forms.  Mode
 identifiers and labels are opaque tokens (``2'`` is a valid mode) without
 ``;`` (:data:`pbsgates.circuit.NAME`).  Statements may come
 in any order, except that none may name a mode after that mode's ``detect``.
-Diagnostics carry 1-based line and column numbers.
+Diagnostics carry 1-based line and column numbers.  A statement's tokens
+are plain strings, split at any whitespace; the positions are worked out
+only when a diagnostic is raised, so a valid document looks up none.
 """
 
 from __future__ import annotations
@@ -43,62 +45,59 @@ from .optics import BASIS_FS, BASIS_HV, PbsElement, PolPhaseElement, RotatorElem
 _TOKEN = re.compile(r"\S+")
 
 
-class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text, line, column):
-        self.text = text
-        self.line = line
-        self.column = column
-
-
 class _Line:
-    """Token cursor over one statement; the keyword sits at position 0."""
+    """Token cursor over one statement; the keyword sits at position 0.
 
-    def __init__(self, tokens: list[_Token]):
+    Tokens are the plain strings of ``body.split()``, the same as the matches
+    of :data:`_TOKEN`; a token's column is found by rescanning ``body``, and
+    only for a diagnostic.
+    """
+
+    __slots__ = ("number", "body", "tokens", "pos")
+
+    def __init__(self, number: int, body: str, tokens: list[str]):
+        self.number = number
+        self.body = body
         self.tokens = tokens
         self.pos = 1
+
+    def position(self, i: int, after: bool = False) -> tuple[int, int]:
+        """The line and column of token ``i``, or of the place just after it."""
+        match = list(_TOKEN.finditer(self.body))[i]
+        return self.number, (match.end() if after else match.start()) + 1
+
+    def error(self, message: str, i: int, kind=CircuitSyntaxError) -> CircuitError:
+        """A diagnostic at token ``i``."""
+        return kind(message, *self.position(i))
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def next(self, what: str) -> _Token:
-        if self.exhausted():
-            last = self.tokens[-1]
-            raise CircuitSyntaxError(
-                f"expected {what} after {last.text!r}",
-                last.line,
-                last.column + len(last.text),
-            )
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def next(self, what: str) -> str:
+        tokens, pos = self.tokens, self.pos
+        if pos < len(tokens):
+            self.pos = pos + 1
+            return tokens[pos]
+        raise CircuitSyntaxError(
+            f"expected {what} after {tokens[-1]!r}", *self.position(-1, after=True)
+        )
 
     def next_float(self, what: str) -> float:
         tok = self.next(what)
         try:
-            return float(tok.text)
+            return float(tok)
         except ValueError:
-            raise CircuitSyntaxError(
-                f"expected {what}, got {tok.text!r}", tok.line, tok.column
-            ) from None
+            raise self.error(f"expected {what}, got {tok!r}", self.pos - 1) from None
 
-    def next_choice(self, what: str, choices: tuple[str, ...]) -> _Token:
+    def next_choice(self, what: str, choices: tuple[str, ...]) -> str:
         tok = self.next(what)
-        if tok.text not in choices:
-            raise CircuitSyntaxError(
-                f"expected {what} ({'|'.join(choices)}), got {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
+        if tok not in choices:
+            raise self.error(f"expected {what} ({'|'.join(choices)}), got {tok!r}", self.pos - 1)
         return tok
 
     def done(self):
-        if not self.exhausted():
-            tok = self.tokens[self.pos]
-            raise CircuitSyntaxError(
-                f"unexpected trailing token {tok.text!r}", tok.line, tok.column
-            )
+        if self.pos < len(self.tokens):
+            raise self.error(f"unexpected trailing token {self.tokens[self.pos]!r}", self.pos)
 
 
 class _Parser:
@@ -112,74 +111,77 @@ class _Parser:
 
     def __init__(self):
         self.fields = {field: [] for field in CircuitSpec._fields}
-        #: (field, index) -> the tokens of the names that :func:`validate`
-        #: files under that field and index (see its ``entry``).
-        self.names: dict[tuple[str, int], list[_Token]] = {}
+        #: (field, index) -> the (line, token index) of each name that
+        #: :func:`validate` files under that field and index (see its ``entry``).
+        self.names: dict[tuple[str, int], list[tuple[_Line, int]]] = {}
         self.detected: dict[str, str] = {}
-        self.reuse: DetectedModeReuse | None = None
+        #: The first breach of the text-order rule: message, line, token index.
+        self.reuse: tuple[str, _Line, int] | None = None
 
-    def add(self, field: str, entry, names: list[_Token]):
+    def add(self, field: str, entry, names: list[tuple[_Line, int]]):
         self.names[field, len(self.fields[field])] = names
         self.fields[field].append(entry)
 
-    def next_mode(self, line: _Line) -> _Token:
-        tok = line.next("mode identifier")
-        if tok.text in self.detected and self.reuse is None:
-            message = f"mode {tok.text!r} was consumed by detector {self.detected[tok.text]!r}"
-            self.reuse = DetectedModeReuse(message, tok.line, tok.column)
-        return tok
+    def next_mode(self, line: _Line) -> str:
+        mode = line.next("mode identifier")
+        if mode in self.detected and self.reuse is None:
+            message = f"mode {mode!r} was consumed by detector {self.detected[mode]!r}"
+            self.reuse = (message, line, line.pos - 1)
+        return mode
 
     def stmt_mode(self, line: _Line):
-        tok = self.next_mode(line)
+        mode = self.next_mode(line)
         line.done()
-        self.add("modes", tok.text, [tok])
+        self.add("modes", mode, [(line, 1)])
 
     def stmt_input(self, line: _Line):
-        kind = line.next_choice("input kind", tuple(INPUT_FORMS)).text
+        kind = line.next_choice("input kind", tuple(INPUT_FORMS))
         terms, amplitude_names = INPUT_FORMS[kind]
-        modes = [self.next_mode(line) for _ in terms[0]]
+        modes = tuple(self.next_mode(line) for _ in terms[0])
         amplitudes = tuple(
             complex(line.next_float(f"re({a})"), line.next_float(f"im({a})"))
             for a in amplitude_names
         )
         line.done()
-        self.add("inputs", InputDecl(kind, tuple(t.text for t in modes), amplitudes), modes)
+        names = [(line, i) for i in range(2, 2 + len(modes))]
+        self.add("inputs", InputDecl(kind, modes, amplitudes), names)
 
     def stmt_pbs(self, line: _Line):
-        basis = line.next_choice("PBS basis", (BASIS_HV, BASIS_FS)).text
-        ports = [self.next_mode(line) for _ in range(4)]
-        in1, in2, out1, out2 = (tok.text for tok in ports)
+        basis = line.next_choice("PBS basis", (BASIS_HV, BASIS_FS))
+        in1, in2, out1, out2 = (self.next_mode(line) for _ in range(4))
         if in1 == in2 or out1 == out2:
-            raise CircuitSyntaxError("PBS ports must be distinct", ports[0].line, ports[0].column)
+            raise line.error("PBS ports must be distinct", 2)
         line.done()
+        ports = [(line, i) for i in range(2, 6)]
         self.add("elements", PbsElement(in1, in2, out1, out2, basis), ports)
 
     def parse_correction(self, line: _Line, keyword: str | None = None):
-        """The next ``rotate`` or ``polphase`` element and its mode token."""
+        """The next ``rotate`` or ``polphase`` element and its mode's place."""
         if keyword is None:
-            keyword = line.next_choice("correction", ("rotate", "polphase")).text
+            keyword = line.next_choice("correction", ("rotate", "polphase"))
         mode = self.next_mode(line)
+        place = (line, line.pos - 1)
         if keyword == "rotate":
-            return RotatorElement(mode.text, line.next_float("angle in degrees")), mode
-        pol = line.next_choice("polarization", (POL_H, POL_V)).text
-        return PolPhaseElement(mode.text, pol, line.next_float("phase in degrees")), mode
+            return RotatorElement(mode, line.next_float("angle in degrees")), place
+        pol = line.next_choice("polarization", (POL_H, POL_V))
+        return PolPhaseElement(mode, pol, line.next_float("phase in degrees")), place
 
     def stmt_rotate(self, line: _Line):
-        element, mode = self.parse_correction(line, line.tokens[0].text)
+        element, place = self.parse_correction(line, line.tokens[0])
         line.done()
-        self.add("elements", element, [mode])
+        self.add("elements", element, [place])
 
     stmt_polphase = stmt_rotate
 
     def stmt_detect(self, line: _Line):
-        basis = line.next_choice("detector basis", (BASIS_HV, BASIS_FS)).text
+        basis = line.next_choice("detector basis", (BASIS_HV, BASIS_FS))
         mode = self.next_mode(line)
         line.next_choice("'as'", ("as",))
         label = line.next("detector label")
         line.done()
-        self.names["labels", len(self.fields["detectors"])] = [label]
-        self.add("detectors", DetectorSpec(mode.text, basis, label.text), [mode])
-        self.detected[mode.text] = label.text
+        self.names["labels", len(self.fields["detectors"])] = [(line, 4)]
+        self.add("detectors", DetectorSpec(mode, basis, label), [(line, 2)])
+        self.detected[mode] = label
 
     def stmt_on(self, line: _Line):
         label = line.next("detector label")
@@ -188,28 +190,24 @@ class _Parser:
         corrections = [self.parse_correction(line)]
         while not line.exhausted():
             sep = line.next("';'")
-            if sep.text != ";":
-                raise CircuitSyntaxError(
-                    f"expected ';' between corrections, got {sep.text!r}",
-                    sep.line,
-                    sep.column,
-                )
+            if sep != ";":
+                raise line.error(f"expected ';' between corrections, got {sep!r}", line.pos - 1)
             corrections.append(self.parse_correction(line))
         i = len(self.fields["rules"])
-        self.names["triggers", i] = [pol]
-        self.names["corrections", i] = [m for _, m in corrections]
-        rule = FeedForwardRule(label.text, pol.text, tuple(el for el, _ in corrections))
-        self.add("rules", rule, [label])
+        self.names["triggers", i] = [(line, 2)]
+        self.names["corrections", i] = [place for _, place in corrections]
+        rule = FeedForwardRule(label, pol, tuple(el for el, _ in corrections))
+        self.add("rules", rule, [(line, 1)])
 
     def stmt_output(self, line: _Line):
         if line.exhausted():
-            tok = line.tokens[0]
-            raise CircuitSyntaxError(
-                "output statement lists no modes", tok.line, tok.column
-            )
+            raise line.error("output statement lists no modes", 0)
         while not line.exhausted():
-            tok = self.next_mode(line)
-            self.add("outputs", tok.text, [tok])
+            self.add("outputs", self.next_mode(line), [(line, line.pos - 1)])
+
+
+#: Each statement keyword with its handler.
+_STATEMENTS = {name[5:]: stmt for name, stmt in vars(_Parser).items() if name.startswith("stmt_")}
 
 
 def parse_circuit(text: str) -> CircuitSpec:
@@ -220,20 +218,16 @@ def parse_circuit(text: str) -> CircuitSpec:
     validator's ``entry``.
     """
     parser = _Parser()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [
-            _Token(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(body)
-        ]
+        tokens = body.split()
         if not tokens:
             continue
-        head = tokens[0]
-        handler = getattr(parser, f"stmt_{head.text}", None)
+        line = _Line(number, body, tokens)
+        handler = _STATEMENTS.get(tokens[0])
         if handler is None:
-            raise CircuitSyntaxError(
-                f"unknown statement {head.text!r}", head.line, head.column
-            )
-        handler(_Line(tokens))
+            raise line.error(f"unknown statement {tokens[0]!r}", 0)
+        handler(parser, line)
     spec = CircuitSpec(**{field: tuple(entries) for field, entries in parser.fields.items()})
     try:
         validate(spec)
@@ -241,10 +235,11 @@ def parse_circuit(text: str) -> CircuitSpec:
         if exc.entry is None:
             raise
         field, index, _, k = exc.entry
-        tok = parser.names[field, index][k]
-        raise type(exc)(str(exc), tok.line, tok.column, exc.entry) from None
+        line, i = parser.names[field, index][k]
+        raise type(exc)(str(exc), *line.position(i), exc.entry) from None
     if parser.reuse is not None:
-        raise parser.reuse
+        message, line, i = parser.reuse
+        raise line.error(message, i, DetectedModeReuse)
     return spec
 
 

@@ -430,10 +430,12 @@ def one_photon_test(index: SlotIndex, photons: int, modes) -> tuple[int, frozens
     in any polarization, when ``cfg & mask`` is in ``allowed``."""
     width = _width(photons)
     field = (1 << width) - 1
+    position = index.position
     mask = 0
     allowed = {0}
     for mode in modes:
-        units = [1 << pos * width for (m, _), pos in index.position.items() if m == mode]
+        slots = [(mode, pol) for pol in (POL_F, POL_H, POL_S, POL_V)]
+        units = [1 << position[slot] * width for slot in slots if slot in position]
         for unit in units:
             mask |= field * unit
         allowed = {held + unit for held in allowed for unit in units}

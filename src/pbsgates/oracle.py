@@ -78,8 +78,9 @@ _FS_PBS = _read_only(
 #: intermediate of :func:`_amplitudes`; a single column may need more.
 _CHUNK_ENTRIES = 2**18
 
-#: Most complex entries that a compile's ``images`` may hold (64 MiB): a
-#: basis whose dimension times its support columns exceeds this is refused
+#: Most entries that a compile's ``images`` (complex, 64 MiB) or its basis
+#: occupations (int64, one per slot) may hold: a basis whose dimension times
+#: the larger of its support columns and its slots exceeds this is refused
 #: before any sector is enumerated.
 _MAX_IMAGE_ENTRIES = 2**22
 
@@ -388,14 +389,14 @@ class DenseCircuit:
     ``images`` is the network's many-body map as a dense array of shape
     (``basis.dim``, ``len(support)``); ``support`` maps each configuration
     that the declared inputs can hold to its column, and an input with
-    weight elsewhere is refused.  A basis whose dimension times its support
-    columns exceeds :data:`_MAX_IMAGE_ENTRIES` (2**22) is refused with
-    ``ValueError`` before it is enumerated.  ``operator`` is the same map
-    as a CSR matrix, built on first read: a run never reads it, and it is
-    the only step of a compiled circuit that imports scipy.  Outputs are
-    reported by name.  As in the engine, a run may leave photons only on
-    detected and output modes, so a correction on any other mode is left
-    out.  Photons left there are refused: with ``ModeCollision`` if a PBS
+    weight elsewhere is refused.  A basis whose dimension times the larger of
+    its support columns and its slots exceeds :data:`_MAX_IMAGE_ENTRIES`
+    (2**22) is refused with ``ValueError`` before it is enumerated.
+    ``operator`` is the same map as a CSR matrix, built on first read: a run
+    never reads it, and it is the only step of a compiled circuit that
+    imports scipy.  Outputs are reported by name.  As in the engine, a run
+    may leave photons only on detected and output modes, so a correction on
+    any other mode is left out.  Photons left there are refused: with ``ModeCollision`` if a PBS
     output wrote over their mode (no later element touches it, so they were
     on it then), else ``MissingOutput``.
     """
@@ -459,9 +460,11 @@ class DenseCircuit:
             slot_list.extend(gslots)
         dim = math.prod(math.comb(n + parts - 1, parts - 1) for n, parts in sectors)
         columns = math.prod(len(_declaration_terms(decl)) for decl in spec.inputs)
-        if dim * columns > _MAX_IMAGE_ENTRIES:
+        n_slots = len(slot_list)
+        if dim * max(columns, n_slots) > _MAX_IMAGE_ENTRIES:
+            wide = f"{columns} support columns" if columns >= n_slots else f"{n_slots} slots"
             raise ValueError(
-                f"dense basis of dimension {dim} with {columns} support columns "
+                f"dense basis of dimension {dim} with {wide} "
                 f"exceeds the oracle's bound of {_MAX_IMAGE_ENTRIES} entries"
             )
         # The product of the groups' sectors, in itertools.product order.

@@ -3,6 +3,7 @@
 import itertools
 import math
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ from pbsgates.gates import QubitState, TwoQubitState
 
 def circuit_path(name: str) -> str:
     return str(files("pbsgates").joinpath("circuits", f"{name}.circ"))
+
+
+#: Every shipped circuit, then every circuit under ``tests/circuits``.
+CIRCUIT_FILES = [Path(circuit_path(name)) for name in gates.GATE_NAMES] + sorted(
+    (Path(__file__).parent / "circuits").glob("*.circ")
+)
 
 
 def random_qubit(rng: np.random.Generator) -> QubitState:
@@ -219,6 +226,21 @@ def reference_repack(
         else:
             out[new] = amp
     return out
+
+
+def reference_one_photon_test(index: SlotIndex, photons: int, modes):
+    """``fock.one_photon_test`` as it was written first: each mode's units are
+    found by scanning every position of ``index``."""
+    width = max(1, photons.bit_length())
+    field = (1 << width) - 1
+    mask = 0
+    allowed = {0}
+    for mode in modes:
+        units = [1 << pos * width for (m, _), pos in index.position.items() if m == mode]
+        for unit in units:
+            mask |= field * unit
+        allowed = {held + unit for held in allowed for unit in units}
+    return mask, frozenset(allowed)
 
 
 def float_bits(x) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from pbsgates import circuit, cli, fock, gates
+from pbsgates import circuit, cli, dsl, fock, gates
 from pbsgates.circuit import (
     CircuitSpec,
     DetectorSpec,
@@ -30,7 +30,13 @@ from pbsgates.optics import (
     RotatorElement,
 )
 
-from conftest import accepted_bits, circuit_path, passive_bits
+from conftest import (
+    CIRCUIT_FILES,
+    accepted_bits,
+    circuit_path,
+    passive_bits,
+    reference_one_photon_test,
+)
 
 GATE_CALLS = {
     "parity_check": lambda passive: gates.parity_check(QubitState(0.6, 0.8j), passive),
@@ -255,6 +261,18 @@ def test_final_modes_places_each_detected_mode_after_its_last_pbs():
         outputs=("b",),
     )
     assert final_modes(untouched) == (("a",), ())
+
+
+@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda path: path.stem)
+def test_one_photon_test_reads_each_modes_own_slots_as_the_index_scan_did(path):
+    spec = dsl.parse_circuit(path.read_text(encoding="utf-8"))
+    plan = compile(spec)
+    points = [(k, modes) for k, modes in enumerate(final_modes(spec) or ()) if modes]
+    assert points and [k for k, _, _ in plan.drops] == [k for k, _ in points]
+    for (k, modes), drop in zip(points, plan.drops):
+        test = fock.one_photon_test(plan.index, plan.photons, modes)
+        assert test == reference_one_photon_test(plan.index, plan.photons, modes)
+        assert drop == (k, *test)
 
 
 @pytest.mark.parametrize("passive, success", [(False, 1 / 4), (True, 1 / 16)])

@@ -1,7 +1,9 @@
 """Parser tests: shipped circuits, diagnostics, round-trip, mutation fuzz."""
 
+import ast
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -17,7 +19,7 @@ from pbsgates.errors import (
 from pbsgates.gates import GATE_NAMES
 from pbsgates.optics import PbsElement
 
-from conftest import circuit_path, random_qubit, random_two_qubit
+from conftest import CIRCUIT_FILES, circuit_path, random_qubit, random_two_qubit
 
 VALID = """\
 # minimal two-detector circuit
@@ -142,6 +144,56 @@ def test_trailing_token_rejected():
     err = diag("mode m\nmode n extra\noutput m\n")
     assert isinstance(err, CircuitSyntaxError)
     assert (err.line, err.column) == (2, 8)
+
+
+class _NoPositions:
+    """Stands in for ``dsl._TOKEN``: any rescan for a position fails."""
+
+    def finditer(self, text):
+        raise AssertionError(f"position looked up in {text!r}")
+
+
+def test_a_valid_document_looks_up_no_token_position(monkeypatch):
+    monkeypatch.setattr(dsl, "_TOKEN", _NoPositions())
+    assert len(CIRCUIT_FILES) == 16
+    for path in CIRCUIT_FILES:
+        assert parse(path.read_text(encoding="utf-8")).outputs
+
+
+#: Each diagnostic's statement with ``{s}`` for a separator, and its line and
+#: column, the same for every one-character separator.
+SEPARATED = {
+    "bad float": (
+        "mode m\nmode n\n{s}input{s}qubit{s}{s}m{s}one 0{s}0 0\noutput m\n",
+        "expected re(aH), got 'one'",
+        (3, 17),
+    ),
+    "missing token": (
+        "mode m\n{s}mode{s}{s}n\ninput{s}qubit m 1{s}0{s}{s}0{s}\noutput m\n",
+        "expected im(aV) after '0'",
+        (3, 21),
+    ),
+    "trailing token": (
+        "mode m\nmode{s}n{s}{s}extra{s}\noutput m\n",
+        "unexpected trailing token 'extra'",
+        (2, 9),
+    ),
+    "unknown statement": (
+        "mode m\n\n{s}{s}split{s}m\noutput m\n",
+        "unknown statement 'split'",
+        (3, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("separator", ["\t", "\x1f", "\xa0", "\u2003", "\u3000"])
+@pytest.mark.parametrize("case", sorted(SEPARATED))
+def test_positions_count_code_points_under_any_whitespace(case, separator):
+    text, message, position = SEPARATED[case]
+    err = diag(text.format(s=separator))
+    assert type(err) is CircuitSyntaxError
+    assert str(err) == f"line {position[0]}, column {position[1]}: {message}"
+    assert (err.line, err.column) == position
 
 
 #: Diagnostics of a statement's own tokens: the text, the error's class, its
@@ -278,7 +330,12 @@ def test_round_trip_gate_specs(rng):
         assert parse(dsl.format_circuit(report.spec)) == report.spec
 
 
+#: The token that a diagnostic quotes, as its ``repr``.
+QUOTED = re.compile(r"(?:got|unexpected trailing token|unknown statement) (['\"].*)$")
+
+
 def test_mutation_fuzz_never_crashes(rng):
+    checked = 0
     lines = VALID.splitlines()
     alphabet = list("abcxyz12'#; .-")
     for _ in range(1000):
@@ -306,3 +363,10 @@ def test_mutation_fuzz_never_crashes(rng):
         except CircuitError as exc:
             assert exc.line is None or exc.line >= 1
             assert exc.column is None or exc.column >= 1
+            # A diagnostic that quotes a token points at that token.
+            quoted = QUOTED.search(str(exc))
+            if quoted:
+                token = ast.literal_eval(quoted.group(1))
+                assert text.splitlines()[exc.line - 1][exc.column - 1:].startswith(token)
+                checked += 1
+    assert checked

@@ -38,6 +38,7 @@ from pbsgates.oracle import (
 )
 
 from conftest import (
+    CIRCUIT_FILES,
     basis_state,
     circuit_path,
     compositions,
@@ -553,15 +554,38 @@ def test_dense_refuses_a_basis_over_its_size_bound_before_enumerating_it(monkeyp
     assert DenseCircuit(spec).images.shape == (dim, columns)
 
 
-BOUNDED_CIRCUITS = [Path(circuit_path(name)) for name in GATE_NAMES] + sorted(
-    (Path(__file__).parent / "circuits").glob("*.circ")
-)
+def test_dense_refuses_a_basis_whose_slots_outgrow_its_size_bound(monkeypatch):
+    # A bell pair coupled by one PBS, then a chain of PBSs that each bring one
+    # empty mode into its group: 20 slots, so the basis occupations (210 x 20)
+    # outgrow the images (210 x 2).
+    empties = [f"e{i}" for i in range(8)]
+    text = "".join(
+        [f"mode {m}\n" for m in ["a", "b", *empties]]
+        + ["input bell a b\n", "pbs hv a b a b\n"]
+        + [f"pbs hv b {e} b {e}\n" for e in empties]
+        + [f"output a b {' '.join(empties)}\n"]
+    )
+    spec = dsl.parse_circuit(text)
+    monkeypatch.setattr(oracle, "_MAX_IMAGE_ENTRIES", 4199)
+    before = _targets.cache_info()
+    with pytest.raises(ValueError) as refused:
+        DenseCircuit(spec)
+    assert str(refused.value) == (
+        "dense basis of dimension 210 with 20 slots exceeds the oracle's bound of 4199 entries"
+    )
+    after = _targets.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    monkeypatch.setattr(oracle, "_MAX_IMAGE_ENTRIES", 4200)
+    dense = DenseCircuit(spec)
+    assert dense.images.shape == (210, 2)
+    assert dense.basis.occupations.shape == (210, 20)
 
 
-@pytest.mark.parametrize("path", BOUNDED_CIRCUITS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda path: path.stem)
 def test_every_shipped_and_test_circuit_compiles_under_the_size_bound(path):
     dense = DenseCircuit(dsl.parse_circuit(path.read_text(encoding="utf-8")))
     assert dense.images.size <= oracle._MAX_IMAGE_ENTRIES == 2**22
+    assert dense.basis.occupations.size <= oracle._MAX_IMAGE_ENTRIES
 
 
 EMPTY_MODE_CIRCUITS = {
