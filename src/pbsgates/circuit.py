@@ -5,7 +5,7 @@ then each FS detector's rebase in order, and exhaustively enumerates joint
 photon-count outcomes on the detected modes.  Probabilities are exact branch
 norms; nothing is sampled.  Each run validates and compiles its spec
 (:func:`compile`) into packed input configurations, one list of element
-steps (the rebases last) and the slot maps of the corrections.
+steps (the rebases last), the detectors and the slot maps of the corrections.
 The plan depends on the spec's structure alone, so a caller that runs one
 structure on many input amplitudes (the gate calls of :mod:`gates`) keeps
 one plan and binds only the amplitudes.
@@ -436,7 +436,9 @@ class CompiledCircuit(Frozen):
     of each input declaration, never on the amplitudes' values.
     """
 
-    __slots__ = _fields = ("index", "photons", "inputs", "elements", "corrections", "drops")
+    __slots__ = _fields = (
+        "index", "photons", "inputs", "elements", "detectors", "exits", "corrections", "drops"
+    )
 
     def __init__(
         self,
@@ -451,6 +453,11 @@ class CompiledCircuit(Frozen):
         # unguarded HV -> FS rebase of each FS detector's mode, in detector
         # order: every map that runs before the count.
         elements: tuple[Step, ...],
+        # The spec's detectors, whose counts make the outcome patterns.
+        detectors: tuple[DetectorSpec, ...],
+        # The modes that a run may leave photons on: the detected ones and
+        # the outputs.
+        exits: frozenset[str],
         # ``(detector, side, maps)`` of each rule, in rule order: the index
         # of the rule's detector, the side of its counts that fires the rule
         # (0 transmitted, 1 reflected) and the slot map of each correction.
@@ -463,7 +470,7 @@ class CompiledCircuit(Frozen):
         # could change a refusal.
         drops: tuple[tuple[int, int, frozenset[int]], ...],
     ):
-        self._set(index, photons, inputs, elements, corrections, drops)
+        self._set(index, photons, inputs, elements, detectors, exits, corrections, drops)
 
 
 def final_modes(spec: CircuitSpec) -> tuple[tuple[str, ...], ...] | None:
@@ -537,6 +544,8 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
             for det in spec.detectors
             if det.basis == BASIS_FS
         ),
+        detectors=spec.detectors,
+        exits=frozenset(det.mode for det in spec.detectors).union(spec.outputs),
         corrections=tuple(map(correction, spec.rules)),
         drops=tuple(
             (k, *fock.one_photon_test(index, photons, modes))
@@ -546,15 +555,13 @@ def compile(spec: CircuitSpec) -> CompiledCircuit:
     )
 
 
-def _run_elements(
-    state: PhotonState, plan: CompiledCircuit, drop: bool
-) -> tuple[PhotonState, float]:
-    """``state`` through the plan's elements and, with ``drop``, without the
-    terms that can no longer be accepted, dropped at each point of
-    :attr:`CompiledCircuit.drops`; and the squared norm dropped."""
+def _run_elements(state: PhotonState, plan: CompiledCircuit) -> tuple[PhotonState, float]:
+    """``state`` through the plan's elements, without the terms that can no
+    longer be accepted, dropped at each point of :attr:`CompiledCircuit.drops`;
+    and the squared norm dropped."""
     dropped = 0.0
     done = 0
-    for point, mask, allowed in plan.drops if drop else ():
+    for point, mask, allowed in plan.drops:
         state = _run_steps(state, plan.elements[done:point])
         done = point
         state, norm = fock.keep_matching(state, mask, allowed)
@@ -588,26 +595,24 @@ def execute(
     refusal, nothing is dropped.  When the plan drops terms, ``rejected`` is
     worked out when it is first read (see :class:`GateResult`).
     """
-    return _execute(spec, compile(spec), passive, tolerance, drop=True)
+    plan = compile(spec)
+    return _execute(plan, build_input_state(spec, plan=plan).packed_terms, passive, tolerance)
 
 
 def _execute(
-    spec: CircuitSpec,
-    plan: CompiledCircuit,
-    passive: bool,
-    tolerance: float,
-    drop: bool,
+    plan: CompiledCircuit, terms: dict[int, complex], passive: bool, tolerance: float
 ) -> GateResult:
-    """:func:`execute` on ``plan``, the compiled ``spec``; ``drop`` off runs
-    every term to the end and gives the complete ``rejected`` table."""
-    state = build_input_state(spec, plan=plan)
-    kept = input_norm(state.packed_terms.values(), tolerance)
-    state, dropped = _run_elements(state.with_tolerance(tolerance), plan, drop)
-    stray = state.modes() - {det.mode for det in spec.detectors} - set(spec.outputs)
+    """:func:`execute` on ``plan`` with the input ``terms``: the amplitude of
+    each configuration of ``plan.inputs``, in that order, exact zeros allowed.
+    The plan without :attr:`CompiledCircuit.drops` gives the complete ``rejected``."""
+    kept = input_norm(terms.values(), tolerance)
+    state = PhotonState.packed(terms, plan.index, plan.photons, tolerance)
+    state, dropped = _run_elements(state, plan)
+    stray = state.modes() - plan.exits
     if stray:
         raise MissingOutput(f"photons left on undetected non-output modes {sorted(stray)}")
 
-    branches = enumerate_outcomes(state, spec.detectors)
+    branches = enumerate_outcomes(state, plan.detectors)
     accepted = []
     success = rejected_total = 0.0
     rejected: dict[OutcomePattern, float] = {}
@@ -625,8 +630,8 @@ def _execute(
         plan,
         accepted,
         (
-            (lambda: _execute(spec, plan, passive, tolerance, drop=False).rejected)
-            if drop and plan.drops
+            (lambda: _execute(plan._replace(drops=()), terms, passive, tolerance).rejected)
+            if plan.drops
             else rejected
         ),
         tolerance,

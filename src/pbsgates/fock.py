@@ -310,10 +310,6 @@ class PhotonState:
         terms = _repack(self._terms, self._index, self._width, index, self._width)
         return PhotonState.packed(terms, index, self._photons, self.tolerance)
 
-    def with_tolerance(self, tolerance: float) -> "PhotonState":
-        """The same state pruned with ``tolerance``."""
-        return PhotonState.packed(self._terms, self._index, self._photons, tolerance)
-
     @classmethod
     def scaled_packed(cls, terms, index, photons, tolerance, factor: complex) -> "PhotonState":
         """:meth:`packed` of ``terms``, which all pass ``tolerance``, times ``factor``."""

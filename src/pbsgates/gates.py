@@ -34,9 +34,7 @@ class QubitState(Frozen):
     __slots__ = _fields = ("alpha", "beta")
 
     def __init__(self, alpha: complex, beta: complex):
-        n2 = fock.squared_norm((alpha, beta))
-        if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:  # so that nan fails too
-            raise NonNormalized(f"qubit squared norm is {n2!r}")
+        _check_normalised("qubit", fock.squared_norm((alpha, beta)))
         self._set(alpha, beta)
 
 
@@ -46,9 +44,7 @@ class TwoQubitState(Frozen):
     __slots__ = _fields = ("a1", "a2", "a3", "a4")
 
     def __init__(self, a1: complex, a2: complex, a3: complex, a4: complex):
-        n2 = fock.squared_norm((a1, a2, a3, a4))
-        if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:
-            raise NonNormalized(f"two-qubit squared norm is {n2!r}")
+        _check_normalised("two-qubit", fock.squared_norm((a1, a2, a3, a4)))
         self._set(a1, a2, a3, a4)
 
     def __iter__(self):
@@ -83,17 +79,16 @@ class GateReport(Record):
         return _bound_spec(self.name, self.amplitudes)
 
 
-def _check_normalised(which: str, state: PhotonState) -> None:
-    n2 = state.norm_sq()
-    if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:
-        raise NonNormalized(f"{which} state squared norm is {n2!r}")
+def _check_normalised(what: str, n2: float) -> None:
+    if not abs(n2 - 1.0) <= fock.NORM_TOLERANCE:  # so that nan fails too
+        raise NonNormalized(f"{what} squared norm is {n2!r}")
 
 
 def fidelity(a: PhotonState, b: PhotonState) -> float:
     """|⟨a|b⟩|² of two states whose squared norms are each 1 to within 1e-9;
     :class:`NonNormalized` names the first that is not."""
-    _check_normalised("first", a)
-    _check_normalised("second", b)
+    _check_normalised("first state", a.norm_sq())
+    _check_normalised("second state", b.norm_sq())
     return abs(fock.inner_product(a, b)) ** 2
 
 
@@ -209,7 +204,7 @@ def _responses(name: str) -> _Responses:
         # The least configuration of the column's input, as built at tolerance 0.
         products = circuit.input_amplitudes(_bound_amplitudes(name, units))
         inputs.append(positions[min(cfg for cfg, amp in zip(plan.inputs, products) if amp)])
-        result = circuit._execute(_bound_spec(name, units), plan, False, 0.0, drop=True)
+        result = circuit._execute(plan, dict(zip(plan.inputs, products)), False, 0.0)
         for pattern, (probability, state) in result.outcomes.items():
             root = math.sqrt(probability)
             terms = {cfg: amp * root for cfg, amp in state.packed_terms.items()}
@@ -278,7 +273,7 @@ def _report(
         plan,
         accepted,
         lambda: circuit._execute(
-            _bound_spec(name, amplitudes), plan, passive, tolerance, drop=False
+            plan._replace(drops=()), dict(zip(plan.inputs, products)), passive, tolerance
         ).rejected,
         tolerance,
         lost,
@@ -288,7 +283,7 @@ def _report(
     if target is not None:
         terms = dict(zip(table.target, circuit._declared_amplitudes(_GATES[name][0], target)))
         target_state = PhotonState.packed(terms, plan.index, plan.photons, tolerance)
-        _check_normalised("second", target_state)
+        _check_normalised("second state", target_state.norm_sq())
         for pattern, (_, state) in result.outcomes.items():
             fidelities[pattern] = abs(fock.inner_product(state, target_state)) ** 2
     return GateReport(

@@ -131,7 +131,8 @@ def test_cached_plan_gives_the_uncached_result(name, rng):
         passive = i % 2 == 1
         spec = getattr(gates, name)(x, passive).spec
         plan = gates._responses(name).plan
-        warm = circuit._execute(spec, plan, passive, fock.DEFAULT_TOLERANCE, drop=True)
+        terms = build_input_state(spec, plan=plan).packed_terms
+        warm = circuit._execute(plan, terms, passive, fock.DEFAULT_TOLERANCE)
         assert fingerprint(execute(spec, passive)) == fingerprint(warm)
 
 

@@ -15,6 +15,7 @@ from pbsgates.circuit import (
     DetectorSpec,
     FeedForwardRule,
     InputDecl,
+    build_input_state,
     compile,
     execute,
     final_modes,
@@ -54,8 +55,11 @@ PHOTONS = {"qubit": 1, "state": 2, "bell": 2, "chi": 4}
 
 
 def drop_off(spec, passive, tolerance=DEFAULT_TOLERANCE):
-    """The run that keeps every term to the end."""
-    return circuit._execute(spec, compile(spec), passive, tolerance, drop=False)
+    """The run that keeps every term to the end: the compiled plan without
+    its drops, on the declared input."""
+    plan = compile(spec)
+    terms = build_input_state(spec, plan=plan).packed_terms
+    return circuit._execute(plan._replace(drops=()), terms, passive, tolerance)
 
 
 def random_amplitudes(rng, n):
@@ -295,9 +299,9 @@ def test_rejected_is_worked_out_only_when_read(monkeypatch, tmp_path):
     runs = []
     original = circuit._execute
 
-    def counting(spec, plan, passive, tolerance, drop):
-        runs.append(drop)
-        return original(spec, plan, passive, tolerance, drop)
+    def counting(plan, terms, passive, tolerance):
+        runs.append(plan)
+        return original(plan, terms, passive, tolerance)
 
     monkeypatch.setattr(circuit, "_execute", counting)
     report_path = str(tmp_path / "report.json")
@@ -311,11 +315,17 @@ def test_rejected_is_worked_out_only_when_read(monkeypatch, tmp_path):
             ["--circuit", circuit_path("gc_cnot")],
         ):
             assert cli.main(["run", *argv, "--output", report_path]) == 0
-    result = execute(gates.cnot(TwoQubitState(1, 0, 0, 0)).spec)
-    assert runs and all(runs)
+    # No hot path runs the complete table: every run drops terms.
+    assert runs and all(plan.drops for plan in runs)
 
     runs.clear()
+    result = execute(gates.cnot(TwoQubitState(1, 0, 0, 0)).spec)
+    (compiled,) = runs
+    runs.clear()
     table = result.rejected
-    assert runs == [False]
+    # One run of the same plan without its drops, on the same compiled maps.
+    (complete,) = runs
+    assert complete.drops == () and complete.elements is compiled.elements
+    assert complete == compiled._replace(drops=())
     assert result.rejected is table
-    assert runs == [False]
+    assert len(runs) == 1

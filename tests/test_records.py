@@ -53,8 +53,9 @@ FROZEN = [
         "label='D'),), rules=(), outputs=('a',))",
     ),
     (
-        circuit.CompiledCircuit(None, 2, ((5, (0, 1)),), (), (), ()),
+        circuit.CompiledCircuit(None, 2, ((5, (0, 1)),), (), (DETECTOR,), frozenset("b"), (), ()),
         "CompiledCircuit(index=None, photons=2, inputs=((5, (0, 1)),), elements=(), "
+        "detectors=(DetectorSpec(mode='b', basis='hv', label='D'),), exits=frozenset({'b'}), "
         "corrections=(), drops=())",
     ),
     (gates.QubitState(0.6, 0.8), "QubitState(alpha=0.6, beta=0.8)"),

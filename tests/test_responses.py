@@ -2,6 +2,8 @@
 engine, run no engine once warm, keep the engine's refusals, and keep the
 bits of the table arithmetic written out plainly (``reference_gate_call``)."""
 
+import ast
+import inspect
 import itertools
 import math
 import random
@@ -55,8 +57,14 @@ def bound_amplitudes(args):
     return tuple(tuple(a) if isinstance(a, TwoQubitState) else (a.alpha, a.beta) for a in args)
 
 
+def rejected_bits(result):
+    """A result's ``rejected`` table, in order and bit for bit."""
+    return [(pattern, float_bits(p)) for pattern, p in result.rejected.items()]
+
+
 def assert_agrees_with_the_engine(report, passive, tolerance):
     engine = execute(report.spec, passive, tolerance)
+    assert rejected_bits(report.result) == rejected_bits(engine)
     assert list(report.result.outcomes) == list(engine.outcomes)
     assert abs(report.success_probability - engine.success_probability) <= 1e-14
     assert abs(report.result.failure_probability - engine.failure_probability) <= 1e-14
@@ -104,7 +112,8 @@ TINY_TERMS = {
 def test_a_column_pruned_from_the_input_adds_nothing(name, passive):
     report = getattr(gates, name)(*TINY_TERMS[name], passive, tolerance=1e-10)
     declared = circuit.build_input_state(report.spec)
-    assert len(declared.with_tolerance(1e-10).terms) < len(declared.terms)
+    pruned = fock.PhotonState.packed(declared.packed_terms, *declared.packing, 1e-10)
+    assert len(pruned.terms) < len(declared.terms)
     assert_agrees_with_the_engine(report, passive, 1e-10)
 
 
@@ -142,7 +151,7 @@ def test_warm_calls_run_no_engine(monkeypatch):
             getattr(gates, name)(*draw_args(name, rng, 0), passive)
             assert len(compiles) == bool(columns), (name, passive)
             assert len(runs) == columns, (name, passive)
-            assert all(run[1] is gates._responses(name).plan for run in runs)
+            assert all(run[0] is gates._responses(name).plan for run in runs)
             assert all(run[2] is False for run in runs)  # not passive
     runs.clear()
     compiles.clear()
@@ -433,16 +442,66 @@ def test_each_column_keeps_the_least_configuration_of_its_built_input(name):
 
 
 def test_a_table_build_builds_each_column_input_once(monkeypatch, fresh_tables):
-    builds = []
-    original = circuit.build_input_state
+    products = []
+    original = circuit.input_amplitudes
     monkeypatch.setattr(
-        circuit, "build_input_state", lambda *a, **k: builds.append(a) or original(*a, **k)
+        circuit, "input_amplitudes", lambda *a, **k: products.append(a) or original(*a, **k)
     )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table build built an input state")
+
+    monkeypatch.setattr(circuit, "build_input_state", refuse)
     for name in GATE_NAMES:
-        builds.clear()
+        products.clear()
         gates._responses(name)
-        # Only the column's run builds its input state.
-        assert len(builds) == COLUMNS[name], name
+        # The column's products serve both its least configuration and its run.
+        assert len(products) == COLUMNS[name], name
+
+
+def test_each_column_runs_the_terms_of_its_built_input(monkeypatch, fresh_tables):
+    runs = []
+    original = circuit._execute
+    monkeypatch.setattr(circuit, "_execute", lambda *a: runs.append(a) or original(*a))
+    for name in GATE_NAMES:
+        runs.clear()
+        plan = gates._responses(name).plan
+        declared = {decl.modes: decl for decl in gates._shipped_spec(name).inputs}
+        sizes = [len(declared[modes].amplitudes) for modes in gates._GATES[name][1:]]
+        columns = list(itertools.product(*map(range, sizes)))
+        assert len(runs) == len(columns) == COLUMNS[name]
+        for column, (ran, terms, _, _) in zip(columns, runs):
+            units = tuple(tuple(float(i == j) for i in range(n)) for j, n in zip(column, sizes))
+            built = circuit.build_input_state(gates._bound_spec(name, units), plan=plan)
+            assert ran is plan and list(terms) == list(plan.inputs)
+            # Item for item, in order and bit for bit, exact zeros aside.
+            nonzero = [(cfg, float_bits(amp)) for cfg, amp in terms.items() if amp]
+            assert nonzero == [(cfg, float_bits(amp)) for cfg, amp in built.packed_terms.items()]
+
+
+def test_the_spec_of_a_call_is_built_only_when_it_is_read():
+    # A gate call runs its plan on the input terms it computes: only
+    # ``GateReport.spec`` binds amplitudes onto a spec.
+    with open(gates.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_bound_spec":
+                callers.append(where)
+            visit(child, where)
+
+    visit(tree, ())
+    assert callers == [("GateReport", "spec")]
+
+
+def test_a_run_reads_a_plan_and_input_terms_only():
+    parameters = inspect.signature(circuit._execute).parameters
+    assert list(parameters) == ["plan", "terms", "passive", "tolerance"]
 
 
 def test_a_table_build_expands_each_local_occupation_of_each_map_once(
@@ -481,8 +540,8 @@ def test_every_shipped_table_packs_its_outputs_and_its_target_over_its_plan(
     packings = []
     original = circuit._execute
 
-    def recorded(spec, plan, *args, **kwargs):
-        result = original(spec, plan, *args, **kwargs)
+    def recorded(plan, *args, **kwargs):
+        result = original(plan, *args, **kwargs)
         packings.extend((state.packing, plan) for _, state in result.outcomes.values())
         return result
 
