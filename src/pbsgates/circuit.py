@@ -3,9 +3,11 @@
 Execution builds the declared input state, applies the optical elements and
 then each FS detector's rebase in order, and exhaustively enumerates joint
 photon-count outcomes on the detected modes.  Probabilities are exact branch
-norms; nothing is sampled.  Each run validates and compiles its spec
-(:func:`compile`) into packed input configurations, one list of element
-steps (the rebases last), the detectors and the slot maps of the corrections.
+norms; nothing is sampled.  A :class:`CircuitSpec` is checked once, when
+it is built (:func:`validate`), so every spec is valid.  Each run compiles
+its spec (:func:`compile`) into packed input configurations, one list of
+element steps (the rebases last), the detectors and the slot maps of the
+corrections.
 The plan depends on the spec's structure alone, so a caller that runs one
 structure on many input amplitudes (the gate calls of :mod:`gates`) keeps
 one plan and binds only the amplitudes.
@@ -72,7 +74,7 @@ class FeedForwardRule(Frozen):
     __slots__ = _fields = ("label", "pol", "corrections")
 
     def __init__(self, label: str, pol: str, corrections: tuple[OpticalElement, ...]):
-        self._set(label, pol, corrections)
+        self._set(label, pol, tuple(corrections))
 
 
 class InputDecl(Frozen):
@@ -84,10 +86,14 @@ class InputDecl(Frozen):
         modes: tuple[str, ...],
         amplitudes: tuple[complex, ...] = (),
     ):
-        self._set(kind, modes, amplitudes)
+        self._set(kind, tuple(modes), tuple(amplitudes))
 
 
 class CircuitSpec(Frozen):
+    """A circuit, checked when it is built: :func:`validate` raises the
+    first rule that its fields break.  Its fields, and the sequences of its
+    inputs and rules, are tuples, so it cannot change after the check."""
+
     __slots__ = _fields = ("modes", "inputs", "elements", "detectors", "rules", "outputs")
 
     def __init__(
@@ -99,7 +105,8 @@ class CircuitSpec(Frozen):
         rules: tuple[FeedForwardRule, ...] = (),
         outputs: tuple[str, ...] = (),
     ):
-        self._set(modes, inputs, elements, detectors, rules, outputs)
+        self._set(*map(tuple, (modes, inputs, elements, detectors, rules, outputs)))
+        validate(self)
 
 
 class GateResult:
@@ -194,7 +201,7 @@ def input_amplitudes(declarations: Sequence[tuple]) -> list[complex]:
     multiplies in one of its amplitudes (:func:`_declared_amplitudes`) as
     ``0j + product * amplitude``, so a product with a zero factor is an exact
     zero.  A non-finite amplitude raises :class:`NonPhysicalInput`: gate calls
-    bind theirs on a kept plan, without :func:`validate`.
+    bind theirs on a kept plan, with no spec built to check them.
     """
     values = [_declared_amplitudes(*decl) for decl in declarations]
     if not all(cmath.isfinite(amp) for amps in values for amp in amps):
@@ -306,42 +313,14 @@ def _element_modes(el: OpticalElement) -> tuple[str, ...]:
 NAME = re.compile(r"[^\s#;]+")
 
 
-def check_name(name: str, field: str, i: int) -> None:
-    """Raise :class:`CircuitSyntaxError` if ``name``, the one name of entry
-    ``i`` of ``field``, is not a :data:`NAME`."""
-    if not NAME.fullmatch(name):
-        raise CircuitSyntaxError(f"name {name!r} is not one token", entry=(field, i, name, 0))
-
-
-def check_correction(el: OpticalElement, i: int, k: int) -> None:
-    """Raise :class:`CircuitSyntaxError` unless ``el``, correction ``k`` of
-    rule ``i``, is a rotator or a phase plate."""
-    if not isinstance(el, (RotatorElement, PolPhaseElement)):
-        raise CircuitSyntaxError(
-            f"correction {el!r} is not a rotator or phase plate",
-            entry=("corrections", i, _element_modes(el)[0], k),
-        )
-
-
-def check_input(decl: InputDecl, i: int) -> None:
-    """Raise :class:`CircuitSyntaxError` unless ``decl``, input ``i``, is of
-    a kind in :data:`INPUT_FORMS` and has that kind's numbers of modes and
-    amplitudes."""
-    entry = ("inputs", i, next(iter(decl.modes), None), 0)
-    terms, names = INPUT_FORMS.get(decl.kind, ((), ()))
-    if not terms:
-        raise CircuitSyntaxError(f"unknown input kind {decl.kind!r}", entry=entry)
-    if (len(decl.modes), len(decl.amplitudes)) != (len(terms[0]), len(names)):
-        shape = f"{len(terms[0])} mode(s) and {len(names)} amplitude(s)"
-        raise CircuitSyntaxError(f"a {decl.kind} input takes {shape}", entry=entry)
-
-
 def validate(spec: CircuitSpec) -> None:
     """Raise the first rule ``spec`` breaks, checking entries in spec order.
+    Every :class:`CircuitSpec` runs this when it is built.
 
     Every mode named is declared, and declared once; mode names and labels
-    are single tokens (:data:`NAME`).  Each input has a shape that
-    :func:`check_input` accepts; amplitudes, angles and phases are finite.
+    are single tokens (:data:`NAME`).  Each input is of a kind in
+    :data:`INPUT_FORMS`, with that kind's numbers of modes and amplitudes;
+    amplitudes, angles and phases are finite.
     No two inputs share a mode; no two detectors share a mode or a label.
     A rule's label is a detector's and its pol one of that detector's basis
     pols.  Corrections are rotators or phase plates, none on a detected
@@ -375,19 +354,29 @@ def validate(spec: CircuitSpec) -> None:
             refuse(error, message, field, i, name, k)
         seen.add(name)
 
+    def check_name(field: str, i: int, name: str):
+        if not NAME.fullmatch(name):
+            refuse(CircuitSyntaxError, "name {!r} is not one token", field, i, name, 0)
+
     def check_finite(field: str, i: int, el: OpticalElement, k: int):
         if not math.isfinite(getattr(el, "angle_deg", getattr(el, "phase_deg", 0))):
             message = "angle or phase on {!r} is not finite"
             refuse(CircuitSyntaxError, message, field, i, el.mode, k)
 
     for i, mode in enumerate(spec.modes):
-        check_name(mode, "modes", i)
+        check_name("modes", i, mode)
         once(declared, CircuitSyntaxError, "mode {!r} declared twice", "modes", i, mode, 0)
     for i, decl in enumerate(spec.inputs):
-        check_input(decl, i)
+        entry = ("inputs", i, next(iter(decl.modes), None), 0)
+        terms, names = INPUT_FORMS.get(decl.kind, ((), ()))
+        if not terms:
+            raise CircuitSyntaxError(f"unknown input kind {decl.kind!r}", entry=entry)
+        if (len(decl.modes), len(decl.amplitudes)) != (len(terms[0]), len(names)):
+            shape = f"{len(terms[0])} mode(s) and {len(names)} amplitude(s)"
+            raise CircuitSyntaxError(f"a {decl.kind} input takes {shape}", entry=entry)
         if not all(map(cmath.isfinite, decl.amplitudes)):
             message = f"input amplitudes {decl.amplitudes} not finite"
-            raise CircuitSyntaxError(message, entry=("inputs", i, decl.modes[0], 0))
+            raise CircuitSyntaxError(message, entry=entry)
         for k, mode in enumerate(decl.modes):
             check_declared("inputs", i, mode, k)
             once(sourced, OverlappingModes, "mode {!r} has two inputs", "inputs", i, mode, k)
@@ -399,7 +388,7 @@ def validate(spec: CircuitSpec) -> None:
         check_declared("detectors", i, det.mode, 0)
         message = "mode {!r} has two detectors"
         once(detected, DetectedModeReuse, message, "detectors", i, det.mode, 0)
-        check_name(det.label, "labels", i)
+        check_name("labels", i, det.label)
         once(labels, CircuitSyntaxError, "label {!r} declared twice", "labels", i, det.label, 0)
     by_label = {det.label: det for det in spec.detectors}
     for i, rule in enumerate(spec.rules):
@@ -410,7 +399,10 @@ def validate(spec: CircuitSpec) -> None:
             message = "trigger {!r} is not in the basis"
             refuse(CircuitSyntaxError, message, "triggers", i, rule.pol, 0)
         for k, el in enumerate(rule.corrections):
-            check_correction(el, i, k)
+            if not isinstance(el, (RotatorElement, PolPhaseElement)):
+                message = f"correction {el!r} is not a rotator or phase plate"
+                entry = ("corrections", i, _element_modes(el)[0], k)
+                raise CircuitSyntaxError(message, entry=entry)
             for mode in _element_modes(el):
                 check_declared("corrections", i, mode, k)
                 if mode in detected:
@@ -510,13 +502,12 @@ def final_modes(spec: CircuitSpec) -> tuple[tuple[str, ...], ...] | None:
 
 
 def compile(spec: CircuitSpec) -> CompiledCircuit:
-    """Validate a spec (:func:`validate`) and compile it.
+    """Compile a spec, which was checked when it was built.
 
     The slot index covers every polarization label of each declared mode.
     The result serves any run of a spec of the same structure: one that
     differs only in its input amplitudes.
     """
-    validate(spec)
     parts = [_declared_slots(decl.kind, decl.modes) for decl in spec.inputs]
     index = fock.SlotIndex((m, pol) for m in spec.modes for pol in (POL_F, POL_H, POL_S, POL_V))
 
@@ -574,7 +565,8 @@ def execute(
     passive: bool = False,
     tolerance: float = fock.DEFAULT_TOLERANCE,
 ) -> GateResult:
-    """Run a circuit and return its exhaustive outcome table.
+    """Run a circuit and return its exhaustive outcome table.  The spec was
+    checked when it was built, so the run only compiles it.
 
     ``passive`` restricts acceptance to the pattern needing no correction:
     every detector firing exactly one transmitted-pol photon.  The default

@@ -33,10 +33,6 @@ from .circuit import (
     DetectorSpec,
     FeedForwardRule,
     InputDecl,
-    check_correction,
-    check_input,
-    check_name,
-    validate,
 )
 from .errors import CircuitError, CircuitSyntaxError, DetectedModeReuse
 from .fock import POL_F, POL_H, POL_S, POL_V
@@ -101,18 +97,20 @@ class _Line:
 
 
 class _Parser:
-    """Builds a spec statement by statement; :func:`validate` checks its meaning.
+    """Gathers a spec's fields statement by statement; the spec checks its
+    meaning when it is built (:func:`pbsgates.circuit.validate`).
 
     The one rule kept here is about text order, which a spec does not
     record: no statement may name a mode after that mode's ``detect``.  Its
-    first breach is raised only if the spec passes :func:`validate`, so that
-    a spec's own faults are reported as the library reports them.
+    first breach is raised only once the spec is built, so that a spec's
+    own faults are reported as the library reports them.
     """
 
     def __init__(self):
         self.fields = {field: [] for field in CircuitSpec._fields}
         #: (field, index) -> the (line, token index) of each name that
-        #: :func:`validate` files under that field and index (see its ``entry``).
+        #: :func:`pbsgates.circuit.validate` files under that field and index
+        #: (see its ``entry``).
         self.names: dict[tuple[str, int], list[tuple[_Line, int]]] = {}
         self.detected: dict[str, str] = {}
         #: The first breach of the text-order rule: message, line, token index.
@@ -211,11 +209,12 @@ _STATEMENTS = {name[5:]: stmt for name, stmt in vars(_Parser).items() if name.st
 
 
 def parse_circuit(text: str) -> CircuitSpec:
-    """Parse and validate a circuit document; diagnostics carry line/column.
+    """Parse a circuit document into a spec; diagnostics carry line/column.
 
-    A rule that :func:`validate` finds broken is reported at the statement
-    that made the entry at fault, at the offending token, with the
-    validator's ``entry``.
+    A rule that the spec breaks when it is built
+    (:func:`pbsgates.circuit.validate`) is reported at the statement that
+    made the entry at fault, at the offending token, with the error's
+    ``entry``.
     """
     parser = _Parser()
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -228,9 +227,8 @@ def parse_circuit(text: str) -> CircuitSpec:
         if handler is None:
             raise line.error(f"unknown statement {tokens[0]!r}", 0)
         handler(parser, line)
-    spec = CircuitSpec(**{field: tuple(entries) for field, entries in parser.fields.items()})
     try:
-        validate(spec)
+        spec = CircuitSpec(**parser.fields)
     except CircuitError as exc:
         if exc.entry is None:
             raise
@@ -256,22 +254,9 @@ def _format_correction(el) -> str:
 def format_circuit(spec: CircuitSpec) -> str:
     """Pretty-print a spec so that reparsing yields an equal spec.
 
-    A spec that cannot be written raises the :class:`CircuitSyntaxError`
-    that :func:`validate` raises for it: a declared mode or a detector label
-    that is not one token, an input declaration whose kind, mode count or
-    amplitude count is wrong, or a correction other than a rotator or phase
-    plate.  Non-finite values are written, so that the parser reports them
-    at their line and column.
+    Any spec can be written: it was checked when it was built.  Only the
+    spec's six fields are read, as attributes.
     """
-    for i, mode in enumerate(spec.modes):
-        check_name(mode, "modes", i)
-    for i, decl in enumerate(spec.inputs):
-        check_input(decl, i)
-    for i, det in enumerate(spec.detectors):
-        check_name(det.label, "labels", i)
-    for i, rule in enumerate(spec.rules):
-        for k, el in enumerate(rule.corrections):
-            check_correction(el, i, k)
     lines = [f"mode {m}" for m in spec.modes]
     for decl in spec.inputs:
         reals = [_fmt(x) for a in decl.amplitudes for x in (a.real, a.imag)]

@@ -24,7 +24,8 @@ class TruncationTooSmall(PbsGatesError):
 class CircuitError(PbsGatesError):
     """Base class for circuit-description problems, with optional location.
 
-    ``entry`` is the spec entry at fault, as :func:`pbsgates.circuit.validate` names it.
+    ``entry`` is the spec entry at fault, as :func:`pbsgates.circuit.validate`
+    names it when a :class:`pbsgates.circuit.CircuitSpec` is built.
     """
 
     def __init__(self, message, line=None, column=None, entry=None):

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive, validate
+from .circuit import CircuitSpec, OutcomePattern, is_1ao1, is_passive
 from .errors import MissingOutput, ModeCollision, NonPhysicalInput, TruncationTooSmall
 from .fock import POL_H, POL_V, BasisState, Slot
 from .optics import (
@@ -381,8 +381,8 @@ class DenseCircuit:
     The basis is restricted to the exact photon-number sector of each group
     of modes coupled by a beam splitter.  A mode that an element, detector
     or output names but no photon occupies becomes a physical mode with no
-    photons.  A spec that breaks a rule of :func:`circuit.validate` is
-    refused with the error that the engine raises for it.
+    photons.  A spec was checked when it was built
+    (:func:`circuit.validate`), so none is checked here.
 
     ``unitary`` is the network's single-particle matrix over the basis
     slots, and ``blocks`` the slice of slots of each coupled group.
@@ -402,7 +402,6 @@ class DenseCircuit:
     """
 
     def __init__(self, spec: CircuitSpec):
-        validate(spec)
         self.spec = spec
         # Declarations share no mode and put one photon on each of theirs.
         per_mode = dict.fromkeys((m for decl in spec.inputs for m in decl.modes), 1)
@@ -576,12 +575,12 @@ class DenseCircuit:
     def run(self, spec: CircuitSpec, passive: bool = False) -> DenseRunResult:
         """Outcome table of ``spec``'s input through the compiled circuit.
 
-        A spec other than the compiled one must pass :func:`circuit.validate`
-        and have the compiled spec's modes, elements, detectors, rules and
-        outputs, and its inputs on the same modes; else ``ValueError`` names
-        the field.  Its inputs may differ in amplitudes, and in kind as far
-        as :meth:`input_vector` allows.  An input whose squared norm is not 1
-        to within 1e-9 raises :class:`NonPhysicalInput`, as in the engine.
+        A spec other than the compiled one must have the compiled spec's
+        modes, elements, detectors, rules and outputs, and its inputs on the
+        same modes; else ``ValueError`` names the field.  Its inputs may
+        differ in amplitudes, and in kind as far as :meth:`input_vector`
+        allows.  An input whose squared norm is not 1 to within 1e-9 raises
+        :class:`NonPhysicalInput`, as in the engine.
 
         The output rows are grouped by detector pattern in numpy, by a stable
         sort over their count columns (a sort needs no key that could
@@ -591,7 +590,6 @@ class DenseCircuit:
         compile.
         """
         if spec is not self.spec:
-            validate(spec)
             for field in ("modes", "elements", "detectors", "rules", "outputs"):
                 if getattr(spec, field) != getattr(self.spec, field):
                     raise ValueError(f"spec {field} differ from the compiled spec's")

@@ -4,12 +4,13 @@ import itertools
 import math
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pbsgates import circuit, fock, gates, oracle
-from pbsgates.circuit import InputDecl
+from pbsgates.circuit import CircuitSpec, InputDecl
 from pbsgates.errors import MissingOutput, ModeCollision, NonNormalized, NonPhysicalInput
 from pbsgates.fock import (
     DEFAULT_TOLERANCE,
@@ -35,6 +36,13 @@ def circuit_path(name: str) -> str:
 CIRCUIT_FILES = [Path(circuit_path(name)) for name in gates.GATE_NAMES] + sorted(
     (Path(__file__).parent / "circuits").glob("*.circ")
 )
+
+
+def spec_fields(spec: CircuitSpec, **changes) -> SimpleNamespace:
+    """``spec``'s six fields with ``changes``, unchecked: a spec that cannot be
+    built can still be written out by :func:`dsl.format_circuit`, which reads
+    only these attributes."""
+    return SimpleNamespace(**{name: getattr(spec, name) for name in CircuitSpec._fields} | changes)
 
 
 def random_qubit(rng: np.random.Generator) -> QubitState:

@@ -74,16 +74,15 @@ def test_build_input_state_two_qubit_order():
         assert state.amplitude(key) == amp
 
 
-def test_build_input_state_unknown_kind():
-    spec = CircuitSpec(
-        modes=("m",),
-        inputs=(InputDecl("pair", ("m",)),),
-        elements=(),
-        detectors=(),
-        outputs=("m",),
-    )
+def test_unknown_input_kind_is_refused_when_built():
     with pytest.raises(CircuitSyntaxError, match="unknown input kind 'pair'"):
-        build_input_state(spec)
+        CircuitSpec(
+            modes=("m",),
+            inputs=(InputDecl("pair", ("m",)),),
+            elements=(),
+            detectors=(),
+            outputs=("m",),
+        )
 
 
 def test_enumerate_outcomes_partitions_norm(rng):

@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import hashlib
 import io
+import random
 import re
 
 import pytest
@@ -370,3 +372,72 @@ def test_mutation_fuzz_never_crashes(rng):
                 assert text.splitlines()[exc.line - 1][exc.column - 1:].startswith(token)
                 checked += 1
     assert checked
+
+
+#: Tokens that a corpus mutation may put in besides a file's own: keywords,
+#: separators, a mode that no file declares and values that no spec accepts.
+EXTRA_TOKENS = ("mode", "output", "as", "do", ";", "zz", "hv", "fs", "H", "S", "0", "nan", "inf")
+
+
+def mutated_texts(rng: random.Random, per_file: int):
+    """``per_file`` mutants of each file of :data:`CIRCUIT_FILES`, each with
+    one or two mutations: a token dropped, inserted, replaced or swapped with
+    another anywhere in the document, or a statement dropped or moved.  New
+    tokens are drawn from the file's own and :data:`EXTRA_TOKENS`."""
+    for path in CIRCUIT_FILES:
+        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [raw.split("#", 1)[0].split() for raw in raw_lines]
+        lines = [tokens for tokens in lines if tokens]
+        pool = sorted({token for tokens in lines for token in tokens}) + list(EXTRA_TOKENS)
+        for _ in range(per_file):
+            doc = [list(tokens) for tokens in lines]
+            for _ in range(rng.randint(1, 2)):
+                op = rng.randrange(6)
+                if op == 4:
+                    del doc[rng.randrange(len(doc))]
+                    continue
+                if op == 5:
+                    doc.insert(rng.randrange(len(doc)), doc.pop(rng.randrange(len(doc))))
+                    continue
+                tokens = rng.choice(doc)
+                if op == 1:
+                    tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(pool))
+                elif not tokens:
+                    continue
+                elif op == 0:
+                    del tokens[rng.randrange(len(tokens))]
+                elif op == 2:
+                    other = rng.choice([t for t in doc if t])
+                    i, j = rng.randrange(len(tokens)), rng.randrange(len(other))
+                    tokens[i], other[j] = other[j], tokens[i]
+                else:
+                    tokens[rng.randrange(len(tokens))] = rng.choice(pool)
+            yield "".join(" ".join(tokens) + "\n" for tokens in doc)
+
+
+#: The sha256 of every outcome of the seeded corpus below: each parsed
+#: spec's repr, or each diagnostic's class, message, line, column and entry.
+CORPUS_DIGEST = "834ddac3d5076e94a078d01494289e42dd66f75354407178ed9010d1619fac6b"
+
+
+def test_diagnostics_of_a_seeded_mutation_corpus_are_pinned():
+    digest = hashlib.sha256()
+    seen = set()
+    for text in mutated_texts(random.Random(7), 200):
+        try:
+            outcome = repr(parse(text))
+        except CircuitError as exc:
+            seen.add((type(exc), exc.entry is not None))
+            outcome = repr((type(exc).__name__, str(exc), exc.line, exc.column, exc.entry))
+        digest.update(outcome.encode() + b"\n")
+    # The corpus reaches every rule class, both before and after the spec is built.
+    assert seen >= {
+        (CircuitSyntaxError, False),
+        (CircuitSyntaxError, True),
+        (UndeclaredMode, True),
+        (OverlappingModes, True),
+        (DetectedModeReuse, False),
+        (DetectedModeReuse, True),
+        (MissingOutput, False),
+    }
+    assert digest.hexdigest() == CORPUS_DIGEST

@@ -12,13 +12,14 @@ import re
 import pytest
 
 from pbsgates import circuit, gates, oracle, optics
-from pbsgates.errors import NonNormalized
+from pbsgates.errors import DetectedModeReuse, MissingOutput, NonNormalized
 from pbsgates.fock import BasisState
 
 ROTATE = optics.RotatorElement("a", 90.0)
 INPUT = circuit.InputDecl("qubit", ("a",), (1.0, 0.0))
 PBS = optics.PbsElement("a", "b", "a", "b", "fs")
 DETECTOR = circuit.DetectorSpec("b", "hv", "D")
+SPEC = circuit.CircuitSpec(("a", "b"), (INPUT,), (PBS,), (DETECTOR,), (), ("a",))
 
 #: One instance of each record class and its repr, as the dataclasses wrote it.
 FROZEN = [
@@ -46,7 +47,7 @@ FROZEN = [
         "InputDecl(kind='qubit', modes=('a',), amplitudes=(0.6, 0.8j))",
     ),
     (
-        circuit.CircuitSpec(("a", "b"), (INPUT,), (PBS,), (DETECTOR,), (), ("a",)),
+        SPEC,
         "CircuitSpec(modes=('a', 'b'), inputs=(InputDecl(kind='qubit', modes=('a',), "
         "amplitudes=(1.0, 0.0)),), elements=(PbsElement(in1='a', in2='b', out1='a', "
         "out2='b', basis='fs'),), detectors=(DetectorSpec(mode='b', basis='hv', "
@@ -112,8 +113,10 @@ def test_field_order_and_defaults():
     assert optics.PbsElement("a", "b", "c", "d").basis == optics.BASIS_HV
     assert BasisState().occ == ()
     assert circuit.InputDecl("bell", ("a", "b")).amplitudes == ()
-    spec = circuit.CircuitSpec(("a",), (), (), ())
-    assert spec.rules == () and spec.outputs == ()
+    assert circuit.CircuitSpec(("a",), (), (), (), outputs=("a",)).rules == ()
+    # Outputs default to none, which no spec may have.
+    with pytest.raises(MissingOutput):
+        circuit.CircuitSpec(("a",), (), (), ())
     assert circuit.CircuitSpec._fields == (
         "modes", "inputs", "elements", "detectors", "rules", "outputs"
     )
@@ -169,6 +172,7 @@ CHECKS = [
         NonNormalized,
         "two-qubit squared norm is 1.25",
     ),
+    (SPEC, {"outputs": ("b",)}, DetectedModeReuse, "output on detected mode 'b'"),
 ]
 
 

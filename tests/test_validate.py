@@ -1,11 +1,14 @@
-"""One validator for every spec: the library and the DSL reject alike."""
+"""One validator for every spec, run once when the spec is built: the
+library and the DSL reject alike, and nothing checks a built spec again."""
 
+import contextlib
 import math
+import sys
 
 import pytest
 
-from pbsgates import circuit, dsl, oracle
-from pbsgates.circuit import CircuitSpec, DetectorSpec, InputDecl, build_input_state
+from pbsgates import circuit, cli, dsl, gates, oracle
+from pbsgates.circuit import CircuitSpec, DetectorSpec, FeedForwardRule, InputDecl
 from pbsgates.errors import (
     CircuitError,
     CircuitSyntaxError,
@@ -19,7 +22,7 @@ from pbsgates.fock import POL_H, POL_V
 from pbsgates.gates import GATE_NAMES
 from pbsgates.optics import BASIS_HV, PbsElement, PolPhaseElement, RotatorElement
 
-from conftest import circuit_path
+from conftest import accepted_bits, circuit_path, spec_fields
 
 
 def shipped_spec(name: str) -> CircuitSpec:
@@ -60,7 +63,8 @@ def renamed(mode: str) -> dict:
 
 
 #: One row per rule of :func:`circuit.validate`: the fields that corrupt
-#: parity_check, the class that both paths raise and the name at fault.
+#: parity_check, the class that building the spec and parsing its text
+#: raise, and the name at fault.
 RULES = {
     "input on an undeclared mode": (
         dict(inputs=(QUBIT, ANCILLA._replace(modes=("z",)))),
@@ -148,8 +152,8 @@ RULES = {
     ),
 }
 
-#: Rows whose spec the DSL cannot write: the printer refuses it as the
-#: library does.
+#: Rows whose fields have no text: the name is not one token, or the
+#: correction no statement of a rule.
 UNWRITABLE = {
     "mode name that is not one token",
     "empty detector label",
@@ -160,39 +164,27 @@ UNWRITABLE = {
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_library_and_dsl_raise_the_same_class(rule):
     changes, error, name = RULES[rule]
-    spec = PARITY._replace(**changes)
     with pytest.raises(error) as library:
-        circuit.compile(spec)
+        PARITY._replace(**changes)
+    entry = library.value.entry
+    assert (None if entry is None else entry[2]) == name
     if rule in UNWRITABLE:
-        with pytest.raises(error) as printer:
-            dsl.format_circuit(spec)
-        assert printer.value.entry == library.value.entry
         return
-    text = dsl.format_circuit(spec)
+    text = dsl.format_circuit(spec_fields(PARITY, **changes))
     with pytest.raises(error) as info:
         dsl.parse_circuit(text)
     err = info.value
+    assert err.entry == entry
     if name is None:
         assert err.line is None
     else:
         assert text.splitlines()[err.line - 1][err.column - 1:].startswith(name)
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
-def test_oracle_raises_the_same_class(rule):
-    changes, error, _ = RULES[rule]
-    spec = PARITY._replace(**changes)
-    with pytest.raises(error) as library:
-        circuit.compile(spec)
-    with pytest.raises(error) as dense:
-        oracle.run_dense(spec)
-    assert dense.value.entry == library.value.entry
-
-
 def test_correction_error_points_at_the_correction_mode():
-    spec = PARITY._replace(rules=corrected_on("c"))
+    text = dsl.format_circuit(spec_fields(PARITY, rules=corrected_on("c")))
     with pytest.raises(DetectedModeReuse) as info:
-        dsl.parse_circuit(dsl.format_circuit(spec))
+        dsl.parse_circuit(text)
     # "on c S do polphase c H 180": the label is column 4, the mode 20.
     assert (info.value.line, info.value.column) == (9, 20)
 
@@ -212,9 +204,7 @@ def test_detector_rejects_an_unknown_basis():
 
 #: Input declarations of a shape that no kind of :data:`circuit.INPUT_FORMS`
 #: has, each in place of parity_check's qubit on mode 2' (with a mode "z"
-#: declared).  The library, the oracle and the DSL's printer refuse each
-#: with one class and entry; the printer writes no text that its parser
-#: would refuse at another token.
+#: declared): no spec holds one.
 INPUT_SHAPES = {
     "unknown kind": InputDecl("pair", ("2'",)),
     "qubit on two modes": InputDecl("qubit", ("2'", "z"), QUBIT.amplitudes),
@@ -231,44 +221,25 @@ def misshapen(rule: str) -> CircuitSpec:
 
 
 @pytest.mark.parametrize("rule", sorted(INPUT_SHAPES))
-def test_library_and_oracle_refuse_an_input_shape_alike(rule):
-    spec = misshapen(rule)
-    with pytest.raises(CircuitSyntaxError) as library:
-        circuit.compile(spec)
-    with pytest.raises(CircuitSyntaxError) as dense:
-        oracle.run_dense(spec)
-    with pytest.raises(CircuitSyntaxError) as printer:
-        dsl.format_circuit(spec)
-    entries = (library.value.entry, dense.value.entry, printer.value.entry)
-    assert entries == (("inputs", 0, "2'", 0),) * 3
-
-
-def test_input_amplitude_count_is_checked_against_its_kind():
-    for rule, kind in (("qubit with three amplitudes", "qubit"), ("bell with an amplitude", "bell")):
-        with pytest.raises(CircuitSyntaxError, match=f"a {kind} input takes"):
-            build_input_state(misshapen(rule))
-
-
-def test_a_warm_plan_refuses_a_non_finite_amplitude():
-    # Every run validates its spec, whatever ran before it.
-    spec = PARITY._replace(**first_input(math.nan, 1.0))
-    for _ in range(2):
-        with pytest.raises(CircuitSyntaxError, match="not finite") as info:
-            circuit.execute(spec)
-        assert info.value.entry == ("inputs", 0, "2'", 0)
-        circuit.compile(PARITY)
+def test_a_misshapen_input_is_refused_when_built(rule):
+    kind = INPUT_SHAPES[rule].kind
+    message = f"a {kind} input takes" if kind in circuit.INPUT_FORMS else "unknown input kind"
+    with pytest.raises(CircuitSyntaxError, match=message) as info:
+        misshapen(rule)
+    assert info.value.entry == ("inputs", 0, "2'", 0)
 
 
 def test_binding_a_non_finite_amplitude_on_a_plan_is_refused():
-    # Gate calls bind amplitudes on a kept plan without validate; the nan
-    # must not be pruned as if it were zero.
+    # Gate calls bind amplitudes on a kept plan, with no spec built to check
+    # them; the nan must not be pruned as if it were zero.
     declarations = [("qubit", (math.nan, 1.0)), ("qubit", ANCILLA.amplitudes)]
     with pytest.raises(NonPhysicalInput, match="nan.* is not finite"):
         circuit.input_amplitudes(declarations)
 
 
-def mutate(spec: CircuitSpec, rng) -> CircuitSpec:
-    """Swap one mode, label, pol or output of ``spec`` for a random one."""
+def mutate(spec: CircuitSpec, rng) -> dict:
+    """The change to ``spec``'s fields that swaps one of its modes, labels,
+    pols or outputs for a random one."""
 
     def pick(options):
         return options[int(rng.integers(len(options)))]
@@ -310,8 +281,8 @@ def mutate(spec: CircuitSpec, rng) -> CircuitSpec:
     ))
     if change is None:
         outputs = pick(((), spec.outputs + spec.outputs[:1], spec.outputs + (pick(modes),)))
-        return spec._replace(outputs=outputs)
-    return spec._replace(**{field: at(getattr(spec, field), change)})
+        return dict(outputs=outputs)
+    return {field: at(getattr(spec, field), change)}
 
 
 def raised(call) -> type | None:
@@ -327,11 +298,11 @@ def test_mutated_shipped_specs_fail_alike_in_the_library_and_the_dsl(rng):
     for _ in range(300):
         spec = shipped_spec(GATE_NAMES[int(rng.integers(len(GATE_NAMES)))])
         try:
-            spec = mutate(spec, rng)
+            changes = mutate(spec, rng)
         except ValueError:  # a PBS with two equal ports cannot be built
             continue
-        library = raised(lambda: circuit.compile(spec))
-        text = dsl.format_circuit(spec)
+        library = raised(lambda: spec._replace(**changes))
+        text = dsl.format_circuit(spec_fields(spec, **changes))
         assert raised(lambda: dsl.parse_circuit(text)) == library, text
         seen.add(library)
     assert seen >= {
@@ -342,3 +313,56 @@ def test_mutated_shipped_specs_fail_alike_in_the_library_and_the_dsl(rng):
         CircuitSyntaxError,
         MissingOutput,
     }
+
+
+@contextlib.contextmanager
+def validations():
+    """The calls of :func:`circuit.validate` made in the block, under any
+    name that it is reached by, one ``None`` each."""
+    code = circuit.validate.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(None)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_a_spec_is_validated_once_when_it_is_built(capsys):
+    with validations() as calls:
+        assert cli.main(["run", "--circuit", circuit_path("parity_check")]) == 0
+    assert len(calls) == 1
+    other = PARITY._replace(**first_input(0.8, 0.6))
+    qubit = gates.QubitState(0.6, 0.8)
+    gates.parity_check(qubit)
+    with validations() as calls:
+        circuit.compile(PARITY)
+        circuit.execute(PARITY)
+        dense = oracle.DenseCircuit(PARITY)
+        dense.run(PARITY)
+        dense.run(other)
+        oracle.run_dense(other)
+        gates.parity_check(qubit)
+    assert calls == []
+
+
+def test_a_spec_built_from_lists_keeps_the_values_it_was_checked_with():
+    modes, amplitudes = list(QUBIT.modes), list(QUBIT.amplitudes)
+    corrections = list(RULE.corrections)
+    fields = {name: list(getattr(PARITY, name)) for name in CircuitSpec._fields}
+    fields["inputs"][0] = InputDecl(QUBIT.kind, modes, amplitudes)
+    fields["rules"][0] = FeedForwardRule(RULE.label, RULE.pol, corrections)
+    spec = CircuitSpec(**fields)
+    modes.append("a")
+    amplitudes.append(math.nan)
+    corrections.append(PbsElement("2", "c", "c", "2"))
+    for entries in fields.values():
+        entries.clear()
+    assert spec == PARITY and hash(spec) == hash(PARITY)
+    assert accepted_bits(circuit.execute(spec)) == accepted_bits(circuit.execute(PARITY))
