@@ -366,3 +366,18 @@ def test_a_spec_built_from_lists_keeps_the_values_it_was_checked_with():
         entries.clear()
     assert spec == PARITY and hash(spec) == hash(PARITY)
     assert accepted_bits(circuit.execute(spec)) == accepted_bits(circuit.execute(PARITY))
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_no_rule_can_be_broken_through_the_lists_a_spec_was_built_from(rule):
+    # The caller's lists hold parity_check's fields while the spec is
+    # checked and the row's fields after it: the spec, and what the engine
+    # and the oracle run, keep the checked ones.
+    changes, _, _ = RULES[rule]
+    fields = {name: list(getattr(PARITY, name)) for name in CircuitSpec._fields}
+    spec = CircuitSpec(**fields)
+    for name, value in changes.items():
+        fields[name][:] = value
+    assert spec == PARITY
+    assert accepted_bits(circuit.execute(spec)) == accepted_bits(circuit.execute(PARITY))
+    assert oracle.run_dense(spec) == oracle.run_dense(PARITY)
