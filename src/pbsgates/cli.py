@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import re
@@ -283,15 +284,19 @@ def _write_over(path: str, text: str) -> None:
 
 def _write(stream, text: str) -> OSError | None:
     """Write ``text`` to ``stream`` and flush it; the error if that fails.
-    After a failure the stream's descriptor goes to the null device, so that
-    the interpreter's own flush at exit does not fail again on the bytes
-    still buffered."""
+    After a failure a stream's descriptor, if it has one, goes to the null
+    device, so that the interpreter's own flush at exit does not fail again
+    on the bytes still buffered."""
     try:
         stream.write(text)
         stream.flush()
     except OSError as exc:
+        try:
+            fd = stream.fileno()
+        except io.UnsupportedOperation:  # an in-memory stream
+            return exc
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stream.fileno())
+        os.dup2(devnull, fd)
         os.close(devnull)
         return exc
     return None

@@ -36,11 +36,12 @@ float loop, so that reports have the same bits on every supported Python.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from operator import itemgetter
 
-from .errors import OverlappingModes
+from .errors import NonPhysicalInput, OverlappingModes
 from .record import Frozen
 
 POL_H = "H"
@@ -205,9 +206,10 @@ class PhotonState:
     """Sparse complex superposition of photon configurations.
 
     Build one from a ``{BasisState: amplitude}`` mapping and read it back
-    through :attr:`terms`, :meth:`amplitude` or :meth:`sorted_terms`.
-    Instances are immutable after construction; every operation returns a new
-    value, so states can be freely shared between threads.
+    through :attr:`terms`, :meth:`amplitude` or :meth:`sorted_terms`; a
+    non-finite amplitude raises :class:`NonPhysicalInput`.  Instances are
+    immutable after construction; every operation returns a new value, so
+    states can be freely shared between threads.
     """
 
     # ``_photons`` bounds the photon number of every term; the field width is
@@ -216,6 +218,10 @@ class PhotonState:
 
     def __init__(self, terms, tolerance: float = DEFAULT_TOLERANCE):
         floor = prune_floor(tolerance)
+        # A nan would be pruned as if it were zero: abs(nan) >= floor is false.
+        for amp in terms.values():
+            if not cmath.isfinite(amp):
+                raise NonPhysicalInput(f"amplitude {amp!r} is not finite")
         index = SlotIndex(slot for basis in terms for slot, _ in basis.occ)
         photons = max((basis.total_photons for basis in terms), default=0)
         width = _width(photons)

@@ -84,14 +84,16 @@ _CHUNK_ENTRIES = 2**18
 #: before any sector is enumerated.
 _MAX_IMAGE_ENTRIES = 2**22
 
-#: Polarizations on modes (1, 4, 2, 3) of each term of the chi resource,
-#: every term with amplitude 1/2.
-_CHI_TERMS = (
-    (POL_H, POL_H, POL_H, POL_H),
-    (POL_H, POL_V, POL_H, POL_V),
-    (POL_V, POL_H, POL_V, POL_V),
-    (POL_V, POL_V, POL_V, POL_H),
-)
+#: The polarization of each declared mode in each term of each input kind,
+#: in term order.  A qubit or a state declares one amplitude per term; a
+#: Bell pair or the chi resource declares none and is the equal
+#: superposition of its terms.  The engine keeps its own table of the kinds.
+_INPUT_TERMS = {
+    "qubit": ("H", "V"),
+    "state": ("HH", "HV", "VH", "VV"),
+    "bell": ("HH", "VV"),
+    "chi": ("HHHH", "HHVV", "VVVH", "VVHV"),
+}
 
 @functools.cache
 def _targets(total: int, parts: int) -> np.ndarray:
@@ -310,27 +312,9 @@ def element_operator(el, basis: DenseBasis) -> sp.csr_matrix:
 
 def _declaration_terms(decl) -> list[tuple[tuple[Slot, ...], complex]]:
     """One input declaration's terms as (slot of each photon, amplitude)."""
-    if decl.kind == "qubit":
-        (m,) = decl.modes
-        a_h, a_v = decl.amplitudes
-        return [(((m, POL_H),), a_h), (((m, POL_V),), a_v)]
-    if decl.kind == "state":
-        m1, m2 = decl.modes
-        pols = itertools.product((POL_H, POL_V), repeat=2)  # HH HV VH VV
-        return [
-            (((m1, p1), (m2, p2)), a)
-            for (p1, p2), a in zip(pols, decl.amplitudes, strict=True)
-        ]
-    if decl.kind == "bell":
-        m1, m2 = decl.modes
-        return [(((m1, p), (m2, p)), _INV_SQRT2) for p in (POL_H, POL_V)]
-    if decl.kind == "chi":
-        m1, m2, m3, m4 = decl.modes
-        return [
-            (((m1, p1), (m4, p4), (m2, p2), (m3, p3)), 0.5)
-            for p1, p4, p2, p3 in _CHI_TERMS
-        ]
-    raise ValueError(f"unknown input kind: {decl.kind!r}")
+    terms = _INPUT_TERMS[decl.kind]
+    amplitudes = decl.amplitudes or (1.0 / math.sqrt(len(terms)),) * len(terms)
+    return [(tuple(zip(decl.modes, pols)), a) for pols, a in zip(terms, amplitudes)]
 
 
 def _input_terms(spec: CircuitSpec, slots: list[Slot]) -> dict[tuple[int, ...], complex]:
@@ -458,7 +442,7 @@ class DenseCircuit:
             self.blocks.append(slice(len(slot_list), len(slot_list) + len(gslots)))
             slot_list.extend(gslots)
         dim = math.prod(math.comb(n + parts - 1, parts - 1) for n, parts in sectors)
-        columns = math.prod(len(_declaration_terms(decl)) for decl in spec.inputs)
+        columns = math.prod(len(_INPUT_TERMS[decl.kind]) for decl in spec.inputs)
         n_slots = len(slot_list)
         if dim * max(columns, n_slots) > _MAX_IMAGE_ENTRIES:
             wide = f"{columns} support columns" if columns >= n_slots else f"{n_slots} slots"

@@ -32,6 +32,22 @@ def circuit_path(name: str) -> str:
     return str(files("pbsgates").joinpath("circuits", f"{name}.circ"))
 
 
+def readme_gate_examples() -> set[str]:
+    """The arguments after ``pbsgates run --gate`` in each README example,
+    without ``--output`` and its file."""
+    prefix = "pbsgates run --gate "
+    examples = set()
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith(prefix):
+            args = line[len(prefix):].split()
+            if "--output" in args:
+                at = args.index("--output")
+                del args[at:at + 2]
+            examples.add(" ".join(args))
+    return examples
+
+
 #: Every shipped circuit, then every circuit under ``tests/circuits``.
 CIRCUIT_FILES = [Path(circuit_path(name)) for name in gates.GATE_NAMES] + sorted(
     (Path(__file__).parent / "circuits").glob("*.circ")

@@ -17,9 +17,10 @@ import pytest
 from pbsgates import __version__, cli, dsl, gates
 from pbsgates.circuit import GateResult, execute, pattern_name
 from pbsgates.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, TOLERANCE_ENV
-from pbsgates.gates import GATE_NAMES, TwoQubitState
+from pbsgates.fock import DEFAULT_TOLERANCE
+from pbsgates.gates import GATE_NAMES, QubitState, TwoQubitState
 
-from conftest import circuit_path, scaled
+from conftest import circuit_path, readme_gate_examples, scaled
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -608,6 +609,41 @@ def test_a_warning_that_cannot_be_written_is_dropped(stderr, unbuffered):
     assert proc.stdout == shown.stdout
 
 
+class _FullStream(io.StringIO):
+    """An in-memory stream, with no descriptor, that no text can be written
+    to: each write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_report_to_a_full_stream_without_a_descriptor_is_config_error():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStream()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8", "0"])
+    assert code == EXIT_CONFIG
+    assert err.getvalue() == (
+        f"error: cannot write standard output: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+def test_a_warning_to_a_full_stream_without_a_descriptor_is_dropped():
+    args = ["run", "--gate", "parity_check", "--qubit", "0.6", "0", "0.8000001", "0"]
+    shown = run_main(*args)
+    assert shown.stderr.startswith("warning: renormalizing qubit amplitudes")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(_FullStream()):
+        code = cli.main(args)
+    assert (code, out.getvalue()) == (EXIT_OK, shown.stdout)
+
+
+def test_an_error_to_a_full_stream_without_a_descriptor_keeps_its_exit_code(tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(_FullStream()):
+        code = cli.main(["run", "--circuit", str(tmp_path / "missing.circ")])
+    assert (code, out.getvalue()) == (EXIT_CONFIG, "")
+
+
 def test_bad_tolerance_env(monkeypatch):
     import os
 
@@ -633,6 +669,89 @@ def test_tolerance_env_accepted(tmp_path):
         "run", "--gate", "parity_check", "--qubit", "1", "0", "0", "0", env=env
     )
     assert proc.returncode == EXIT_OK
+
+
+#: Each README gate example -> the library call it makes, at tolerance ``t``.
+_README_GATE_CALLS = {
+    "parity_check --qubit 0.6 0 0.8 0":
+        lambda t: gates.parity_check(QubitState(0.6, 0.8), tolerance=t),
+    "cnot --two-qubit 1 0 0 0 0 0 0 0":
+        lambda t: gates.cnot(TwoQubitState(1, 0, 0, 0), tolerance=t),
+    "destructive_cnot --qubit 0.6 0 0.8 0 --control-pol V":
+        lambda t: gates.destructive_cnot(QubitState(0.6, 0.8), QubitState(0, 1), tolerance=t),
+    "gc_cnot --two-qubit 1 0 0 0 0 0 0 0 --passive":
+        lambda t: gates.gc_cnot(TwoQubitState(1, 0, 0, 0), passive=True, tolerance=t),
+    "chi_via_cnot": lambda t: gates.chi_via_cnot(tolerance=t),
+}
+
+
+def _result_numbers(result, detectors) -> str:
+    """A run's probabilities and amplitudes in report order, as their reprs:
+    floats equal in repr are equal in every bit."""
+    outcomes = [
+        (pattern_name(pattern, detectors), probability,
+         [(basis.key_string(), amp.real, amp.imag) for basis, amp in state.sorted_terms()])
+        for pattern, (probability, state) in sorted(result.outcomes.items())
+    ]
+    return repr((outcomes, result.success_probability, result.failure_probability))
+
+
+def _report_numbers(doc) -> str:
+    """:func:`_result_numbers` of the run that a JSON report was written from."""
+    outcomes = [
+        (outcome["pattern"], outcome["probability"],
+         [(term["occupations"], term["re"], term["im"]) for term in outcome["output_state"]])
+        for outcome in doc["outcomes"]
+    ]
+    return repr((outcomes, doc["success_probability"], doc["failure_probability"]))
+
+
+def _library_runs(tolerance: float):
+    """(``run`` arguments, numbers of the library's run at ``tolerance``) for
+    each README gate example and each shipped circuit."""
+    runs = []
+    for example, call in _README_GATE_CALLS.items():
+        spec = dsl.parse_circuit(Path(circuit_path(example.split()[0])).read_text())
+        numbers = _result_numbers(call(tolerance).result, spec.detectors)
+        runs.append((("--gate", *example.split()), numbers))
+    for name in GATE_NAMES:
+        spec = dsl.parse_circuit(Path(circuit_path(name)).read_text())
+        numbers = _result_numbers(execute(spec, tolerance=tolerance), spec.detectors)
+        runs.append((("--circuit", circuit_path(name)), numbers))
+    return runs
+
+
+@pytest.mark.parametrize("value", ["0", "1e-10"])
+def test_a_run_reports_what_the_library_computes_at_the_environments_tolerance(
+    value, monkeypatch
+):
+    assert set(_README_GATE_CALLS) == readme_gate_examples()
+    runs = _library_runs(float(value))
+    defaults = dict(_library_runs(DEFAULT_TOLERANCE))
+    monkeypatch.setenv(TOLERANCE_ENV, value)
+    for args, numbers in runs:
+        assert _report_numbers(run_json("run", *args, run=run_main)) == numbers, args
+    # At 0 the run keeps the rounding residues below the default tolerance,
+    # so a run that ignored the variable would fail above; at 1e-10 these
+    # runs report the default's numbers.
+    moved = [args for args, numbers in runs if numbers != defaults[args]]
+    assert bool(moved) == (value == "0"), moved
+
+
+def test_the_library_reads_no_tolerance_from_the_environment(monkeypatch):
+    spec = dsl.parse_circuit(Path(circuit_path("parity_check")).read_text())
+    qubit = QubitState(0.6, 0.8)
+    expected = (
+        _result_numbers(execute(spec), spec.detectors),
+        _result_numbers(gates.parity_check(qubit).result, spec.detectors),
+    )
+    # At 0.5 the CLI refuses this run (test_tolerance_that_prunes_the_input_is_named).
+    monkeypatch.setenv(TOLERANCE_ENV, "0.5")
+    gates._responses.cache_clear()  # the gate's table is built again, under the variable
+    assert (
+        _result_numbers(execute(spec), spec.detectors),
+        _result_numbers(gates.parity_check(qubit).result, spec.detectors),
+    ) == expected
 
 
 def test_amplitudes_in_exponent_form():

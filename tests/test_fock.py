@@ -12,7 +12,7 @@ import pytest
 
 from pbsgates import fock, optics
 from pbsgates.circuit import InputDecl
-from pbsgates.errors import OverlappingModes
+from pbsgates.errors import NonPhysicalInput, OverlappingModes
 from pbsgates.fock import (
     FS_TO_HV,
     HV_TO_FS,
@@ -265,6 +265,20 @@ def test_exact_zeros_pruned_at_tolerance_zero():
     report = cnot(TwoQubitState(1, 0, 0, 0), tolerance=0.0)
     for _, state in report.result.outcomes.values():
         assert all(state.terms.values())
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 0.0])
+@pytest.mark.parametrize(
+    "amplitude",
+    [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.nan),
+     complex(math.inf, 0), complex(0, -math.inf)],
+)
+def test_a_non_finite_amplitude_is_refused_not_pruned(amplitude, tolerance):
+    # abs(nan) >= floor is false, so a nan used to be pruned as a zero and
+    # the rest of the state kept as if it were the whole.
+    h, v = (BasisState.from_dict({("a", pol): 1}) for pol in (POL_H, POL_V))
+    with pytest.raises(NonPhysicalInput, match=re.escape(f"amplitude {amplitude!r} is not finite")):
+        PhotonState({h: amplitude, v: 1.0}, tolerance)
 
 
 @pytest.mark.parametrize("tolerance", [-1e-300, -1e-12, -1.0, -math.inf, math.nan])

@@ -20,9 +20,7 @@ import pytest
 
 from pbsgates import cli, gates
 
-from conftest import circuit_path
-
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+from conftest import circuit_path, readme_gate_examples
 
 #: (shipped circuit file, --passive) -> sha256 of the report, run from the
 #: circuits directory so that the report names the file without a path.
@@ -153,14 +151,4 @@ def test_a_warm_gate_run_builds_no_bound_spec(example, tmp_path, monkeypatch):
 
 
 def test_every_readme_gate_example_is_pinned():
-    prefix = "pbsgates run --gate "
-    examples = set()
-    with open(README, encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith(prefix):
-                args = line[len(prefix):].split()
-                if "--output" in args:
-                    at = args.index("--output")
-                    del args[at:at + 2]
-                examples.add(" ".join(args))
-    assert examples == set(GATE_REPORTS)
+    assert readme_gate_examples() == set(GATE_REPORTS)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pbsgates import dsl, errors, gates, optics, oracle
-from pbsgates.circuit import DetectorSpec, execute
+from pbsgates import circuit, dsl, errors, gates, optics, oracle
+from pbsgates.circuit import DetectorSpec, InputDecl, execute
 from pbsgates.errors import MissingOutput, ModeCollision, TruncationTooSmall
 from pbsgates.fock import POL_H, POL_V
 from pbsgates.gates import GATE_NAMES
@@ -957,6 +957,21 @@ def test_oracle_shares_no_simulation_code_with_the_engine():
         assert module in ORACLE_IMPORTS, (node.lineno, module)
         names = {alias.name for alias in node.names}
         assert names <= ORACLE_IMPORTS[module], (node.lineno, names - ORACLE_IMPORTS[module])
+
+
+def test_the_oracle_and_the_engine_list_the_same_input_kinds():
+    # Each keeps its own table of the four kinds; the two meet here, never in
+    # code.  A kind that declares no amplitudes is the equal superposition of
+    # its terms in both.
+    forms = circuit.INPUT_FORMS
+    assert list(oracle._INPUT_TERMS) == list(forms)
+    for kind, (terms, _) in forms.items():
+        assert oracle._INPUT_TERMS[kind] == terms, kind
+    for kind, amplitude in (("bell", 1 / math.sqrt(2)), ("chi", 0.5)):
+        modes = ("a", "b", "c", "d")[: len(forms[kind][0][0])]
+        terms = oracle._declaration_terms(InputDecl(kind, modes))
+        assert [slots for slots, _ in terms] == [tuple(zip(modes, pols)) for pols in forms[kind][0]]
+        assert [a.hex() for _, a in terms] == [amplitude.hex()] * len(forms[kind][0]), kind
 
 
 def test_oracle_constructs_no_optics_element_record():
